@@ -29,11 +29,11 @@ Breakdown run(et::nn::Pipeline p, const et::nn::EncoderWeights& w,
                                 et::nn::options_for(p, model, 128));
   Breakdown b;
   for (const auto& k : dev.history()) {
-    if (k.name.find("ff") != std::string::npos ||
-        k.name.find("gelu") != std::string::npos) {
+    if (k.name.view().find("ff") != std::string::npos ||
+        k.name.view().find("gelu") != std::string::npos) {
       b.mlp += k.time_us;
-    } else if (k.name.find("residual") != std::string::npos ||
-               k.name.find("layernorm") != std::string::npos) {
+    } else if (k.name.view().find("residual") != std::string::npos ||
+               k.name.view().find("layernorm") != std::string::npos) {
       b.norm += k.time_us;
     } else {
       b.attention += k.time_us;

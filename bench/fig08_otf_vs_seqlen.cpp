@@ -51,7 +51,7 @@ RegionCost attention_region(AttentionImpl impl, const et::tensor::MatrixF& x,
   (void)et::core::adaptive_attention(ctx, x, w, cfg, policy);
   RegionCost cost;
   for (const auto& k : dev.history()) {
-    if (k.name.find("linear") != std::string::npos) continue;
+    if (k.name.view().find("linear") != std::string::npos) continue;
     cost.us += k.time_us;
     cost.score_bytes += k.score_bytes;
   }

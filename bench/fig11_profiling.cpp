@@ -22,7 +22,7 @@ RegionStats attention_region(const et::gpusim::Device& dev) {
   RegionStats out;
   double weight = 0.0;
   for (const auto& k : dev.history()) {
-    if (k.name.find("linear") != std::string::npos) continue;
+    if (k.name.view().find("linear") != std::string::npos) continue;
     out.gld += k.gld_transactions();
     out.gst += k.gst_transactions();
     out.sm_eff += k.sm_efficiency * k.time_us;

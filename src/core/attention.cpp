@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <string>
+#include <string_view>
 
 #include "core/attention_math.hpp"
 #include "kernels/elementwise.hpp"
@@ -141,13 +142,13 @@ Projections project_cross(ExecContext& ctx, const tensor::MatrixF& x,
 /// e.g. torch.bmm or the TensorRT batched-GEMM step. Loads both operands
 /// once, stores the result once. `score_elems` tags how many of those
 /// elements belong to the S matrix (stored by Q·Kᵀ, loaded by S·V).
-void record_batched_gemm(gpusim::Device& dev, std::string name,
+void record_batched_gemm(gpusim::Device& dev, std::string_view name,
                          std::size_t load_elems_a, std::size_t load_elems_b,
                          std::size_t store_elems, std::uint64_t flops,
                          std::size_t ctas, Precision p,
                          std::size_t score_elems = 0) {
   const std::size_t sb = numeric::storage_bytes(p);
-  auto launch = dev.launch({.name = std::move(name),
+  auto launch = dev.launch({.name = name,
                             .ctas = ctas,
                             .shared_bytes_per_cta =
                                 clamp_shared(dev, 2 * 256 * 16 * sb),
@@ -166,13 +167,13 @@ void record_batched_gemm(gpusim::Device& dev, std::string name,
 /// softmax in the unfused pipelines). These kernels walk the head-major
 /// S layout with transposed/strided accesses, which is why the paper
 /// measures them at only ~8.6% of peak bandwidth (Fig. 12).
-void record_score_stream(gpusim::Device& dev, std::string name,
+void record_score_stream(gpusim::Device& dev, std::string_view name,
                          std::size_t elems, double load_frac,
                          double store_frac, std::uint64_t flops,
                          Precision p) {
   const std::size_t sb = numeric::storage_bytes(p);
   auto launch =
-      dev.launch({.name = std::move(name),
+      dev.launch({.name = name,
                   .ctas = std::max<std::size_t>(1, elems / 4096),
                   .shared_bytes_per_cta = 0,
                   .pattern = AccessPattern::kStrided});

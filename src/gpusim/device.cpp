@@ -1,6 +1,5 @@
 #include "gpusim/device.hpp"
 
-#include <numeric>
 #include <utility>
 
 #include "gpusim/latency_model.hpp"
@@ -31,8 +30,8 @@ LaunchSink* Device::bound_sink() const noexcept {
   return tl_sink_device == this ? tl_sink : nullptr;
 }
 
-Launch::Launch(Device& dev, LaunchConfig cfg) : dev_(&dev) {
-  stats_.name = std::move(cfg.name);
+Launch::Launch(Device& dev, const LaunchConfig& cfg) : dev_(&dev) {
+  stats_.name = KernelName::intern(cfg.name);
   stats_.ctas = cfg.ctas;
   stats_.shared_bytes_per_cta = cfg.shared_bytes_per_cta;
   stats_.pattern = cfg.pattern;
@@ -64,14 +63,14 @@ Launch Device::launch(LaunchConfig cfg) {
       throw SharedMemOverflow(cfg.name, cfg.shared_bytes_per_cta,
                               spec_.shared_mem_per_cta_bytes);
     }
-    return Launch(*this, std::move(cfg));
+    return Launch(*this, cfg);
   }
   injector_.on_launch(cfg.name, cfg.shared_bytes_per_cta);
   if (cfg.shared_bytes_per_cta > spec_.shared_mem_per_cta_bytes) {
     throw SharedMemOverflow(cfg.name, cfg.shared_bytes_per_cta,
                             spec_.shared_mem_per_cta_bytes);
   }
-  return Launch(*this, std::move(cfg));
+  return Launch(*this, cfg);
 }
 
 void Device::record(KernelStats stats) {
@@ -83,6 +82,15 @@ void Device::record(KernelStats stats) {
   }
   stats.slot = current_slot_;
   apply_latency_model(stats, spec_);
+  append(std::move(stats));
+}
+
+void Device::append(KernelStats&& stats) {
+  totals_.time_us += stats.time_us;
+  totals_.load_bytes += stats.global_load_bytes;
+  totals_.store_bytes += stats.global_store_bytes;
+  totals_.score_bytes += stats.score_bytes;
+  totals_.ops += stats.total_ops();
   log_.push_back(std::move(stats));
 }
 
@@ -109,7 +117,7 @@ int Device::current_slot() const noexcept {
 
 void Device::merge(LaunchSink&& sink) {
   injector_.advance(sink.launches_attempted);
-  for (auto& stats : sink.log) log_.push_back(std::move(stats));
+  for (auto& stats : sink.log) append(std::move(stats));
   for (auto& event : sink.fallbacks) fallbacks_.push_back(std::move(event));
 }
 
@@ -121,40 +129,10 @@ double Device::time_us_for_slot(int slot) const {
   return t;
 }
 
-double Device::total_time_us() const noexcept {
-  double t = 0.0;
-  for (const auto& k : log_) t += k.time_us;
-  return t;
-}
-
-std::uint64_t Device::total_load_bytes() const noexcept {
-  std::uint64_t b = 0;
-  for (const auto& k : log_) b += k.global_load_bytes;
-  return b;
-}
-
-std::uint64_t Device::total_store_bytes() const noexcept {
-  std::uint64_t b = 0;
-  for (const auto& k : log_) b += k.global_store_bytes;
-  return b;
-}
-
-std::uint64_t Device::total_score_bytes() const noexcept {
-  std::uint64_t b = 0;
-  for (const auto& k : log_) b += k.score_bytes;
-  return b;
-}
-
-std::uint64_t Device::total_ops() const noexcept {
-  std::uint64_t n = 0;
-  for (const auto& k : log_) n += k.total_ops();
-  return n;
-}
-
-double Device::time_us_matching(const std::string& substr) const {
+double Device::time_us_matching(std::string_view substr) const {
   double t = 0.0;
   for (const auto& k : log_) {
-    if (k.name.find(substr) != std::string::npos) t += k.time_us;
+    if (k.name.view().find(substr) != std::string_view::npos) t += k.time_us;
   }
   return t;
 }

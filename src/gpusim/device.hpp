@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gpusim/device_spec.hpp"
@@ -23,9 +24,9 @@ namespace et::gpusim {
 /// device offers — the §3.2 capacity limit (Eq. 6) made tangible.
 class SharedMemOverflow : public std::runtime_error {
  public:
-  SharedMemOverflow(const std::string& kernel, std::size_t requested,
+  SharedMemOverflow(std::string_view kernel, std::size_t requested,
                     std::size_t capacity)
-      : std::runtime_error("kernel '" + kernel + "' requests " +
+      : std::runtime_error("kernel '" + std::string(kernel) + "' requests " +
                            std::to_string(requested) +
                            " B of shared memory per CTA; device offers " +
                            std::to_string(capacity) + " B"),
@@ -57,7 +58,9 @@ struct FallbackEvent {
 };
 
 struct LaunchConfig {
-  std::string name;
+  /// Read during Device::launch only: the launch record holds an interned
+  /// copy, so the string need not outlive the call.
+  std::string_view name;
   std::size_t ctas = 1;
   std::size_t shared_bytes_per_cta = 0;
   AccessPattern pattern = AccessPattern::kStreaming;
@@ -112,7 +115,7 @@ class Launch {
 
  private:
   friend class Device;
-  Launch(Device& dev, LaunchConfig cfg);
+  Launch(Device& dev, const LaunchConfig& cfg);
 
   Device* dev_;
   KernelStats stats_;
@@ -160,20 +163,35 @@ class Device {
     return log_.size();
   }
 
-  [[nodiscard]] double total_time_us() const noexcept;
-  [[nodiscard]] std::uint64_t total_load_bytes() const noexcept;
-  [[nodiscard]] std::uint64_t total_store_bytes() const noexcept;
+  /// Totals over history(), kept as running sums: record() and merge()
+  /// add each launch in log order and reset() zeroes them, so every
+  /// getter is O(1) and returns the same bits as a left-to-right sum over
+  /// history().
+  [[nodiscard]] double total_time_us() const noexcept {
+    return totals_.time_us;
+  }
+  [[nodiscard]] std::uint64_t total_load_bytes() const noexcept {
+    return totals_.load_bytes;
+  }
+  [[nodiscard]] std::uint64_t total_store_bytes() const noexcept {
+    return totals_.store_bytes;
+  }
   /// Global-memory bytes attributed to the score matrix across the log —
   /// the instrument behind the fig08 O(N²) vs O(N) score-traffic claim.
-  [[nodiscard]] std::uint64_t total_score_bytes() const noexcept;
-  [[nodiscard]] std::uint64_t total_ops() const noexcept;
+  [[nodiscard]] std::uint64_t total_score_bytes() const noexcept {
+    return totals_.score_bytes;
+  }
+  [[nodiscard]] std::uint64_t total_ops() const noexcept {
+    return totals_.ops;
+  }
 
   /// Time spent in kernels whose name contains `substr`.
-  [[nodiscard]] double time_us_matching(const std::string& substr) const;
+  [[nodiscard]] double time_us_matching(std::string_view substr) const;
 
   void reset() noexcept {
     log_.clear();
     fallbacks_.clear();
+    totals_ = {};
   }
 
   /// When set, kernels record traffic/FLOP counters and modeled latency
@@ -204,6 +222,8 @@ class Device {
   friend class Launch;
   friend class SinkScope;
   void record(KernelStats stats);
+  /// Append one finished record to the log and the running totals.
+  void append(KernelStats&& stats);
 
   /// The LaunchSink bound to the calling thread for THIS device, or
   /// nullptr outside parallel-region chunks (thread-local storage keyed
@@ -211,8 +231,17 @@ class Device {
   /// unaffected).
   [[nodiscard]] LaunchSink* bound_sink() const noexcept;
 
+  struct Totals {
+    double time_us = 0.0;
+    std::uint64_t load_bytes = 0;
+    std::uint64_t store_bytes = 0;
+    std::uint64_t score_bytes = 0;
+    std::uint64_t ops = 0;
+  };
+
   DeviceSpec spec_;
   std::vector<KernelStats> log_;
+  Totals totals_;
   std::vector<FallbackEvent> fallbacks_;
   FaultInjector injector_;
   bool traffic_only_ = false;

@@ -46,12 +46,12 @@ bool FaultInjector::armed() const noexcept {
   return nth_armed_ || !name_rules_.empty() || alloc_armed_ || random_armed_;
 }
 
-void FaultInjector::on_launch(const std::string& kernel,
+void FaultInjector::on_launch(std::string_view kernel,
                               std::size_t shared_bytes_per_cta) {
   const std::size_t index = launches_seen_++;
   const auto fault = [&](FaultCause cause) {
-    log_.push_back({kernel, cause, index});
-    throw KernelFault(kernel, cause);
+    log_.push_back({std::string(kernel), cause, index});
+    throw KernelFault(std::string(kernel), cause);
   };
 
   if (nth_armed_ && index == nth_target_) {
@@ -60,7 +60,7 @@ void FaultInjector::on_launch(const std::string& kernel,
   }
   for (auto& rule : name_rules_) {
     if (rule.remaining > 0 &&
-        kernel.find(rule.substring) != std::string::npos) {
+        kernel.find(rule.substring) != std::string_view::npos) {
       if (rule.remaining != kUnlimited) --rule.remaining;
       fault(FaultCause::kKernelName);
     }

@@ -106,7 +106,7 @@ class FaultInjector {
 
   /// Called by Device on every launch attempt; throws KernelFault when an
   /// armed rule trips (the attempt still counts toward the launch index).
-  void on_launch(const std::string& kernel, std::size_t shared_bytes_per_cta);
+  void on_launch(std::string_view kernel, std::size_t shared_bytes_per_cta);
 
   /// Account for `n` launch attempts staged off-thread: Device::merge
   /// advances the launch index by each parallel chunk's attempt count, in

@@ -3,9 +3,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "gpusim/device_spec.hpp"
+#include "gpusim/kernel_name.hpp"
 
 namespace et::gpusim {
 
@@ -13,7 +13,7 @@ namespace et::gpusim {
 inline constexpr int kNoSlot = -1;
 
 struct KernelStats {
-  std::string name;
+  KernelName name;
   std::size_t ctas = 0;                  ///< grid size in CTAs
   std::size_t shared_bytes_per_cta = 0;  ///< shared-memory footprint
   AccessPattern pattern = AccessPattern::kStreaming;

@@ -3,13 +3,14 @@
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
+#include <string_view>
 
 namespace et::gpusim {
 
 namespace {
 /// Minimal JSON string escaping (kernel names are ASCII identifiers, but
 /// be safe about quotes/backslashes).
-std::string escape(const std::string& s) {
+std::string escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
   for (const char c : s) {

@@ -22,7 +22,7 @@ gpusim::Launch stream_launch(gpusim::Device& dev, std::string_view name,
                              std::size_t reads, std::size_t writes,
                              std::uint64_t flops) {
   const std::size_t sb = numeric::storage_bytes(p);
-  auto launch = dev.launch({.name = std::string(name),
+  auto launch = dev.launch({.name = name,
                             .ctas = std::max<std::size_t>(
                                 1, ceil_div(elems, std::size_t{4096})),
                             .shared_bytes_per_cta = 0,
@@ -160,7 +160,7 @@ void fused_residual_layernorm(gpusim::Device& dev, tensor::MatrixF& a,
   assert(a.rows() == residual.rows() && a.cols() == residual.cols());
   assert(gamma.size() == a.cols() && beta.size() == a.cols());
   const std::size_t sb = numeric::storage_bytes(p);
-  auto launch = dev.launch({.name = std::string(name),
+  auto launch = dev.launch({.name = name,
                             .ctas = std::max<std::size_t>(1, a.size() / 4096),
                             .shared_bytes_per_cta = 0,
                             .pattern = gpusim::AccessPattern::kStreaming});
@@ -193,7 +193,7 @@ void fused_residual_layernorm(gpusim::Device& dev, tensor::MatrixF& a,
 
 tensor::MatrixF transpose_kernel(gpusim::Device& dev, const tensor::MatrixF& m,
                                  numeric::Precision p, std::string_view name) {
-  auto launch = dev.launch({.name = std::string(name),
+  auto launch = dev.launch({.name = name,
                             .ctas = ceil_div(m.size(), std::size_t{4096}),
                             .shared_bytes_per_cta = 32 * 32 * 4,
                             .pattern = gpusim::AccessPattern::kStrided});
@@ -209,7 +209,7 @@ tensor::MatrixF gather_cols(gpusim::Device& dev, const tensor::MatrixF& x,
                             numeric::Precision p, std::string_view name) {
   const std::size_t sb = numeric::storage_bytes(p);
   auto launch =
-      dev.launch({.name = std::string(name),
+      dev.launch({.name = name,
                   .ctas = std::max<std::size_t>(1, x.rows() / 16),
                   .shared_bytes_per_cta = 0,
                   .pattern = gpusim::AccessPattern::kStrided});
@@ -238,7 +238,7 @@ tensor::MatrixF scatter_cols(gpusim::Device& dev,
   assert(condensed.cols() == cols.size());
   const std::size_t sb = numeric::storage_bytes(p);
   auto launch =
-      dev.launch({.name = std::string(name),
+      dev.launch({.name = name,
                   .ctas = std::max<std::size_t>(1, condensed.rows() / 16),
                   .shared_bytes_per_cta = 0,
                   .pattern = gpusim::AccessPattern::kStrided});

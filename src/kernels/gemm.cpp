@@ -20,15 +20,14 @@ constexpr std::size_t ceil_div(std::size_t a, std::size_t b) {
 
 /// Build the traffic/FLOP record a blocked GEMM kernel incurs without
 /// running it. Shared by the launch path and the autotuner.
-gpusim::KernelStats gemm_counters(std::string name, std::size_t m,
-                                  std::size_t n, std::size_t k, Precision p,
+gpusim::KernelStats gemm_counters(std::size_t m, std::size_t n,
+                                  std::size_t k, Precision p,
                                   const GemmAlgo& algo) {
   const std::size_t sb = numeric::storage_bytes(p);
   const std::size_t blocks_m = ceil_div(m, algo.block_m);
   const std::size_t blocks_n = ceil_div(n, algo.block_n);
 
   gpusim::KernelStats st;
-  st.name = std::move(name);
   st.ctas = blocks_m * blocks_n * algo.split_k;
   st.pattern = gpusim::AccessPattern::kTiled;
   // Each CTA stages one block_m×16 A-tile strip and one block_n×16 B-tile
@@ -107,12 +106,12 @@ tensor::MatrixF gemm_impl(core::ExecContext& ctx, const tensor::MatrixF& a,
 
   if (algo == nullptr) algo = &autotune_gemm(dev.spec(), m, n, kk, p);
 
-  auto st = gemm_counters(std::string(name) + "[" + algo->name + "]", m, n,
-                          kk, p, *algo);
-  auto launch = dev.launch({.name = st.name,
-                            .ctas = st.ctas,
-                            .shared_bytes_per_cta = st.shared_bytes_per_cta,
-                            .pattern = st.pattern});
+  const auto st = gemm_counters(m, n, kk, p, *algo);
+  auto launch =
+      dev.launch({.name = std::string(name) + "[" + algo->name + "]",
+                  .ctas = st.ctas,
+                  .shared_bytes_per_cta = st.shared_bytes_per_cta,
+                  .pattern = st.pattern});
   launch.load_bytes(st.global_load_bytes);
   launch.store_bytes(st.global_store_bytes);
   launch.fp_ops(st.fp_ops);
@@ -153,7 +152,7 @@ const GemmAlgo& autotune_gemm(const gpusim::DeviceSpec& spec, std::size_t m,
         spec.shared_mem_per_cta_bytes) {
       continue;
     }
-    const auto st = gemm_counters("autotune", m, n, k, p, algo);
+    const auto st = gemm_counters(m, n, k, p, algo);
     const double us = gpusim::estimate_latency(st, spec).total_us;
     if (best == nullptr || us < best_us) {
       best = &algo;

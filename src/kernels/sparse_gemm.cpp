@@ -52,7 +52,7 @@ tensor::MatrixF bcsr_gemm_nt(core::ExecContext& ctx, const tensor::MatrixF& x,
   // paper's sizes); the X-strip reuse accounting below still assumes
   // kGroup tile rows share strips, which neighbouring CTAs get through L2.
   auto launch = dev.launch(
-      {.name = std::string(name),
+      {.name = name,
        .ctas = ceil_div(m, std::size_t{64}) * ceil_div(w.tile_rows(), 2),
        .shared_bytes_per_cta = 2 * (64 + 2 * kTileSide) * kTileSide * sb,
        .pattern = gpusim::AccessPattern::kTiled});
@@ -121,7 +121,7 @@ tensor::MatrixF irregular_gemm_nt(core::ExecContext& ctx,
   const std::size_t trows = n / kTileSide;
 
   auto launch = dev.launch(
-      {.name = std::string(name),
+      {.name = name,
        .ctas = row_blocks * trows,
        .shared_bytes_per_cta = 2 * 128 * kTileSide * sb + kTileSide * kTileSide * sb,
        // Bitmap-directed gathers are data-dependent: poor coalescing.

@@ -63,7 +63,7 @@ tensor::MatrixF int8_linear(core::ExecContext& ctx, const tensor::MatrixF& x,
   const std::size_t blocks_m = (m + block - 1) / block;
   const std::size_t blocks_n = (n + block - 1) / block;
 
-  auto launch = dev.launch({.name = std::string(name),
+  auto launch = dev.launch({.name = name,
                             .ctas = blocks_m * blocks_n,
                             .shared_bytes_per_cta = std::min<std::size_t>(
                                 2 * (block + block) * 16,

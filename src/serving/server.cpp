@@ -228,8 +228,7 @@ void InferenceServer::expire_active(std::size_t t) {
   }
 }
 
-void InferenceServer::admit_from_queues(core::ExecContext& ctx,
-                                        std::size_t t) {
+void InferenceServer::admit_from_queues(std::size_t t) {
   std::size_t free = sched_.max_batch() - sched_.active();
   for (auto& q : queues_) {  // class order: interactive, normal, bulk
     for (std::size_t i = 0; free > 0 && i < q.size();) {
@@ -241,7 +240,7 @@ void InferenceServer::admit_from_queues(core::ExecContext& ctx,
       }
       const std::uint64_t id = q[i];
       q.erase(q.begin() + static_cast<std::ptrdiff_t>(i));
-      admit_one(ctx, id, t);
+      admit_one(id, t);
       --free;
     }
   }
@@ -266,13 +265,12 @@ void InferenceServer::admit_from_queues(core::ExecContext& ctx,
       preempt(victim, t);
       const std::uint64_t id = q[i];
       q.erase(q.begin() + static_cast<std::ptrdiff_t>(i));
-      admit_one(ctx, id, t);
+      admit_one(id, t);
     }
   }
 }
 
-void InferenceServer::admit_one(core::ExecContext& ctx, std::uint64_t id,
-                                std::size_t t) {
+void InferenceServer::admit_one(std::uint64_t id, std::size_t t) {
   Record& r = records_[id];
   nn::GenerationRequest g;
   // The generation job is the shared DecodeParams slice of the serving
@@ -290,7 +288,7 @@ void InferenceServer::admit_one(core::ExecContext& ctx, std::uint64_t id,
   r.replay_len = r.resume.size();
   r.sched_id = sched_.submit(std::move(g));
   if (r.admitted_tick == kNoTick) r.admitted_tick = t;
-  r.admit_device_us = ctx.device().total_time_us();
+  r.admit_device_us = device_us_;
   r.state = RequestState::kActive;
   active_.push_back(id);
   admitted_->inc();  // counts every admission, re-admissions included
@@ -343,7 +341,7 @@ void InferenceServer::preempt(std::size_t victim, std::size_t t) {
   queues_[static_cast<std::size_t>(r.req.priority)].push_front(id);
 }
 
-void InferenceServer::harvest(core::ExecContext& ctx, std::size_t t) {
+void InferenceServer::harvest(std::size_t t) {
   std::vector<std::uint64_t> done;
   for (const std::uint64_t id : active_) {
     Record& r = records_[id];
@@ -393,7 +391,7 @@ void InferenceServer::harvest(core::ExecContext& ctx, std::size_t t) {
         continue;
       }
     }
-    finish_admitted(id, t + 1, ctx.device().total_time_us());
+    finish_admitted(id, t + 1, device_us_);
     completed_->inc();
   }
 }
@@ -454,7 +452,7 @@ void InferenceServer::finish_admitted(std::uint64_t id, std::size_t t,
   r.req.on_token = nullptr;
 }
 
-void InferenceServer::refresh_gauges(const gpusim::Device& dev) {
+void InferenceServer::refresh_gauges() {
   queue_depth_gauge_->set(static_cast<double>(queue_depth()));
   active_slots_gauge_->set(static_cast<double>(sched_.active()));
   // Block-granular residency: aliased prefix blocks count ONCE, which is
@@ -471,24 +469,30 @@ void InferenceServer::refresh_gauges(const gpusim::Device& dev) {
       static_cast<double>(kv.prefix_shared_tokens));
   cow_splits_gauge_->set(static_cast<double>(kv.cow_splits));
   health_gauge_->set(static_cast<double>(static_cast<std::uint8_t>(health())));
-  const double us = dev.total_time_us();
   throughput_gauge_->set(
-      us > 0.0 ? 1e6 * static_cast<double>(tokens_emitted_->value()) / us
-               : 0.0);
+      device_us_ > 0.0
+          ? 1e6 * static_cast<double>(tokens_emitted_->value()) / device_us_
+          : 0.0);
 }
 
 void InferenceServer::tick(core::ExecContext& ctx) {
   const std::size_t t = tick_;
   expire_queued(t);
   expire_active(t);
-  admit_from_queues(ctx, t);
+  admit_from_queues(t);
   ticks_->inc();
   if (sched_.active() > 0 || sched_.pending() > 0) {
+    const gpusim::Device& dev = ctx.device();
+    const double before = dev.total_time_us();
     sched_.tick(ctx);
+    // device_us_ += after - before, grouped so that while nothing else
+    // launches on the device (one server, fresh device) device_us_ equals
+    // before and the sum stays bit-identical to the device total.
+    device_us_ = (device_us_ - before) + dev.total_time_us();
   }
-  harvest(ctx, t);
+  harvest(t);
   ++tick_;
-  refresh_gauges(ctx.device());
+  refresh_gauges();
 }
 
 void InferenceServer::drain(core::ExecContext& ctx) {

@@ -317,20 +317,20 @@ class InferenceServer {
     // this transcript, and any mid-replay displacement or termination
     // must keep the longer of the two.
     std::vector<std::int32_t> resume;
-    double admit_device_us = 0.0;   // device clock at latest admission
+    double admit_device_us = 0.0;   // engine clock at latest admission
     nn::GenerationResult result;    // final outcome (copied from scheduler)
   };
 
   void expire_queued(std::size_t t);
   void expire_active(std::size_t t);
-  void admit_from_queues(core::ExecContext& ctx, std::size_t t);
-  void harvest(core::ExecContext& ctx, std::size_t t);
-  void refresh_gauges(const gpusim::Device& dev);
+  void admit_from_queues(std::size_t t);
+  void harvest(std::size_t t);
+  void refresh_gauges();
 
   /// Move a queued request into a scheduler slot (DecodeParams are
   /// COPIED — a later preemption/retry re-submits them; Record::resume
   /// rides along as the scheduler's replay prefix).
-  void admit_one(core::ExecContext& ctx, std::uint64_t id, std::size_t t);
+  void admit_one(std::uint64_t id, std::size_t t);
   /// Index into active_ of the preemption victim for an arrival of class
   /// `cls`: lowest priority strictly below `cls`, most recently admitted
   /// among those. active_.size() when nobody is preemptible.
@@ -361,6 +361,11 @@ class InferenceServer {
   std::deque<std::uint64_t> queues_[kPriorityClasses];  // FIFO per class
   std::vector<std::uint64_t> active_;  // admitted, unfinished; admission order
   std::size_t tick_ = 0;
+  // This engine's own modeled device time: the change in the device total
+  // across each of its scheduler ticks. Engines that share a device (the
+  // net::ApiServer's live and draining engines) and launches made before
+  // the engine existed are not charged to it.
+  double device_us_ = 0.0;
 
   MetricsRegistry metrics_;
   // Named handles into metrics_, bound once in the constructor.

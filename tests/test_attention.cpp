@@ -397,7 +397,7 @@ TEST(Attention, OtfStoresLessLoadsMore) {
     std::uint64_t loads = 0, stores = 0;
     std::size_t launches = 0;
     for (const auto& k : dev.history()) {
-      if (k.name.find("linear") != std::string::npos) continue;
+      if (k.name.view().find("linear") != std::string::npos) continue;
       loads += k.global_load_bytes;
       stores += k.global_store_bytes;
       ++launches;

@@ -1,7 +1,14 @@
-// Simulated device: launch logging, shared-memory enforcement, latency
-// model shape, profiler aggregation.
+// Simulated device: launch logging, shared-memory enforcement, running
+// totals, interned kernel names, latency model shape, profiler aggregation.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <string_view>
+#include <thread>
+#include <vector>
+
+#include "core/exec_context.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/latency_model.hpp"
 #include "gpusim/profiler.hpp"
@@ -11,6 +18,7 @@ namespace {
 using et::gpusim::AccessPattern;
 using et::gpusim::Device;
 using et::gpusim::DeviceSpec;
+using et::gpusim::KernelName;
 using et::gpusim::KernelStats;
 
 TEST(Device, RecordsLaunches) {
@@ -80,6 +88,179 @@ TEST(Device, TimeMatchingFiltersByName) {
   EXPECT_GT(dev.time_us_matching("gemm"), 0.0);
   EXPECT_LT(dev.time_us_matching("gemm"), dev.total_time_us());
   EXPECT_EQ(dev.time_us_matching("nothing"), 0.0);
+}
+
+// ----------------------------------------------------- running totals ----
+
+/// Launch `n` kernels with counters that vary per launch, so the modeled
+/// times differ and their sum rounds.
+void launch_varied(Device& dev, std::size_t first, std::size_t n) {
+  for (std::size_t i = first; i < first + n; ++i) {
+    auto l = dev.launch({.name = i % 2 == 0 ? "even" : "odd",
+                         .ctas = 1 + i % 97});
+    l.load_bytes(1000 + 4099 * i);
+    l.store_bytes(512 + 733 * (i % 13));
+    l.score_bytes(64 * (i % 5));
+    l.fp_ops(17 * i);
+    l.tensor_ops(i % 3 == 0 ? 0 : 3331 * i);
+  }
+}
+
+/// The five Device totals must equal a left-to-right sum over history(),
+/// written here independently of the device, bit for bit.
+void expect_totals_match_history(const Device& dev) {
+  double time_us = 0.0;
+  std::uint64_t load = 0, store = 0, score = 0, ops = 0;
+  for (const KernelStats& k : dev.history()) {
+    time_us += k.time_us;
+    load += k.global_load_bytes;
+    store += k.global_store_bytes;
+    score += k.score_bytes;
+    ops += k.fp_ops + k.tensor_ops;
+  }
+  EXPECT_EQ(dev.total_time_us(), time_us);
+  EXPECT_EQ(dev.total_load_bytes(), load);
+  EXPECT_EQ(dev.total_store_bytes(), store);
+  EXPECT_EQ(dev.total_score_bytes(), score);
+  EXPECT_EQ(dev.total_ops(), ops);
+}
+
+TEST(DeviceTotals, MatchAResumAfterSerialLaunches) {
+  Device dev;
+  expect_totals_match_history(dev);
+  launch_varied(dev, 0, 1000);
+  ASSERT_EQ(dev.launch_count(), 1000u);
+  EXPECT_GT(dev.total_score_bytes(), 0u);
+  expect_totals_match_history(dev);
+}
+
+TEST(DeviceTotals, MatchAResumAfterParallelRegionsAtAnyThreadCount) {
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE(threads);
+    Device dev;
+    et::core::ExecContext ctx(dev, threads);
+    launch_varied(dev, 0, 10);
+    // Each iteration launches inside its chunk's LaunchSink; the totals
+    // only move when Device::merge folds the chunks in, in chunk order.
+    ctx.parallel_for(257, [&](std::size_t i) { launch_varied(dev, i, 3); });
+    launch_varied(dev, 10, 10);
+    ASSERT_EQ(dev.launch_count(), 20u + 3 * 257);
+    expect_totals_match_history(dev);
+  }
+}
+
+TEST(DeviceTotals, ResetZeroesThemAndLaterLaunchesCountFromZero) {
+  Device dev;
+  launch_varied(dev, 0, 50);
+  dev.reset();
+  EXPECT_EQ(dev.total_time_us(), 0.0);
+  EXPECT_EQ(dev.total_load_bytes(), 0u);
+  EXPECT_EQ(dev.total_store_bytes(), 0u);
+  EXPECT_EQ(dev.total_score_bytes(), 0u);
+  EXPECT_EQ(dev.total_ops(), 0u);
+  launch_varied(dev, 50, 50);
+  expect_totals_match_history(dev);
+}
+
+TEST(DeviceTotals, AFailedLaunchRecordsNothingAndLeavesThemUnchanged) {
+  Device dev;
+  launch_varied(dev, 0, 20);
+  const double time_us = dev.total_time_us();
+  const std::uint64_t load = dev.total_load_bytes();
+  const std::uint64_t ops = dev.total_ops();
+
+  const auto cap = dev.spec().shared_mem_per_cta_bytes;
+  EXPECT_THROW((void)dev.launch({.name = "too_big",
+                                 .shared_bytes_per_cta = cap + 1}),
+               et::gpusim::SharedMemOverflow);
+  dev.fault_injector().arm_kernel("doomed");
+  EXPECT_THROW((void)dev.launch({.name = "doomed"}),
+               et::gpusim::KernelFault);
+
+  EXPECT_EQ(dev.launch_count(), 20u);
+  EXPECT_EQ(dev.total_time_us(), time_us);
+  EXPECT_EQ(dev.total_load_bytes(), load);
+  EXPECT_EQ(dev.total_ops(), ops);
+  expect_totals_match_history(dev);
+}
+
+// ------------------------------------------------------ interned names ----
+
+TEST(KernelNames, EqualNamesShareStorageOnOneDeviceAndAcrossDevices) {
+  Device a, b;
+  { auto l = a.launch({.name = "shared_kernel"}); }
+  { auto l = a.launch({.name = "shared_kernel"}); }
+  { auto l = a.launch({.name = "other_kernel"}); }
+  { auto l = b.launch({.name = std::string("shared_") + "kernel"}); }
+  const std::string_view first = a.history()[0].name;
+  EXPECT_EQ(first, "shared_kernel");
+  EXPECT_EQ(std::string_view(a.history()[1].name).data(), first.data());
+  EXPECT_EQ(std::string_view(b.history()[0].name).data(), first.data());
+  EXPECT_EQ(a.history()[0].name, b.history()[0].name);
+  EXPECT_NE(a.history()[0].name, a.history()[2].name);
+  EXPECT_EQ(KernelName::intern("shared_kernel"), a.history()[0].name);
+}
+
+TEST(KernelNames, ANameFromATemporaryStringOutlivesTheTemporary) {
+  Device dev;
+  // Longer than any small-string buffer, so the temporary's characters
+  // live on the heap and a dangling view would read freed memory.
+  { auto l = dev.launch({.name = std::string(40, 'x') + std::to_string(7)}); }
+  std::string expected(40, 'x');
+  expected += '7';
+  EXPECT_EQ(dev.history()[0].name, expected);
+  EXPECT_EQ(dev.history()[0].name.view().size(), 41u);
+}
+
+TEST(KernelNames, DefaultAndEmptyNamesAreTheSameEmptyName) {
+  const KernelStats k;
+  EXPECT_EQ(k.name, KernelName());
+  EXPECT_EQ(k.name, KernelName::intern(""));
+  EXPECT_EQ(k.name, "");
+  EXPECT_TRUE(k.name.view().empty());
+}
+
+TEST(KernelNames, ThreadsInterningOverlappingNamesReadBackTheirOwn) {
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kLaunches = 400;
+  // Names shared by every thread, plus names private to each thread.
+  const auto name_for = [](std::size_t t, std::size_t i) {
+    return i % 2 == 0 ? "common_kernel_" + std::to_string(i % 16)
+                      : "thread_" + std::to_string(t) + "_kernel_" +
+                            std::to_string(i % 8);
+  };
+  std::vector<Device> devices(kThreads);
+  {
+    std::vector<std::thread> workers;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        for (std::size_t i = 0; i < kLaunches; ++i) {
+          auto l = devices[t].launch({.name = name_for(t, i)});
+        }
+      });
+    }
+    for (auto& w : workers) w.join();
+  }
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    const auto& log = devices[t].history();
+    ASSERT_EQ(log.size(), kLaunches);
+    for (std::size_t i = 0; i < kLaunches; ++i) {
+      ASSERT_EQ(log[i].name, name_for(t, i)) << "thread " << t << " #" << i;
+    }
+  }
+  // One copy per distinct name, whichever thread interned it first.
+  for (std::size_t t = 1; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < kLaunches; i += 2) {
+      EXPECT_EQ(std::string_view(devices[t].history()[i].name).data(),
+                std::string_view(devices[0].history()[i].name).data());
+    }
+  }
+}
+
+TEST(KernelNames, ALaunchRecordHoldsNoString) {
+  if constexpr (sizeof(void*) == 8) {
+    EXPECT_EQ(sizeof(KernelStats), 96u);
+  }
 }
 
 TEST(LatencyModel, LaunchOverheadFloor) {

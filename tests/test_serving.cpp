@@ -878,6 +878,69 @@ TEST(ServingApi, LifecycleCountersBalanceAfterAMixedWorkload) {
   EXPECT_DOUBLE_EQ(mx.find_gauge("active_slots")->value(), 0.0);
 }
 
+double throughput_gauge(const InferenceServer& s) {
+  return s.metrics().find_gauge("throughput_tokens_per_sec")->value();
+}
+
+/// Sum of the per-request decode rates (tokens over modeled device time
+/// from admission to finish).
+double request_rate_sum(const InferenceServer& s) {
+  return s.metrics().find_histogram("tokens_per_sec")->sum();
+}
+
+TEST(ServingThroughput, LoneServerOnAFreshDeviceIsTokensOverDeviceTotal) {
+  const Model m = make_model(1, 32, 2, 16, 131);
+  InferenceServer server(nn_model(m, 16), {2, 8});
+  et::gpusim::Device dev;
+  et::core::ExecContext ctx(dev);
+  (void)server.submit(make_request(m, 1, 5, 11));
+  (void)server.submit(make_request(m, 2, 7, 12));
+  server.drain(ctx);
+  EXPECT_EQ(throughput_gauge(server), 1e6 * 12.0 / dev.total_time_us());
+}
+
+TEST(ServingThroughput, EnginesSharingADeviceAreChargedOnlyTheirOwnTime) {
+  const Model m = make_model(1, 32, 2, 16, 131);
+  const et::nn::Model model = nn_model(m, 16);
+  // Reference: each engine's request alone on a fresh device.
+  const auto alone = [&](std::size_t tokens, std::uint64_t seed) {
+    InferenceServer s(model, {1, 8});
+    et::gpusim::Device dev;
+    et::core::ExecContext ctx(dev);
+    (void)s.submit(make_request(m, 1, tokens, seed));
+    s.drain(ctx);
+    return std::tuple{throughput_gauge(s), dev.total_time_us(),
+                      request_rate_sum(s)};
+  };
+  const auto [rate_a, us_a, request_a] = alone(4, 21);
+  const auto [rate_b, us_b, request_b] = alone(9, 22);
+
+  // Both engines tick on one context, as net::ApiServer::drive_engines
+  // does for a live engine and one still draining after a hot swap.
+  InferenceServer a(model, {1, 8}), b(model, {1, 8});
+  et::gpusim::Device dev;
+  et::core::ExecContext ctx(dev);
+  (void)a.submit(make_request(m, 1, 4, 21));
+  (void)b.submit(make_request(m, 1, 9, 22));
+  while (!a.idle() || !b.idle()) {
+    if (!a.idle()) a.tick(ctx);
+    if (!b.idle()) b.tick(ctx);
+  }
+  EXPECT_NEAR(dev.total_time_us(), us_a + us_b, 1e-9 * (us_a + us_b));
+  EXPECT_NEAR(throughput_gauge(a), rate_a, 1e-9 * rate_a);
+  EXPECT_NEAR(throughput_gauge(b), rate_b, 1e-9 * rate_b);
+  EXPECT_NEAR(request_rate_sum(a), request_a, 1e-9 * request_a);
+  EXPECT_NEAR(request_rate_sum(b), request_b, 1e-9 * request_b);
+
+  // An engine created on a device that already holds launches (here, the
+  // two above) is charged none of them.
+  InferenceServer late(model, {1, 8});
+  (void)late.submit(make_request(m, 1, 4, 21));
+  late.drain(ctx);
+  EXPECT_NEAR(throughput_gauge(late), rate_a, 1e-9 * rate_a);
+  EXPECT_NEAR(request_rate_sum(late), request_a, 1e-9 * request_a);
+}
+
 TEST(ServingApi, MetricsJsonIsIdenticalAcrossIdenticalRuns) {
   const Model m = make_model(1, 32, 2, 10, 103);
   std::vector<Arrival> arrivals;

@@ -165,7 +165,7 @@ TEST(Linear, ColumnPrunedNeedsGather) {
   const MatrixF ref = et::tensor::reference_gemm_nt(f.x, f.masked(mask));
   EXPECT_TRUE(allclose(res.y, ref, 1e-3, 1e-3));
   EXPECT_EQ(dev.launch_count(), 2u) << "gather + gemm";
-  EXPECT_NE(dev.history()[0].name.find("gather"), std::string::npos);
+  EXPECT_NE(dev.history()[0].name.view().find("gather"), std::string::npos);
 }
 
 TEST(Linear, TilePrunedSingleKernel) {
