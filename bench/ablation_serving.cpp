@@ -293,8 +293,7 @@ int main(int argc, char** argv) {
             : std::to_string(p.queue_budget),
         std::to_string(p.retry_budget),
         et::bench::fmt(p.fault_fraction, 3),
-        p.kv.block_tokens == 0 ? std::string("ctx")
-                               : std::to_string(p.kv.block_tokens),
+        std::to_string(p.kv.block_tokens),
         p.kv.enable_prefix_sharing ? "on" : "off",
         std::string(et::core::to_string(p.kv.precision)),
         et::bench::fmt(r.time_us, 1),

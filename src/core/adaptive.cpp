@@ -126,9 +126,4 @@ tensor::MatrixF adaptive_attention(ExecContext& ctx, const tensor::MatrixF& x,
   }
 }
 
-bool use_batched_decode(const AdaptivePolicy& policy,
-                        std::size_t active_slots) noexcept {
-  return active_slots >= policy.batched_decode_min_slots;
-}
-
 }  // namespace et::core

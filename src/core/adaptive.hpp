@@ -70,18 +70,7 @@ struct AdaptivePolicy {
   /// When true, ignore the fixed thresholds and decide by replaying every
   /// feasible operator through the latency model.
   bool auto_tune = false;
-  /// Batched decode crossover: the serving scheduler fuses per-slot q/k/v
-  /// projections into one batched GEMM only when at least this many slots
-  /// are active in a tick. A batch of one pays the fused path's
-  /// bookkeeping for zero amortization, so the per-slot path (identical
-  /// math, one sequence per launch) wins below the threshold.
-  std::size_t batched_decode_min_slots = 2;
 };
-
-/// Batch-aware side of the adaptive dispatch: should a decode tick over
-/// `active_slots` sequences take the fused batched path?
-[[nodiscard]] bool use_batched_decode(const AdaptivePolicy& policy,
-                                      std::size_t active_slots) noexcept;
 
 /// Decide which E.T. operator to run for this configuration. A pure query
 /// against the device spec (auto-tune replays on internal scratch

@@ -339,8 +339,8 @@ void PagedKVSlot::append(std::size_t layer, std::span<const float> k_row,
   const std::size_t kw = alloc.k_width();
   const std::size_t vw = alloc.v_width(layer);
   const std::size_t pos = used_.at(layer);
-  // Checks precede any write or cursor move — same strong guarantee as
-  // KVCache::append.
+  // Checks precede any write or cursor move: a rejected append must never
+  // leave K one row longer than V (or half-written).
   if (pos >= pool_->max_context_) {
     throw std::length_error("PagedKVCache::append: cache is full (" +
                             std::to_string(pool_->max_context_) + " rows)");
@@ -453,16 +453,12 @@ void PagedKVSlot::rollback(std::size_t n) {
 // PagedKVPool
 
 namespace {
-std::size_t resolve_block_tokens(std::size_t max_context,
-                                 const PagedKVOptions& opts) {
-  return opts.block_tokens == 0 ? max_context : opts.block_tokens;
-}
 std::size_t resolve_num_blocks(std::size_t num_slots, std::size_t max_context,
-                               std::size_t block_tokens,
                                const PagedKVOptions& opts) {
   if (opts.num_blocks != 0) return opts.num_blocks;
-  if (block_tokens == 0) return 0;  // BlockAllocator throws the real error
-  return num_slots * ((max_context + block_tokens - 1) / block_tokens);
+  const std::size_t bt = opts.block_tokens;
+  if (bt == 0) return 0;  // BlockAllocator throws the real error
+  return num_slots * ((max_context + bt - 1) / bt);
 }
 }  // namespace
 
@@ -470,15 +466,13 @@ PagedKVPool::PagedKVPool(std::size_t num_slots, std::size_t max_context,
                          std::size_t k_width,
                          const std::vector<std::size_t>& v_widths,
                          PagedKVOptions opts)
-    : alloc_(resolve_num_blocks(num_slots, max_context,
-                                resolve_block_tokens(max_context, opts), opts),
-             resolve_block_tokens(max_context, opts), k_width, v_widths,
-             opts.precision),
+    : alloc_(resolve_num_blocks(num_slots, max_context, opts),
+             opts.block_tokens, k_width, v_widths, opts.precision),
       trie_(alloc_.block_tokens()),
       max_context_(max_context),
-      // Whole-context blocks (the contiguous reference layout) cannot
-      // share a proper prefix without copying everything, so sharing is
-      // meaningful only when a block is smaller than the context.
+      // Whole-context blocks cannot share a proper prefix without copying
+      // everything, so sharing is meaningful only when a block is smaller
+      // than the context.
       sharing_(opts.enable_prefix_sharing &&
                alloc_.block_tokens() < max_context) {
   if (num_slots == 0) {

@@ -66,27 +66,16 @@ enum class KvPrecision : std::uint8_t { kFp32, kInt8 };
   return std::nullopt;
 }
 
-/// Default KV block granularity (tokens per block). Under the
-/// ET_CONTIGUOUS_KV build flag the default degenerates to "one block =
-/// the whole context" — the pre-paged contiguous reference layout, kept
-/// behind a flag for one PR so the differential suite can pin the paged
-/// path against it (tests also select it per-pool at runtime via
-/// PagedKVOptions::block_tokens = 0).
-#ifdef ET_CONTIGUOUS_KV
-inline constexpr std::size_t kDefaultKvBlockTokens = 0;
-#else
-inline constexpr std::size_t kDefaultKvBlockTokens = 16;
-#endif
-
 /// Paged-pool shape knobs, carried alongside the model geometry.
 struct PagedKVOptions {
-  /// Rows per block; 0 = one block spans max_context (the contiguous
-  /// reference layout, which also disables prefix sharing — whole-context
-  /// blocks can never share a proper prefix without copying everything).
-  std::size_t block_tokens = kDefaultKvBlockTokens;
+  /// Rows per block (nonzero). block_tokens >= max_context gives each
+  /// slot one whole-context block — the layout nn::GenerationSession
+  /// decodes on — and disables prefix sharing: a whole-context block can
+  /// never share a proper prefix without copying everything.
+  std::size_t block_tokens = 16;
   /// Physical blocks in the pool; 0 = num_slots * ceil(max_context /
-  /// block_tokens), the capacity at which no workload can OOM that the
-  /// contiguous pool could serve (per-slot demand never exceeds
+  /// block_tokens), the capacity at which no slot can run out of blocks
+  /// before it reaches max_context (per-slot demand never exceeds
   /// ceil(max_context/block_tokens) blocks). Smaller values make block
   /// exhaustion a reachable, typed kv_cache_full stop.
   std::size_t num_blocks = 0;
@@ -156,8 +145,7 @@ class BlockAllocator {
     return num_blocks() * bytes_per_block();
   }
   /// Bytes of blocks currently held by at least one reference (the
-  /// kv_bytes_used gauge — Σ resident blocks, the paged replacement for
-  /// the contiguous pool's per-row accounting).
+  /// kv_bytes_used gauge — Σ resident blocks).
   [[nodiscard]] std::size_t resident_bytes() const noexcept {
     return resident_blocks() * bytes_per_block();
   }
@@ -249,12 +237,11 @@ class BlockAllocator {
 class PagedKVPool;
 class PagedKVSlot;
 
-/// Per-layer view of one slot's paged KV, presenting the same surface as
-/// the contiguous core::KVCache (append / used / k_prefix / v_prefix /
-/// truncate / capacity) so the fused decode tick and the incremental
-/// attention gather read through the block table with unchanged code
-/// shape. All state lives in the owning PagedKVSlot; the view is two
-/// pointers.
+/// Per-layer view of one slot's paged KV: the cache surface
+/// (append / used / k_prefix / v_prefix / truncate / capacity) that
+/// core::incremental_attention_step appends to and gathers through the
+/// block table. All state lives in the owning PagedKVSlot; the view is
+/// two pointers.
 class PagedKVCache {
  public:
   PagedKVCache() = default;
@@ -268,17 +255,19 @@ class PagedKVCache {
   /// to account 1-byte K/V traffic (plus scale loads) on int8 pools.
   [[nodiscard]] KvPrecision precision() const noexcept;
 
-  /// Same contract as KVCache::append — std::length_error when the
-  /// logical capacity OR the block pool is exhausted (both are the typed
-  /// kv_cache_full stop), std::invalid_argument on a width mismatch,
-  /// checks before writes. Rows inside the slot's shared prefix advance
-  /// the cursor without writing (the resident shared block already holds
-  /// bit-identical content, and may be aliased by other tables).
+  /// Append one projected row to each of K and V. Throws
+  /// std::length_error when the logical capacity OR the block pool is
+  /// exhausted (both are the typed kv_cache_full stop) and
+  /// std::invalid_argument on a row-width mismatch. Strong guarantee:
+  /// every check runs before either plane is written or the cursor moves.
+  /// Rows inside the slot's shared prefix advance the cursor without
+  /// writing (the resident shared block already holds bit-identical
+  /// content, and may be aliased by other tables).
   void append(std::span<const float> k_row, std::span<const float> v_row);
 
   /// Contiguous copies of the filled prefix, gathered through the block
-  /// table — bit-identical to the contiguous cache's planes (the oracle
-  /// property tests/test_paged_kv.cpp pins across block sizes).
+  /// table — bit-identical to the rows appended, at any block size (the
+  /// oracle property tests/test_paged_kv.cpp pins).
   [[nodiscard]] tensor::MatrixF k_prefix() const;
   [[nodiscard]] tensor::MatrixF v_prefix() const;
 
@@ -341,12 +330,11 @@ class PagedKVSlot {
   void truncate(std::size_t layer, std::size_t n) noexcept;
 
   /// Serial rollback: truncate every layer to `n` rows AND return the
-  /// blocks past the new frontier to the allocator — the paged analogue
-  /// of the fault-atomic KVCache::truncate, now with storage to give
-  /// back. Keeps ceil(n / block_tokens) blocks (never trimming below the
-  /// seeded shared prefix), so a rollback landing exactly ON a block
-  /// boundary frees the boundary block — the partial-block release case
-  /// tests/test_paged_kv.cpp pins.
+  /// blocks past the new frontier to the allocator — the fault-atomic
+  /// truncate with storage to give back. Keeps ceil(n / block_tokens)
+  /// blocks (never trimming below the seeded shared prefix), so a
+  /// rollback landing exactly ON a block boundary frees the boundary
+  /// block — the partial-block release case tests/test_paged_kv.cpp pins.
   void rollback(std::size_t n);
 
  private:
@@ -373,15 +361,19 @@ class PagedKVSlot {
   bool in_use_ = false;
 };
 
-/// The paged replacement for core::KVCachePool: same acquire/release/
-/// caches/memory_bytes/used_bytes surface (so the scheduler and the
-/// serving gauges port over), plus prompt-aware acquisition that seeds a
-/// slot's table from the prefix trie and the serial registration flush.
+/// The one KV store for decode: a fixed set of slots (acquire/release/
+/// caches, memory_bytes/used_bytes for the serving gauges) over a shared
+/// BlockAllocator, plus prompt-aware acquisition that seeds a slot's
+/// table from the prefix trie and the serial registration flush. The
+/// batched scheduler runs one slot per sequence; nn::GenerationSession
+/// runs a one-slot pool with a single whole-context block.
 class PagedKVPool {
  public:
-  /// Geometry mirrors KVCachePool's layout-aware constructor; `opts`
-  /// adds the paged shape. Throws std::invalid_argument on zero slots /
-  /// max_context or anything BlockAllocator rejects.
+  /// Per-layer V-plane widths (index = layer) size each layer's plane on
+  /// its own, so a folded or condensed layer allocates only its
+  /// condensed width; K rows are always `k_width` wide. Throws
+  /// std::invalid_argument on zero slots, zero block_tokens, or anything
+  /// else BlockAllocator rejects.
   PagedKVPool(std::size_t num_slots, std::size_t max_context,
               std::size_t k_width, const std::vector<std::size_t>& v_widths,
               PagedKVOptions opts = {});

@@ -1,0 +1,57 @@
+// Incremental (autoregressive) attention over a paged KV cache — the
+// inference regime of the decoder-only models the paper cites (GPT-3 is
+// "12 layers of decoders", §2.1). Each generated token projects one new
+// K/V row, appends it to its slot's PagedKVCache, and attends over
+// everything so far: the on-the-fly operator degenerates to a single-row
+// instance whose score row still lives entirely in shared memory.
+#pragma once
+
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "core/block_allocator.hpp"
+#include "core/config.hpp"
+#include "core/exec_context.hpp"
+#include "core/weights.hpp"
+#include "tensor/matrix.hpp"
+
+namespace et::core {
+
+/// One autoregressive attention step: `x_row` is the current token's
+/// hidden state (1 × d_model). Projects q/k for the new token, projects
+/// the V-side operand in whatever layout `w` deploys — a full-width v
+/// row, the condensed v of a condensable row-pruned W_V (§4.3), or the
+/// m = x·W_VOᵀ row of the pre-computed fold (§3.1, in which case w.wo is
+/// already folded in and is NOT applied) — appends to the cache, and
+/// returns the attention output (1 × d_model) attending over the whole
+/// cache. The cache's V plane must have been sized for the layout
+/// (nn::Model::v_width); a mismatch fails the append before either plane
+/// is written.
+[[nodiscard]] tensor::MatrixF incremental_attention(ExecContext& ctx,
+                                                    const tensor::MatrixF& x_row,
+                                                    const AttentionWeights& w,
+                                                    const AttentionConfig& cfg,
+                                                    PagedKVCache& cache);
+
+/// The post-projection half of incremental_attention, and the only place
+/// the incremental_otf_attention launch is recorded: append the already
+/// projected k_new/v_new rows to `cache`, account the 1-row OTF launch
+/// over the whole cache (1-byte K/V elements plus two FP32 scales per row
+/// on a kInt8 pool), and — unless the device is traffic-only — write the
+/// attention output into `z` (d_model wide). z is the output BEFORE W_O
+/// when `vo` is null (the caller applies its own output projection — the
+/// split that lets the INT8 and batched decode paths swap every
+/// projection GEMM while sharing this step byte for byte), or the final
+/// folded output when `vo` is set. Every row is a view the caller owns,
+/// so a traffic-only step allocates nothing. A rejected append throws
+/// (PagedKVCache::append's contract) before anything is launched.
+void incremental_attention_step(ExecContext& ctx, std::span<const float> q,
+                                std::span<const float> k_new,
+                                std::span<const float> v_new,
+                                const PrecomputedVO* vo,
+                                const std::vector<std::uint32_t>* v_kept,
+                                const AttentionConfig& cfg,
+                                PagedKVCache& cache, std::span<float> z);
+
+}  // namespace et::core

@@ -6,7 +6,7 @@
 #include <string>
 #include <utility>
 
-#include "core/attention_math.hpp"
+#include "core/incremental_attention.hpp"
 #include "kernels/elementwise.hpp"
 #include "kernels/gemm.hpp"
 #include "kernels/linear.hpp"
@@ -15,6 +15,11 @@
 namespace et::nn {
 
 namespace {
+
+/// A batch of one pays the fused path's bookkeeping for zero
+/// amortization, so a tick with fewer active slots than this steps per
+/// slot instead (identical math, one sequence per launch).
+constexpr std::size_t kBatchedDecodeMinSlots = 2;
 
 /// Per-sequence state threaded through one tick. `pre_used` is the
 /// context length every layer's cache is rolled back to if this slot (or
@@ -55,10 +60,10 @@ std::int32_t input_token(const GenerationRequest& req,
 }
 
 /// One fused decode step for every sequence in `live` (rows(i) is
-/// live[i]'s embedded input). The math mirrors GenerationSession's
-/// step_layers + core::incremental_attention row for row — each shared
-/// kernel is row-wise independent, so every sequence's output is
-/// bit-identical to its sequential step. Under Model's kInt8 descriptor
+/// live[i]'s embedded input). Each shared kernel is row-wise independent
+/// and each slot's attention is one core::incremental_attention_step over
+/// its own cache, so every sequence's output is bit-identical to a
+/// batch-of-one nn::generate step. Under Model's kInt8 descriptor
 /// every projection/FF GEMM swaps to quant::int8_linear, whose per-ROW
 /// activation scales keep that row-wise independence exactly (a stacked
 /// row quantizes as it would alone). Slot-attributed faults retire
@@ -73,7 +78,6 @@ void fused_step(core::ExecContext& ctx, const Model& model,
   const bool int8 = model.quantized();
   const auto p = opt.attn.precision;
   const std::size_t d = opt.attn.d_model;
-  const std::size_t sb = numeric::storage_bytes(p);
   kernels::LinearOptions lopt;
   lopt.precision = p;
 
@@ -150,65 +154,28 @@ void fused_step(core::ExecContext& ctx, const Model& model,
       const std::vector<std::uint32_t>* v_kept_ptr =
           int8 ? (ql->v_kept.empty() ? nullptr : &ql->v_kept)
                : (v_kept.empty() ? nullptr : &v_kept);
-      const std::size_t vw = v_new.cols();  // V-plane width actually cached
 
       // Per slot: append this token's K/V row and attend over the slot's
-      // own cache — a 1-row OTF instance per sequence, identical to
-      // core::incremental_attention. Launches here carry the slot id, so
-      // a fault is attributable: only the owning slot retires. Slots are
-      // independent (own cache, own output row, own dead flag), so this
-      // loop runs one slot per parallel chunk; slot-attributed launches
-      // land in per-chunk sinks that merge back in slot order, keeping
-      // the device log bit-identical to the serial tick. Faults the body
-      // handles (KernelFault, length_error) never escape a chunk; a
-      // SharedMemOverflow does, and surfaces after the merge exactly
-      // where the serial loop would have thrown it.
+      // own cache — a 1-row OTF instance per sequence. Launches here carry
+      // the slot id, so a fault is attributable: only the owning slot
+      // retires. Slots are independent (own cache, own output row, own
+      // dead flag), so this loop runs one slot per parallel chunk;
+      // slot-attributed launches land in per-chunk sinks that merge back
+      // in slot order, keeping the device log bit-identical to the serial
+      // tick. Faults the body handles (KernelFault, length_error) never
+      // escape a chunk; a SharedMemOverflow does, and surfaces after the
+      // merge exactly where the serial loop would have thrown it.
       tensor::MatrixF z(live.size(), d);
       std::vector<char> dead(live.size(), 0);  // char: written concurrently
       ctx.parallel_for(
           live.size(),
           [&](std::size_t b) {
             TickSlot& slot = *live[b];
-            core::PagedKVCache& cache = (*slot.caches)[l];
             gpusim::SlotScope scope(dev, static_cast<int>(slot.pool_slot));
             try {
-              cache.append(k_new.row(b), v_new.row(b));
-              const std::size_t ctx_len = cache.used();
-              {
-                auto launch = dev.launch(
-                    {.name = "incremental_otf_attention",
-                     .ctas = opt.attn.num_heads,
-                     .shared_bytes_per_cta =
-                         opt.attn.d_k() * numeric::accumulator_bytes(p) +
-                         ctx_len * numeric::accumulator_bytes(p),
-                     .pattern = gpusim::AccessPattern::kTiled});
-                launch.load_bytes(d * sb);
-                // Cached K/V rows: one byte per element plus two FP32
-                // scales per row under an INT8 pool — the traffic the
-                // halved-footprint cache actually moves.
-                const std::size_t kv_row_bytes =
-                    cache.precision() == core::KvPrecision::kInt8
-                        ? (d + vw) + 2 * sizeof(float)
-                        : (d + vw) * sb;
-                launch.load_bytes(ctx_len * kv_row_bytes);
-                launch.store_bytes(d * sb);
-                const std::uint64_t flops = 2ull * ctx_len * (d + vw);
-                if (p == numeric::Precision::kFp32) {
-                  launch.fp_ops(flops + 5ull * ctx_len * opt.attn.num_heads);
-                } else {
-                  launch.tensor_ops(flops);
-                  launch.fp_ops(5ull * ctx_len * opt.attn.num_heads);
-                }
-              }
-              if (!dev.traffic_only()) {
-                core::AttentionConfig step_cfg = opt.attn;
-                step_cfg.seq_len = 1;
-                step_cfg.causal_mask = false;
-                const tensor::MatrixF zb = core::detail::attention_math(
-                    tensor::slice_rows(q, b, 1), cache.k_prefix(),
-                    cache.v_prefix(), vo, v_kept_ptr, step_cfg);
-                for (std::size_t c = 0; c < d; ++c) z(b, c) = zb(0, c);
-              }
+              core::incremental_attention_step(
+                  ctx, q.row(b), k_new.row(b), v_new.row(b), vo, v_kept_ptr,
+                  opt.attn, (*slot.caches)[l], z.row(b));
             } catch (const gpusim::KernelFault& f) {
               rollback(slot);
               slot.state = TickSlot::State::kKernelFault;
@@ -459,8 +426,7 @@ void BatchedGenerationScheduler::tick(core::ExecContext& ctx) {
     for (std::size_t c = 0; c < d; ++c) rows(i, c) = row(0, c);
   }
 
-  bool per_slot = !core::use_batched_decode(model_.options().adaptive,
-                                            tick_slots.size());
+  bool per_slot = tick_slots.size() < kBatchedDecodeMinSlots;
   if (!per_slot) {
     ++batched_ticks_;
     std::vector<TickSlot*> live;

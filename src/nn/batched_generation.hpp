@@ -4,8 +4,8 @@
 // collapse into one batched GEMM (kernels::batched_gemm_nt) and the MLP
 // runs once over the stacked rows, amortizing weight loads and kernel
 // launches across the batch, while attention stays partitioned per slot
-// (each sequence attends over its own KVCache, E.T.'s single-row OTF
-// instance). Finished sequences (eos / max_tokens / kv_cache_full /
+// (each sequence attends over its own paged KV cache, E.T.'s single-row
+// OTF instance). Finished sequences (eos / max_tokens / kv_cache_full /
 // kernel_fault) retire their slot, which is immediately backfilled from a
 // FIFO pending queue; KV storage is recycled through the paged, block-
 // refcounted core::PagedKVPool (docs/serving.md "Paged KV and prefix
@@ -32,9 +32,7 @@
 #include <optional>
 #include <vector>
 
-#include "core/adaptive.hpp"
 #include "core/block_allocator.hpp"
-#include "core/kv_cache.hpp"
 #include "nn/encoder.hpp"
 #include "nn/generation.hpp"
 #include "nn/model.hpp"

@@ -3,19 +3,18 @@
 #include <cassert>
 #include <cmath>
 
-#include "core/kv_cache.hpp"
+#include "core/incremental_attention.hpp"
 #include "kernels/elementwise.hpp"
 #include "kernels/linear.hpp"
 #include "quant/quantize.hpp"
 
 namespace et::nn {
 
-GenerationSession::GenerationSession(const Model& model) : model_(model) {
-  caches_.reserve(model_.num_layers());
-  for (std::size_t l = 0; l < model_.num_layers(); ++l) {
-    caches_.emplace_back(model_.max_context(), model_.k_width(),
-                         model_.v_width(l));
-  }
+GenerationSession::GenerationSession(const Model& model)
+    : model_(model),
+      kv_(1, model_.max_context(), model_.k_width(), model_.v_widths(),
+          core::PagedKVOptions{.block_tokens = model_.max_context()}) {
+  (void)kv_.acquire();
 }
 
 tensor::MatrixF GenerationSession::step(core::ExecContext& ctx,
@@ -27,13 +26,10 @@ tensor::MatrixF GenerationSession::step(core::ExecContext& ctx,
   // caches one row longer than later ones. Roll every cache back to its
   // pre-step length on any exception so a failed step has no effect.
   const std::size_t pre_step = context_length();
-  const auto rollback = [&]() noexcept {
-    for (auto& cache : caches_) cache.truncate(pre_step);
-  };
   try {
     return step_layers(ctx, x_row, p);
   } catch (...) {
-    rollback();
+    kv_.slot(0).rollback(pre_step);
     throw;
   }
 }
@@ -45,6 +41,7 @@ tensor::MatrixF GenerationSession::step_layers(core::ExecContext& ctx,
   const std::vector<EncoderWeights>& layers = model_.layers();
   const EncoderOptions& opt = model_.options();
   const bool int8 = model_.quantized();
+  std::vector<core::PagedKVCache>& caches = kv_.caches(0);
   tensor::MatrixF h = x_row;
   for (std::size_t l = 0; l < layers.size(); ++l) {
     const EncoderWeights& w = layers[l];
@@ -66,15 +63,17 @@ tensor::MatrixF GenerationSession::step_layers(core::ExecContext& ctx,
       } else {
         v_new = quant::int8_linear(ctx, h, ql->wv, "gen_v_int8");
       }
-      tensor::MatrixF z = core::incremental_attention_step(
-          ctx, q, k_new, v_new, vo,
-          ql->v_kept.empty() ? nullptr : &ql->v_kept, opt.attn, caches_[l]);
+      tensor::MatrixF z(1, model_.d_model());
+      core::incremental_attention_step(
+          ctx, q.row(0), k_new.row(0), v_new.row(0), vo,
+          ql->v_kept.empty() ? nullptr : &ql->v_kept, opt.attn, caches[l],
+          z.row(0));
       attn = (vo != nullptr)
                  ? std::move(z)
                  : quant::int8_linear(ctx, z, ql->wo, "gen_out_int8");
     } else {
       attn = core::incremental_attention(ctx, h, w.attn, opt.attn,
-                                         caches_[l]);
+                                         caches[l]);
     }
     kernels::fused_residual_layernorm(dev, attn, h, w.ln1_gamma, w.ln1_beta,
                                       p, "gen_residual_layernorm1");
@@ -119,9 +118,7 @@ tensor::MatrixF GenerationSession::prime(core::ExecContext& ctx,
   return last;
 }
 
-void GenerationSession::reset() {
-  for (auto& cache : caches_) cache.reset();
-}
+void GenerationSession::reset() { kv_.slot(0).rollback(0); }
 
 GenerationResult generate(core::ExecContext& ctx, GenerationSession& session,
                           const DecodeParams& params) {

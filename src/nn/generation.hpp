@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "core/kv_cache.hpp"
+#include "core/block_allocator.hpp"
 #include "core/prefix_trie.hpp"
 #include "nn/encoder.hpp"
 #include "nn/model.hpp"
@@ -19,6 +19,11 @@ namespace et::nn {
 /// Holds the per-layer KV caches and steps the stack one token at a time.
 /// Prefill (`prime`) runs the prompt through token by token so the caches
 /// and the step path share one code path (and one set of tests).
+///
+/// The caches are one slot of a core::PagedKVPool whose single block
+/// spans max_context — the same store the batched scheduler decodes on,
+/// in the geometry of one contiguous row band per layer. The pool holds
+/// pointers into itself, so a session is neither copyable nor movable.
 class GenerationSession {
  public:
   /// Constructed from the validated nn::Model handle — the session copies
@@ -45,7 +50,7 @@ class GenerationSession {
   [[nodiscard]] const Model& model() const noexcept { return model_; }
 
   [[nodiscard]] std::size_t context_length() const noexcept {
-    return caches_.empty() ? 0 : caches_[0].used();
+    return kv_.slot(0).tokens();
   }
   [[nodiscard]] std::size_t max_context() const noexcept {
     return model_.max_context();
@@ -62,7 +67,7 @@ class GenerationSession {
                                             numeric::Precision p);
 
   Model model_;
-  std::vector<core::KVCache> caches_;  // one per layer
+  core::PagedKVPool kv_;  // one slot, acquired for the session's lifetime
 };
 
 /// Why generate() stopped emitting tokens. The last three arise only

@@ -364,9 +364,8 @@ TEST(BatchedGenerationApi, ResultThrowsUntilTheRequestFinishes) {
 }
 
 TEST(BatchedGenerationApi, SingleActiveSlotTakesThePerSlotPath) {
-  // Below AdaptivePolicy::batched_decode_min_slots the batched launch
-  // isn't worth it; the scheduler must step per slot and count no
-  // batched ticks.
+  // A lone active slot gains nothing from the batched launch; the
+  // scheduler must step per slot and count no batched ticks.
   const std::size_t max_context = 8;
   const Model m = make_model(1, 32, 2, max_context, 31, false);
   const std::vector<Request> requests = {{4, 3, et::nn::kNoEosToken, 41}};

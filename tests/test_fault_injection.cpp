@@ -9,7 +9,7 @@
 #include <sstream>
 
 #include "core/adaptive.hpp"
-#include "core/kv_cache.hpp"
+#include "core/incremental_attention.hpp"
 #include "gpusim/profiler.hpp"
 #include "nn/generation.hpp"
 #include "tensor/random.hpp"
@@ -300,7 +300,9 @@ TEST(AttentionConfigValidation, EveryOperatorRejectsBadHeadSplit) {
                std::invalid_argument);
   EXPECT_THROW((void)et::core::flash_cross_attention(ctx, x, x, w, bad),
                std::invalid_argument);
-  et::core::KVCache cache(4, good.d_model);
+  et::core::PagedKVPool pool(1, 4, good.d_model, {good.d_model},
+                             {.block_tokens = 4});
+  et::core::PagedKVCache& cache = pool.caches(pool.acquire())[0];
   MatrixF row(1, good.d_model);
   EXPECT_THROW((void)et::core::incremental_attention(ctx, row, w, bad, cache),
                std::invalid_argument);
@@ -472,17 +474,6 @@ TEST(GenerationSession, StepIsAtomicUnderFaults) {
     ASSERT_EQ(got.flat()[i], want.flat()[i]);
   }
   EXPECT_EQ(session.context_length(), 2u);
-}
-
-TEST(KVCache, TruncateRollsBackAppends) {
-  et::core::KVCache cache(4, 2);
-  const float r[] = {1, 2};
-  cache.append(r, r);
-  cache.append(r, r);
-  cache.truncate(1);
-  EXPECT_EQ(cache.used(), 1u);
-  cache.truncate(3);  // beyond used: no-op
-  EXPECT_EQ(cache.used(), 1u);
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 #include <set>
 #include <string_view>
 
-#include "core/kv_cache.hpp"
+#include "core/incremental_attention.hpp"
 #include "nn/generation.hpp"
 #include "pruning/criteria.hpp"
 #include "tensor/compare.hpp"
@@ -32,85 +32,6 @@ MatrixF row_of(const MatrixF& m, std::size_t r) {
   return out;
 }
 
-TEST(KVCache, AppendAndPrefix) {
-  et::core::KVCache cache(4, 3);
-  EXPECT_EQ(cache.used(), 0u);
-  const float k1[] = {1, 2, 3};
-  const float v1[] = {4, 5, 6};
-  cache.append(k1, v1);
-  cache.append(v1, k1);
-  EXPECT_EQ(cache.used(), 2u);
-  const auto k = cache.k_prefix();
-  EXPECT_EQ(k.rows(), 2u);
-  EXPECT_EQ(k(0, 2), 3.0f);
-  EXPECT_EQ(k(1, 0), 4.0f);
-  cache.reset();
-  EXPECT_EQ(cache.used(), 0u);
-}
-
-TEST(KVCache, ThrowsWhenFull) {
-  et::core::KVCache cache(1, 2);
-  const float r[] = {1, 2};
-  cache.append(r, r);
-  EXPECT_TRUE(cache.full());
-  EXPECT_THROW(cache.append(r, r), std::length_error);
-}
-
-TEST(KVCache, RejectedAppendLeavesBothPlanesUntouched) {
-  // Regression: every validation must precede the first write, or a
-  // rejected append leaves K one row longer than V (or a row half-set).
-  et::core::KVCache cache(2, 3);
-  const float k1[] = {1, 2, 3};
-  const float v1[] = {4, 5, 6};
-  const float narrow[] = {7, 8};
-  cache.append(k1, v1);
-
-  EXPECT_THROW(cache.append(narrow, v1), std::invalid_argument);
-  EXPECT_THROW(cache.append(k1, narrow), std::invalid_argument);
-  EXPECT_EQ(cache.used(), 1u);
-  const auto k = cache.k_prefix();
-  const auto v = cache.v_prefix();
-  ASSERT_EQ(k.rows(), 1u);
-  for (std::size_t c = 0; c < 3; ++c) {
-    EXPECT_EQ(k(0, c), k1[c]);
-    EXPECT_EQ(v(0, c), v1[c]);
-  }
-
-  // The capacity check fires before the width check touches anything.
-  cache.append(v1, k1);
-  EXPECT_THROW(cache.append(k1, narrow), std::length_error);
-  EXPECT_EQ(cache.used(), 2u);
-  EXPECT_EQ(cache.k_prefix()(1, 0), 4.0f);
-  EXPECT_EQ(cache.v_prefix()(1, 0), 1.0f);
-}
-
-TEST(KVCachePool, RecyclesSlotsAndValidatesRelease) {
-  et::core::KVCachePool pool(2, /*num_layers=*/3, /*capacity=*/4,
-                             /*d_model=*/3);
-  EXPECT_EQ(pool.num_slots(), 2u);
-  EXPECT_EQ(pool.free_slots(), 2u);
-
-  const std::size_t a = pool.acquire();
-  const std::size_t b = pool.acquire();
-  EXPECT_EQ(a, 0u);
-  EXPECT_EQ(b, 1u);
-  EXPECT_FALSE(pool.has_free());
-  EXPECT_THROW((void)pool.acquire(), std::runtime_error);
-  ASSERT_EQ(pool.caches(a).size(), 3u);
-
-  const float r[] = {1, 2, 3};
-  pool.caches(a)[0].append(r, r);
-  pool.release(a);
-  EXPECT_THROW(pool.release(a), std::invalid_argument);
-  EXPECT_THROW(pool.release(99), std::invalid_argument);
-
-  // Reacquiring hands back reset caches — stale context must never leak
-  // between sequences.
-  const std::size_t again = pool.acquire();
-  EXPECT_EQ(again, a);
-  EXPECT_EQ(pool.caches(again)[0].used(), 0u);
-}
-
 TEST(IncrementalAttention, MatchesCausalAttentionPerPosition) {
   et::core::AttentionConfig cfg;
   cfg.seq_len = 12;
@@ -126,7 +47,8 @@ TEST(IncrementalAttention, MatchesCausalAttentionPerPosition) {
   et::core::ExecContext ctx(dev);
   const MatrixF full = et::core::otf_attention(ctx, x, w, cfg);
 
-  et::core::KVCache cache(12, 32);
+  et::core::PagedKVPool pool(1, 12, 32, {32}, {.block_tokens = 12});
+  et::core::PagedKVCache& cache = pool.caches(pool.acquire())[0];
   for (std::size_t t = 0; t < 12; ++t) {
     const MatrixF step =
         et::core::incremental_attention(ctx, row_of(x, t), w, cfg, cache);
@@ -146,7 +68,8 @@ TEST(IncrementalAttention, RejectsPrecomputedWeights) {
   const auto& wv = std::get<et::sparse::DenseWeight>(w.wv).matrix();
   const auto& wo = std::get<et::sparse::DenseWeight>(w.wo).matrix();
   w.vo = et::core::precompute_vo(wv, wo, cfg.num_heads);
-  et::core::KVCache cache(4, 32);
+  et::core::PagedKVPool pool(1, 4, 32, {32}, {.block_tokens = 4});
+  et::core::PagedKVCache& cache = pool.caches(pool.acquire())[0];
   et::gpusim::Device dev;
   et::core::ExecContext ctx(dev);
   MatrixF x(1, 32);

@@ -12,9 +12,9 @@
 //      refcount ≥ 2, free-list ∩ live = ∅, byte accounting == Σ resident
 //      blocks — plus a shadow content model proving gathers never read a
 //      row CoW should have protected;
-//   3. oracles against the contiguous reference — gathers across block
-//      sizes {1, 3, 16} and the PR-5 dense/condensed/folded V-plane
-//      widths, and full decode transcripts through the batched scheduler
+//   3. oracles — gathers across block sizes {1, 3, 16} and the
+//      dense/condensed/folded V-plane widths against the rows appended,
+//      and full decode transcripts through the batched scheduler
 //      (prompts, sharing on/off, OOM-as-kv_cache_full, fault storms at a
 //      block boundary) bit-identical to the sequential path.
 //
@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "core/block_allocator.hpp"
-#include "core/kv_cache.hpp"
 #include "core/prefix_trie.hpp"
 #include "differential.hpp"
 
@@ -247,14 +246,134 @@ TEST(PagedKVPool, AppendContractMatchesContiguousCache) {
 }
 
 TEST(PagedKVPool, ContiguousModeMatchesKVCachePoolFootprintAndDisablesSharing) {
+  // One whole-context block per slot (GenerationSession's layout): the
+  // footprint of one max_context-row band per slot per layer, and no
+  // sharing — a whole-context block has no proper prefix to alias.
   const std::vector<std::size_t> vw{16, 4, 8};
-  const et::core::KVCachePool reference(3, 8, kKWidth, vw);
   PagedKVPool paged(3, 8, kKWidth, vw,
-                    PagedKVOptions{.block_tokens = 0,  // contiguous layout
+                    PagedKVOptions{.block_tokens = 8,
                                    .enable_prefix_sharing = true});
   EXPECT_EQ(paged.block_tokens(), 8u);
+  EXPECT_EQ(paged.allocator().num_blocks(), 3u);
   EXPECT_FALSE(paged.sharing_enabled());
-  EXPECT_EQ(paged.memory_bytes(), reference.memory_bytes());
+  std::size_t band_bytes = 0;
+  for (const std::size_t w : vw) {
+    band_bytes += 8 * (kKWidth + w) * sizeof(float);
+  }
+  EXPECT_EQ(paged.memory_bytes(), 3 * band_bytes);
+}
+
+TEST(PagedKVPool, ZeroBlockTokensIsRejected) {
+  // A zero block size is a configuration error whether or not num_blocks
+  // is given (and the default block count never divides by it).
+  EXPECT_THROW(
+      PagedKVPool(1, 8, kKWidth, {4}, PagedKVOptions{.block_tokens = 0}),
+      std::invalid_argument);
+  EXPECT_THROW(PagedKVPool(1, 8, kKWidth, {4},
+                           PagedKVOptions{.block_tokens = 0, .num_blocks = 4}),
+               std::invalid_argument);
+}
+
+TEST(PagedKVCache, RejectedAppendLeavesBothPlanesAndCursorUntouched) {
+  // Regression: every validation must precede the first write, or a
+  // rejected append leaves K one row longer than V (or a row half-set).
+  // One-row blocks, so a rejected append that allocated first would also
+  // show up as a leaked block.
+  PagedKVPool pool(1, 2, 3, {3}, PagedKVOptions{.block_tokens = 1});
+  PagedKVCache& cache = pool.caches(pool.acquire())[0];
+  const float k1[] = {1, 2, 3};
+  const float v1[] = {4, 5, 6};
+  const float narrow[] = {7, 8};
+  cache.append(k1, v1);
+  const std::size_t bytes = pool.used_bytes();
+
+  EXPECT_THROW(cache.append(narrow, v1), std::invalid_argument);
+  EXPECT_THROW(cache.append(k1, narrow), std::invalid_argument);
+  EXPECT_EQ(cache.used(), 1u);
+  EXPECT_EQ(pool.used_bytes(), bytes);
+  const auto k = cache.k_prefix();
+  const auto v = cache.v_prefix();
+  ASSERT_EQ(k.rows(), 1u);
+  for (std::size_t c = 0; c < 3; ++c) {
+    EXPECT_EQ(k(0, c), k1[c]);
+    EXPECT_EQ(v(0, c), v1[c]);
+  }
+
+  // The capacity check fires before the width check touches anything.
+  cache.append(v1, k1);
+  EXPECT_THROW(cache.append(k1, narrow), std::length_error);
+  EXPECT_EQ(cache.used(), 2u);
+  EXPECT_EQ(cache.k_prefix()(1, 0), 4.0f);
+  EXPECT_EQ(cache.v_prefix()(1, 0), 1.0f);
+}
+
+TEST(PagedKVCache, TruncateRollsBackTheCursorAndPastUsedIsANoOp) {
+  PagedKVPool pool(1, 4, 2, {2}, PagedKVOptions{.block_tokens = 4});
+  PagedKVCache& cache = pool.caches(pool.acquire())[0];
+  const float r[] = {1, 2};
+  cache.append(r, r);
+  cache.append(r, r);
+  cache.truncate(1);
+  EXPECT_EQ(cache.used(), 1u);
+  cache.truncate(3);  // beyond used: no-op
+  EXPECT_EQ(cache.used(), 1u);
+}
+
+TEST(PagedKVPool, EachLayerVWidthSizesThatLayerIndependently) {
+  // Layer 0 condensed to 8 floats per V row, layer 1 full width; K rows
+  // stay full width in both.
+  PagedKVPool pool(2, 4, 32, {8, 32}, PagedKVOptions{.block_tokens = 4});
+  EXPECT_EQ(pool.memory_bytes(),
+            2 * (4 * (32 + 8) + 4 * (32 + 32)) * sizeof(float));
+  const std::size_t slot = pool.acquire();
+  auto& caches = pool.caches(slot);
+  ASSERT_EQ(caches.size(), 2u);
+  EXPECT_EQ(caches[0].v_width(), 8u);
+  EXPECT_EQ(caches[1].v_width(), 32u);
+  EXPECT_EQ(caches[0].k_width(), 32u);
+  EXPECT_EQ(caches[1].k_width(), 32u);
+
+  const std::vector<float> k(32, 1.0f), v(8, 2.0f), wide(32, 3.0f);
+  caches[1].append(k, wide);
+  caches[0].append(k, v);
+  EXPECT_EQ(caches[0].used(), 1u);
+  // A full-width V row no longer fits the condensed plane; the failed
+  // append must leave both planes untouched.
+  EXPECT_THROW(caches[0].append(k, wide), std::invalid_argument);
+  EXPECT_EQ(caches[0].used(), 1u);
+  while (!caches[0].full()) caches[0].append(k, v);
+  EXPECT_THROW(caches[0].append(k, v), std::length_error);
+  EXPECT_EQ(caches[1].used(), 1u);
+  pool.release(slot);
+}
+
+TEST(PagedKVPool, ReacquiredSlotStartsEmptyAndReleaseIsValidated) {
+  PagedKVPool pool(2, 4, 3, {3, 3, 3}, PagedKVOptions{.block_tokens = 2});
+  EXPECT_EQ(pool.num_slots(), 2u);
+  EXPECT_EQ(pool.free_slots(), 2u);
+
+  const std::size_t a = pool.acquire();
+  const std::size_t b = pool.acquire();
+  EXPECT_EQ(a, 0u);
+  EXPECT_EQ(b, 1u);
+  EXPECT_FALSE(pool.has_free());
+  EXPECT_THROW((void)pool.acquire(), std::runtime_error);
+  ASSERT_EQ(pool.caches(a).size(), 3u);
+
+  const float r[] = {1, 2, 3};
+  pool.caches(a)[0].append(r, r);
+  pool.release(a);
+  EXPECT_THROW(pool.release(a), std::invalid_argument);
+  EXPECT_THROW(pool.release(99), std::invalid_argument);
+
+  // Reacquiring hands back empty caches — stale context must never leak
+  // between sequences.
+  const std::size_t again = pool.acquire();
+  EXPECT_EQ(again, a);
+  EXPECT_EQ(pool.caches(again)[0].used(), 0u);
+  EXPECT_EQ(pool.caches(again)[0].k_prefix().rows(), 0u);
+  EXPECT_TRUE(pool.slot(again).table().empty());
+  EXPECT_EQ(pool.used_bytes(), 0u);
 }
 
 TEST(PagedKVPool, PrefixSharingAliasesBlocksAndCountsBytesOnce) {
@@ -379,8 +498,8 @@ TEST(PagedKVPool, RollbackNeverTrimsSeededSharedBlocks) {
 }
 
 // ---------------------------------------------------------------------------
-// Gather oracle: paged k/v_prefix == contiguous KVCache, across block
-// sizes and the PR-5 V-plane widths.
+// Gather oracle: paged k/v_prefix == the rows appended, across block sizes
+// and the dense/condensed/folded V-plane widths.
 // ---------------------------------------------------------------------------
 
 TEST(PagedGatherOracle, PrefixGathersMatchContiguousAcrossBlockSizes) {
@@ -390,8 +509,6 @@ TEST(PagedGatherOracle, PrefixGathersMatchContiguousAcrossBlockSizes) {
                                std::size_t{16}}) {
     SCOPED_TRACE("block_tokens=" + std::to_string(bt));
     PagedKVPool pool(2, kCtx, kKWidth, vw, PagedKVOptions{.block_tokens = bt});
-    std::vector<et::core::KVCache> reference;
-    for (const std::size_t w : vw) reference.emplace_back(kCtx, kKWidth, w);
     const std::size_t s = pool.acquire();
     for (std::size_t p = 0; p < kCtx; ++p) {
       PagedKVSlot& slot = pool.slot(s);
@@ -402,21 +519,23 @@ TEST(PagedGatherOracle, PrefixGathersMatchContiguousAcrossBlockSizes) {
         fill_row(k, gen_key(7, p), 1000 + l);
         fill_row(v, gen_key(7, p), 2000 + l);
         slot.append(l, k, v);
-        reference[l].append(k, v);
       }
     }
     for (std::size_t l = 0; l < vw.size(); ++l) {
       const auto pk = pool.slot(s).k_prefix(l);
-      const auto rk = reference[l].k_prefix();
       const auto pv = pool.slot(s).v_prefix(l);
-      const auto rv = reference[l].v_prefix();
-      ASSERT_EQ(pk.rows(), rk.rows());
-      for (std::size_t r = 0; r < rk.rows(); ++r) {
-        for (std::size_t c = 0; c < rk.cols(); ++c) {
-          ASSERT_EQ(pk(r, c), rk(r, c)) << "layer " << l << " row " << r;
+      ASSERT_EQ(pk.rows(), kCtx);
+      ASSERT_EQ(pv.rows(), kCtx);
+      ASSERT_EQ(pv.cols(), vw[l]);
+      std::vector<float> want_k(kKWidth), want_v(vw[l]);
+      for (std::size_t r = 0; r < kCtx; ++r) {
+        fill_row(want_k, gen_key(7, r), 1000 + l);
+        fill_row(want_v, gen_key(7, r), 2000 + l);
+        for (std::size_t c = 0; c < kKWidth; ++c) {
+          ASSERT_EQ(pk(r, c), want_k[c]) << "layer " << l << " row " << r;
         }
-        for (std::size_t c = 0; c < rv.cols(); ++c) {
-          ASSERT_EQ(pv(r, c), rv(r, c)) << "layer " << l << " row " << r;
+        for (std::size_t c = 0; c < vw[l]; ++c) {
+          ASSERT_EQ(pv(r, c), want_v[c]) << "layer " << l << " row " << r;
         }
       }
     }

@@ -5,7 +5,7 @@
 #include <random>
 
 #include "core/attention.hpp"
-#include "core/kv_cache.hpp"
+#include "core/incremental_attention.hpp"
 #include "gpusim/device.hpp"
 #include "kernels/gemm.hpp"
 #include "nn/reference.hpp"
@@ -197,7 +197,9 @@ TEST_P(SeedSweep, IncrementalPrefixDecodeMatchesFullOtf) {
   et::core::ExecContext ctx(dev);
   const MatrixF full = et::core::otf_attention(ctx, x, w, cfg);
 
-  et::core::KVCache cache(seq, d_model);
+  et::core::PagedKVPool pool(1, seq, d_model, {d_model},
+                             {.block_tokens = seq});
+  et::core::PagedKVCache& cache = pool.caches(pool.acquire())[0];
   for (std::size_t t = 0; t < seq; ++t) {
     const MatrixF step = et::core::incremental_attention(
         ctx, et::tensor::slice_rows(x, t, 1), w, cfg, cache);

@@ -291,7 +291,7 @@ TEST(ServingDifferentialCross, ThreadCountsAgreeOnTranscriptsAndMetrics) {
 // ---------------------------------------------------------------------------
 // Sharing differential (docs/serving.md "Paged KV and prefix sharing"):
 // the same scripted storm with prefix sharing ON, OFF, and under the
-// contiguous reference layout (block_tokens = 0) must produce
+// contiguous layout (block_tokens = max_context) must produce
 // bit-identical transcripts, tick counts, and metrics — every scalar
 // except the four sharing-observability gauges. Sharing buys memory,
 // never behavior, including under priority preemption and random-fault
@@ -357,7 +357,7 @@ TEST_P(SharingDifferential, OnOffContiguousAgreeOnEverythingButKvGauges) {
     ServerConfig off = on;
     off.kv.enable_prefix_sharing = false;
     ServerConfig contiguous = on;
-    contiguous.kv.block_tokens = 0;  // pre-paged reference layout
+    contiguous.kv.block_tokens = max_context;  // one whole-context block
 
     et::gpusim::Device d_on, d_off, d_contig;
     if (chaos) {
