@@ -22,6 +22,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/block_allocator.hpp"
 #include "core/weights.hpp"
 #include "differential.hpp"
 #include "serving/server.hpp"
@@ -236,6 +237,51 @@ TEST(DecodeFormats, ModelHandleValidatesItsArguments) {
   bad_layers[0].attn.vo.num_heads = kHeads + 1;
   EXPECT_THROW(et::nn::Model(&bad_layers, folded.opt, kMaxContext),
                std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// PagedKVPool: independent K and V plane widths.
+// ---------------------------------------------------------------------------
+TEST(DecodeFormats, KvCacheStoresIndependentPlaneWidths) {
+  et::core::PagedKVPool pool(1, 4, 32, {8}, {.block_tokens = 4});
+  et::core::PagedKVCache& cache = pool.caches(pool.acquire())[0];
+  EXPECT_EQ(cache.k_width(), 32u);
+  EXPECT_EQ(cache.v_width(), 8u);
+  EXPECT_EQ(pool.memory_bytes(), 4 * (32 + 8) * sizeof(float));
+
+  const std::vector<float> k(32, 1.0f), v(8, 2.0f), wide(32, 3.0f);
+  cache.append(k, v);
+  EXPECT_EQ(cache.used(), 1u);
+  // A full-width V row no longer fits a condensed plane; the failed
+  // append must leave both planes untouched.
+  EXPECT_THROW(cache.append(k, wide), std::invalid_argument);
+  EXPECT_EQ(cache.used(), 1u);
+  while (!cache.full()) cache.append(k, v);
+  EXPECT_THROW(cache.append(k, v), std::length_error);
+}
+
+TEST(DecodeFormats, KvCachePoolSizesEachLayerIndependently) {
+  // Layer 0 condensed to 8 floats per V row, layer 1 full width; K rows
+  // stay full width in both.
+  et::core::PagedKVPool pool(2, 4, 32, {8, 32}, {.block_tokens = 4});
+  EXPECT_EQ(pool.memory_bytes(),
+            2 * (4 * (32 + 8) + 4 * (32 + 32)) * sizeof(float));
+  const std::size_t slot = pool.acquire();
+  auto& caches = pool.caches(slot);
+  ASSERT_EQ(caches.size(), 2u);
+  EXPECT_EQ(caches[0].v_width(), 8u);
+  EXPECT_EQ(caches[1].v_width(), 32u);
+  EXPECT_EQ(caches[0].k_width(), 32u);
+  EXPECT_EQ(caches[1].k_width(), 32u);
+
+  // Each layer's cursor moves on its own.
+  const std::vector<float> k(32, 1.0f), v(8, 2.0f), wide(32, 3.0f);
+  caches[1].append(k, wide);
+  caches[0].append(k, v);
+  caches[0].append(k, v);
+  EXPECT_EQ(caches[0].used(), 2u);
+  EXPECT_EQ(caches[1].used(), 1u);
+  pool.release(slot);
 }
 
 // ---------------------------------------------------------------------------

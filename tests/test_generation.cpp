@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <string_view>
 
 #include "core/incremental_attention.hpp"
@@ -30,6 +31,35 @@ MatrixF row_of(const MatrixF& m, std::size_t r) {
   MatrixF out(1, m.cols());
   for (std::size_t c = 0; c < m.cols(); ++c) out(0, c) = m(r, c);
   return out;
+}
+
+// The session's KV store: a one-slot PagedKVPool whose single block spans
+// the whole context.
+TEST(KVCache, AppendAndPrefix) {
+  et::core::PagedKVPool pool(1, 4, 3, {3}, {.block_tokens = 4});
+  et::core::PagedKVSlot& slot = pool.slot(pool.acquire());
+  et::core::PagedKVCache& cache = slot.caches()[0];
+  EXPECT_EQ(cache.used(), 0u);
+  const float k1[] = {1, 2, 3};
+  const float v1[] = {4, 5, 6};
+  cache.append(k1, v1);
+  cache.append(v1, k1);
+  EXPECT_EQ(cache.used(), 2u);
+  const auto k = cache.k_prefix();
+  EXPECT_EQ(k.rows(), 2u);
+  EXPECT_EQ(k(0, 2), 3.0f);
+  EXPECT_EQ(k(1, 0), 4.0f);
+  slot.rollback(0);  // GenerationSession::reset
+  EXPECT_EQ(cache.used(), 0u);
+}
+
+TEST(KVCache, ThrowsWhenFull) {
+  et::core::PagedKVPool pool(1, 1, 2, {2}, {.block_tokens = 1});
+  et::core::PagedKVCache& cache = pool.caches(pool.acquire())[0];
+  const float r[] = {1, 2};
+  cache.append(r, r);
+  EXPECT_TRUE(cache.full());
+  EXPECT_THROW(cache.append(r, r), std::length_error);
 }
 
 TEST(IncrementalAttention, MatchesCausalAttentionPerPosition) {

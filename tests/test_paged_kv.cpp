@@ -319,34 +319,6 @@ TEST(PagedKVCache, TruncateRollsBackTheCursorAndPastUsedIsANoOp) {
   EXPECT_EQ(cache.used(), 1u);
 }
 
-TEST(PagedKVPool, EachLayerVWidthSizesThatLayerIndependently) {
-  // Layer 0 condensed to 8 floats per V row, layer 1 full width; K rows
-  // stay full width in both.
-  PagedKVPool pool(2, 4, 32, {8, 32}, PagedKVOptions{.block_tokens = 4});
-  EXPECT_EQ(pool.memory_bytes(),
-            2 * (4 * (32 + 8) + 4 * (32 + 32)) * sizeof(float));
-  const std::size_t slot = pool.acquire();
-  auto& caches = pool.caches(slot);
-  ASSERT_EQ(caches.size(), 2u);
-  EXPECT_EQ(caches[0].v_width(), 8u);
-  EXPECT_EQ(caches[1].v_width(), 32u);
-  EXPECT_EQ(caches[0].k_width(), 32u);
-  EXPECT_EQ(caches[1].k_width(), 32u);
-
-  const std::vector<float> k(32, 1.0f), v(8, 2.0f), wide(32, 3.0f);
-  caches[1].append(k, wide);
-  caches[0].append(k, v);
-  EXPECT_EQ(caches[0].used(), 1u);
-  // A full-width V row no longer fits the condensed plane; the failed
-  // append must leave both planes untouched.
-  EXPECT_THROW(caches[0].append(k, wide), std::invalid_argument);
-  EXPECT_EQ(caches[0].used(), 1u);
-  while (!caches[0].full()) caches[0].append(k, v);
-  EXPECT_THROW(caches[0].append(k, v), std::length_error);
-  EXPECT_EQ(caches[1].used(), 1u);
-  pool.release(slot);
-}
-
 TEST(PagedKVPool, ReacquiredSlotStartsEmptyAndReleaseIsValidated) {
   PagedKVPool pool(2, 4, 3, {3, 3, 3}, PagedKVOptions{.block_tokens = 2});
   EXPECT_EQ(pool.num_slots(), 2u);
