@@ -1,9 +1,10 @@
 #include "kernels/gemm.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/thread_pool.hpp"
 #include "gpusim/latency_model.hpp"
@@ -16,6 +17,10 @@ using numeric::Precision;
 
 constexpr std::size_t ceil_div(std::size_t a, std::size_t b) {
   return (a + b - 1) / b;
+}
+
+std::string shape(const tensor::MatrixF& x) {
+  return std::to_string(x.rows()) + "x" + std::to_string(x.cols());
 }
 
 /// Build the traffic/FLOP record a blocked GEMM kernel incurs without
@@ -54,20 +59,109 @@ gpusim::KernelStats gemm_counters(std::size_t m, std::size_t n,
   return st;
 }
 
+/// A GEMM operand rounded to binary16 once per call, as float rows of k
+/// elements: A as stored, B as its n rows of k whichever way round it is
+/// stored, so the inner loop walks both contiguously.
+using Fp16Rows = std::optional<std::vector<float>>;
+
+/// Round `x` (its columns when `by_column`) to binary16 rows. Returns
+/// nullopt, with the overflow counter untouched, when a finite element
+/// overflows on rounding: that call keeps the per-multiply-add loop, which
+/// counts the overflow once per use as the per-step conversion always has.
+Fp16Rows round_fp16_rows(const tensor::MatrixF& x, bool by_column) {
+  const std::size_t rows = by_column ? x.cols() : x.rows();
+  const std::size_t kk = by_column ? x.rows() : x.cols();
+  std::vector<float> out(rows * kk);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t k = 0; k < kk; ++k) {
+      const float v = by_column ? x(k, r) : x(r, k);
+      if (numeric::overflows_fp16(v)) return std::nullopt;
+      out[r * kk + k] = numeric::round_fp16(v);
+    }
+  }
+  return out;
+}
+
+/// A rounded once for every GEMM that shares it; nullopt under the
+/// policies that do not round operands to binary16.
+Fp16Rows round_a(Precision p, const tensor::MatrixF& a) {
+  if (p != Precision::kPureFp16 && p != Precision::kMixed) return std::nullopt;
+  return round_fp16_rows(a, false);
+}
+
+/// kPureFp16 (Pure) and kMixed over operands rounded once: a16 is m×k,
+/// b16 n×k. A product of two binary16 values has at most 11+11 significant
+/// bits, so it is exact in binary32, and a kPureFp16 accumulator is always
+/// a binary16 value, so fma_step's rounding of it is the identity: each
+/// multiply-add rounds only the product and the sum, and kMixed rounds
+/// nothing. kCols output columns advance together so their dependent
+/// chains overlap; each output still sums over k in order, so outputs and
+/// overflow counts equal the per-step fma_step loop's bit for bit.
+template <bool Pure>
+void gemm_math_fp16(const std::vector<float>& a16,
+                    const std::vector<float>& b16, std::size_t kk,
+                    tensor::MatrixF& c, Precision p, core::ThreadPool& pool) {
+  constexpr std::size_t kCols = 4;
+  const std::size_t n = c.cols();
+  const auto mac = [](float x, float y, float acc) {
+    if constexpr (Pure) {
+      return numeric::round_fp16(numeric::round_fp16(x * y) + acc);
+    } else {
+      return x * y + acc;
+    }
+  };
+  pool.parallel_for(c.rows(), [&](std::size_t i) {
+    const float* ar = a16.data() + i * kk;
+    std::size_t j = 0;
+    for (; j + kCols <= n; j += kCols) {
+      const float* br = b16.data() + j * kk;
+      float acc[kCols] = {};
+      for (std::size_t k = 0; k < kk; ++k) {
+        for (std::size_t t = 0; t < kCols; ++t) {
+          acc[t] = mac(ar[k], br[t * kk + k], acc[t]);
+        }
+      }
+      for (std::size_t t = 0; t < kCols; ++t) {
+        c(i, j + t) = numeric::round_to_storage(p, acc[t]);
+      }
+    }
+    for (; j < n; ++j) {
+      const float* br = b16.data() + j * kk;
+      float acc = 0.0f;
+      for (std::size_t k = 0; k < kk; ++k) acc = mac(ar[k], br[k], acc);
+      c(i, j) = numeric::round_to_storage(p, acc);
+    }
+  });
+}
+
 /// Run the actual math: C(i,j) = Σ_k a(i,k)·b_row(j)(k), with rounding per
 /// the precision policy applied at each accumulate step (tile-granularity
 /// rounding is what real tensor cores do; per-step rounding is the
 /// conservative software equivalent and reproduces the Fig. 4 overflow).
+/// `a16` is round_a(p, a); under kPureFp16 and kMixed, B is rounded here
+/// once and the math runs on the rounded copies.
 ///
 /// Rows are independent, so the pool partitions over i. No device calls
 /// happen inside, so this is a pure-math region: it may run parallel even
 /// while the fault injector is armed, and needs no LaunchSink.
 template <bool Transposed>
-void gemm_math(const tensor::MatrixF& a, const tensor::MatrixF& b,
-               tensor::MatrixF& c, Precision p, core::ThreadPool& pool) {
+void gemm_math(const tensor::MatrixF& a, const Fp16Rows& a16,
+               const tensor::MatrixF& b, tensor::MatrixF& c, Precision p,
+               core::ThreadPool& pool) {
   const std::size_t m = a.rows();
   const std::size_t n = Transposed ? b.rows() : b.cols();
   const std::size_t kk = a.cols();
+
+  if (a16) {
+    if (const Fp16Rows b16 = round_fp16_rows(b, !Transposed)) {
+      if (p == Precision::kPureFp16) {
+        gemm_math_fp16<true>(*a16, *b16, kk, c, p, pool);
+      } else {
+        gemm_math_fp16<false>(*a16, *b16, kk, c, p, pool);
+      }
+      return;
+    }
+  }
 
   if (p == Precision::kFp32) {
     pool.parallel_for(m, [&](std::size_t i) {
@@ -102,7 +196,10 @@ tensor::MatrixF gemm_impl(core::ExecContext& ctx, const tensor::MatrixF& a,
   const std::size_t m = a.rows();
   const std::size_t n = Transposed ? b.rows() : b.cols();
   const std::size_t kk = a.cols();
-  assert(Transposed ? b.cols() == kk : b.rows() == kk);
+  if ((Transposed ? b.cols() : b.rows()) != kk) {
+    throw std::invalid_argument(std::string(name) + ": A is " +
+                                shape(a) + " but B is " + shape(b));
+  }
 
   if (algo == nullptr) algo = &autotune_gemm(dev.spec(), m, n, kk, p);
 
@@ -118,7 +215,9 @@ tensor::MatrixF gemm_impl(core::ExecContext& ctx, const tensor::MatrixF& a,
   launch.tensor_ops(st.tensor_ops);
 
   tensor::MatrixF c(m, n);
-  if (!dev.traffic_only()) gemm_math<Transposed>(a, b, c, p, ctx.pool());
+  if (!dev.traffic_only()) {
+    gemm_math<Transposed>(a, round_a(p, a), b, c, p, ctx.pool());
+  }
   return c;
 }
 
@@ -185,7 +284,9 @@ std::vector<tensor::MatrixF> batched_gemm_nt(
     const std::vector<const tensor::MatrixF*>& bs, numeric::Precision p,
     const GemmAlgo* algo, std::string_view name) {
   gpusim::Device& dev = ctx.device();
-  assert(!bs.empty());
+  if (bs.empty()) {
+    throw std::invalid_argument(std::string(name) + ": empty batch");
+  }
   const std::size_t m = a.rows();
   const std::size_t kk = a.cols();
   const std::size_t sb = numeric::storage_bytes(p);
@@ -195,7 +296,11 @@ std::vector<tensor::MatrixF> batched_gemm_nt(
   std::size_t n_max = 0;
   std::uint64_t n_total = 0;
   for (const auto* b : bs) {
-    assert(b != nullptr && b->cols() == kk);
+    if (b == nullptr || b->cols() != kk) {
+      throw std::invalid_argument(
+          std::string(name) + ": A is " + shape(a) + " but a B panel is " +
+          (b == nullptr ? std::string("null") : shape(*b)));
+    }
     n_max = std::max(n_max, b->rows());
     n_total += b->rows();
   }
@@ -233,9 +338,10 @@ std::vector<tensor::MatrixF> batched_gemm_nt(
 
   std::vector<tensor::MatrixF> out;
   out.reserve(bs.size());
+  const Fp16Rows a16 = dev.traffic_only() ? std::nullopt : round_a(p, a);
   for (const auto* b : bs) {
     tensor::MatrixF c(m, b->rows());
-    if (!dev.traffic_only()) gemm_math<true>(a, *b, c, p, ctx.pool());
+    if (!dev.traffic_only()) gemm_math<true>(a, a16, *b, c, p, ctx.pool());
     out.push_back(std::move(c));
   }
   return out;

@@ -12,6 +12,12 @@
 // and the modeled latency describe the equivalent GPU kernel. Row loops
 // run on the context's ThreadPool with a thread-count-invariant partition,
 // so results are bit-identical at any thread count (docs/threading.md).
+// Under the binary16 policies each operand is rounded once per call, with
+// the outputs and overflow counts of per-step fma_step rounding
+// (docs/simulator.md, "Host cost of the numerics").
+//
+// Every entry point throws std::invalid_argument, before launching, when
+// the operands' inner dimensions disagree.
 #pragma once
 
 #include <string>
@@ -70,7 +76,8 @@ struct GemmAlgo {
 /// q/k/v projections of a whole batch of sequences.
 ///
 /// Per-element math is exactly gemm_nt's accumulation loop, so each C_i
-/// is bit-identical to an unbatched gemm_nt(a, *bs[i]) call.
+/// is bit-identical to an unbatched gemm_nt(a, *bs[i]) call. An empty
+/// batch or a null panel also throws std::invalid_argument.
 [[nodiscard]] std::vector<tensor::MatrixF> batched_gemm_nt(
     core::ExecContext& ctx, const tensor::MatrixF& a,
     const std::vector<const tensor::MatrixF*>& bs,

@@ -10,6 +10,7 @@
 // overflow_count().
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <iosfwd>
 
@@ -25,6 +26,10 @@ void reset_overflow_count() noexcept;
 namespace detail {
 std::uint16_t f32_to_f16_bits(float f) noexcept;
 float f16_bits_to_f32(std::uint16_t h) noexcept;
+
+/// |x| bit patterns from 65520 up to (not including) inf round to ±inf:
+/// 65520 is the tie between 65504 and 2^16, and the even side is 2^16.
+inline constexpr std::uint32_t kF16OverflowBits = 0x477ff000u;
 }  // namespace detail
 
 /// IEEE-754 binary16. Arithmetic converts to float, operates, and rounds
@@ -103,5 +108,29 @@ class half {
 std::ostream& operator<<(std::ostream& os, half h);
 
 static_assert(sizeof(half) == 2, "binary16 must occupy two bytes");
+
+/// static_cast<float>(half(x)), overflow count included, without the
+/// out-of-line round trip when the result is a normal binary16. For
+/// 2^-14 <= |x| < 65520 rounding to nearest-even is an add-and-mask on
+/// the float bits: add 0xfff plus the lowest kept mantissa bit, clear the
+/// 13 dropped bits, and a carry out of the mantissa bumps the exponent
+/// just as it should. Zero, subnormals, overflow, inf and NaN take the
+/// exact conversion, which also records overflow events.
+[[nodiscard]] inline float round_fp16(float x) noexcept {
+  constexpr std::uint32_t kMinNormal = 0x38800000u;  // 2^-14
+  const std::uint32_t u = std::bit_cast<std::uint32_t>(x);
+  if ((u & 0x7fffffffu) - kMinNormal <
+      detail::kF16OverflowBits - kMinNormal) [[likely]] {
+    return std::bit_cast<float>((u + 0xfffu + ((u >> 13) & 1u)) & ~0x1fffu);
+  }
+  return detail::f16_bits_to_f32(detail::f32_to_f16_bits(x));
+}
+
+/// True for the finite x whose conversion to binary16 overflows to ±inf
+/// (|x| >= 65520), i.e. whose conversion counts an overflow event.
+[[nodiscard]] inline bool overflows_fp16(float x) noexcept {
+  const std::uint32_t a = std::bit_cast<std::uint32_t>(x) & 0x7fffffffu;
+  return a >= detail::kF16OverflowBits && a < 0x7f800000u;
+}
 
 }  // namespace et::numeric

@@ -49,13 +49,11 @@ enum class Precision {
   switch (p) {
     case Precision::kFp32:
       return a * b + c;
-    case Precision::kPureFp16: {
-      const half prod = half(a) * half(b);
-      return static_cast<float>(half(static_cast<float>(prod) +
-                                     static_cast<float>(half(c))));
-    }
+    case Precision::kPureFp16:
+      return round_fp16(round_fp16(round_fp16(a) * round_fp16(b)) +
+                        round_fp16(c));
     case Precision::kMixed:
-      return static_cast<float>(half(a)) * static_cast<float>(half(b)) + c;
+      return round_fp16(a) * round_fp16(b) + c;
     case Precision::kBf16Mixed:
       return static_cast<float>(bfloat16(a)) * static_cast<float>(bfloat16(b)) +
              c;
@@ -71,7 +69,7 @@ enum class Precision {
       return x;
     case Precision::kPureFp16:
     case Precision::kMixed:
-      return static_cast<float>(half(x));
+      return round_fp16(x);
     case Precision::kBf16Mixed:
       return static_cast<float>(bfloat16(x));
   }

@@ -2,7 +2,10 @@
 // accounting (the §3.3 mechanism).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <random>
 
@@ -15,8 +18,10 @@ namespace {
 using et::numeric::bfloat16;
 using et::numeric::half;
 using et::numeric::overflow_count;
+using et::numeric::overflows_fp16;
 using et::numeric::Precision;
 using et::numeric::reset_overflow_count;
+using et::numeric::round_fp16;
 
 TEST(Half, ExactSmallIntegersRoundTrip) {
   for (int i = -2048; i <= 2048; ++i) {
@@ -178,5 +183,73 @@ INSTANTIATE_TEST_SUITE_P(Values, HalfSweep,
                          ::testing::Values(0.1f, -0.1f, 3.14159f, 1e-3f,
                                            -2.71828f, 123.456f, -999.9f,
                                            6e-5f, 1e-7f, 40000.0f));
+
+// round_fp16 against the out-of-line conversion on every float bit
+// pattern: the same result bits and the same overflow count, which
+// overflows_fp16 must also predict. Where the compiler has _Float16 it is
+// a third, independent rounding (NaN compared by class: the payload is not
+// part of the rounding contract). Without F16C it is a ~60 ns library
+// call, so it checks 1 pattern in 16: every sign, exponent and dropped
+// 13-bit tail, with mantissa bits 13..16 zero. Sharded so ctest -j
+// spreads the 2^32 values over its workers.
+constexpr std::uint32_t kRoundShards = 16;
+
+class RoundFp16Exhaustive : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(RoundFp16Exhaustive, MatchesHalfOnEveryBitPattern) {
+  const std::uint64_t per_shard = (std::uint64_t{1} << 32) / kRoundShards;
+  const std::uint64_t begin = GetParam() * per_shard;
+  std::uint64_t mismatches = 0, count_mismatches = 0, f16_mismatches = 0;
+  std::uint64_t overflows = 0;
+  std::uint64_t c2 = overflow_count();
+  for (std::uint64_t b = begin; b < begin + per_shard; ++b) {
+    const float x = std::bit_cast<float>(static_cast<std::uint32_t>(b));
+    const std::uint64_t c0 = c2;
+    const float want = static_cast<float>(half(x));
+    const std::uint64_t c1 = overflow_count();
+    const float got = round_fp16(x);
+    c2 = overflow_count();
+    if (std::bit_cast<std::uint32_t>(got) !=
+            std::bit_cast<std::uint32_t>(want) &&
+        ++mismatches <= 5) {
+      ADD_FAILURE() << std::hex << "bits 0x" << b << ": round_fp16 0x"
+                    << std::bit_cast<std::uint32_t>(got) << ", half 0x"
+                    << std::bit_cast<std::uint32_t>(want);
+    }
+    if ((c2 - c1 != c1 - c0 || overflows_fp16(x) != (c1 - c0 == 1)) &&
+        ++count_mismatches <= 5) {
+      ADD_FAILURE() << std::hex << "bits 0x" << b << ": overflow delta "
+                    << c2 - c1 << " vs " << c1 - c0 << ", overflows_fp16 "
+                    << overflows_fp16(x);
+    }
+    overflows += c1 - c0;
+#ifdef __FLT16_MAX__
+    if (((b >> 13) & 0xfu) != 0) continue;
+    const float hw = static_cast<float>(static_cast<_Float16>(x));
+    const bool agree = std::isnan(hw)
+                           ? std::isnan(got)
+                           : std::bit_cast<std::uint32_t>(hw) ==
+                                 std::bit_cast<std::uint32_t>(got);
+    if (!agree && ++f16_mismatches <= 5) {
+      ADD_FAILURE() << std::hex << "bits 0x" << b << ": round_fp16 0x"
+                    << std::bit_cast<std::uint32_t>(got) << ", _Float16 0x"
+                    << std::bit_cast<std::uint32_t>(hw);
+    }
+#endif
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(count_mismatches, 0u);
+  EXPECT_EQ(f16_mismatches, 0u);
+  // Every finite |x| >= 65520 overflows exactly once: the magnitudes
+  // 0x477ff000 up to (not including) inf's 0x7f800000.
+  const std::uint64_t lo = begin & 0x7fffffffu;
+  const std::uint64_t hi = lo + per_shard;
+  const std::uint64_t first = std::max<std::uint64_t>(lo, 0x477ff000u);
+  const std::uint64_t last = std::min<std::uint64_t>(hi, 0x7f800000u);
+  EXPECT_EQ(overflows, last > first ? last - first : 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, RoundFp16Exhaustive,
+                         ::testing::Range(std::uint32_t{0}, kRoundShards));
 
 }  // namespace

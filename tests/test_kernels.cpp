@@ -2,11 +2,19 @@
 // traffic/structure sanity.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "gpusim/device.hpp"
 #include "kernels/elementwise.hpp"
 #include "kernels/gemm.hpp"
+#include "numeric/half.hpp"
 #include "tensor/compare.hpp"
 #include "tensor/random.hpp"
 #include "tensor/reference_gemm.hpp"
@@ -14,8 +22,11 @@
 namespace {
 
 using et::gpusim::Device;
+using et::kernels::batched_gemm_nt;
 using et::kernels::gemm_nn;
 using et::kernels::gemm_nt;
+using et::numeric::half;
+using et::numeric::overflow_count;
 using et::numeric::Precision;
 using et::tensor::MatrixF;
 
@@ -98,6 +109,190 @@ TEST(Gemm, TrafficOnlySkipsMath) {
   EXPECT_EQ(dev.launch_count(), 1u);
   EXPECT_GT(dev.history()[0].total_bytes(), 0u);
 }
+
+TEST(Gemm, NtRejectsMismatchedOperandShapes) {
+  const MatrixF a(4, 8), b(5, 7);
+  Device dev;
+  et::core::ExecContext ctx(dev);
+  EXPECT_THROW((void)gemm_nt(ctx, a, b, Precision::kPureFp16),
+               std::invalid_argument);
+  EXPECT_EQ(dev.launch_count(), 0u);
+}
+
+TEST(Gemm, NnRejectsMismatchedOperandShapes) {
+  const MatrixF a(4, 8), b(7, 5);
+  Device dev;
+  et::core::ExecContext ctx(dev);
+  EXPECT_THROW((void)gemm_nn(ctx, a, b, Precision::kPureFp16),
+               std::invalid_argument);
+  EXPECT_EQ(dev.launch_count(), 0u);
+}
+
+TEST(Gemm, BatchedNtRejectsMismatchedPanels) {
+  const MatrixF a(4, 8), good(5, 8), bad(5, 7);
+  Device dev;
+  et::core::ExecContext ctx(dev);
+  EXPECT_THROW((void)batched_gemm_nt(ctx, a, {&good, &bad}, Precision::kMixed),
+               std::invalid_argument);
+  EXPECT_THROW((void)batched_gemm_nt(ctx, a, {&good, nullptr}),
+               std::invalid_argument);
+  EXPECT_THROW((void)batched_gemm_nt(ctx, a, {}), std::invalid_argument);
+  EXPECT_EQ(dev.launch_count(), 0u);
+}
+
+// The binary16 GEMM paths against an oracle that shares none of their
+// code: a naive triple loop over `half` operators. kPureFp16 rounds each
+// product and each sum to binary16; kMixed rounds the operands and the
+// finished FP32 sum. Outputs must match bit for bit (NaN by class: which
+// of two NaN operands a multiply or add keeps depends on operand order,
+// which the compiler may swap) and the overflow counter must move by the
+// same amount, at 1 and 4 threads.
+MatrixF half_oracle_nt(const MatrixF& a, const MatrixF& bt, Precision p) {
+  MatrixF c(a.rows(), bt.rows());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < bt.rows(); ++j) {
+      if (p == Precision::kPureFp16) {
+        half acc(0.0f);
+        for (std::size_t k = 0; k < a.cols(); ++k) {
+          acc = half(a(i, k)) * half(bt(j, k)) + acc;
+        }
+        c(i, j) = static_cast<float>(acc);
+      } else {
+        float acc = 0.0f;
+        for (std::size_t k = 0; k < a.cols(); ++k) {
+          acc = static_cast<float>(half(a(i, k))) *
+                    static_cast<float>(half(bt(j, k))) +
+                acc;
+        }
+        c(i, j) = static_cast<float>(half(acc));
+      }
+    }
+  }
+  return c;
+}
+
+/// Bit-identical, except that any two NaNs match.
+::testing::AssertionResult same_values(const MatrixF& got,
+                                       const MatrixF& want) {
+  if (got.rows() != want.rows() || got.cols() != want.cols()) {
+    return ::testing::AssertionFailure() << "shape differs";
+  }
+  for (std::size_t i = 0; i < got.rows(); ++i) {
+    for (std::size_t j = 0; j < got.cols(); ++j) {
+      const float g = got(i, j);
+      const float w = want(i, j);
+      if (std::isnan(g) && std::isnan(w)) continue;
+      if (std::bit_cast<std::uint32_t>(g) != std::bit_cast<std::uint32_t>(w)) {
+        return ::testing::AssertionFailure()
+               << "(" << i << "," << j << "): got " << g << ", oracle " << w;
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+struct OperandCase {
+  const char* name;
+  float a_scale, b_scale;  ///< standard deviation of the normal fill
+  float special;           ///< 0, or the value planted in a and bt
+};
+
+constexpr float kInf = std::numeric_limits<float>::infinity();
+
+// 1e-4: subnormal and vanishing products. 300: products and sums overflow
+// on the rounded-once path. 7e4: operands overflow on rounding, which
+// sends the call to the per-multiply-add loop (A, B or both).
+const OperandCase kOperandCases[] = {
+    {"subnormal", 1e-4f, 1e-4f, 0.0f},
+    {"unit", 1.0f, 1.0f, 0.0f},
+    {"product_overflow", 300.0f, 300.0f, 0.0f},
+    {"a_overflow", 7e4f, 1.0f, 0.0f},
+    {"b_overflow", 1.0f, 7e4f, 0.0f},
+    {"both_overflow", 7e4f, 7e4f, 0.0f},
+    {"inf", 1.0f, 1.0f, kInf},
+    {"nan", 1.0f, 1.0f, std::numeric_limits<float>::quiet_NaN()},
+};
+
+MatrixF operand(std::size_t rows, std::size_t k, std::uint64_t seed,
+                float scale, float special) {
+  MatrixF x(rows, k);
+  et::tensor::fill_normal(x, seed, 0.0f, scale);
+  if (special != 0.0f) {
+    x(0, 0) = special;
+    x(rows - 1, k - 1) = -special;
+  }
+  return x;
+}
+
+enum class Entry { kNt, kNn, kBatchedNt };
+
+class GemmFp16Differential
+    : public ::testing::TestWithParam<std::tuple<Entry, Precision>> {};
+
+TEST_P(GemmFp16Differential, BitIdenticalToHalfOracle) {
+  const auto [entry, p] = GetParam();
+  constexpr std::size_t kRows = 7;
+  std::uint64_t seed = 100;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    for (const std::size_t n : {1, 3, 4, 5, 13}) {
+      for (const std::size_t k : {1, 37}) {
+        for (const OperandCase& oc : kOperandCases) {
+          SCOPED_TRACE(std::string(oc.name) + " n=" + std::to_string(n) +
+                       " k=" + std::to_string(k) +
+                       " threads=" + std::to_string(threads));
+          const MatrixF a = operand(kRows, k, ++seed, oc.a_scale, oc.special);
+          // B as n rows of k; the batched call adds two more panels.
+          std::vector<MatrixF> bts;
+          for (const std::size_t rows : {n, std::size_t{4}, std::size_t{13}}) {
+            bts.push_back(operand(rows, k, ++seed, oc.b_scale, oc.special));
+            if (entry != Entry::kBatchedNt) break;
+          }
+
+          std::uint64_t c0 = overflow_count();
+          std::vector<MatrixF> want;
+          for (const MatrixF& bt : bts) {
+            want.push_back(half_oracle_nt(a, bt, p));
+          }
+          const std::uint64_t oracle_overflows = overflow_count() - c0;
+
+          Device dev;
+          et::core::ExecContext ctx(dev, threads);
+          std::vector<MatrixF> got;
+          c0 = overflow_count();
+          if (entry == Entry::kNt) {
+            got.push_back(gemm_nt(ctx, a, bts[0], p));
+          } else if (entry == Entry::kNn) {
+            got.push_back(gemm_nn(ctx, a, et::tensor::transpose(bts[0]), p));
+          } else {
+            std::vector<const MatrixF*> panels;
+            for (const MatrixF& bt : bts) panels.push_back(&bt);
+            got = batched_gemm_nt(ctx, a, panels, p);
+          }
+          EXPECT_EQ(overflow_count() - c0, oracle_overflows);
+          ASSERT_EQ(got.size(), want.size());
+          for (std::size_t q = 0; q < got.size(); ++q) {
+            EXPECT_TRUE(same_values(got[q], want[q])) << "panel " << q;
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Entries, GemmFp16Differential,
+    ::testing::Combine(::testing::Values(Entry::kNt, Entry::kNn,
+                                         Entry::kBatchedNt),
+                       ::testing::Values(Precision::kPureFp16,
+                                         Precision::kMixed)),
+    [](const auto& pinfo) {
+      const Entry e = std::get<0>(pinfo.param);
+      return std::string(e == Entry::kNt   ? "Nt"
+                         : e == Entry::kNn ? "Nn"
+                                           : "BatchedNt") +
+             (std::get<1>(pinfo.param) == Precision::kPureFp16 ? "PureFp16"
+                                                              : "Mixed");
+    });
 
 TEST(Elementwise, Scale) {
   MatrixF m(4, 4, 2.0f);
