@@ -14,9 +14,9 @@
 //     it are refused with NetStatus::kQuotaExceeded before touching the
 //     inference queue.
 //
-// The table itself is immutable after construction (connection threads
-// may look keys up concurrently); the mutable bucket/in-flight state
-// lives in TenantState and is owned by the server's drive thread alone.
+// The table itself is immutable after construction; the mutable
+// bucket/in-flight state lives in TenantState and is owned by the
+// net::Gateway that enforces it.
 #pragma once
 
 #include <cstddef>
@@ -44,7 +44,7 @@ struct Tenant {
   std::size_t max_inflight = kUnlimited;
 };
 
-/// Mutable per-tenant serving state, owned by the drive thread.
+/// Mutable per-tenant serving state, owned by net::Gateway.
 struct TenantState {
   std::size_t bucket = 0;    ///< tokens available now
   std::size_t inflight = 0;  ///< generations submitted and not yet done

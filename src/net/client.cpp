@@ -30,6 +30,7 @@ Client& Client::operator=(Client&& other) noexcept {
 
 void Client::connect(std::uint16_t port) {
   close();
+  reader_ = FrameReader();  // nothing carries over from a previous socket
   fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd_ < 0) {
     throw std::runtime_error(std::string("socket(): ") + std::strerror(errno));
@@ -71,6 +72,7 @@ std::optional<Frame> Client::next() {
     if (auto f = reader_.next()) return f;
     if (reader_.error()) {
       error_ = reader_.error_detail();
+      close();
       return std::nullopt;
     }
     const ssize_t n = ::recv(fd_, buf, sizeof buf, 0);
@@ -78,6 +80,7 @@ std::optional<Frame> Client::next() {
     if (n <= 0) {
       error_ = n == 0 ? "connection closed by server"
                       : std::string("recv(): ") + std::strerror(errno);
+      close();
       return std::nullopt;
     }
     reader_.feed(buf, static_cast<std::size_t>(n));

@@ -35,7 +35,7 @@ class Client {
   void send(const Frame& f);
 
   /// Block until the next complete frame (or EOF / protocol error →
-  /// nullopt; error_detail() says which).
+  /// nullopt; error_detail() says which, and the socket is closed).
   [[nodiscard]] std::optional<Frame> next();
 
   /// hello + wait for the response frame (kHelloOk or kReject).

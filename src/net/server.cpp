@@ -1,6 +1,7 @@
 #include "net/server.hpp"
 
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -8,221 +9,44 @@
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 namespace et::net {
 
 namespace {
 
-// Write the whole buffer, riding out partial sends and EINTR.
-// MSG_NOSIGNAL: a peer that vanished mid-stream must surface as an
-// error return, not a process-killing SIGPIPE.
-bool send_all(int fd, const char* data, std::size_t n) {
-  std::size_t off = 0;
-  while (off < n) {
-    const ssize_t w = ::send(fd, data + off, n - off, MSG_NOSIGNAL);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (w == 0) return false;
-    off += static_cast<std::size_t>(w);
-  }
-  return true;
-}
+// After the drain, clients get this long to take the output they are
+// owed; whatever a connection has not taken by then is dropped with it.
+constexpr auto kFlushGrace = std::chrono::seconds(1);
 
 }  // namespace
-
-// ---------------------------------------------------------------- types ----
-
-// One accepted connection. The acceptor creates it and spawns its reader;
-// the drive thread owns its auth state and tears it down (shutdown fd ->
-// join reader -> close). `dead` is the only field crossing threads after
-// publication, hence atomic.
-struct ApiServer::Conn {
-  std::uint64_t id = 0;
-  int fd = -1;
-  std::thread reader;
-  std::atomic<bool> dead{false};  ///< no more frames in or out
-  bool cleaned = false;  ///< drive thread cancelled its streams (drive-only)
-  bool authed = false;                   // drive-thread-only
-  std::size_t tenant = TenantTable::npos;  // drive-thread-only
-};
-
-// One serving engine bound to one pinned model version. The pin is
-// declared before the server so destruction releases the engine (and any
-// Model copies borrowing the weights) first, the pin last.
-struct ApiServer::EngineSlot {
-  std::string model_name;
-  std::uint64_t version = 0;
-  serving::ModelPin pin;
-  std::unique_ptr<serving::InferenceServer> server;
-};
-
-// One in-flight generation: which connection/stream it answers to and
-// which engine is decoding it. Engines are heap-stable (unique_ptr), and
-// a slot is destroyed only when idle, so the pointer outlives the stream.
-struct ApiServer::StreamRef {
-  std::uint64_t conn_id = 0;
-  Conn* conn = nullptr;
-  std::uint64_t stream_id = 0;
-  EngineSlot* engine = nullptr;
-  serving::RequestHandle handle;
-  std::size_t tenant = TenantTable::npos;
-};
-
-// A unit of work for the drive thread; readers and the acceptor only
-// ever enqueue these.
-struct ApiServer::Cmd {
-  enum class Kind : std::uint8_t {
-    kFrame,         ///< a parsed client frame (conn_id + frame)
-    kDisconnect,    ///< reader saw EOF / reset
-    kProtoError,    ///< reader hit a framing error (detail set)
-    kAccepted,      ///< acceptor admitted a connection (count it)
-    kRejectedConn,  ///< acceptor turned one away (pool full)
-    kSwap,          ///< repoint model_name at the pinned version
-  };
-  Kind kind = Kind::kFrame;
-  std::uint64_t conn_id = 0;
-  Frame frame;
-  std::string detail;
-  std::string model_name;
-  std::uint64_t version = 0;
-  serving::ModelPin pin;
-};
-
-// ---------------------------------------------------------- construction ----
 
 ApiServer::ApiServer(ApiServerConfig cfg, TenantTable tenants,
                      serving::ModelRegistry& registry)
     : cfg_(std::move(cfg)),
-      tenants_(std::move(tenants)),
-      registry_(registry),
-      tenant_state_(tenants_.size()) {
-  // Buckets start full: a fresh tenant gets its whole burst.
-  for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    tenant_state_[i].bucket = tenants_.tenant(i).bucket_capacity == kUnlimited
-                                  ? 0
-                                  : tenants_.tenant(i).bucket_capacity;
-  }
-
-  connections_accepted_ = &metrics_.counter("net_connections_accepted");
-  connections_rejected_ = &metrics_.counter("net_connections_rejected");
-  auth_failures_ = &metrics_.counter("net_auth_failures");
-  protocol_errors_ = &metrics_.counter("net_protocol_errors");
-  submitted_ = &metrics_.counter("net_requests_submitted");
-  completed_ = &metrics_.counter("net_requests_completed");
-  rejected_ = &metrics_.counter("net_requests_rejected");
-  rate_limited_ = &metrics_.counter("net_rate_limited");
-  quota_rejected_ = &metrics_.counter("net_quota_rejected");
-  cancelled_ = &metrics_.counter("net_requests_cancelled");
-  disconnect_cancels_ = &metrics_.counter("net_disconnect_cancels");
-  tokens_streamed_ = &metrics_.counter("net_tokens_streamed");
-  connections_open_ = &metrics_.gauge("net_connections_open");
-  engines_active_ = &metrics_.gauge("net_engines_active");
-  engines_draining_ = &metrics_.gauge("net_engines_draining");
-  streams_live_ = &metrics_.gauge("net_streams_live");
-  for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    const std::string base = "tenant_" + tenants_.tenant(i).name + "_";
-    TenantMetrics tm;
-    tm.submitted = &metrics_.counter(base + "submitted");
-    tm.completed = &metrics_.counter(base + "completed");
-    tm.rejected = &metrics_.counter(base + "rejected");
-    tm.tokens = &metrics_.counter(base + "tokens");
-    tenant_metrics_.push_back(tm);
-  }
-  // Registry gauges last, so snapshots taken before this PR's registry
-  // existed remain a prefix of the new field list.
-  registry_.bind_metrics(metrics_);
-}
+      gateway_(std::move(tenants), registry, cfg_.default_model,
+               cfg_.engine) {}
 
 ApiServer::~ApiServer() {
   if (started_.load() && !stopped_.load()) shutdown(0);
 }
 
-// ---------------------------------------------------------------- engines ----
-
-ApiServer::EngineSlot* ApiServer::find_engine(const std::string& name) {
-  for (auto& e : engines_) {
-    if (e->model_name == name) return e.get();
-  }
-  return nullptr;
-}
-
-std::unique_ptr<ApiServer::EngineSlot> ApiServer::make_engine(
-    const std::string& name, serving::ModelPin pin) {
-  auto slot = std::make_unique<EngineSlot>();
-  slot->model_name = name;
-  slot->version = pin->version();
-  slot->pin = std::move(pin);
-  slot->server = std::make_unique<serving::InferenceServer>(slot->pin->model(),
-                                                            cfg_.engine);
-  return slot;
-}
-
 void ApiServer::serve_model(const std::string& name) {
-  serving::ModelPin pin = registry_.acquire(name);
-  if (!pin) {
-    throw std::invalid_argument("serve_model: registry has no model named '" +
-                                name + "'");
-  }
-  std::lock_guard<std::mutex> lk(state_mu_);
-  if (find_engine(name) != nullptr) {
-    throw std::invalid_argument("serve_model: '" + name +
-                                "' is already served; use swap_model");
-  }
-  engines_.push_back(make_engine(name, std::move(pin)));
+  std::lock_guard<std::mutex> lk(mu_);
+  gateway_.serve_model(name);
 }
 
 void ApiServer::swap_model(const std::string& name, std::uint64_t version) {
-  serving::ModelPin pin = registry_.acquire(name, version);
-  if (!pin) {
-    throw std::invalid_argument("swap_model: registry has no '" + name +
-                                "' version " + std::to_string(version));
-  }
-  if (!started_.load()) {
-    // No drive thread yet: apply synchronously.
-    std::lock_guard<std::mutex> lk(state_mu_);
-    apply_swap(name, version, std::move(pin));
-    return;
-  }
-  Cmd cmd;
-  cmd.kind = Cmd::Kind::kSwap;
-  cmd.model_name = name;
-  cmd.version = version;
-  cmd.pin = std::move(pin);
-  {
-    std::lock_guard<std::mutex> lk(cmd_mu_);
-    cmds_.push_back(std::move(cmd));
-  }
-  cmd_cv_.notify_one();
+  std::lock_guard<std::mutex> lk(mu_);
+  gateway_.swap_model(name, version);
 }
-
-void ApiServer::apply_swap(const std::string& name, std::uint64_t version,
-                           serving::ModelPin pin) {
-  for (auto it = engines_.begin(); it != engines_.end(); ++it) {
-    if ((*it)->model_name == name) {
-      if ((*it)->version == version) return;  // already there; drop the pin
-      // The old engine keeps ticking on the draining list until every
-      // in-flight request retires; only then is it destroyed and its pin
-      // (possibly the model's last) released.
-      draining_.push_back(std::move(*it));
-      engines_.erase(it);
-      engines_.push_back(make_engine(name, std::move(pin)));
-      registry_.note_swap();
-      return;
-    }
-  }
-  engines_.push_back(make_engine(name, std::move(pin)));
-}
-
-// ----------------------------------------------------------------- start ----
 
 void ApiServer::start(core::ExecContext& ctx) {
   if (started_.exchange(true)) {
     throw std::runtime_error("ApiServer::start called twice");
   }
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (listen_fd_ < 0) {
     throw std::runtime_error(std::string("socket(): ") + std::strerror(errno));
   }
@@ -252,557 +76,143 @@ void ApiServer::start(core::ExecContext& ctx) {
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &blen);
   port_ = ntohs(bound.sin_port);
 
-  acceptor_ = std::thread([this] { acceptor_loop(); });
-  driver_ = std::thread([this, &ctx] { drive_loop(ctx); });
+  driver_.emplace([this, &ctx] { drive_loop(ctx); });
 }
 
 bool ApiServer::running() const noexcept {
   return started_.load() && !stopped_.load();
 }
 
-// -------------------------------------------------------------- acceptor ----
-
-void ApiServer::acceptor_loop() {
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listen socket shut down: server is stopping
-    }
-    if (stopping_.load()) {
-      ::close(fd);
-      return;
-    }
-    bool admitted = false;
-    {
-      std::lock_guard<std::mutex> lk(conns_mu_);
-      if (conns_.size() < cfg_.max_connections) {
-        auto conn = std::make_unique<Conn>();
-        conn->id = next_conn_id_++;
-        conn->fd = fd;
-        Conn* raw = conn.get();
-        conn->reader = std::thread([this, raw] { reader_loop(raw); });
-        conns_.push_back(std::move(conn));
-        admitted = true;
-      }
-    }
-    Cmd cmd;
-    if (admitted) {
-      cmd.kind = Cmd::Kind::kAccepted;
-    } else {
-      // Bounded pool: over-capacity peers get a typed error then the
-      // door. Sent from this thread — the connection never existed as
-      // far as the drive thread is concerned.
-      const std::string wire =
-          encode_frame(make_error("server at max_connections"));
-      send_all(fd, wire.data(), wire.size());
-      ::close(fd);
-      cmd.kind = Cmd::Kind::kRejectedConn;
-    }
-    {
-      std::lock_guard<std::mutex> lk(cmd_mu_);
-      cmds_.push_back(std::move(cmd));
-    }
-    cmd_cv_.notify_one();
-  }
-}
-
-// ---------------------------------------------------------------- reader ----
-
-void ApiServer::reader_loop(Conn* conn) {
-  FrameReader reader;
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::recv(conn->fd, buf, sizeof buf, 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) {
-      Cmd cmd;
-      cmd.kind = Cmd::Kind::kDisconnect;
-      cmd.conn_id = conn->id;
-      std::lock_guard<std::mutex> lk(cmd_mu_);
-      cmds_.push_back(std::move(cmd));
-      cmd_cv_.notify_one();
-      return;
-    }
-    reader.feed(buf, static_cast<std::size_t>(n));
-    while (auto f = reader.next()) {
-      Cmd cmd;
-      cmd.kind = Cmd::Kind::kFrame;
-      cmd.conn_id = conn->id;
-      cmd.frame = std::move(*f);
-      std::lock_guard<std::mutex> lk(cmd_mu_);
-      cmds_.push_back(std::move(cmd));
-      cmd_cv_.notify_one();
-    }
-    if (reader.error()) {
-      Cmd cmd;
-      cmd.kind = Cmd::Kind::kProtoError;
-      cmd.conn_id = conn->id;
-      cmd.detail = reader.error_detail();
-      std::lock_guard<std::mutex> lk(cmd_mu_);
-      cmds_.push_back(std::move(cmd));
-      cmd_cv_.notify_one();
-      return;
-    }
-  }
-}
-
-// ----------------------------------------------------------------- drive ----
+// ------------------------------------------------------------- the loop ----
 
 void ApiServer::drive_loop(core::ExecContext& ctx) {
+  std::vector<pollfd> fds;
   bool busy = false;
+  std::chrono::steady_clock::time_point flush_deadline;
   for (;;) {
-    std::vector<Cmd> batch;
-    bool draining_now = false;
-    std::size_t budget = 0;
     {
-      std::unique_lock<std::mutex> lk(cmd_mu_);
-      if (cmds_.empty() && !shutdown_requested_ && !busy) {
-        cmd_cv_.wait_for(lk, std::chrono::milliseconds(1));
+      std::lock_guard<std::mutex> lk(mu_);
+      if (gateway_.drained() &&
+          (conns_.empty() ||
+           std::chrono::steady_clock::now() >= flush_deadline)) {
+        for (const Conn& c : conns_) {
+          ::close(c.fd);
+          gateway_.hang_up(c.id);
+        }
+        conns_.clear();
+        return;
       }
-      batch.swap(cmds_);
-      draining_now = shutdown_requested_;
-      budget = drain_budget_;
-    }
-
-    std::lock_guard<std::mutex> st(state_mu_);
-    for (auto& cmd : batch) process_cmd(cmd);
-
-    // One deterministic bucket refill per drive iteration — the network
-    // layer's tick clock, matching the engines' logical time.
-    for (std::size_t i = 0; i < tenants_.size(); ++i) {
-      refill_bucket(tenants_.tenant(i), tenant_state_[i]);
-    }
-
-    busy = drive_engines(ctx);
-
-    connections_open_->set(static_cast<double>([this] {
-      std::lock_guard<std::mutex> lk(conns_mu_);
-      return conns_.size();
-    }()));
-    engines_active_->set(static_cast<double>(engines_.size()));
-    engines_draining_->set(static_cast<double>(draining_.size()));
-    streams_live_->set(static_cast<double>(live_.size()));
-    registry_.refresh_gauges();
-
-    if (!draining_now) continue;
-
-    if (!busy) break;  // drained clean
-    ++drain_result_.drain_ticks_used;
-    if (drain_result_.drain_ticks_used < budget) continue;
-
-    // Budget exhausted: cancel what remains so clients get a terminal
-    // kDone (cancelled) rather than silence, then stop.
-    for (auto& s : live_) {
-      if (s.engine->server->cancel(s.handle)) {
-        cancelled_->inc();
-        ++drain_result_.cancelled;
+      // Once draining, stop accepting: poll() skips a negative fd.
+      fds.assign(1, pollfd{gateway_.draining() ? -1 : listen_fd_, POLLIN, 0});
+      for (const Conn& c : conns_) {
+        const bool owed = !gateway_.outbox(c.id).empty();
+        fds.push_back(pollfd{
+            c.fd, static_cast<short>(owed ? POLLIN | POLLOUT : POLLIN), 0});
       }
     }
-    harvest_finished();
-    streams_live_->set(static_cast<double>(live_.size()));
-    break;
-  }
-}
+    ::poll(fds.data(), fds.size(), busy ? 0 : 1);
 
-void ApiServer::process_cmd(Cmd& cmd) {
-  switch (cmd.kind) {
-    case Cmd::Kind::kAccepted:
-      connections_accepted_->inc();
-      return;
-    case Cmd::Kind::kRejectedConn:
-      connections_rejected_->inc();
-      return;
-    case Cmd::Kind::kSwap:
-      apply_swap(cmd.model_name, cmd.version, std::move(cmd.pin));
-      return;
-    default:
-      break;
-  }
-
-  Conn* conn = nullptr;
-  {
-    std::lock_guard<std::mutex> lk(conns_mu_);
-    for (auto& c : conns_) {
-      if (c->id == cmd.conn_id) {
-        conn = c.get();
-        break;
+    std::lock_guard<std::mutex> lk(mu_);
+    if ((fds[0].revents & POLLIN) != 0) accept_pending();
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < conns_.size(); ++i) {
+      // Connections accepted just now were not in this poll.
+      const short revents = i + 1 < fds.size() ? fds[i + 1].revents : 0;
+      if (pump(conns_[i], revents)) {
+        conns_[kept++] = conns_[i];
+        continue;
+      }
+      ::close(conns_[i].fd);
+      gateway_.hang_up(conns_[i].id);
+    }
+    conns_.resize(kept);
+    if (!gateway_.drained()) {
+      busy = gateway_.step(ctx);
+      if (gateway_.drained()) {
+        flush_deadline = std::chrono::steady_clock::now() + kFlushGrace;
       }
     }
   }
-  if (conn == nullptr || conn->cleaned) return;  // already torn down
-
-  switch (cmd.kind) {
-    case Cmd::Kind::kDisconnect:
-      drop_conn(*conn);
-      return;
-    case Cmd::Kind::kProtoError:
-      protocol_errors_->inc();
-      send_frame(*conn, make_error(cmd.detail));
-      drop_conn(*conn);
-      return;
-    case Cmd::Kind::kFrame:
-      switch (cmd.frame.type) {
-        case FrameType::kHello:
-          handle_hello(*conn, cmd.frame);
-          return;
-        case FrameType::kSubmit:
-          handle_submit(*conn, cmd.frame);
-          return;
-        case FrameType::kCancel:
-          handle_cancel(*conn, cmd.frame);
-          return;
-        default:
-          // Server-to-client frame types are protocol violations when
-          // they arrive inbound.
-          protocol_errors_->inc();
-          send_frame(*conn, make_error(std::string("unexpected ") +
-                                       std::string(to_string(cmd.frame.type)) +
-                                       " frame from client"));
-          drop_conn(*conn);
-          return;
-      }
-    default:
-      return;
-  }
 }
 
-void ApiServer::handle_hello(Conn& conn, const Frame& f) {
-  if (conn.authed) {
-    protocol_errors_->inc();
-    send_frame(conn, make_error("duplicate hello"));
-    drop_conn(conn);
-    return;
-  }
-  const std::size_t idx = tenants_.find_by_key(f.text);
-  if (idx == TenantTable::npos) {
-    auth_failures_->inc();
-    send_frame(conn, make_reject(0, NetStatus::kBadKey, "unknown API key"));
-    drop_conn(conn);
-    return;
-  }
-  conn.authed = true;
-  conn.tenant = idx;
-  send_frame(conn, make_hello_ok(tenants_.tenant(idx).name,
-                                 tenants_.tenant(idx).tier));
-}
-
-void ApiServer::handle_submit(Conn& conn, const Frame& f) {
-  if (!conn.authed) {
-    auth_failures_->inc();
-    send_frame(conn, make_reject(f.stream_id, NetStatus::kNotAuthed,
-                                 "submit before hello"));
-    drop_conn(conn);
-    return;
-  }
-  for (const StreamRef& s : live_) {
-    if (s.conn_id == conn.id && s.stream_id == f.stream_id) {
-      protocol_errors_->inc();
-      send_frame(conn, make_error("duplicate stream_id " +
-                                  std::to_string(f.stream_id)));
-      drop_conn(conn);
-      return;
+void ApiServer::accept_pending() {
+  for (;;) {
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK);
+    if (fd < 0) {
+      if (errno == EINTR) continue;
+      return;  // nothing more pending
     }
-  }
-  const Tenant& tenant = tenants_.tenant(conn.tenant);
-  TenantState& tstate = tenant_state_[conn.tenant];
-  TenantMetrics& tm = tenant_metrics_[conn.tenant];
-
-  {
-    std::lock_guard<std::mutex> lk(cmd_mu_);
-    if (shutdown_requested_) {
-      rejected_->inc();
-      tm.rejected->inc();
-      send_frame(conn, make_reject(f.stream_id, NetStatus::kDraining,
-                                   "server is draining"));
-      return;
-    }
-  }
-  const std::string& model_name =
-      f.text.empty() ? cfg_.default_model : f.text;
-  EngineSlot* engine = find_engine(model_name);
-  if (engine == nullptr) {
-    rejected_->inc();
-    tm.rejected->inc();
-    send_frame(conn, make_reject(f.stream_id, NetStatus::kUnknownModel,
-                                 "no served model named '" + model_name + "'"));
-    return;
-  }
-  if (tenant.max_inflight != kUnlimited &&
-      tstate.inflight >= tenant.max_inflight) {
-    quota_rejected_->inc();
-    rejected_->inc();
-    tm.rejected->inc();
-    send_frame(conn,
-               make_reject(f.stream_id, NetStatus::kQuotaExceeded,
-                           "tenant at max_inflight=" +
-                               std::to_string(tenant.max_inflight)));
-    return;
-  }
-  if (!try_consume(tenant, tstate)) {
-    rate_limited_->inc();
-    rejected_->inc();
-    tm.rejected->inc();
-    send_frame(conn, make_reject(f.stream_id, NetStatus::kRateLimited,
-                                 "tenant token bucket empty"));
-    return;
-  }
-
-  serving::Request req;
-  req.priority = tenant.tier;
-  req.max_new_tokens = f.max_new_tokens;
-  req.eos_token = f.eos_token;
-  if (!f.prompt.empty()) {
-    req.first_token = f.prompt.front();
-    req.prompt_tokens = f.prompt;
-  }
-  req.embed = engine->pin->embed_fn();
-  req.select = engine->pin->select_fn();
-  Conn* conn_ptr = &conn;
-  const std::uint64_t sid = f.stream_id;
-  serving::Counter* tenant_tokens = tm.tokens;
-  req.on_token = [this, conn_ptr, sid, tenant_tokens](
-                     std::uint64_t, std::int32_t token, std::size_t index) {
-    tokens_streamed_->inc();
-    tenant_tokens->inc();
-    if (!conn_ptr->dead.load()) {
-      send_frame(*conn_ptr,
-                 make_token(sid, static_cast<std::uint32_t>(index), token));
-    }
-  };
-
-  const serving::RequestHandle h = engine->server->submit(std::move(req));
-  submitted_->inc();
-  tm.submitted->inc();
-
-  if (engine->server->finished(h)) {
-    // Decided at the door: either an engine-level reject (typed, reusing
-    // RejectReason) or a degenerate instant completion (max_new_tokens
-    // == 0).
-    const serving::RequestStatus st = engine->server->status(h);
-    if (st.reject_reason != serving::RejectReason::kNone) {
-      rejected_->inc();
-      tm.rejected->inc();
-      send_frame(conn,
-                 make_reject(f.stream_id, to_net_status(st.reject_reason),
-                             std::string(to_string(st.reject_reason))));
-    } else {
-      const nn::GenerationResult& r = engine->server->result(h);
-      completed_->inc();
-      tm.completed->inc();
-      send_frame(conn,
-                 make_done(f.stream_id, r.stop_reason,
-                           static_cast<std::uint32_t>(r.tokens.size())));
-    }
-    return;
-  }
-
-  ++tstate.inflight;
-  live_.push_back(
-      StreamRef{conn.id, &conn, f.stream_id, engine, h, conn.tenant});
-}
-
-void ApiServer::handle_cancel(Conn& conn, const Frame& f) {
-  if (!conn.authed) {
-    auth_failures_->inc();
-    send_frame(conn, make_reject(f.stream_id, NetStatus::kNotAuthed,
-                                 "cancel before hello"));
-    drop_conn(conn);
-    return;
-  }
-  for (StreamRef& s : live_) {
-    if (s.conn_id == conn.id && s.stream_id == f.stream_id) {
-      if (s.engine->server->cancel(s.handle)) cancelled_->inc();
-      // The stream retires through harvest_finished() like any other
-      // finish, so the client still gets its kDone (cancelled).
-      return;
-    }
-  }
-  // Unknown stream: already finished or never existed — a no-op, like
-  // cancelling a finished request on the engine.
-}
-
-bool ApiServer::drive_engines(core::ExecContext& ctx) {
-  for (auto& e : engines_) {
-    if (!e->server->idle()) e->server->tick(ctx);
-  }
-  for (auto& e : draining_) {
-    if (!e->server->idle()) e->server->tick(ctx);
-  }
-
-  // A send that failed inside a token callback marked its connection
-  // dead mid-tick; cancelling from inside the tick would re-enter the
-  // engine, so the cleanup pass runs here, after every tick returned.
-  {
-    std::lock_guard<std::mutex> lk(conns_mu_);
-    for (auto& c : conns_) {
-      if (c->dead.load() && !c->cleaned) drop_conn(*c);
-    }
-  }
-
-  harvest_finished();
-
-  // Destroy drained engines: idle means no queued or active requests,
-  // and harvest above cleared any finished-but-undelivered streams.
-  for (auto it = draining_.begin(); it != draining_.end();) {
-    if ((*it)->server->idle()) {
-      it = draining_.erase(it);  // releases the engine's model pin
-    } else {
-      ++it;
-    }
-  }
-
-  reap_dead_conns();
-
-  bool busy = false;
-  for (auto& e : engines_) busy = busy || !e->server->idle();
-  busy = busy || !draining_.empty();
-  return busy;
-}
-
-void ApiServer::harvest_finished() {
-  for (auto it = live_.begin(); it != live_.end();) {
-    if (!it->engine->server->finished(it->handle)) {
-      ++it;
+    if (conns_.size() < cfg_.max_connections) {
+      conns_.push_back(Conn{gateway_.open(), fd});
       continue;
     }
-    const nn::GenerationResult& r = it->engine->server->result(it->handle);
-    if (r.stop_reason == nn::StopReason::kCancelled) {
-      // counted by whoever cancelled (client frame, disconnect, drain)
-    } else {
-      completed_->inc();
-      tenant_metrics_[it->tenant].completed->inc();
-    }
-    if (!it->conn->dead.load()) {
-      send_frame(*it->conn,
-                 make_done(it->stream_id, r.stop_reason,
-                           static_cast<std::uint32_t>(r.tokens.size())));
-    }
-    --tenant_state_[it->tenant].inflight;
-    it = live_.erase(it);
+    // Bounded pool: over-capacity peers get a typed error, then the door.
+    // One small frame always fits a fresh socket's send buffer.
+    const std::string wire = gateway_.refuse();
+    (void)::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL);
+    ::close(fd);
   }
 }
 
-// ----------------------------------------------------------- connections ----
-
-void ApiServer::send_frame(Conn& conn, const Frame& f) {
-  if (conn.dead.load()) return;
-  const std::string wire = encode_frame(f);
-  if (!send_all(conn.fd, wire.data(), wire.size())) {
-    conn.dead.store(true);  // streams cancelled by the next cleanup pass
-  }
-}
-
-void ApiServer::drop_conn(Conn& conn) {
-  if (conn.cleaned) return;
-  conn.cleaned = true;
-  conn.dead.store(true);
-  // Break the reader out of recv(); the fd itself is closed at reap time,
-  // after the reader thread has been joined.
-  ::shutdown(conn.fd, SHUT_RDWR);
-  for (StreamRef& s : live_) {
-    if (s.conn_id != conn.id) continue;
-    if (s.engine->server->cancel(s.handle)) {
-      disconnect_cancels_->inc();
-      cancelled_->inc();
+bool ApiServer::pump(const Conn& conn, short revents) {
+  if ((revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
+    char buf[16384];
+    const ssize_t n = ::recv(conn.fd, buf, sizeof buf, 0);
+    if (n > 0) {
+      gateway_.receive(conn.id,
+                       std::string_view(buf, static_cast<std::size_t>(n)));
+    } else if (n == 0 ||
+               (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR)) {
+      return false;  // EOF or reset
     }
   }
-  // The cancelled streams retire through the next harvest_finished();
-  // kDone frames are suppressed because the connection is dead.
-}
-
-void ApiServer::reap_dead_conns() {
-  std::lock_guard<std::mutex> lk(conns_mu_);
-  for (auto it = conns_.begin(); it != conns_.end();) {
-    Conn& c = **it;
-    if (!c.dead.load() || !c.cleaned) {
-      ++it;
-      continue;
-    }
-    // No live stream may still point at this Conn (harvest runs first).
-    bool referenced = false;
-    for (const StreamRef& s : live_) referenced = referenced || s.conn == &c;
-    if (referenced) {
-      ++it;
-      continue;
-    }
-    if (c.reader.joinable()) c.reader.join();
-    ::close(c.fd);
-    it = conns_.erase(it);
+  std::string& out = gateway_.outbox(conn.id);
+  std::size_t sent = 0;
+  while (sent < out.size()) {
+    // MSG_NOSIGNAL: a peer that vanished mid-stream must surface as an
+    // error return, not a process-killing SIGPIPE.
+    const ssize_t w =
+        ::send(conn.fd, out.data() + sent, out.size() - sent, MSG_NOSIGNAL);
+    if (w < 0 && errno == EINTR) continue;
+    if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    if (w <= 0) return false;  // a failed send drops the connection
+    sent += static_cast<std::size_t>(w);
   }
+  out.erase(0, sent);
+  return !(gateway_.closing(conn.id) && out.empty());
 }
 
 // -------------------------------------------------------------- shutdown ----
 
 DrainResult ApiServer::shutdown(std::size_t drain_ticks) {
-  if (!started_.load() || stopped_.exchange(true)) {
-    std::lock_guard<std::mutex> lk(state_mu_);
-    return drain_result_;
-  }
-  stopping_.store(true);
-  // Wake the acceptor out of accept(). shutdown() on a LISTENING socket
-  // is ENOTCONN on Linux and does not interrupt accept(), so connect to
-  // ourselves instead: accept() returns our wake-up connection (or a
-  // racing real one), sees stopping_, and exits.
-  {
-    const int wake = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (wake >= 0) {
-      sockaddr_in addr{};
-      addr.sin_family = AF_INET;
-      addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-      addr.sin_port = htons(port_);
-      (void)::connect(wake, reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof addr);
-      ::close(wake);
+  if (started_.load() && !stopped_.exchange(true)) {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      gateway_.drain(drain_ticks);
     }
+    if (driver_) driver_->join();
+    ::close(listen_fd_);
+    listen_fd_ = -1;
   }
-  if (acceptor_.joinable()) acceptor_.join();
-
-  {
-    std::lock_guard<std::mutex> lk(cmd_mu_);
-    shutdown_requested_ = true;
-    drain_budget_ = drain_ticks;
-  }
-  cmd_cv_.notify_one();
-  if (driver_.joinable()) driver_.join();
-
-  // Tear down every surviving connection: shutdown fds to break readers,
-  // join, close.
-  std::vector<std::unique_ptr<Conn>> doomed;
-  {
-    std::lock_guard<std::mutex> lk(conns_mu_);
-    doomed.swap(conns_);
-  }
-  for (auto& c : doomed) {
-    c->dead.store(true);
-    ::shutdown(c->fd, SHUT_RDWR);
-    if (c->reader.joinable()) c->reader.join();
-    ::close(c->fd);
-  }
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-
-  std::lock_guard<std::mutex> lk(state_mu_);
-  connections_open_->set(0.0);
-  registry_.refresh_gauges();
-  return drain_result_;
+  std::lock_guard<std::mutex> lk(mu_);
+  return gateway_.drain_result();
 }
 
 // --------------------------------------------------------------- metrics ----
 
 std::string ApiServer::metrics_json(int indent) const {
-  std::lock_guard<std::mutex> lk(state_mu_);
-  return metrics_.json(indent);
+  std::lock_guard<std::mutex> lk(mu_);
+  return gateway_.metrics().json(indent);
 }
 
 std::vector<serving::ScalarField> ApiServer::metrics_scalars() const {
-  std::lock_guard<std::mutex> lk(state_mu_);
-  return metrics_.scalars();
+  std::lock_guard<std::mutex> lk(mu_);
+  return gateway_.metrics().scalars();
 }
 
 double ApiServer::scalar_value(const std::string& name) const {
-  std::lock_guard<std::mutex> lk(state_mu_);
-  for (const auto& f : metrics_.scalars()) {
+  std::lock_guard<std::mutex> lk(mu_);
+  for (const auto& f : gateway_.metrics().scalars()) {
     if (f.name == name) return f.value;
   }
   throw std::invalid_argument("no metric named '" + name + "'");

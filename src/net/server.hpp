@@ -1,56 +1,42 @@
 // net::ApiServer — the network front-end on serving::InferenceServer
 // (docs/api.md).
 //
-// A TCP socket server speaking the length-prefixed binary frame protocol
-// (net/frame.hpp) on the loopback interface: thread-per-connection
-// readers on a bounded accept pool, one drive thread that owns every
-// serving engine, and per-tenant auth/rate/quota enforcement at the
-// door. The shape mirrors the repo's serving threading model: the
-// InferenceServer drive loop is single-threaded by contract
-// (docs/serving.md), so connection threads never touch an engine — they
-// parse frames and enqueue commands, and the drive thread applies them
-// between ticks. All socket WRITES also happen on the drive thread, so
-// token streams interleave deterministically with the ticks that
-// produced them.
+// A TCP socket server on the loopback interface speaking the
+// length-prefixed binary frame protocol (net/frame.hpp). Everything that
+// is not a socket — parsing, auth, tenant quotas and buckets, engines,
+// hot swap, harvest, drain, metrics — lives in net::Gateway
+// (net/gateway.hpp). This class is the shell around it: one drive
+// thread running one poll() loop over the listen socket and every
+// connection.
 //
-//   reader threads ──commands──▶ drive thread ──frames──▶ client sockets
-//                                   │ tick()
-//                                   ▼
-//                  engines: one InferenceServer per served model
-//                  instance, each holding a ModelPin on its weights
+//   listen socket ──accept──▶ Gateway::open()      (or refuse() at the cap)
+//   readable conn ──recv────▶ Gateway::receive()   frames applied at once
+//   drive thread  ──────────▶ Gateway::step()      one tick per iteration
+//   writable conn ◀──send──── Gateway::outbox()    non-blocking
 //
-// Hot swap: swap_model(name, v2) moves the current
-// engine onto the draining list — it accepts no new submissions but
-// keeps ticking until every in-flight request retires — and points new
-// submissions at a fresh engine pinned to v2. The old LoadedModel is
-// destroyed when the drained engine releases the last pin. Zero requests
-// are dropped, and transcripts admitted pre-swap are bit-identical to an
-// uninterrupted run on the old version.
+// Each iteration polls (1 ms when idle, 0 while any engine has work),
+// accepts, reads and writes what the sockets allow, then steps the
+// gateway once. Sends never block: a peer that stops reading only grows
+// its own outbox, and is dropped at kMaxOutboxBytes with its streams
+// cancelled. The engines and every other connection keep going.
 //
-// Tenancy: every connection authenticates with an API key (kHello); the
-// tenant's tier IS its serving priority class, and submissions pass a
-// deterministic token-bucket rate limit plus an in-flight quota before
-// they reach the admission queue. Engine-level rejects (queue full,
-// shed) surface as typed kReject frames reusing serving::RejectReason.
-//
-// Disconnect propagates cancel: when a client vanishes (EOF, reset, or a
-// failed send), every live stream it owned is cancelled on its engine —
-// a dead client must not hold decode slots.
+// One mutex guards the gateway against the other threads that call in:
+// swap_model, serve_model, the metrics accessors and shutdown. The drive
+// thread holds it for everything but the poll() wait.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/exec_context.hpp"
 #include "net/auth.hpp"
-#include "net/frame.hpp"
+#include "net/gateway.hpp"
 #include "serving/registry.hpp"
 #include "serving/server.hpp"
 
@@ -60,19 +46,13 @@ struct ApiServerConfig {
   /// TCP port on 127.0.0.1; 0 binds an ephemeral port (see port()).
   std::uint16_t port = 0;
   /// Bounded accept pool: connections beyond this are sent a kError
-  /// frame and closed without a reader thread.
+  /// frame and closed.
   std::size_t max_connections = 16;
   /// Default model name for kSubmit frames with an empty model field.
   std::string default_model;
   /// Per-engine serving runtime shape (slots, queue, preemption, paged
   /// KV) — every engine, including post-swap ones, is built from this.
   serving::ServerConfig engine;
-};
-
-/// What shutdown() did with the work that was still in flight.
-struct DrainResult {
-  std::size_t drain_ticks_used = 0;  ///< drive iterations spent draining
-  std::size_t cancelled = 0;  ///< requests cancelled when the budget ran out
 };
 
 class ApiServer {
@@ -94,19 +74,19 @@ class ApiServer {
   /// Hot-swap: drain the current engine for `name` (in-flight requests
   /// finish on the old version) and point new submissions at `version`.
   /// If `name` is not currently served this behaves like serve_model.
-  /// Asynchronous: the swap is applied by the drive thread; the `swaps`
-  /// gauge records completion. Throws std::invalid_argument when the
-  /// registry has no (name, version).
+  /// Applied between two drive iterations before this returns. Throws
+  /// std::invalid_argument when the registry has no (name, version).
   void swap_model(const std::string& name, std::uint64_t version);
 
-  /// Bind, listen, and spawn the acceptor + drive threads. Throws
-  /// std::runtime_error on socket failures.
+  /// Bind, listen, and spawn the drive thread. Throws std::runtime_error
+  /// on socket failures.
   void start(core::ExecContext& ctx);
 
   /// Graceful stop: refuse new connections and submissions, keep ticking
   /// until every in-flight request retires or `drain_ticks` drive
   /// iterations elapse, cancel whatever remains (clients get kDone with
-  /// stop_reason cancelled), then tear every thread down. Idempotent.
+  /// stop_reason cancelled), flush what each client is owed, then close
+  /// every socket and join the drive thread. Idempotent.
   DrainResult shutdown(std::size_t drain_ticks);
 
   /// The bound port (valid after start()).
@@ -120,99 +100,28 @@ class ApiServer {
   [[nodiscard]] double scalar_value(const std::string& name) const;
 
  private:
-  struct Conn;
-  struct EngineSlot;
-  struct StreamRef;
-  struct Cmd;
+  struct Conn {
+    std::uint64_t id = 0;  ///< the gateway's connection id
+    int fd = -1;
+  };
 
-  void acceptor_loop();
-  void reader_loop(Conn* conn);
   void drive_loop(core::ExecContext& ctx);
-
-  void process_cmd(Cmd& cmd);
-  void handle_hello(Conn& conn, const Frame& f);
-  void handle_submit(Conn& conn, const Frame& f);
-  void handle_cancel(Conn& conn, const Frame& f);
-  void apply_swap(const std::string& name, std::uint64_t version,
-                  serving::ModelPin pin);
-
-  /// Tick every non-idle engine once, deliver DONE frames for retired
-  /// streams, destroy drained engines. Returns true when any engine
-  /// still has work.
-  bool drive_engines(core::ExecContext& ctx);
-  void harvest_finished();
-
-  [[nodiscard]] EngineSlot* find_engine(const std::string& name);
-  [[nodiscard]] std::unique_ptr<EngineSlot> make_engine(
-      const std::string& name, serving::ModelPin pin);
-
-  /// Send a frame on a connection (drive/acceptor threads only). On a
-  /// send failure the connection is marked dead; its streams are
-  /// cancelled by the caller's next cleanup pass.
-  void send_frame(Conn& conn, const Frame& f);
-  /// Cancel every live stream owned by `conn` and schedule the socket
-  /// for teardown.
-  void drop_conn(Conn& conn);
-  /// Join and erase every connection marked dead (drive thread).
-  void reap_dead_conns();
+  void accept_pending();
+  /// Read and write what `conn`'s socket allows; false once it should
+  /// close (EOF, a socket error, or the gateway is done with it).
+  bool pump(const Conn& conn, short revents);
 
   ApiServerConfig cfg_;
-  TenantTable tenants_;
-  serving::ModelRegistry& registry_;
 
-  // ---- immutable-after-construction metric handles -------------------
-  serving::MetricsRegistry metrics_;
-  serving::Counter* connections_accepted_ = nullptr;
-  serving::Counter* connections_rejected_ = nullptr;
-  serving::Counter* auth_failures_ = nullptr;
-  serving::Counter* protocol_errors_ = nullptr;
-  serving::Counter* submitted_ = nullptr;
-  serving::Counter* completed_ = nullptr;
-  serving::Counter* rejected_ = nullptr;
-  serving::Counter* rate_limited_ = nullptr;
-  serving::Counter* quota_rejected_ = nullptr;
-  serving::Counter* cancelled_ = nullptr;
-  serving::Counter* disconnect_cancels_ = nullptr;
-  serving::Counter* tokens_streamed_ = nullptr;
-  serving::Gauge* connections_open_ = nullptr;
-  serving::Gauge* engines_active_ = nullptr;
-  serving::Gauge* engines_draining_ = nullptr;
-  serving::Gauge* streams_live_ = nullptr;
-  struct TenantMetrics {
-    serving::Counter* submitted = nullptr;
-    serving::Counter* completed = nullptr;
-    serving::Counter* rejected = nullptr;
-    serving::Counter* tokens = nullptr;
-  };
-  std::vector<TenantMetrics> tenant_metrics_;  // index == tenant index
+  mutable std::mutex mu_;  // guards gateway_
+  Gateway gateway_;
 
-  // ---- command queue (reader threads -> drive thread) ----------------
-  mutable std::mutex cmd_mu_;
-  std::condition_variable cmd_cv_;
-  std::vector<Cmd> cmds_;
-  bool shutdown_requested_ = false;
-  std::size_t drain_budget_ = 0;
-
-  // ---- drive-thread state (guarded by state_mu_) ---------------------
-  mutable std::mutex state_mu_;
-  std::vector<std::unique_ptr<EngineSlot>> engines_;    // currently served
-  std::vector<std::unique_ptr<EngineSlot>> draining_;   // swap leftovers
-  std::vector<StreamRef> live_;                         // in-flight streams
-  std::vector<TenantState> tenant_state_;               // index == tenant
-  DrainResult drain_result_;
-
-  // ---- connections ---------------------------------------------------
-  mutable std::mutex conns_mu_;
-  std::vector<std::unique_ptr<Conn>> conns_;
-  std::uint64_t next_conn_id_ = 1;
-
+  std::vector<Conn> conns_;  // drive thread only
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
-  std::thread acceptor_;
-  std::thread driver_;
   std::atomic<bool> started_{false};
-  std::atomic<bool> stopping_{false};
   std::atomic<bool> stopped_{false};
+  std::optional<std::thread> driver_;  ///< the drive thread, once started
 };
 
 }  // namespace et::net

@@ -1,10 +1,35 @@
 #include "quant/quantize.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace et::quant {
+
+namespace {
+
+std::string shape(std::size_t rows, std::size_t cols) {
+  return std::to_string(rows) + "x" + std::to_string(cols);
+}
+
+// Operand shapes come from callers: a mismatch throws in every build,
+// before anything is launched, instead of reading past a weight.
+void check_panel(std::string_view name, const tensor::MatrixF& x,
+                 const QuantizedWeight* w) {
+  if (w == nullptr || w->cols() != x.cols() ||
+      w->row_scale.size() != w->rows()) {
+    throw std::invalid_argument(
+        std::string(name) + ": X is " + shape(x.rows(), x.cols()) +
+        " but a weight is " +
+        (w == nullptr ? std::string("null")
+                      : shape(w->rows(), w->cols()) + " with " +
+                            std::to_string(w->row_scale.size()) +
+                            " row scales"));
+  }
+}
+
+}  // namespace
 
 QuantizedWeight quantize_weight(const tensor::MatrixF& w) {
   QuantizedWeight out;
@@ -38,7 +63,13 @@ tensor::MatrixF dequantize(const QuantizedWeight& w) {
 
 double max_quantization_error_steps(const tensor::MatrixF& w,
                                     const QuantizedWeight& qw) {
-  assert(w.rows() == qw.rows() && w.cols() == qw.cols());
+  if (w.rows() != qw.rows() || w.cols() != qw.cols() ||
+      qw.row_scale.size() != qw.rows()) {
+    throw std::invalid_argument(
+        "max_quantization_error_steps: W is " + shape(w.rows(), w.cols()) +
+        " but its quantization is " + shape(qw.rows(), qw.cols()) + " with " +
+        std::to_string(qw.row_scale.size()) + " row scales");
+  }
   double worst = 0.0;
   for (std::size_t r = 0; r < w.rows(); ++r) {
     const double scale = qw.row_scale[r];
@@ -53,7 +84,7 @@ double max_quantization_error_steps(const tensor::MatrixF& w,
 
 tensor::MatrixF int8_linear(core::ExecContext& ctx, const tensor::MatrixF& x,
                             const QuantizedWeight& w, std::string_view name) {
-  assert(x.cols() == w.cols());
+  check_panel(name, x, &w);
   gpusim::Device& dev = ctx.device();
   const std::size_t m = x.rows();
   const std::size_t n = w.rows();
@@ -109,7 +140,10 @@ tensor::MatrixF int8_linear(core::ExecContext& ctx, const tensor::MatrixF& x,
 std::vector<tensor::MatrixF> int8_batched_linear(
     core::ExecContext& ctx, const tensor::MatrixF& x,
     const std::vector<const QuantizedWeight*>& ws, std::string_view name) {
-  assert(!ws.empty());
+  if (ws.empty()) {
+    throw std::invalid_argument(std::string(name) + ": empty batch");
+  }
+  for (const QuantizedWeight* w : ws) check_panel(name, x, w);
   gpusim::Device& dev = ctx.device();
   const std::size_t m = x.rows();
   const std::size_t k = x.cols();
@@ -119,7 +153,6 @@ std::vector<tensor::MatrixF> int8_batched_linear(
   std::uint64_t ctas = 0, a_loads = 0, b_loads = 0, scale_loads = 0;
   std::uint64_t n_total = 0;
   for (const QuantizedWeight* w : ws) {
-    assert(w != nullptr && w->cols() == k);
     const std::size_t n = w->rows();
     const std::size_t blocks_n = (n + block - 1) / block;
     ctas += blocks_m * blocks_n;

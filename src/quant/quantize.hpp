@@ -40,6 +40,7 @@ struct QuantizedWeight {
 
 /// Largest |w - dequantize(quantize(w))| relative to the row scale — the
 /// quantization step is scale/1, so this is ≤ 0.5 for a correct rounding.
+/// Throws std::invalid_argument when `qw` is not shaped like `w`.
 [[nodiscard]] double max_quantization_error_steps(const tensor::MatrixF& w,
                                                   const QuantizedWeight& qw);
 
@@ -48,7 +49,9 @@ struct QuantizedWeight {
 /// float in the epilogue (acc · xscale_i · row_scale_j). Traffic: 1-byte
 /// operands; compute: 2× the FP16 tensor rate. Row-wise independent math
 /// — row i's result depends only on row i of X — so the batched decode
-/// tick and a per-sequence call produce bit-identical rows.
+/// tick and a per-sequence call produce bit-identical rows. Throws
+/// std::invalid_argument, before launching, when W's columns do not match
+/// X's or its row scales do not match its rows.
 [[nodiscard]] tensor::MatrixF int8_linear(core::ExecContext& ctx,
                                           const tensor::MatrixF& x,
                                           const QuantizedWeight& w,
@@ -61,7 +64,8 @@ struct QuantizedWeight {
 /// the fused q/k/v projection is what keeps the INT8 tick ahead of the
 /// fp16 one. Each output is numerically IDENTICAL to the corresponding
 /// int8_linear call (same per-row scales, same accumulation order); only
-/// the device accounting is fused.
+/// the device accounting is fused. Throws std::invalid_argument, before
+/// launching, on an empty batch or a null or mismatched panel.
 [[nodiscard]] std::vector<tensor::MatrixF> int8_batched_linear(
     core::ExecContext& ctx, const tensor::MatrixF& x,
     const std::vector<const QuantizedWeight*>& ws,

@@ -362,8 +362,8 @@ class InferenceServer {
   std::vector<std::uint64_t> active_;  // admitted, unfinished; admission order
   std::size_t tick_ = 0;
   // This engine's own modeled device time: the change in the device total
-  // across each of its scheduler ticks. Engines that share a device (the
-  // net::ApiServer's live and draining engines) and launches made before
+  // across each of its scheduler ticks. Engines that share a device
+  // (net::Gateway's live and draining engines) and launches made before
   // the engine existed are not charged to it.
   double device_us_ = 0.0;
 

@@ -5,12 +5,15 @@
 // serving::MetricsRegistry::scalars() — the same list
 // bench/ablation_serving rows iterate, so the two outputs cannot drift.
 //
-// The binary under test is injected at build time (ET_CLI_PATH) and
-// driven through popen; runs stay tiny so the whole suite is fast.
+// The binaries under test are injected at build time (ET_CLI_PATH,
+// ET_CLIENT_PATH) and driven through popen; runs stay tiny so the whole
+// suite is fast.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <string>
+#include <vector>
 #include <csignal>
 #include <poll.h>
 #include <sys/wait.h>
@@ -22,6 +25,9 @@
 #ifndef ET_CLI_PATH
 #error "ET_CLI_PATH must be defined to the et_cli binary path"
 #endif
+#ifndef ET_CLIENT_PATH
+#error "ET_CLIENT_PATH must be defined to the et_client binary path"
+#endif
 
 namespace {
 
@@ -30,8 +36,8 @@ struct RunResult {
   std::string output;  // stdout + stderr interleaved
 };
 
-RunResult run_cli(const std::string& args) {
-  const std::string cmd = std::string(ET_CLI_PATH) + " " + args + " 2>&1";
+RunResult run(const std::string& command) {
+  const std::string cmd = command + " 2>&1";
   RunResult r;
   FILE* pipe = popen(cmd.c_str(), "r");
   if (pipe == nullptr) return r;
@@ -45,13 +51,19 @@ RunResult run_cli(const std::string& args) {
   return r;
 }
 
+RunResult run_cli(const std::string& args) {
+  return run(std::string(ET_CLI_PATH) + " " + args);
+}
+
 // Spawn et_cli directly (popen cannot deliver signals), wait for the
-// readiness marker on its combined stdout/stderr, send `sig`, then
-// collect the rest of the output and the exit status. If the marker
-// never appears within the deadline the child is SIGKILLed so the test
-// fails with output instead of hanging.
-RunResult run_until_marker_then_signal(const std::string& args,
-                                       const std::string& marker, int sig) {
+// line holding the readiness marker on its combined stdout/stderr, run
+// `on_ready` with the output so far, send `sig`, then collect the rest of
+// the output and the exit status. If the marker never appears within the
+// deadline the child is SIGKILLed so the test fails with output instead
+// of hanging.
+RunResult run_until_marker_then_signal(
+    const std::string& args, const std::string& marker, int sig,
+    const std::function<void(const std::string&)>& on_ready = {}) {
   RunResult r;
   int fds[2];
   if (::pipe(fds) != 0) return r;
@@ -84,7 +96,10 @@ RunResult run_until_marker_then_signal(const std::string& args,
     const ssize_t n = ::read(fds[0], buf, sizeof buf);
     if (n <= 0) break;  // EOF: child exited
     r.output.append(buf, static_cast<std::size_t>(n));
-    if (!signalled && r.output.find(marker) != std::string::npos) {
+    const std::size_t at = r.output.find(marker);
+    if (!signalled && at != std::string::npos &&
+        r.output.find('\n', at) != std::string::npos) {
+      if (on_ready) on_ready(r.output);
       ::kill(pid, sig);
       signalled = true;
     }
@@ -400,6 +415,42 @@ TEST(CliContract, ListenShutsDownGracefullyOnStopSignals) {
     EXPECT_NE(r.output.find("drained in"), std::string::npos)
         << "signal " << sig << ": " << r.output;
   }
+}
+
+TEST(CliContract, ListenQuickstartServesEtClientEndToEnd) {
+  // docs/api.md's quickstart as written: et_cli --listen 0, et_client
+  // twice against the port its readiness line names, then SIGINT.
+  const std::string marker = "listening on 127.0.0.1:";
+  std::vector<RunResult> clients;
+  const auto r = run_until_marker_then_signal(
+      "--listen 0", marker, SIGINT, [&](const std::string& out) {
+        const std::size_t at = out.find(marker) + marker.size();
+        const std::string port = out.substr(at, out.find('\n', at) - at);
+        for (int i = 0; i < 2; ++i) {
+          clients.push_back(run(std::string(ET_CLIENT_PATH) + " --port " +
+                                port +
+                                " --key demo-interactive --prompt 3,7"));
+        }
+      });
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("drained in"), std::string::npos) << r.output;
+  ASSERT_EQ(clients.size(), 2u) << r.output;
+  std::vector<std::string> token_lines;
+  for (const RunResult& c : clients) {
+    EXPECT_EQ(c.exit_code, 0) << c.output;
+    EXPECT_NE(c.output.find("done: 8 token(s), stop=max_tokens"),
+              std::string::npos)
+        << c.output;
+    std::string lines;
+    for (std::size_t at = c.output.find("token["); at != std::string::npos;
+         at = c.output.find("token[", at + 1)) {
+      lines += c.output.substr(at, c.output.find('\n', at) - at + 1);
+    }
+    token_lines.push_back(lines);
+  }
+  EXPECT_NE(token_lines[0].find("token[7] = "), std::string::npos)
+      << token_lines[0];
+  EXPECT_EQ(token_lines[0], token_lines[1]);
 }
 
 TEST(CliContract, ServeRejectsAndExpiresUnderPressureDeterministically) {

@@ -1,6 +1,8 @@
 // INT8 quantization and batched (TurboTransformer-style) inference.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "gpusim/device.hpp"
 #include "kernels/gemm.hpp"
 #include "nn/encoder.hpp"
@@ -56,6 +58,41 @@ TEST(Quantize, Int8LinearCloseToFp32) {
   // int8 with per-row weight scales keeps ~2 decimal digits here.
   EXPECT_TRUE(allclose(y, ref, 0.12, 0.05))
       << "max diff " << max_abs_diff(y, ref);
+}
+
+TEST(Quantize, ErrorStepsRejectsMismatchedShapes) {
+  const MatrixF w(4, 8);
+  const auto qw = et::quant::quantize_weight(MatrixF(4, 7));
+  EXPECT_THROW((void)et::quant::max_quantization_error_steps(w, qw),
+               std::invalid_argument);
+}
+
+TEST(Quantize, Int8LinearRejectsMismatchedOperandShapes) {
+  const MatrixF x(4, 8);
+  const auto w = et::quant::quantize_weight(MatrixF(5, 7));
+  auto short_scales = et::quant::quantize_weight(MatrixF(5, 8));
+  short_scales.row_scale.pop_back();
+  et::gpusim::Device dev;
+  et::core::ExecContext ctx(dev);
+  EXPECT_THROW((void)et::quant::int8_linear(ctx, x, w), std::invalid_argument);
+  EXPECT_THROW((void)et::quant::int8_linear(ctx, x, short_scales),
+               std::invalid_argument);
+  EXPECT_EQ(dev.launch_count(), 0u);
+}
+
+TEST(Quantize, Int8BatchedLinearRejectsMismatchedPanels) {
+  const MatrixF x(4, 8);
+  const auto good = et::quant::quantize_weight(MatrixF(5, 8));
+  const auto bad = et::quant::quantize_weight(MatrixF(5, 7));
+  et::gpusim::Device dev;
+  et::core::ExecContext ctx(dev);
+  EXPECT_THROW((void)et::quant::int8_batched_linear(ctx, x, {&good, &bad}),
+               std::invalid_argument);
+  EXPECT_THROW((void)et::quant::int8_batched_linear(ctx, x, {&good, nullptr}),
+               std::invalid_argument);
+  EXPECT_THROW((void)et::quant::int8_batched_linear(ctx, x, {}),
+               std::invalid_argument);
+  EXPECT_EQ(dev.launch_count(), 0u);
 }
 
 TEST(Quantize, Int8LinearTrafficIsOneBytePerOperand) {
