@@ -1,6 +1,6 @@
 // Shared helpers for the paper-reproduction bench binaries: aligned table
-// printing, optional CSV (--csv) or JSON (--json) output, and env-var
-// workload scaling.
+// printing, optional CSV (--csv) or JSON (--json) output, env-var
+// workload scaling, and the modeled time of one forced attention operator.
 #pragma once
 
 #include <cctype>
@@ -9,6 +9,9 @@
 #include <cstring>
 #include <string>
 #include <vector>
+
+#include "core/adaptive.hpp"
+#include "gpusim/device.hpp"
 
 namespace et::bench {
 
@@ -145,5 +148,22 @@ inline std::string fmt(double v, int prec = 2) {
 }
 
 inline std::string fmt_ratio(double v) { return fmt(v, 2) + "x"; }
+
+/// Modeled time of attention operator `impl` (forced through
+/// core::adaptive_attention) on a fresh traffic-only device with `spec`,
+/// projections and output linear included.
+inline double attention_us(const gpusim::DeviceSpec& spec,
+                           const core::AttentionWeights& w,
+                           const core::AttentionConfig& cfg,
+                           core::AttentionImpl impl) {
+  gpusim::Device dev(spec);
+  core::ExecContext ctx(dev);
+  dev.set_traffic_only(true);
+  const tensor::MatrixF x(cfg.seq_len, cfg.d_model);
+  core::AdaptivePolicy policy;
+  policy.forced = impl;
+  (void)core::adaptive_attention(ctx, x, w, cfg, policy);
+  return dev.total_time_us();
+}
 
 }  // namespace et::bench

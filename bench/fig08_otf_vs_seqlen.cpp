@@ -4,10 +4,11 @@
 // operator, with the TensorRT-like attention as the paper's baseline — on
 // the Transformer (d=800, H=4) and BERT_BASE (d=768, H=12) configurations.
 //
-// Expected shape: every E.T. variant beats TensorRT at every length; full
-// OTF wins only within one 16-row tile, flash takes over past seq 16 and
-// keeps winning (its Br-row tiles re-read K/V 4x less than OTF's 16-row
-// tiles). The score-bytes columns are the asymptotic story: OTF never
+// Expected shape: every E.T. variant beats TensorRT at every length; flash
+// wins most lengths (its Br-row tiles re-read K/V 4x less than OTF's
+// 16-row tiles), full or partial OTF the rest — the per-length winner is
+// what choose_attention_impl picks by pricing each operator's kernels.
+// The score-bytes columns are the asymptotic story: OTF never
 // touches global memory with scores (0), partial-OTF materializes the
 // full S = Q·Kᵀ once (O(N²)), flash spills only the per-row (m, ℓ)
 // softmax statistics (O(N)). Every operator runs through
@@ -133,9 +134,8 @@ SweepResult sweep(const char* name, std::size_t d_model, std::size_t heads,
   table.print();
   if (!json) {
     std::printf("\navg speedup over TensorRT (seq 64-256): %.1fx; flash "
-                "takes over from seq=%zu (threshold: one 16-row OTF tile); "
-                "score traffic at seq=%zu: partial %llu B (O(N^2)) vs "
-                "flash %llu B (O(N))\n",
+                "first wins at seq=%zu; score traffic at seq=%zu: partial "
+                "%llu B (O(N^2)) vs flash %llu B (O(N))\n",
                 sum_speedup / count, flash_crossover, result.max_seq,
                 static_cast<unsigned long long>(result.partial_max),
                 static_cast<unsigned long long>(result.flash_max));

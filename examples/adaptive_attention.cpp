@@ -1,7 +1,8 @@
 // Sequence-length-aware dispatch (§3.2) in action: watch E.T. choose
 // between the streaming flash operator and the full/partial on-the-fly
-// operators as the sequence grows, and see the shared-memory constraints
-// (Eq. 6 for OTF, the Br×Bc tile for flash) force degraded variants on a
+// operators as the sequence grows — the operator whose kernels the
+// latency model prices lowest — and see the shared-memory constraints
+// (Eq. 6 for OTF, the Br×Bc tile for flash) rule operators out on a
 // hypothetical device with a small scratchpad. A final section shows the
 // forced override — the mechanism behind et_cli --attention — pinning
 // each of the five operators regardless of shape.
@@ -11,7 +12,6 @@
 
 #include "core/adaptive.hpp"
 #include "gpusim/device.hpp"
-#include "tensor/random.hpp"
 
 namespace {
 
@@ -27,15 +27,12 @@ void sweep(et::gpusim::Device& dev, const char* title) {
               dev.spec().shared_mem_per_cta_bytes / 1024);
   std::printf("%8s  %14s  %6s  %13s  %6s  %12s\n", "seq_len", "Eq.6 bytes",
               "fits?", "flash bytes", "fits?", "chosen impl");
-  et::core::AdaptivePolicy policy;
-  policy.auto_tune = true;  // decide by replaying the latency model
   for (std::size_t seq = 64; seq <= 512; seq += 64) {
     cfg.seq_len = seq;
-    et::tensor::MatrixF x(seq, cfg.d_model);
     const std::size_t otf_bytes = et::core::otf_shared_bytes(cfg);
     // Seq-independent by design: the Br×Bc tile never grows with seq_len.
     const std::size_t flash_bytes = et::core::flash_shared_bytes(cfg);
-    const auto impl = et::core::choose_attention_impl(dev, x, w, cfg, policy);
+    const auto impl = et::core::choose_attention_impl(dev, w, cfg);
     std::printf("%8zu  %14zu  %6s  %13zu  %6s  %12s\n", seq, otf_bytes,
                 dev.fits_shared(otf_bytes) ? "yes" : "NO", flash_bytes,
                 dev.fits_shared(flash_bytes) ? "yes" : "NO",
@@ -53,7 +50,6 @@ void forced_demo(et::gpusim::Device& dev) {
   cfg.seq_len = 256;
   cfg.precision = et::numeric::Precision::kPureFp16;
   const auto w = et::core::make_dense_weights(cfg, 3);
-  et::tensor::MatrixF x(cfg.seq_len, cfg.d_model);
 
   std::printf("\nforced override (seq_len 256 on %s)\n",
               dev.spec().name.c_str());
@@ -64,8 +60,7 @@ void forced_demo(et::gpusim::Device& dev) {
   for (const auto impl : kAll) {
     et::core::AdaptivePolicy policy;
     policy.forced = impl;
-    const auto chosen = et::core::choose_attention_impl(dev, x, w, cfg,
-                                                        policy);
+    const auto chosen = et::core::choose_attention_impl(dev, w, cfg, policy);
     std::printf("  forced=%-11s -> runs %s\n",
                 std::string(to_string(impl)).c_str(),
                 std::string(to_string(chosen)).c_str());
@@ -81,8 +76,8 @@ int main(int, char**) {
   sweep(v100, "V100S (96 KB shared memory)");
 
   // A hypothetical accelerator with a tiny scratchpad: neither the Eq. 6
-  // score row nor the flash Br×Bc tile can be staged, so the dispatcher
-  // must fall back to the partial variant even at short sequences.
+  // score row nor the flash Br×Bc tile can be staged, so partial OTF is
+  // the only candidate left, even at short sequences.
   et::gpusim::DeviceSpec tiny = et::gpusim::v100s();
   tiny.name = "tiny-scratchpad accelerator";
   tiny.shared_mem_per_cta_bytes = 4 * 1024;

@@ -1,64 +1,52 @@
 #include "core/adaptive.hpp"
 
+#include <limits>
+#include <span>
+
 namespace et::core {
 
 AttentionImpl choose_attention_impl(const gpusim::Device& dev,
-                                    const tensor::MatrixF& x,
                                     const AttentionWeights& w,
                                     const AttentionConfig& cfg,
-                                    const AdaptivePolicy& policy) {
+                                    const AdaptivePolicy& policy,
+                                    std::size_t kv_len) {
   cfg.validate();
   // A forced operator is a contract, not a heuristic: start there (the
   // degradation chain still applies if it fails at launch time).
   if (policy.forced) return *policy.forced;
-  const bool flash_fits = dev.fits_shared(flash_shared_bytes(cfg));
-  const bool otf_fits = dev.fits_shared(otf_shared_bytes(cfg));
-  if (!policy.auto_tune) {
-    if (flash_fits && cfg.seq_len > policy.flash_min_seq) {
-      return AttentionImpl::kFlash;
-    }
-    // Flash out of the picture (short sequence, or a tile too big for the
-    // scratchpad): the paper's original §3.2 decision between the OTF
-    // variants, with the Eq. 6 capacity constraint checked first.
-    if (!otf_fits) return AttentionImpl::kPartialOtf;
-    return cfg.seq_len > policy.partial_otf_min_seq
-               ? AttentionImpl::kPartialOtf
-               : AttentionImpl::kOtf;
-  }
-  // Replay each feasible variant against the latency model only (no math,
-  // so a serial scratch context is all that's needed) and keep the lowest
-  // modeled time; ties go to the earlier candidate.
-  const auto replay = [&](AttentionImpl impl) {
+  // Flash, OTF and partial OTF share their projections and output linear,
+  // so only their attention kernels are priced, on a scratch device with
+  // this device's spec. A record that overflows shared memory is a kernel
+  // that cannot launch here.
+  const VSide v = v_side(w, cfg);
+  const auto price = [&](AttentionImpl impl) -> std::optional<double> {
     gpusim::Device scratch(dev.spec());
-    scratch.set_traffic_only(true);
-    ExecContext scratch_ctx(scratch);
-    switch (impl) {
-      case AttentionImpl::kFlash:
-        (void)flash_attention(scratch_ctx, x, w, cfg);
-        break;
-      case AttentionImpl::kOtf:
-        (void)otf_attention(scratch_ctx, x, w, cfg);
-        break;
-      default:
-        (void)partial_otf_attention(scratch_ctx, x, w, cfg);
-        break;
+    try {
+      if (impl == AttentionImpl::kOtf) {
+        record_otf_kernel(scratch, cfg, kv_len, v);
+      } else if (impl == AttentionImpl::kFlash) {
+        record_flash_kernel(scratch, cfg, kv_len, v);
+      } else {
+        record_partial_otf_kernels(scratch, cfg, v);
+      }
+    } catch (const gpusim::SharedMemOverflow&) {
+      return std::nullopt;
     }
     return scratch.total_time_us();
   };
-  AttentionImpl best = AttentionImpl::kPartialOtf;  // always feasible
-  double best_us = replay(best);
-  if (otf_fits) {
-    const double t = replay(AttentionImpl::kOtf);
-    if (t <= best_us) {
-      best = AttentionImpl::kOtf;
-      best_us = t;
-    }
-  }
-  if (flash_fits) {
-    const double t = replay(AttentionImpl::kFlash);
-    if (t <= best_us) {
-      best = AttentionImpl::kFlash;
-      best_us = t;
+  // Partial OTF has no cross-attention kernels. Each later candidate wins
+  // ties.
+  static constexpr AttentionImpl kSelf[] = {
+      AttentionImpl::kPartialOtf, AttentionImpl::kOtf, AttentionImpl::kFlash};
+  const std::span<const AttentionImpl> self(kSelf);
+  const auto candidates = kv_len == 0 ? self : self.subspan(1);
+  AttentionImpl best = candidates.front();
+  double best_us = std::numeric_limits<double>::infinity();
+  for (const AttentionImpl impl : candidates) {
+    const std::optional<double> us = price(impl);
+    if (us && *us <= best_us) {
+      best = impl;
+      best_us = *us;
     }
   }
   return best;
@@ -105,7 +93,7 @@ tensor::MatrixF adaptive_attention(ExecContext& ctx, const tensor::MatrixF& x,
       AttentionImpl::kFused, AttentionImpl::kModular};
   constexpr std::size_t kChainLen = std::size(kChain);
 
-  const AttentionImpl first = choose_attention_impl(dev, x, w, cfg, policy);
+  const AttentionImpl first = choose_attention_impl(dev, w, cfg, policy);
   std::size_t start = 0;
   while (kChain[start] != first) ++start;
 
@@ -124,6 +112,18 @@ tensor::MatrixF adaptive_attention(ExecContext& ctx, const tensor::MatrixF& x,
                          "shared_mem_overflow"});
     }
   }
+}
+
+tensor::MatrixF adaptive_cross_attention(ExecContext& ctx,
+                                         const tensor::MatrixF& x,
+                                         const tensor::MatrixF& memory,
+                                         const AttentionWeights& w,
+                                         const AttentionConfig& cfg,
+                                         const AdaptivePolicy& policy) {
+  return choose_attention_impl(ctx.device(), w, cfg, policy, memory.rows()) ==
+                 AttentionImpl::kFlash
+             ? flash_cross_attention(ctx, x, memory, w, cfg)
+             : otf_cross_attention(ctx, x, memory, w, cfg);
 }
 
 }  // namespace et::core

@@ -1,18 +1,15 @@
-// Sequence-length-aware adaptive dispatch (§3.2, §5.2.2).
+// Operator selection (§3.2, §5.2.1) and the degradation chain.
 //
-// E.T. switches from the full on-the-fly operator to the partial one when
-// the sequence grows long enough that re-reading K/V per row tile costs
-// more than materializing the score matrix once (the paper finds the
-// crossover at seqLen ≈ 224 on V100S), or when the Eq. 6 shared-memory
-// footprint no longer fits. The streaming flash operator supersedes both
-// once the sequence spans more than one OTF row tile: its Br-row tiling
-// re-reads K/V 4x less than OTF and its score traffic is O(N) where
-// partial-OTF's is O(N²), so OTF keeps only the short-sequence regime and
-// partial-OTF the degraded one (flash faulted or its tile not fitting).
-// An auto-tune mode replays every feasible variant on a scratch
-// traffic-only device and picks the lowest modeled latency — mirroring
-// how E.T. "automatically searches through various implementations and
-// chooses the optimal one" (§5.2.1).
+// E.T. picks its attention operator per configuration: §3.2 switches from
+// the full on-the-fly operator to the partial one as the sequence grows,
+// and §5.2.1 "automatically searches through various implementations and
+// chooses the optimal one". Here that search is one rule: among the E.T.
+// operators (flash, OTF, partial OTF) whose kernels can launch on the
+// device, run the one whose attention kernel(s) the latency model prices
+// lowest. The three share their projections and output linear, so only
+// the kernels between them — the launch records in attention.hpp — are
+// priced, on a scratch device with the same spec. The same rule picks the
+// decoder's cross-attention kernel over the encoder memory.
 #pragma once
 
 #include <optional>
@@ -52,33 +49,25 @@ enum class AttentionImpl { kModular, kFused, kOtf, kPartialOtf, kFlash };
 }
 
 struct AdaptivePolicy {
-  /// Fixed crossover: use partial OTF at seq_len > this (paper: 224).
-  /// Only reached when flash is not feasible — see flash_min_seq.
-  std::size_t partial_otf_min_seq = 224;
-  /// Fixed crossover: use flash at seq_len > this when its tile fits
-  /// shared memory. Defaults to OTF's 16-row tile height: within one such
-  /// tile the two kernels stream K/V identically and flash only adds its
-  /// (m, ℓ) statistics traffic, while every longer sequence re-reads K/V
-  /// per row tile — where flash's Br-row tiles win. Matches the
-  /// auto-tune replay on V100S/A100 (see bench/fig08_otf_vs_seqlen).
-  std::size_t flash_min_seq = 16;
   /// Bypass selection entirely and start the degradation chain at this
   /// implementation — the single mechanism behind et_cli --attention,
   /// bench ablation forcing, and per-impl tests (no hand-rolled call
   /// sites). Launch-time failures still degrade down the chain.
   std::optional<AttentionImpl> forced;
-  /// When true, ignore the fixed thresholds and decide by replaying every
-  /// feasible operator through the latency model.
-  bool auto_tune = false;
 };
 
-/// Decide which E.T. operator to run for this configuration. A pure query
-/// against the device spec (auto-tune replays on internal scratch
-/// devices), so it deliberately keeps the const Device& signature.
+/// Decide which E.T. operator to run: policy.forced when set, else the
+/// candidate whose attention kernel(s) the latency model prices lowest on
+/// dev's spec, among those that launch there without SharedMemOverflow.
+/// Ties go to the later of partial OTF, OTF, flash. When no candidate
+/// launches, the first is returned and adaptive_attention degrades from
+/// it. `kv_len` > 0 prices the cross-attention kernels over that many
+/// memory rows instead; partial OTF has none, so the candidates are OTF
+/// and flash.
 [[nodiscard]] AttentionImpl choose_attention_impl(
-    const gpusim::Device& dev, const tensor::MatrixF& x,
-    const AttentionWeights& w, const AttentionConfig& cfg,
-    const AdaptivePolicy& policy = {});
+    const gpusim::Device& dev, const AttentionWeights& w,
+    const AttentionConfig& cfg, const AdaptivePolicy& policy = {},
+    std::size_t kv_len = 0);
 
 /// Run the operator choose_attention_impl selects. Resilient: if the
 /// chosen operator fails with a gpusim::KernelFault or SharedMemOverflow,
@@ -90,5 +79,14 @@ struct AdaptivePolicy {
 [[nodiscard]] tensor::MatrixF adaptive_attention(
     ExecContext& ctx, const tensor::MatrixF& x, const AttentionWeights& w,
     const AttentionConfig& cfg, const AdaptivePolicy& policy = {});
+
+/// Cross-attention over an encoder `memory` with the kernel
+/// choose_attention_impl picks for memory.rows() K/V rows: flash when it
+/// is chosen (or forced), OTF otherwise. There is no degradation chain; a
+/// launch failure propagates.
+[[nodiscard]] tensor::MatrixF adaptive_cross_attention(
+    ExecContext& ctx, const tensor::MatrixF& x, const tensor::MatrixF& memory,
+    const AttentionWeights& w, const AttentionConfig& cfg,
+    const AdaptivePolicy& policy = {});
 
 }  // namespace et::core

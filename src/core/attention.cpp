@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 
@@ -30,12 +31,26 @@ std::size_t clamp_shared(const gpusim::Device& dev, std::size_t bytes) {
   return std::min(bytes, dev.spec().shared_mem_per_cta_bytes);
 }
 
+/// GEMM flops run on the tensor cores below FP32; pointwise work always
+/// runs on the general cores.
+void count_ops(gpusim::Launch& launch, Precision p, std::uint64_t gemm_flops,
+               std::uint64_t pointwise) {
+  if (p == Precision::kFp32) {
+    launch.fp_ops(gemm_flops + pointwise);
+  } else {
+    launch.tensor_ops(gemm_flops);
+    launch.fp_ops(pointwise);
+  }
+}
+
 /// Q/K/context projections shared by every implementation.
 struct Projections {
   tensor::MatrixF q;
   tensor::MatrixF k;
   /// V (full or condensed), or M = X·W_VOᵀ on the pre-computed path.
   tensor::MatrixF ctx;
+  /// ctx's layout and width — what the attention kernels are priced at.
+  VSide v;
   const PrecomputedVO* vo = nullptr;
   /// Head-major original-column map when ctx is a condensed V.
   std::vector<std::uint32_t> v_kept;
@@ -48,39 +63,59 @@ bool try_fused_qkv(ExecContext& ctx, const tensor::MatrixF& x,
                    const AttentionWeights& w, const AttentionConfig& cfg,
                    Projections& pr);
 
+/// Q from `x`; K and the context operand from the encoder `memory` for
+/// cross-attention (kernel names prefixed "xattn_"), from `x` otherwise.
+/// E.T.'s operators read the V side as v_side lays it out; the baselines
+/// always read the full V — the [21] limitation the paper calls out in §6.
 Projections project(ExecContext& ctx, const tensor::MatrixF& x,
-                    const AttentionWeights& w, const AttentionConfig& cfg,
-                    bool et_operators) {
+                    const tensor::MatrixF* memory, const AttentionWeights& w,
+                    const AttentionConfig& cfg, bool et_operators) {
   cfg.validate();
+  if (memory != nullptr && memory->rows() == 0) {
+    // The kernel records read K/V length 0 as self-attention.
+    throw std::invalid_argument("cross-attention: the encoder memory is empty");
+  }
   kernels::LinearOptions opt;
   opt.precision = cfg.precision;
+  const tensor::MatrixF& kv = memory != nullptr ? *memory : x;
+  const auto name = [memory](std::string_view base) {
+    return (memory != nullptr ? "xattn_" : "") + std::string(base);
+  };
 
   Projections pr;
-  if (et_operators && !w.has_precomputed() &&
+  pr.v = et_operators ? v_side(w, cfg)
+                      : VSide{VSide::Layout::kFull, cfg.d_model};
+  if (et_operators && memory == nullptr &&
+      pr.v.layout == VSide::Layout::kFull &&
       try_fused_qkv(ctx, x, w, cfg, pr)) {
     // Below the pruning regime E.T. also batches Q/K/V into one autotuned
     // GEMM — the "best cuBLAS routine" search of §5.2.1.
     return pr;
   }
-  pr.q = kernels::linear(ctx, x, w.wq, opt, "q_linear").y;
-  pr.k = kernels::linear(ctx, x, w.wk, opt, "k_linear").y;
-  if (et_operators && w.has_precomputed()) {
-    pr.vo = &w.vo;
-    // One dense GEMM against the pre-computed (H·kept × d) matrix — the
-    // fold of steps ① (V part) and ⑦ (Eq. 5).
-    pr.ctx = kernels::gemm_nt(ctx, x, w.vo.weight, cfg.precision, nullptr,
-                              "vo_linear");
-  } else if (et_operators && w.v_condensable(cfg.num_heads)) {
-    // Attention-aware row-pruned W_V: keep the GEMM output condensed so
-    // step ⑥ touches only the surviving columns (§5.3.3).
-    opt.scatter_row_pruned_output = false;
-    auto res = kernels::linear(ctx, x, w.wv, opt, "v_linear");
-    pr.ctx = std::move(res.y);
-    pr.v_kept = std::move(res.nonzero_cols);
-    opt.scatter_row_pruned_output = true;
-  } else {
-    pr.ctx = kernels::linear(ctx, x, w.wv, opt, "v_linear").y;
+  pr.q = kernels::linear(ctx, x, w.wq, opt, name("q_linear")).y;
+  pr.k = kernels::linear(ctx, kv, w.wk, opt, name("k_linear")).y;
+  switch (pr.v.layout) {
+    case VSide::Layout::kFolded:
+      // One dense GEMM against the pre-computed (H·kept × d) matrix — the
+      // fold of steps ① (V part) and ⑦ (Eq. 5).
+      pr.vo = &w.vo;
+      pr.ctx = kernels::gemm_nt(ctx, kv, w.vo.weight, cfg.precision, nullptr,
+                                name("vo_linear"));
+      break;
+    case VSide::Layout::kCondensed: {
+      // Attention-aware row-pruned W_V: keep the GEMM output condensed so
+      // step ⑥ touches only the surviving columns (§5.3.3).
+      opt.scatter_row_pruned_output = false;
+      auto res = kernels::linear(ctx, kv, w.wv, opt, name("v_linear"));
+      pr.ctx = std::move(res.y);
+      pr.v_kept = std::move(res.nonzero_cols);
+      break;
+    }
+    case VSide::Layout::kFull:
+      pr.ctx = kernels::linear(ctx, kv, w.wv, opt, name("v_linear")).y;
+      break;
   }
+  assert(pr.ctx.cols() == pr.v.width);
   return pr;
 }
 
@@ -108,34 +143,8 @@ bool try_fused_qkv(ExecContext& ctx, const tensor::MatrixF& x,
   pr.q = tensor::slice_cols(qkv, 0, d);
   pr.k = tensor::slice_cols(qkv, d, d);
   pr.ctx = tensor::slice_cols(qkv, 2 * d, d);
-  pr.vo = nullptr;
+  pr.v = {VSide::Layout::kFull, d};
   return true;
-}
-
-/// Q from the decoder input, K and the context operand from the encoder
-/// memory — shared by both cross-attention operators.
-Projections project_cross(ExecContext& ctx, const tensor::MatrixF& x,
-                          const tensor::MatrixF& memory,
-                          const AttentionWeights& w,
-                          const AttentionConfig& cfg) {
-  kernels::LinearOptions opt;
-  opt.precision = cfg.precision;
-  Projections pr;
-  pr.q = kernels::linear(ctx, x, w.wq, opt, "xattn_q_linear").y;
-  pr.k = kernels::linear(ctx, memory, w.wk, opt, "xattn_k_linear").y;
-  if (w.has_precomputed()) {
-    pr.vo = &w.vo;
-    pr.ctx = kernels::gemm_nt(ctx, memory, w.vo.weight, cfg.precision,
-                              nullptr, "xattn_vo_linear");
-  } else if (w.v_condensable(cfg.num_heads)) {
-    opt.scatter_row_pruned_output = false;
-    auto res = kernels::linear(ctx, memory, w.wv, opt, "xattn_v_linear");
-    pr.ctx = std::move(res.y);
-    pr.v_kept = std::move(res.nonzero_cols);
-  } else {
-    pr.ctx = kernels::linear(ctx, memory, w.wv, opt, "xattn_v_linear").y;
-  }
-  return pr;
 }
 
 /// Record a batched per-head GEMM kernel (one launch covering all heads),
@@ -156,11 +165,7 @@ void record_batched_gemm(gpusim::Device& dev, std::string_view name,
   launch.load_bytes((load_elems_a + load_elems_b) * sb);
   launch.store_bytes(store_elems * sb);
   launch.score_bytes(static_cast<std::uint64_t>(score_elems) * sb);
-  if (p == Precision::kFp32) {
-    launch.fp_ops(flops);
-  } else {
-    launch.tensor_ops(flops);
-  }
+  count_ops(launch, p, flops, 0);
 }
 
 /// Record a kernel over the batched per-head score matrix (scale / mask /
@@ -188,9 +193,20 @@ void record_score_stream(gpusim::Device& dev, std::string_view name,
   launch.fp_ops(flops);
 }
 
-tensor::MatrixF output_linear(ExecContext& ctx, const tensor::MatrixF& z,
-                              const AttentionWeights& w,
-                              const AttentionConfig& cfg) {
+/// Steps ②–⑥ on the host (a traffic-only device only models them), then
+/// the output linear ⑦ unless the W_VO fold already applied it (Eq. 5).
+tensor::MatrixF attend(ExecContext& ctx, const Projections& pr,
+                       const AttentionWeights& w, const AttentionConfig& cfg,
+                       bool online_softmax = false) {
+  tensor::MatrixF z =
+      ctx.device().traffic_only()
+          ? tensor::MatrixF(cfg.seq_len, cfg.d_model)
+      : online_softmax
+          ? detail::flash_attention_math(pr.q, pr.k, pr.ctx, pr.vo,
+                                         pr.v_kept_ptr(), cfg, &ctx.pool())
+          : detail::attention_math(pr.q, pr.k, pr.ctx, pr.vo,
+                                   pr.v_kept_ptr(), cfg, &ctx.pool());
+  if (pr.vo != nullptr) return z;
   kernels::LinearOptions opt;
   opt.precision = cfg.precision;
   return kernels::linear(ctx, z, w.wo, opt, "out_linear").y;
@@ -230,14 +246,12 @@ tensor::MatrixF modular_attention(ExecContext& ctx, const tensor::MatrixF& x,
                                   const AttentionWeights& w,
                                   const AttentionConfig& cfg) {
   gpusim::Device& dev = ctx.device();
-  cfg.validate();
+  Projections pr = project(ctx, x, nullptr, w, cfg, /*et_operators=*/false);
   const std::size_t s = cfg.seq_len;
   const std::size_t d = cfg.d_model;
   const std::size_t h = cfg.num_heads;
   const std::size_t score_elems = s * s * h;
   const Precision p = cfg.precision;
-
-  Projections pr = project(ctx, x, w, cfg, /*et_operators=*/false);
 
   // torch.bmm(Q, K^T): batched over heads. S is stored once here…
   record_batched_gemm(dev, "bmm_qk", s * d, s * d, score_elems,
@@ -252,13 +266,7 @@ tensor::MatrixF modular_attention(ExecContext& ctx, const tensor::MatrixF& x,
   record_batched_gemm(dev, "bmm_sv", score_elems, s * d, s * d,
                       2ull * s * s * d, h * ceil_div(s, 128) * ceil_div(d, 128),
                       p, score_elems);
-
-  tensor::MatrixF z =
-      dev.traffic_only()
-          ? tensor::MatrixF(s, d)
-          : detail::attention_math(pr.q, pr.k, pr.ctx, nullptr, nullptr, cfg,
-                                   &ctx.pool());
-  return output_linear(ctx, z, w, cfg);
+  return attend(ctx, pr, w, cfg);
 }
 
 // --------------------------------------------------------------------------
@@ -280,7 +288,7 @@ tensor::MatrixF fused_attention(ExecContext& ctx, const tensor::MatrixF& x,
 
   Projections pr;
   if (!try_fused_qkv(ctx, x, w, cfg, pr)) {
-    pr = project(ctx, x, w, cfg, /*et_operators=*/false);
+    pr = project(ctx, x, nullptr, w, cfg, /*et_operators=*/false);
   }
 
   // ③ batched Q·Kᵀ with the scaling folded in (TensorRT fuses the
@@ -303,290 +311,112 @@ tensor::MatrixF fused_attention(ExecContext& ctx, const tensor::MatrixF& x,
   record_batched_gemm(dev, "trt_sv", score_elems, s * d, s * d,
                       2ull * s * s * d, h * ceil_div(s, 128) * ceil_div(d, 128),
                       p, score_elems);
-
-  tensor::MatrixF z =
-      dev.traffic_only()
-          ? tensor::MatrixF(s, d)
-          : detail::attention_math(pr.q, pr.k, pr.ctx, nullptr, nullptr, cfg,
-                                   &ctx.pool());
-  return output_linear(ctx, z, w, cfg);
+  return attend(ctx, pr, w, cfg);
 }
 
 // --------------------------------------------------------------------------
-// E.T. full on-the-fly operator: steps ②–⑥ in one kernel.
+// E.T.'s attention kernels: the launch records of steps ②–⑥, written once
+// for the operators below and for choose_attention_impl's pricing.
 // --------------------------------------------------------------------------
-tensor::MatrixF otf_attention(ExecContext& ctx, const tensor::MatrixF& x,
-                              const AttentionWeights& w,
-                              const AttentionConfig& cfg) {
-  gpusim::Device& dev = ctx.device();
-  cfg.validate();
+
+// Full on-the-fly kernel (Eq. 6): steps ②–⑥ in one kernel; each CTA owns a
+// 16-row tile and keeps Q·Kᵀ and S in shared memory.
+void record_otf_kernel(gpusim::Device& dev, const AttentionConfig& cfg,
+                       std::size_t kv_len, const VSide& v) {
+  const bool cross = kv_len != 0;
   const std::size_t s = cfg.seq_len;
+  const std::size_t kv = cross ? kv_len : s;
   const std::size_t d = cfg.d_model;
   const std::size_t h = cfg.num_heads;
   const std::size_t sb = numeric::storage_bytes(cfg.precision);
-  const Precision p = cfg.precision;
-  const bool pre = w.has_precomputed();
-
-  Projections pr = project(ctx, x, w, cfg, /*et_operators=*/true);
+  const bool folded = v.layout == VSide::Layout::kFolded;
 
   const std::size_t row_tiles = ceil_div(s, 16);
   // Without pre-computation a CTA owns (head, row-tile); with it the CTA
   // iterates all heads for its row tile so the Eq. 4/5 head-sum stays in
   // registers.
-  const std::size_t ctas = pre ? row_tiles : row_tiles * h;
-  const std::size_t ctx_cols = pr.ctx.cols();
-
-  auto launch = dev.launch({.name = "otf_attention",
-                            .ctas = ctas,
-                            .shared_bytes_per_cta = otf_shared_bytes(cfg),
-                            .pattern = AccessPattern::kTiled});
+  auto launch = dev.launch(
+      {.name = cross ? "otf_cross_attention" : "otf_attention",
+       .ctas = folded ? row_tiles : row_tiles * h,
+       .shared_bytes_per_cta = otf_shared_bytes(cfg, kv_len),
+       .pattern = AccessPattern::kTiled});
   // Q read once; K and the context operand re-read once per row tile —
   // the deliberate extra-loads-for-zero-intermediate-stores trade of
   // §5.2.5 (Fig. 11).
   launch.load_bytes(static_cast<std::uint64_t>(s) * d * sb);
-  launch.load_bytes(static_cast<std::uint64_t>(row_tiles) * s * d * sb);
-  launch.load_bytes(static_cast<std::uint64_t>(row_tiles) * s * ctx_cols * sb);
+  launch.load_bytes(static_cast<std::uint64_t>(row_tiles) * kv * d * sb);
+  launch.load_bytes(static_cast<std::uint64_t>(row_tiles) * kv * v.width * sb);
   // Only the final output touches global memory. With a condensed context
   // operand only the surviving columns are written.
-  launch.store_bytes(static_cast<std::uint64_t>(s) *
-                     (pr.vo != nullptr ? d : ctx_cols) * sb);
-
-  const std::uint64_t qk_flops = 2ull * s * s * d;
-  const std::uint64_t sv_flops = 2ull * s * s * ctx_cols;
-  const std::uint64_t pointwise =
-      s * d /*scale*/ + 5ull * s * s * h /*softmax*/ + s * s * h / 2 /*mask*/;
-  if (p == Precision::kFp32) {
-    launch.fp_ops(qk_flops + sv_flops + pointwise);
-  } else {
-    launch.tensor_ops(qk_flops + sv_flops);
-    launch.fp_ops(pointwise);
-  }
-  launch.finish();
-
-  tensor::MatrixF z =
-      dev.traffic_only()
-          ? tensor::MatrixF(s, d)
-          : detail::attention_math(pr.q, pr.k, pr.ctx, pr.vo,
-                                   pr.v_kept_ptr(), cfg, &ctx.pool());
-  if (pre) return z;  // Eq. 5: the output linear is already folded in.
-  return output_linear(ctx, z, w, cfg);
+  launch.store_bytes(static_cast<std::uint64_t>(s) * (folded ? d : v.width) *
+                     sb);
+  // The causal mask never applies across an encoder memory.
+  const std::uint64_t pointwise = s * d /*scale*/ +
+                                  5ull * s * kv * h /*softmax*/ +
+                                  (cross ? 0 : s * s * h / 2) /*mask*/;
+  count_ops(launch, cfg.precision, 2ull * s * kv * d + 2ull * s * kv * v.width,
+            pointwise);
 }
 
-// --------------------------------------------------------------------------
-// Streaming flash operator (FlashAttention-2): one kernel; each CTA owns a
-// Br-row query tile of one head — the seq-length work partitioning — and
-// streams K/V through its online softmax in Bc-column blocks. Q·Kᵀ and S
-// never exist in global memory at ANY sequence length; the only
-// score-derived global traffic is the per-row (m, ℓ) statistics, O(N).
-// --------------------------------------------------------------------------
-tensor::MatrixF flash_attention(ExecContext& ctx, const tensor::MatrixF& x,
-                                const AttentionWeights& w,
-                                const AttentionConfig& cfg) {
-  gpusim::Device& dev = ctx.device();
-  cfg.validate();
+// Streaming flash kernel (FlashAttention-2): each CTA owns a Br-row query
+// tile — the seq-length work partitioning — and streams K/V through its
+// online softmax in Bc-column blocks. Q·Kᵀ and S never exist in global
+// memory at ANY length; the only score-derived global traffic is the
+// per-row (m, ℓ) statistics, O(N).
+void record_flash_kernel(gpusim::Device& dev, const AttentionConfig& cfg,
+                         std::size_t kv_len, const VSide& v) {
+  const bool cross = kv_len != 0;
   const std::size_t s = cfg.seq_len;
+  const std::size_t kv = cross ? kv_len : s;
   const std::size_t d = cfg.d_model;
   const std::size_t h = cfg.num_heads;
   const std::size_t sb = numeric::storage_bytes(cfg.precision);
   const std::size_t acc = numeric::accumulator_bytes(cfg.precision);
-  const Precision p = cfg.precision;
-  const bool pre = w.has_precomputed();
-
-  Projections pr = project(ctx, x, w, cfg, /*et_operators=*/true);
+  const bool folded = v.layout == VSide::Layout::kFolded;
 
   const std::size_t row_tiles = ceil_div(s, cfg.flash_block_rows);
-  const std::size_t kv_blocks = ceil_div(s, cfg.flash_block_cols);
+  const std::size_t kv_blocks = ceil_div(kv, cfg.flash_block_cols);
   // Same CTA ownership rule as OTF (pre-computation keeps the head sum in
   // registers), but over Br-row tiles instead of 16-row ones.
-  const std::size_t ctas = pre ? row_tiles : row_tiles * h;
-  const std::size_t ctx_cols = pr.ctx.cols();
-
-  auto launch = dev.launch({.name = "flash_attention",
-                            .ctas = ctas,
-                            .shared_bytes_per_cta = flash_shared_bytes(cfg),
-                            .pattern = AccessPattern::kTiled});
+  auto launch = dev.launch(
+      {.name = cross ? "flash_cross_attention" : "flash_attention",
+       .ctas = folded ? row_tiles : row_tiles * h,
+       .shared_bytes_per_cta = flash_shared_bytes(cfg, kv_len),
+       .pattern = AccessPattern::kTiled});
   // Q read once; K and the context operand re-read once per Br-row tile —
   // the OTF trade again, but Br = 64 re-reads 4x less than 16-row tiles.
   launch.load_bytes(static_cast<std::uint64_t>(s) * d * sb);
-  launch.load_bytes(static_cast<std::uint64_t>(row_tiles) * s * d * sb);
-  launch.load_bytes(static_cast<std::uint64_t>(row_tiles) * s * ctx_cols * sb);
-  launch.store_bytes(static_cast<std::uint64_t>(s) *
-                     (pr.vo != nullptr ? d : ctx_cols) * sb);
+  launch.load_bytes(static_cast<std::uint64_t>(row_tiles) * kv * d * sb);
+  launch.load_bytes(static_cast<std::uint64_t>(row_tiles) * kv * v.width * sb);
+  launch.store_bytes(static_cast<std::uint64_t>(s) * (folded ? d : v.width) *
+                     sb);
   // The running (m, ℓ) pair per row and head — the logsumexp line real
   // flash kernels persist — is the operator's entire score-side global
   // traffic: linear in N where partial-OTF's S round trip is quadratic.
   const std::uint64_t stats_bytes = 2ull * s * h * acc;
   launch.store_bytes(stats_bytes);
   launch.score_bytes(stats_bytes);
-
-  const std::uint64_t qk_flops = 2ull * s * s * d;
-  const std::uint64_t sv_flops = 2ull * s * s * ctx_cols;
   // Online softmax costs one extra op per score (the running-max compare)
   // plus an accumulator rescale of each row's output block per K/V block.
   const std::uint64_t pointwise =
-      s * d /*scale*/ + 6ull * s * s * h /*online softmax*/ +
-      static_cast<std::uint64_t>(s) * kv_blocks * (ctx_cols + 2 * h)
+      s * d /*scale*/ + 6ull * s * kv * h /*online softmax*/ +
+      static_cast<std::uint64_t>(s) * kv_blocks * (v.width + 2 * h)
       /*rescale*/;
-  if (p == Precision::kFp32) {
-    launch.fp_ops(qk_flops + sv_flops + pointwise);
-  } else {
-    launch.tensor_ops(qk_flops + sv_flops);
-    launch.fp_ops(pointwise);
-  }
-  launch.finish();
-
-  tensor::MatrixF z =
-      dev.traffic_only()
-          ? tensor::MatrixF(s, d)
-          : detail::flash_attention_math(pr.q, pr.k, pr.ctx, pr.vo,
-                                         pr.v_kept_ptr(), cfg, &ctx.pool());
-  if (pre) return z;  // Eq. 5: the output linear is already folded in.
-  return output_linear(ctx, z, w, cfg);
+  count_ops(launch, cfg.precision, 2ull * s * kv * d + 2ull * s * kv * v.width,
+            pointwise);
 }
 
-// --------------------------------------------------------------------------
-// E.T. on-the-fly cross-attention: same kernel structure as otf_attention,
-// with K/V projected from the encoder memory.
-// --------------------------------------------------------------------------
-tensor::MatrixF otf_cross_attention(ExecContext& ctx,
-                                    const tensor::MatrixF& x,
-                                    const tensor::MatrixF& memory,
-                                    const AttentionWeights& w,
-                                    const AttentionConfig& cfg) {
-  gpusim::Device& dev = ctx.device();
-  cfg.validate();
-  const std::size_t s = cfg.seq_len;
-  const std::size_t kv = memory.rows();
-  const std::size_t d = cfg.d_model;
-  const std::size_t sb = numeric::storage_bytes(cfg.precision);
-  const Precision p = cfg.precision;
-  const bool pre = w.has_precomputed();
-  assert(x.rows() == s && memory.cols() == d);
-
-  Projections pr = project_cross(ctx, x, memory, w, cfg);
-
-  const std::size_t row_tiles = ceil_div(s, 16);
-  const std::size_t ctas = pre ? row_tiles : row_tiles * cfg.num_heads;
-  const std::size_t ctx_cols = pr.ctx.cols();
-
-  auto launch = dev.launch({.name = "otf_cross_attention",
-                            .ctas = ctas,
-                            .shared_bytes_per_cta = otf_shared_bytes(cfg, kv),
-                            .pattern = AccessPattern::kTiled});
-  launch.load_bytes(static_cast<std::uint64_t>(s) * d * sb);
-  launch.load_bytes(static_cast<std::uint64_t>(row_tiles) * kv * d * sb);
-  launch.load_bytes(static_cast<std::uint64_t>(row_tiles) * kv * ctx_cols *
-                    sb);
-  launch.store_bytes(static_cast<std::uint64_t>(s) *
-                     (pr.vo != nullptr ? d : ctx_cols) * sb);
-  const std::uint64_t qk_flops = 2ull * s * kv * d;
-  const std::uint64_t sv_flops = 2ull * s * kv * ctx_cols;
-  const std::uint64_t pointwise =
-      s * d + 5ull * s * kv * cfg.num_heads;
-  if (p == Precision::kFp32) {
-    launch.fp_ops(qk_flops + sv_flops + pointwise);
-  } else {
-    launch.tensor_ops(qk_flops + sv_flops);
-    launch.fp_ops(pointwise);
-  }
-  launch.finish();
-
-  tensor::MatrixF z =
-      dev.traffic_only()
-          ? tensor::MatrixF(s, d)
-          : detail::attention_math(pr.q, pr.k, pr.ctx, pr.vo,
-                                   pr.v_kept_ptr(), cfg, &ctx.pool());
-  if (pre) return z;
-  return output_linear(ctx, z, w, cfg);
-}
-
-// --------------------------------------------------------------------------
-// Streaming cross-attention: the flash kernel structure with K/V from the
-// encoder memory. The memory is the streamed operand, so the score tile
-// stays Br×Bc however long the encoder output grows — where the OTF
-// cross kernel's Eq. 6 row is kv wide.
-// --------------------------------------------------------------------------
-tensor::MatrixF flash_cross_attention(ExecContext& ctx,
-                                      const tensor::MatrixF& x,
-                                      const tensor::MatrixF& memory,
-                                      const AttentionWeights& w,
-                                      const AttentionConfig& cfg) {
-  gpusim::Device& dev = ctx.device();
-  cfg.validate();
-  const std::size_t s = cfg.seq_len;
-  const std::size_t kv = memory.rows();
-  const std::size_t d = cfg.d_model;
-  const std::size_t h = cfg.num_heads;
-  const std::size_t sb = numeric::storage_bytes(cfg.precision);
-  const std::size_t acc = numeric::accumulator_bytes(cfg.precision);
-  const Precision p = cfg.precision;
-  const bool pre = w.has_precomputed();
-  assert(x.rows() == s && memory.cols() == d);
-
-  Projections pr = project_cross(ctx, x, memory, w, cfg);
-
-  const std::size_t row_tiles = ceil_div(s, cfg.flash_block_rows);
-  const std::size_t kv_blocks = ceil_div(kv, cfg.flash_block_cols);
-  const std::size_t ctas = pre ? row_tiles : row_tiles * h;
-  const std::size_t ctx_cols = pr.ctx.cols();
-
-  auto launch = dev.launch({.name = "flash_cross_attention",
-                            .ctas = ctas,
-                            .shared_bytes_per_cta =
-                                flash_shared_bytes(cfg, kv),
-                            .pattern = AccessPattern::kTiled});
-  launch.load_bytes(static_cast<std::uint64_t>(s) * d * sb);
-  launch.load_bytes(static_cast<std::uint64_t>(row_tiles) * kv * d * sb);
-  launch.load_bytes(static_cast<std::uint64_t>(row_tiles) * kv * ctx_cols *
-                    sb);
-  launch.store_bytes(static_cast<std::uint64_t>(s) *
-                     (pr.vo != nullptr ? d : ctx_cols) * sb);
-  const std::uint64_t stats_bytes = 2ull * s * h * acc;
-  launch.store_bytes(stats_bytes);
-  launch.score_bytes(stats_bytes);
-  const std::uint64_t qk_flops = 2ull * s * kv * d;
-  const std::uint64_t sv_flops = 2ull * s * kv * ctx_cols;
-  const std::uint64_t pointwise =
-      s * d + 6ull * s * kv * h +
-      static_cast<std::uint64_t>(s) * kv_blocks * (ctx_cols + 2 * h);
-  if (p == Precision::kFp32) {
-    launch.fp_ops(qk_flops + sv_flops + pointwise);
-  } else {
-    launch.tensor_ops(qk_flops + sv_flops);
-    launch.fp_ops(pointwise);
-  }
-  launch.finish();
-
-  tensor::MatrixF z =
-      dev.traffic_only()
-          ? tensor::MatrixF(s, d)
-          : detail::flash_attention_math(pr.q, pr.k, pr.ctx, pr.vo,
-                                         pr.v_kept_ptr(), cfg, &ctx.pool());
-  if (pre) return z;
-  return output_linear(ctx, z, w, cfg);
-}
-
-// --------------------------------------------------------------------------
-// E.T. partial on-the-fly operator (§3.2): ②–③ as one outer-product GEMM
-// kernel (Q, K read once; S written once), ④–⑥ as a second fused kernel.
-// --------------------------------------------------------------------------
-tensor::MatrixF partial_otf_attention(ExecContext& ctx,
-                                      const tensor::MatrixF& x,
-                                      const AttentionWeights& w,
-                                      const AttentionConfig& cfg) {
-  gpusim::Device& dev = ctx.device();
-  cfg.validate();
+// Partial on-the-fly kernels (§3.2): ②–③ as one outer-product GEMM kernel
+// (Q, K read once; S written once), ④–⑥ as a second fused kernel.
+void record_partial_otf_kernels(gpusim::Device& dev,
+                                const AttentionConfig& cfg, const VSide& v) {
   const std::size_t s = cfg.seq_len;
   const std::size_t d = cfg.d_model;
   const std::size_t h = cfg.num_heads;
   const std::size_t sb = numeric::storage_bytes(cfg.precision);
   const std::size_t acc = numeric::accumulator_bytes(cfg.precision);
   const std::size_t score_elems = s * s * h;
-  const Precision p = cfg.precision;
-  const bool pre = w.has_precomputed();
-
-  Projections pr = project(ctx, x, w, cfg, /*et_operators=*/true);
-  const std::size_t ctx_cols = pr.ctx.cols();
+  const bool folded = v.layout == VSide::Layout::kFolded;
 
   // Kernel A: ②–③. Outer-product decomposition reads Q and K exactly
   // once and writes the full score matrix once.
@@ -599,13 +429,7 @@ tensor::MatrixF partial_otf_attention(ExecContext& ctx,
     launch.load_bytes(2ull * s * d * sb);
     launch.store_bytes(static_cast<std::uint64_t>(score_elems) * sb);
     launch.score_bytes(static_cast<std::uint64_t>(score_elems) * sb);
-    const std::uint64_t flops = 2ull * s * s * d + s * d /*scale*/;
-    if (p == Precision::kFp32) {
-      launch.fp_ops(flops);
-    } else {
-      launch.tensor_ops(2ull * s * s * d);
-      launch.fp_ops(s * d);
-    }
+    count_ops(launch, cfg.precision, 2ull * s * s * d, s * d /*scale*/);
   }
 
   // Kernel B: ④–⑥. A CTA stages up to 32 score rows in shared memory,
@@ -614,39 +438,74 @@ tensor::MatrixF partial_otf_attention(ExecContext& ctx,
   // 16-row granularity, at the price of S traffic). On devices with a
   // small scratchpad the row tile shrinks — V re-reads grow accordingly,
   // which the traffic accounting below reflects.
-  {
-    const std::size_t staging = 2 * 16 * 16 * sb;
-    const std::size_t capacity = dev.spec().shared_mem_per_cta_bytes;
-    const std::size_t rows_per_cta = std::clamp<std::size_t>(
-        capacity > staging ? (capacity - staging) / (s * acc) : 1, 1, 32);
-    const std::size_t row_tiles = ceil_div(s, rows_per_cta);
-    auto launch = dev.launch(
-        {.name = "partial_otf_softmax_sv",
-         .ctas = (pre ? 1 : h) * row_tiles,
-         .shared_bytes_per_cta = rows_per_cta * s * acc + staging,
-         .pattern = AccessPattern::kTiled});
-    launch.load_bytes(static_cast<std::uint64_t>(score_elems) * sb);
-    launch.score_bytes(static_cast<std::uint64_t>(score_elems) * sb);
-    launch.load_bytes(static_cast<std::uint64_t>(row_tiles) * s * ctx_cols *
-                      sb);
-    launch.store_bytes(static_cast<std::uint64_t>(s) * d * sb);
-    const std::uint64_t sv_flops = 2ull * s * s * ctx_cols;
-    const std::uint64_t pointwise = 5ull * score_elems + score_elems / 2;
-    if (p == Precision::kFp32) {
-      launch.fp_ops(sv_flops + pointwise);
-    } else {
-      launch.tensor_ops(sv_flops);
-      launch.fp_ops(pointwise);
-    }
-  }
+  const std::size_t staging = 2 * 16 * 16 * sb;
+  const std::size_t capacity = dev.spec().shared_mem_per_cta_bytes;
+  const std::size_t rows_per_cta = std::clamp<std::size_t>(
+      capacity > staging ? (capacity - staging) / (s * acc) : 1, 1, 32);
+  const std::size_t row_tiles = ceil_div(s, rows_per_cta);
+  auto launch = dev.launch(
+      {.name = "partial_otf_softmax_sv",
+       .ctas = (folded ? 1 : h) * row_tiles,
+       .shared_bytes_per_cta = rows_per_cta * s * acc + staging,
+       .pattern = AccessPattern::kTiled});
+  launch.load_bytes(static_cast<std::uint64_t>(score_elems) * sb);
+  launch.score_bytes(static_cast<std::uint64_t>(score_elems) * sb);
+  launch.load_bytes(static_cast<std::uint64_t>(row_tiles) * s * v.width * sb);
+  launch.store_bytes(static_cast<std::uint64_t>(s) * d * sb);
+  count_ops(launch, cfg.precision, 2ull * s * s * v.width,
+            5ull * score_elems + score_elems / 2);
+}
 
-  tensor::MatrixF z =
-      dev.traffic_only()
-          ? tensor::MatrixF(s, d)
-          : detail::attention_math(pr.q, pr.k, pr.ctx, pr.vo,
-                                   pr.v_kept_ptr(), cfg, &ctx.pool());
-  if (pre) return z;
-  return output_linear(ctx, z, w, cfg);
+// --------------------------------------------------------------------------
+// E.T.'s operators: projections, the attention kernel(s), and the output
+// linear unless the W_VO fold absorbed it. Cross-attention runs the same
+// kernels with K/V projected from the encoder memory.
+// --------------------------------------------------------------------------
+tensor::MatrixF otf_attention(ExecContext& ctx, const tensor::MatrixF& x,
+                              const AttentionWeights& w,
+                              const AttentionConfig& cfg) {
+  const Projections pr = project(ctx, x, nullptr, w, cfg, true);
+  record_otf_kernel(ctx.device(), cfg, /*kv_len=*/0, pr.v);
+  return attend(ctx, pr, w, cfg);
+}
+
+tensor::MatrixF flash_attention(ExecContext& ctx, const tensor::MatrixF& x,
+                                const AttentionWeights& w,
+                                const AttentionConfig& cfg) {
+  const Projections pr = project(ctx, x, nullptr, w, cfg, true);
+  record_flash_kernel(ctx.device(), cfg, /*kv_len=*/0, pr.v);
+  return attend(ctx, pr, w, cfg, /*online_softmax=*/true);
+}
+
+tensor::MatrixF partial_otf_attention(ExecContext& ctx,
+                                      const tensor::MatrixF& x,
+                                      const AttentionWeights& w,
+                                      const AttentionConfig& cfg) {
+  const Projections pr = project(ctx, x, nullptr, w, cfg, true);
+  record_partial_otf_kernels(ctx.device(), cfg, pr.v);
+  return attend(ctx, pr, w, cfg);
+}
+
+tensor::MatrixF otf_cross_attention(ExecContext& ctx,
+                                    const tensor::MatrixF& x,
+                                    const tensor::MatrixF& memory,
+                                    const AttentionWeights& w,
+                                    const AttentionConfig& cfg) {
+  assert(x.rows() == cfg.seq_len && memory.cols() == cfg.d_model);
+  const Projections pr = project(ctx, x, &memory, w, cfg, true);
+  record_otf_kernel(ctx.device(), cfg, memory.rows(), pr.v);
+  return attend(ctx, pr, w, cfg);
+}
+
+tensor::MatrixF flash_cross_attention(ExecContext& ctx,
+                                      const tensor::MatrixF& x,
+                                      const tensor::MatrixF& memory,
+                                      const AttentionWeights& w,
+                                      const AttentionConfig& cfg) {
+  assert(x.rows() == cfg.seq_len && memory.cols() == cfg.d_model);
+  const Projections pr = project(ctx, x, &memory, w, cfg, true);
+  record_flash_kernel(ctx.device(), cfg, memory.rows(), pr.v);
+  return attend(ctx, pr, w, cfg, /*online_softmax=*/true);
 }
 
 }  // namespace et::core

@@ -89,7 +89,7 @@ namespace et::core {
 /// Streaming cross-attention: flash_attention's kernel structure with K/V
 /// projected from an encoder `memory`. The win over otf_cross_attention
 /// grows with the memory length — exactly the operand the online softmax
-/// streams in O(N) — so the decoder dispatches on memory.rows().
+/// streams in O(N).
 [[nodiscard]] tensor::MatrixF flash_cross_attention(
     ExecContext& ctx, const tensor::MatrixF& x, const tensor::MatrixF& memory,
     const AttentionWeights& w, const AttentionConfig& cfg);
@@ -108,5 +108,22 @@ namespace et::core {
 /// signature exists purely for interface symmetry with otf_shared_bytes.
 [[nodiscard]] std::size_t flash_shared_bytes(const AttentionConfig& cfg,
                                              std::size_t kv_len = 0);
+
+/// The launch records of E.T.'s attention kernels: everything flash, OTF
+/// and partial OTF launch between their shared projections and output
+/// linear. A record depends only on the config, the K/V length (`kv_len`
+/// 0 means self-attention over cfg.seq_len; the cross-attention operators
+/// pass the memory rows) and the V side (the fold flag and the context
+/// width, see v_side). The operators record onto their own device;
+/// choose_attention_impl records onto a scratch device to price each
+/// candidate. Throws gpusim::SharedMemOverflow when the kernel cannot
+/// launch on `dev`.
+void record_otf_kernel(gpusim::Device& dev, const AttentionConfig& cfg,
+                       std::size_t kv_len, const VSide& v);
+void record_flash_kernel(gpusim::Device& dev, const AttentionConfig& cfg,
+                         std::size_t kv_len, const VSide& v);
+/// Partial OTF's two kernels; it has no cross-attention variant.
+void record_partial_otf_kernels(gpusim::Device& dev,
+                                const AttentionConfig& cfg, const VSide& v);
 
 }  // namespace et::core

@@ -50,6 +50,17 @@ bool AttentionWeights::v_condensable(std::size_t num_heads) const {
   return true;
 }
 
+VSide v_side(const AttentionWeights& w, const AttentionConfig& cfg) {
+  if (w.has_precomputed()) {
+    return {VSide::Layout::kFolded, w.vo.weight.rows()};
+  }
+  if (w.v_condensable(cfg.num_heads)) {
+    return {VSide::Layout::kCondensed,
+            std::get<sparse::RowPrunedWeight>(w.wv).kept_rows().size()};
+  }
+  return {VSide::Layout::kFull, cfg.d_model};
+}
+
 PrecomputedVO precompute_vo(const tensor::MatrixF& wv,
                             const tensor::MatrixF& wo, std::size_t num_heads,
                             std::vector<std::uint32_t> kept_rows) {

@@ -54,6 +54,23 @@ struct AttentionWeights {
   [[nodiscard]] bool v_condensable(std::size_t num_heads) const;
 };
 
+/// The V side of attention as E.T.'s operators consume it: the context
+/// operand the scores multiply, and its width.
+///   kFolded    — M = X·W_VOᵀ under the pre-computed fold, H·kept wide;
+///   kCondensed — the condensed V of a condensable row-pruned W_V, Σkept
+///                wide;
+///   kFull      — the full V, d_model wide.
+/// The operators project by it and price their kernels at its width; the
+/// decode KV caches store their V plane at it (nn::Model::v_width).
+struct VSide {
+  enum class Layout { kFull, kCondensed, kFolded };
+  Layout layout = Layout::kFull;
+  std::size_t width = 0;
+};
+
+[[nodiscard]] VSide v_side(const AttentionWeights& w,
+                           const AttentionConfig& cfg);
+
 /// Build dense attention weights with deterministic random values scaled
 /// like trained transformer weights.
 [[nodiscard]] AttentionWeights make_dense_weights(const AttentionConfig& cfg,

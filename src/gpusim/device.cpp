@@ -9,7 +9,7 @@ namespace et::gpusim {
 namespace {
 /// The (device, sink) pair bound to this thread by a live SinkScope.
 /// Keyed on the device pointer: a scratch Device used inside a chunk
-/// (e.g. the adaptive auto-tune replay) records normally.
+/// (e.g. the operator chooser's pricing device) records normally.
 thread_local Device* tl_sink_device = nullptr;
 thread_local LaunchSink* tl_sink = nullptr;
 }  // namespace

@@ -149,9 +149,8 @@ class Device {
     return fallbacks_;
   }
 
-  /// Would a kernel with this per-CTA footprint fit? Used by the
-  /// sequence-length-aware dispatch (§3.2) before committing to the
-  /// fully-fused on-the-fly operator.
+  /// Would a kernel with this per-CTA footprint fit? launch() throws
+  /// SharedMemOverflow exactly when it would not.
   [[nodiscard]] bool fits_shared(std::size_t bytes_per_cta) const noexcept {
     return bytes_per_cta <= spec_.shared_mem_per_cta_bytes;
   }

@@ -84,26 +84,11 @@ tensor::MatrixF decoder_forward(core::ExecContext& ctx,
                                     "dec_residual_layernorm1");
 
   // --- cross-attention over the encoder memory (never masked) ---
-  // The encoder memory is the streamed operand, so the dispatch mirrors
-  // choose_attention_impl with the *memory* length as the crossover axis:
-  // stream it through the flash kernel once it spans more than one OTF
-  // row tile (and the Br×Bc tile fits), otherwise keep the Eq. 6 kernel.
-  // A forced policy pins the operator the same way it does for
-  // self-attention (only flash and otf exist as cross variants).
   core::AttentionConfig cross_cfg = opt.attn;
   cross_cfg.causal_mask = false;
-  const std::size_t kv_len = memory.rows();
-  const bool flash_cross =
-      opt.adaptive.forced
-          ? *opt.adaptive.forced == core::AttentionImpl::kFlash
-          : kv_len > opt.adaptive.flash_min_seq &&
-                dev.fits_shared(core::flash_shared_bytes(cross_cfg, kv_len));
-  tensor::MatrixF c =
-      flash_cross
-          ? core::flash_cross_attention(ctx, h, memory, w.cross_attn,
-                                        cross_cfg)
-          : core::otf_cross_attention(ctx, h, memory, w.cross_attn,
-                                      cross_cfg);
+  tensor::MatrixF c = core::adaptive_cross_attention(ctx, h, memory,
+                                                     w.cross_attn, cross_cfg,
+                                                     opt.adaptive);
   kernels::fused_residual_layernorm(dev, c, h, w.ln2_gamma, w.ln2_beta, p,
                                     "dec_residual_layernorm2");
 

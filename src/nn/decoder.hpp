@@ -2,8 +2,9 @@
 // models, but notes (§2.1) that decoders share the same structure —
 // masked self-attention, cross-attention over the encoder memory, MLP —
 // and that GPT-style models are decoder stacks. The decoder runs on the
-// same E.T. operators: adaptive OTF self-attention (causal) plus the OTF
-// cross-attention kernel, with all weights prunable.
+// same E.T. operators: adaptive self-attention (causal) plus the OTF or
+// flash cross-attention kernel, chosen by the same rule, with all weights
+// prunable.
 #pragma once
 
 #include "core/adaptive.hpp"

@@ -189,79 +189,6 @@ tensor::MatrixF encoder_stack_forward(core::ExecContext& ctx,
   return h;
 }
 
-std::vector<tensor::MatrixF> batched_encoder_forward(
-    core::ExecContext& ctx, const std::vector<tensor::MatrixF>& batch,
-    const EncoderWeights& w, const EncoderOptions& opt) {
-  gpusim::Device& dev = ctx.device();
-  const Precision p = opt.attn.precision;
-  std::size_t total_rows = 0;
-  for (const auto& x : batch) {
-    assert(x.cols() == opt.attn.d_model);
-    total_rows += x.rows();
-  }
-
-  // --- attention per sample (adaptive per-sequence-length dispatch, the
-  // padding-free property TurboTransformer argues for) ---
-  tensor::MatrixF stacked(total_rows, opt.attn.d_model);
-  tensor::MatrixF residual_src(total_rows, opt.attn.d_model);
-  std::size_t row0 = 0;
-  for (const auto& x : batch) {
-    core::AttentionConfig cfg = opt.attn;
-    cfg.seq_len = x.rows();
-    const tensor::MatrixF a =
-        core::adaptive_attention(ctx, x, w.attn, cfg, opt.adaptive);
-    for (std::size_t r = 0; r < x.rows(); ++r) {
-      for (std::size_t c = 0; c < x.cols(); ++c) {
-        stacked(row0 + r, c) = a(r, c);
-        residual_src(row0 + r, c) = x(r, c);
-      }
-    }
-    row0 += x.rows();
-  }
-
-  // --- everything else on the stacked activations: one kernel set for
-  // the whole batch ---
-  kernels::fused_residual_layernorm(dev, stacked, residual_src, w.ln1_gamma,
-                                    w.ln1_beta, p,
-                                    "batched_residual_layernorm1");
-  tensor::MatrixF mlp_out = [&] {
-    kernels::LinearOptions lopt;
-    lopt.precision = p;
-    tensor::MatrixF h =
-        kernels::linear(ctx, stacked, w.w_ff1, lopt, "batched_ff1").y;
-    if (!dev.traffic_only()) apply_bias_gelu(h, w.b_ff1, p);
-    tensor::MatrixF y =
-        kernels::linear(ctx, h, w.w_ff2, lopt, "batched_ff2").y;
-    if (!dev.traffic_only()) {
-      for (std::size_t r = 0; r < y.rows(); ++r) {
-        for (std::size_t c = 0; c < y.cols(); ++c) {
-          y(r, c) = numeric::round_to_storage(p, y(r, c) + w.b_ff2[c]);
-        }
-      }
-    }
-    return y;
-  }();
-  kernels::fused_residual_layernorm(dev, mlp_out, stacked, w.ln2_gamma,
-                                    w.ln2_beta, p,
-                                    "batched_residual_layernorm2");
-
-  // Unstack.
-  std::vector<tensor::MatrixF> out;
-  out.reserve(batch.size());
-  row0 = 0;
-  for (const auto& x : batch) {
-    tensor::MatrixF y(x.rows(), x.cols());
-    for (std::size_t r = 0; r < x.rows(); ++r) {
-      for (std::size_t c = 0; c < x.cols(); ++c) {
-        y(r, c) = mlp_out(row0 + r, c);
-      }
-    }
-    row0 += x.rows();
-    out.push_back(std::move(y));
-  }
-  return out;
-}
-
 EncoderOptions options_for(Pipeline pipeline, const ModelConfig& model,
                            std::size_t seq_len, bool causal_mask) {
   EncoderOptions opt;

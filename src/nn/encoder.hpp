@@ -53,8 +53,8 @@ struct EncoderWeights {
 struct EncoderOptions {
   core::AttentionConfig attn;
   Pipeline pipeline = Pipeline::kET;
-  /// E.T. operator selection (flash/otf/partial crossovers, auto-tune,
-  /// forced override) — consumed by self- AND cross-attention dispatch.
+  /// E.T. operator selection (the forced override; unset, the latency
+  /// model decides) — consumed by self- AND cross-attention dispatch.
   core::AdaptivePolicy adaptive;
 };
 
@@ -72,17 +72,6 @@ struct EncoderOptions {
 [[nodiscard]] tensor::MatrixF encoder_stack_forward(
     core::ExecContext& ctx, const tensor::MatrixF& x,
     const std::vector<EncoderWeights>& layers, const EncoderOptions& opt);
-
-/// TurboTransformer-style batched inference (§6 discussion): sequences of
-/// possibly different lengths share one forward pass. Attention runs per
-/// sample (its shape is per-sequence), but the linear transformations and
-/// pointwise kernels run once over the stacked (Σ seq_i × d) activations,
-/// amortizing weight loads and kernel launches — the throughput-side
-/// trade E.T.'s latency-focused design can serve as a backend for.
-/// opt.attn.seq_len is ignored; each sample uses its own length.
-[[nodiscard]] std::vector<tensor::MatrixF> batched_encoder_forward(
-    core::ExecContext& ctx, const std::vector<tensor::MatrixF>& batch,
-    const EncoderWeights& w, const EncoderOptions& opt);
 
 /// Build the EncoderOptions a given pipeline conventionally runs with
 /// (precision, scale reordering, adaptive policy) for a model config.

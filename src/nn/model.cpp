@@ -47,13 +47,8 @@ Model::Model(const std::vector<EncoderWeights>* layers, EncoderOptions opt,
             " W_VO shape disagrees with the attention config");
       }
       has_precomputed_ = true;
-      v_widths_.push_back(heads * vo.kept());
-    } else if (aw.v_condensable(heads)) {
-      v_widths_.push_back(
-          std::get<sparse::RowPrunedWeight>(aw.wv).kept_rows().size());
-    } else {
-      v_widths_.push_back(d);
     }
+    v_widths_.push_back(core::v_side(aw, opt_.attn).width);
   }
   std::sort(prune_methods_.begin(), prune_methods_.end());
 
@@ -89,9 +84,10 @@ Model::Model(const std::vector<EncoderWeights>* layers, EncoderOptions opt,
     QuantizedLayer ql;
     ql.wq = quant::quantize_weight(sparse::to_dense(w.attn.wq));
     ql.wk = quant::quantize_weight(sparse::to_dense(w.attn.wk));
-    if (w.attn.has_precomputed()) {
+    const core::VSide::Layout v = core::v_side(w.attn, opt_.attn).layout;
+    if (v == core::VSide::Layout::kFolded) {
       ql.vo = quant::quantize_weight(w.attn.vo.weight);
-    } else if (w.attn.v_condensable(opt_.attn.num_heads)) {
+    } else if (v == core::VSide::Layout::kCondensed) {
       const auto& rp = std::get<sparse::RowPrunedWeight>(w.attn.wv);
       ql.wv = quant::quantize_weight(rp.condensed());
       ql.v_kept = rp.kept_rows();

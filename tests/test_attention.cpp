@@ -1,8 +1,12 @@
 // The core contribution: all attention implementations compute the same
 // function; the pre-computed linear transformation is an identity (Eq. 5);
 // scale reordering fixes pure-FP16 overflow (§3.3); the adaptive dispatch
-// honors the §3.2 crossover and the Eq. 6 capacity limit.
+// runs the modeled-fastest operator that fits the device (§3.2, Eq. 6).
 #include <gtest/gtest.h>
+
+#include <map>
+#include <optional>
+#include <random>
 
 #include "core/adaptive.hpp"
 #include "core/attention.hpp"
@@ -247,63 +251,20 @@ TEST(Attention, SharedBytesFollowEq6) {
   EXPECT_LT(et::core::otf_shared_bytes(fp16), bytes);
 }
 
-TEST(Adaptive, ThresholdDispatch) {
-  Device dev;
-  et::core::ExecContext ctx(dev);
-  auto cfg = small_cfg();
-  const auto w = et::core::make_dense_weights(cfg, 15);
-  const MatrixF x = random_input(cfg);
-  // Within one 16-row OTF tile the two kernels stream K/V identically, so
-  // OTF keeps the short-sequence regime...
-  cfg.seq_len = 16;
-  EXPECT_EQ(et::core::choose_attention_impl(dev, x, w, cfg),
-            et::core::AttentionImpl::kOtf);
-  // ...and flash takes everything longer when its Br×Bc tile fits — on
-  // both sides of the legacy otf/partial crossover at 224.
-  cfg.seq_len = 128;
-  EXPECT_EQ(et::core::choose_attention_impl(dev, x, w, cfg),
-            et::core::AttentionImpl::kFlash);
-  cfg.seq_len = 225;
-  EXPECT_EQ(et::core::choose_attention_impl(dev, x, w, cfg),
-            et::core::AttentionImpl::kFlash);
-}
-
 TEST(Adaptive, ForcedOverrideBypassesSelection) {
   Device dev;
   et::core::ExecContext ctx(dev);
   auto cfg = small_cfg();
   const auto w = et::core::make_dense_weights(cfg, 15);
-  const MatrixF x = random_input(cfg);
-  cfg.seq_len = 128;  // selection would say kFlash
+  cfg.seq_len = 128;  // selection would say kOtf
   et::core::AdaptivePolicy policy;
   for (const auto impl :
        {et::core::AttentionImpl::kModular, et::core::AttentionImpl::kFused,
         et::core::AttentionImpl::kOtf, et::core::AttentionImpl::kPartialOtf,
         et::core::AttentionImpl::kFlash}) {
     policy.forced = impl;
-    EXPECT_EQ(et::core::choose_attention_impl(dev, x, w, cfg, policy), impl);
+    EXPECT_EQ(et::core::choose_attention_impl(dev, w, cfg, policy), impl);
   }
-}
-
-TEST(Adaptive, FlashInfeasibleRestoresLegacyCrossover) {
-  // Shared memory sized so the flash Br×Bc tile (28 KB for this config in
-  // FP32) does not fit but the Eq. 6 OTF row does: the dispatcher must
-  // fall back to the paper's original otf/partial decision at 224.
-  et::gpusim::DeviceSpec spec;
-  spec.shared_mem_per_cta_bytes = 20 * 1024;
-  Device dev(spec);
-  et::core::ExecContext ctx(dev);
-  auto cfg = small_cfg();
-  const auto w = et::core::make_dense_weights(cfg, 15);
-  const MatrixF x = random_input(cfg);
-  ASSERT_FALSE(dev.fits_shared(et::core::flash_shared_bytes(cfg)));
-  cfg.seq_len = 128;
-  ASSERT_TRUE(dev.fits_shared(et::core::otf_shared_bytes(cfg)));
-  EXPECT_EQ(et::core::choose_attention_impl(dev, x, w, cfg),
-            et::core::AttentionImpl::kOtf);
-  cfg.seq_len = 225;
-  EXPECT_EQ(et::core::choose_attention_impl(dev, x, w, cfg),
-            et::core::AttentionImpl::kPartialOtf);
 }
 
 TEST(Adaptive, SharedMemoryCapacityForcesPartial) {
@@ -315,8 +276,7 @@ TEST(Adaptive, SharedMemoryCapacityForcesPartial) {
   auto cfg = small_cfg();
   cfg.seq_len = 64;
   const auto w = et::core::make_dense_weights(cfg, 16);
-  const MatrixF x = random_input(cfg);
-  EXPECT_EQ(et::core::choose_attention_impl(dev, x, w, cfg),
+  EXPECT_EQ(et::core::choose_attention_impl(dev, w, cfg),
             et::core::AttentionImpl::kPartialOtf);
 }
 
@@ -329,26 +289,23 @@ TEST(Adaptive, AutoTuneAgreesWithThresholdAtExtremes) {
   cfg.precision = Precision::kPureFp16;
   const auto w = et::core::make_dense_weights(cfg, 17);
   et::core::AdaptivePolicy policy;
-  policy.auto_tune = true;
 
-  // On a full-sized scratchpad the latency replay rediscovers the fixed
-  // thresholds: flash wins at every length past one OTF row tile.
+  // On a full-sized scratchpad the latency model prices flash lowest at
+  // both ends of the sweep for BERT_BASE pure FP16.
   cfg.seq_len = 64;
-  MatrixF x64(64, 768);
-  EXPECT_EQ(et::core::choose_attention_impl(dev, x64, w, cfg, policy),
+  EXPECT_EQ(et::core::choose_attention_impl(dev, w, cfg, policy),
             et::core::AttentionImpl::kFlash);
 
   cfg.seq_len = 512;
-  MatrixF x512(512, 768);
-  EXPECT_EQ(et::core::choose_attention_impl(dev, x512, w, cfg, policy),
+  EXPECT_EQ(et::core::choose_attention_impl(dev, w, cfg, policy),
             et::core::AttentionImpl::kFlash);
 }
 
 TEST(Adaptive, AutoTuneWithoutFlashRediscoversLegacyCrossover) {
   // 16 KB of shared memory: the 18 KB flash tile is infeasible for
   // BERT_BASE pure-FP16, the Eq. 6 row fits at seq 64 (5 KB) but not at
-  // seq 512 (19 KB) — the replay must land exactly where the paper's
-  // fixed thresholds did before flash existed.
+  // seq 512 (19 KB) — the choice must land where the paper's §3.2
+  // thresholds did before flash existed.
   et::gpusim::DeviceSpec spec;
   spec.shared_mem_per_cta_bytes = 16 * 1024;
   Device dev(spec);
@@ -360,17 +317,191 @@ TEST(Adaptive, AutoTuneWithoutFlashRediscoversLegacyCrossover) {
   const auto w = et::core::make_dense_weights(cfg, 17);
   ASSERT_FALSE(dev.fits_shared(et::core::flash_shared_bytes(cfg)));
   et::core::AdaptivePolicy policy;
-  policy.auto_tune = true;
 
   cfg.seq_len = 64;
-  MatrixF x64(64, 768);
-  EXPECT_EQ(et::core::choose_attention_impl(dev, x64, w, cfg, policy),
+  EXPECT_EQ(et::core::choose_attention_impl(dev, w, cfg, policy),
             et::core::AttentionImpl::kOtf);
 
   cfg.seq_len = 512;
-  MatrixF x512(512, 768);
-  EXPECT_EQ(et::core::choose_attention_impl(dev, x512, w, cfg, policy),
+  EXPECT_EQ(et::core::choose_attention_impl(dev, w, cfg, policy),
             et::core::AttentionImpl::kPartialOtf);
+}
+
+// ------------------------------------------------- selection sweeps ----
+//
+// Over seeded lengths, shapes, precisions, V-side layouts and devices, the
+// chosen operator — run on a fresh traffic-only device, projections
+// included — is never slower than any candidate that launches there, and
+// can itself launch.
+
+enum class VLayout { kDense, kCondensed, kFolded };
+
+/// Zero-valued weights in one V-side layout: the sweeps run traffic-only,
+/// so only formats and shapes matter. `ratio` prunes each head's W_V rows
+/// (condensed) or W_O's rows before the W_VO fold (folded).
+AttentionWeights layout_weights(std::size_t d, std::size_t h, VLayout layout,
+                                double ratio) {
+  AttentionWeights w;
+  w.wq = et::sparse::DenseWeight(MatrixF(d, d));
+  w.wk = et::sparse::DenseWeight(MatrixF(d, d));
+  w.wv = et::sparse::DenseWeight(MatrixF(d, d));
+  w.wo = et::sparse::DenseWeight(MatrixF(d, d));
+  if (layout == VLayout::kCondensed) {
+    const std::size_t dk = d / h;
+    const auto kept = static_cast<std::size_t>((1.0 - ratio) * dk);
+    std::vector<std::uint32_t> rows;
+    for (std::size_t head = 0; head < h; ++head) {
+      for (std::size_t r = 0; r < kept; ++r) {
+        rows.push_back(static_cast<std::uint32_t>(head * dk + r));
+      }
+    }
+    w.wv = et::sparse::RowPrunedWeight::from_kept_rows(MatrixF(d, d),
+                                                       std::move(rows));
+  } else if (layout == VLayout::kFolded) {
+    const auto kept = static_cast<std::size_t>((1.0 - ratio) * d);
+    w.vo.num_heads = h;
+    for (std::size_t c = 0; c < kept; ++c) {
+      w.vo.kept_cols.push_back(static_cast<std::uint32_t>(c));
+    }
+    w.vo.weight = MatrixF(h * kept, d);
+  }
+  return w;
+}
+
+/// Calls `visit(cfg, w, spec, rng)` for a seeded sample of lengths,
+/// precisions and devices under every (shape, layout, ratio) combination.
+template <typename Visit>
+void selection_sweep(Visit visit) {
+  std::mt19937_64 rng(2021);
+  et::gpusim::DeviceSpec kb20 = et::gpusim::v100s();
+  kb20.shared_mem_per_cta_bytes = 20 * 1024;
+  et::gpusim::DeviceSpec kb16 = et::gpusim::v100s();
+  kb16.shared_mem_per_cta_bytes = 16 * 1024;
+  const et::gpusim::DeviceSpec devices[] = {et::gpusim::v100s(),
+                                            et::gpusim::a100(), kb20, kb16};
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {32, 2}, {768, 12}, {800, 4}};
+  const std::pair<VLayout, double> layouts[] = {
+      {VLayout::kDense, 0.0},     {VLayout::kCondensed, 0.5},
+      {VLayout::kCondensed, 0.8}, {VLayout::kFolded, 0.5},
+      {VLayout::kFolded, 0.8}};
+  for (const auto& [d, h] : shapes) {
+    for (const auto& [layout, ratio] : layouts) {
+      const AttentionWeights w = layout_weights(d, h, layout, ratio);
+      for (int i = 0; i < 12; ++i) {
+        AttentionConfig cfg;
+        cfg.d_model = d;
+        cfg.num_heads = h;
+        cfg.seq_len = std::uniform_int_distribution<std::size_t>(8, 512)(rng);
+        cfg.precision =
+            rng() % 2 == 0 ? Precision::kFp32 : Precision::kPureFp16;
+        visit(cfg, w, devices[rng() % std::size(devices)], rng);
+      }
+    }
+  }
+}
+
+TEST(Adaptive, ChoiceIsModeledFastestFeasible) {
+  using et::core::AttentionImpl;
+  std::map<AttentionImpl, int> chosen_count;
+  int infeasible = 0;
+  selection_sweep([&](const AttentionConfig& cfg, const AttentionWeights& w,
+                      const et::gpusim::DeviceSpec& spec, std::mt19937_64&) {
+    // One forced run per candidate; a candidate whose kernel cannot
+    // launch degrades, and the fallback log says so.
+    const auto run = [&](AttentionImpl impl) -> std::optional<double> {
+      Device dev(spec);
+      dev.set_traffic_only(true);
+      et::core::ExecContext ctx(dev);
+      et::core::AdaptivePolicy policy;
+      policy.forced = impl;
+      (void)et::core::adaptive_attention(ctx, MatrixF(cfg.seq_len, cfg.d_model),
+                                         w, cfg, policy);
+      if (!dev.fallback_log().empty()) return std::nullopt;
+      return dev.total_time_us();
+    };
+    std::map<AttentionImpl, double> feasible_us;
+    for (const AttentionImpl impl : {AttentionImpl::kPartialOtf,
+                                     AttentionImpl::kOtf,
+                                     AttentionImpl::kFlash}) {
+      if (const std::optional<double> us = run(impl)) {
+        feasible_us[impl] = *us;
+      } else {
+        ++infeasible;
+      }
+    }
+    const AttentionImpl chosen =
+        et::core::choose_attention_impl(Device(spec), w, cfg);
+    ++chosen_count[chosen];
+    ASSERT_TRUE(feasible_us.count(chosen))
+        << to_string(chosen) << " cannot launch on " << spec.name
+        << " at seq " << cfg.seq_len;
+    const double chosen_us = feasible_us.at(chosen);
+    for (const auto& [impl, us] : feasible_us) {
+      EXPECT_LE(chosen_us, us * (1.0 + 1e-9))
+          << to_string(chosen) << " chosen over faster " << to_string(impl)
+          << ": d=" << cfg.d_model << " H=" << cfg.num_heads
+          << " seq=" << cfg.seq_len << " on " << spec.name;
+    }
+  });
+  // The sweep must exercise every outcome and the feasibility rule.
+  EXPECT_GT(chosen_count[AttentionImpl::kFlash], 0);
+  EXPECT_GT(chosen_count[AttentionImpl::kOtf], 0);
+  EXPECT_GT(chosen_count[AttentionImpl::kPartialOtf], 0);
+  EXPECT_GT(infeasible, 0);
+}
+
+TEST(Adaptive, CrossChoiceIsModeledFastestFeasible) {
+  using et::core::AttentionImpl;
+  std::map<AttentionImpl, int> chosen_count;
+  int infeasible = 0;
+  selection_sweep([&](AttentionConfig cfg, const AttentionWeights& w,
+                      const et::gpusim::DeviceSpec& spec,
+                      std::mt19937_64& rng) {
+    cfg.causal_mask = false;
+    const MatrixF x(cfg.seq_len, cfg.d_model);
+    const MatrixF memory(
+        std::uniform_int_distribution<std::size_t>(8, 512)(rng), cfg.d_model);
+    const auto run = [&](auto op) -> std::optional<double> {
+      Device dev(spec);
+      dev.set_traffic_only(true);
+      et::core::ExecContext ctx(dev);
+      try {
+        (void)op(ctx);
+      } catch (const et::gpusim::SharedMemOverflow&) {
+        return std::nullopt;
+      }
+      return dev.total_time_us();
+    };
+    const std::optional<double> otf = run([&](auto& ctx) {
+      return et::core::otf_cross_attention(ctx, x, memory, w, cfg);
+    });
+    const std::optional<double> flash = run([&](auto& ctx) {
+      return et::core::flash_cross_attention(ctx, x, memory, w, cfg);
+    });
+    const std::optional<double> chosen = run([&](auto& ctx) {
+      return et::core::adaptive_cross_attention(ctx, x, memory, w, cfg);
+    });
+    ++chosen_count[et::core::choose_attention_impl(Device(spec), w, cfg, {},
+                                                   memory.rows())];
+    infeasible += !otf + !flash;
+    // With neither kernel launchable the decoder's cross step must fail
+    // loudly rather than pick something that cannot run.
+    ASSERT_EQ(chosen.has_value(), otf || flash)
+        << "seq=" << cfg.seq_len << " memory=" << memory.rows() << " on "
+        << spec.name;
+    for (const auto& candidate : {otf, flash}) {
+      if (candidate) {
+        EXPECT_LE(*chosen, *candidate * (1.0 + 1e-9))
+            << "d=" << cfg.d_model << " H=" << cfg.num_heads
+            << " seq=" << cfg.seq_len << " memory=" << memory.rows()
+            << " on " << spec.name;
+      }
+    }
+  });
+  EXPECT_GT(chosen_count[AttentionImpl::kFlash], 0);
+  EXPECT_GT(chosen_count[AttentionImpl::kOtf], 0);
+  EXPECT_GT(infeasible, 0);
 }
 
 TEST(Attention, OtfStoresLessLoadsMore) {

@@ -127,7 +127,7 @@ TEST(SharedMemOverflow, CarriesKernelAndSizes) {
 
 AttentionConfig small_cfg() {
   AttentionConfig cfg;
-  cfg.seq_len = 32;  // > one 16-row tile and the Br×Bc tile fits => flash
+  cfg.seq_len = 32;  // flash's one Br-row tile prices lowest => flash
   cfg.d_model = 32;
   cfg.num_heads = 2;
   cfg.precision = et::numeric::Precision::kFp32;
@@ -140,7 +140,7 @@ TEST(AdaptiveFallback, FlashFaultFallsBackToOtf) {
   MatrixF x(cfg.seq_len, cfg.d_model);
   et::tensor::fill_normal(x, 12);
 
-  ASSERT_EQ(et::core::choose_attention_impl(et::gpusim::Device(), x, w, cfg),
+  ASSERT_EQ(et::core::choose_attention_impl(et::gpusim::Device(), w, cfg),
             AttentionImpl::kFlash);
 
   et::gpusim::Device clean;
@@ -300,6 +300,13 @@ TEST(AttentionConfigValidation, EveryOperatorRejectsBadHeadSplit) {
                std::invalid_argument);
   EXPECT_THROW((void)et::core::flash_cross_attention(ctx, x, x, w, bad),
                std::invalid_argument);
+  // Cross-attention also rejects an encoder memory with no keys.
+  const MatrixF no_memory(0, good.d_model);
+  EXPECT_THROW((void)et::core::otf_cross_attention(ctx, x, no_memory, w, good),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)et::core::flash_cross_attention(ctx, x, no_memory, w, good),
+      std::invalid_argument);
   et::core::PagedKVPool pool(1, 4, good.d_model, {good.d_model},
                              {.block_tokens = 4});
   et::core::PagedKVCache& cache = pool.caches(pool.acquire())[0];

@@ -1,11 +1,10 @@
-// INT8 quantization and batched (TurboTransformer-style) inference.
+// INT8 quantization.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
 #include "gpusim/device.hpp"
 #include "kernels/gemm.hpp"
-#include "nn/encoder.hpp"
 #include "pruning/criteria.hpp"
 #include "quant/quantize.hpp"
 #include "sparse/formats.hpp"
@@ -143,101 +142,6 @@ TEST(Quantize, ComposesWithTilePruning) {
       EXPECT_EQ(back.flat()[i], 0.0f) << "pruned weights must stay zero";
     }
   }
-}
-
-// ----------------------------------------------------------- batching ----
-
-TEST(Batched, MatchesPerSampleForward) {
-  et::nn::ModelConfig model;
-  model.d_model = 32;
-  model.num_heads = 2;
-  model.d_ff = 64;
-  const auto w = et::nn::make_dense_encoder_weights(model, 8);
-
-  std::vector<MatrixF> batch;
-  for (const std::size_t seq : {8u, 12u, 16u}) {
-    MatrixF x(seq, 32);
-    et::tensor::fill_normal(x, 80 + seq, 0.0f, 0.5f);
-    batch.push_back(std::move(x));
-  }
-
-  auto opt = et::nn::options_for(et::nn::Pipeline::kET, model, 8);
-  opt.attn.precision = et::numeric::Precision::kFp32;
-
-  et::gpusim::Device dev;
-  et::core::ExecContext ctx(dev);
-  const auto outs = et::nn::batched_encoder_forward(ctx, batch, w, opt);
-  ASSERT_EQ(outs.size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    auto single_opt = opt;
-    single_opt.attn.seq_len = batch[i].rows();
-    et::gpusim::Device single;
-    et::core::ExecContext single_ctx(single);
-    const MatrixF ref =
-        et::nn::encoder_forward(single_ctx, batch[i], w, single_opt);
-    EXPECT_TRUE(allclose(outs[i], ref, 1e-4, 1e-4))
-        << "sample " << i << " max diff " << max_abs_diff(outs[i], ref);
-  }
-}
-
-TEST(Batched, AmortizesLinearKernels) {
-  et::nn::ModelConfig model;
-  model.d_model = 64;
-  model.num_heads = 4;
-  model.d_ff = 128;
-  const auto w = et::nn::make_dense_encoder_weights(model, 9);
-  const auto opt = et::nn::options_for(et::nn::Pipeline::kET, model, 16);
-
-  std::vector<MatrixF> batch(8, MatrixF(16, 64));
-
-  et::gpusim::Device batched;
-  et::core::ExecContext batched_ctx(batched);
-  batched.set_traffic_only(true);
-  (void)et::nn::batched_encoder_forward(batched_ctx, batch, w, opt);
-
-  et::gpusim::Device sequential;
-  et::core::ExecContext sequential_ctx(sequential);
-  sequential.set_traffic_only(true);
-  for (const auto& x : batch) {
-    (void)et::nn::encoder_forward(sequential_ctx, x, w, opt);
-  }
-  EXPECT_LT(batched.launch_count(), sequential.launch_count());
-  EXPECT_LT(batched.total_time_us(), sequential.total_time_us())
-      << "throughput mode amortizes weight loads and launches";
-}
-
-TEST(Batched, VariableLengthsNoPadding) {
-  // The §6 TurboTransformer point: no batch padding. Total processed rows
-  // equal the sum of true lengths, not batch × max.
-  et::nn::ModelConfig model;
-  model.d_model = 32;
-  model.num_heads = 2;
-  model.d_ff = 64;
-  const auto w = et::nn::make_dense_encoder_weights(model, 10);
-  const auto opt = et::nn::options_for(et::nn::Pipeline::kET, model, 8);
-
-  std::vector<MatrixF> batch;
-  batch.emplace_back(8, 32);
-  batch.emplace_back(64, 32);
-
-  et::gpusim::Device dev;
-  et::core::ExecContext ctx(dev);
-  dev.set_traffic_only(true);
-  const auto outs = et::nn::batched_encoder_forward(ctx, batch, w, opt);
-  EXPECT_EQ(outs[0].rows(), 8u);
-  EXPECT_EQ(outs[1].rows(), 64u);
-  const double unpadded_us = dev.total_time_us();
-
-  // A padded batch (both sequences at the max length) must cost more:
-  // that extra cost is exactly what padding-free batching avoids.
-  std::vector<MatrixF> padded;
-  padded.emplace_back(64, 32);
-  padded.emplace_back(64, 32);
-  et::gpusim::Device padded_dev;
-  et::core::ExecContext padded_dev_ctx(padded_dev);
-  padded_dev.set_traffic_only(true);
-  (void)et::nn::batched_encoder_forward(padded_dev_ctx, padded, w, opt);
-  EXPECT_GT(padded_dev.total_time_us(), unpadded_us);
 }
 
 }  // namespace
