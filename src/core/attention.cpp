@@ -63,17 +63,38 @@ bool try_fused_qkv(ExecContext& ctx, const tensor::MatrixF& x,
                    const AttentionWeights& w, const AttentionConfig& cfg,
                    Projections& pr);
 
+std::string shape(const tensor::MatrixF& m) {
+  return std::to_string(m.rows()) + "x" + std::to_string(m.cols());
+}
+
 /// Q from `x`; K and the context operand from the encoder `memory` for
 /// cross-attention (kernel names prefixed "xattn_"), from `x` otherwise.
 /// E.T.'s operators read the V side as v_side lays it out; the baselines
 /// always read the full V — the [21] limitation the paper calls out in §6.
+/// With `fuse_qkv`, self-attention over three dense weights (and, for
+/// E.T., a full V side) runs Q/K/V as one GEMM.
+///
+/// Every operator projects here before its first launch, so this is where
+/// the inputs are checked: each kernel reads cfg.seq_len rows of Q and
+/// d_model-wide rows of every operand.
 Projections project(ExecContext& ctx, const tensor::MatrixF& x,
                     const tensor::MatrixF* memory, const AttentionWeights& w,
-                    const AttentionConfig& cfg, bool et_operators) {
+                    const AttentionConfig& cfg, bool et_operators,
+                    bool fuse_qkv) {
   cfg.validate();
+  if (x.rows() != cfg.seq_len || x.cols() != cfg.d_model) {
+    throw std::invalid_argument(
+        "attention: x is " + shape(x) + " but seq_len x d_model is " +
+        std::to_string(cfg.seq_len) + "x" + std::to_string(cfg.d_model));
+  }
   if (memory != nullptr && memory->rows() == 0) {
     // The kernel records read K/V length 0 as self-attention.
     throw std::invalid_argument("cross-attention: the encoder memory is empty");
+  }
+  if (memory != nullptr && memory->cols() != cfg.d_model) {
+    throw std::invalid_argument("cross-attention: the encoder memory is " +
+                                shape(*memory) + " but d_model is " +
+                                std::to_string(cfg.d_model));
   }
   kernels::LinearOptions opt;
   opt.precision = cfg.precision;
@@ -85,8 +106,7 @@ Projections project(ExecContext& ctx, const tensor::MatrixF& x,
   Projections pr;
   pr.v = et_operators ? v_side(w, cfg)
                       : VSide{VSide::Layout::kFull, cfg.d_model};
-  if (et_operators && memory == nullptr &&
-      pr.v.layout == VSide::Layout::kFull &&
+  if (fuse_qkv && memory == nullptr && pr.v.layout == VSide::Layout::kFull &&
       try_fused_qkv(ctx, x, w, cfg, pr)) {
     // Below the pruning regime E.T. also batches Q/K/V into one autotuned
     // GEMM — the "best cuBLAS routine" search of §5.2.1.
@@ -120,7 +140,8 @@ Projections project(ExecContext& ctx, const tensor::MatrixF& x,
 }
 
 /// TensorRT-style horizontally-fused QKV projection: when all three
-/// weights are dense, one GEMM against the stacked (3d × d) weight.
+/// weights are dense, one GEMM against the row-wise stack of W_Q, W_K and
+/// W_V, run straight from the three weights (gemm_nt_panels).
 bool try_fused_qkv(ExecContext& ctx, const tensor::MatrixF& x,
                    const AttentionWeights& w, const AttentionConfig& cfg,
                    Projections& pr) {
@@ -129,21 +150,14 @@ bool try_fused_qkv(ExecContext& ctx, const tensor::MatrixF& x,
   const auto* dv = std::get_if<sparse::DenseWeight>(&w.wv);
   if (dq == nullptr || dkw == nullptr || dv == nullptr) return false;
 
-  const std::size_t d = cfg.d_model;
-  tensor::MatrixF stacked(3 * d, d);
-  for (std::size_t r = 0; r < d; ++r) {
-    for (std::size_t c = 0; c < d; ++c) {
-      stacked(r, c) = dq->matrix()(r, c);
-      stacked(d + r, c) = dkw->matrix()(r, c);
-      stacked(2 * d + r, c) = dv->matrix()(r, c);
-    }
-  }
-  tensor::MatrixF qkv =
-      kernels::gemm_nt(ctx, x, stacked, cfg.precision, nullptr, "qkv_linear");
-  pr.q = tensor::slice_cols(qkv, 0, d);
-  pr.k = tensor::slice_cols(qkv, d, d);
-  pr.ctx = tensor::slice_cols(qkv, 2 * d, d);
-  pr.v = {VSide::Layout::kFull, d};
+  const tensor::MatrixF* const panels[] = {&dq->matrix(), &dkw->matrix(),
+                                           &dv->matrix()};
+  auto qkv = kernels::gemm_nt_panels(ctx, x, panels, cfg.precision, nullptr,
+                                     "qkv_linear");
+  pr.q = std::move(qkv[0]);
+  pr.k = std::move(qkv[1]);
+  pr.ctx = std::move(qkv[2]);
+  pr.v = {VSide::Layout::kFull, cfg.d_model};
   return true;
 }
 
@@ -246,7 +260,8 @@ tensor::MatrixF modular_attention(ExecContext& ctx, const tensor::MatrixF& x,
                                   const AttentionWeights& w,
                                   const AttentionConfig& cfg) {
   gpusim::Device& dev = ctx.device();
-  Projections pr = project(ctx, x, nullptr, w, cfg, /*et_operators=*/false);
+  Projections pr = project(ctx, x, nullptr, w, cfg, /*et_operators=*/false,
+                           /*fuse_qkv=*/false);
   const std::size_t s = cfg.seq_len;
   const std::size_t d = cfg.d_model;
   const std::size_t h = cfg.num_heads;
@@ -279,17 +294,13 @@ tensor::MatrixF fused_attention(ExecContext& ctx, const tensor::MatrixF& x,
                                 const AttentionConfig& cfg,
                                 bool aggressive_fusion) {
   gpusim::Device& dev = ctx.device();
-  cfg.validate();
+  const Projections pr = project(ctx, x, nullptr, w, cfg,
+                                 /*et_operators=*/false, /*fuse_qkv=*/true);
   const std::size_t s = cfg.seq_len;
   const std::size_t d = cfg.d_model;
   const std::size_t h = cfg.num_heads;
   const std::size_t score_elems = s * s * h;
   const Precision p = cfg.precision;
-
-  Projections pr;
-  if (!try_fused_qkv(ctx, x, w, cfg, pr)) {
-    pr = project(ctx, x, nullptr, w, cfg, /*et_operators=*/false);
-  }
 
   // ③ batched Q·Kᵀ with the scaling folded in (TensorRT fuses the
   // element-wise scale into the GEMM epilogue).
@@ -464,7 +475,7 @@ void record_partial_otf_kernels(gpusim::Device& dev,
 tensor::MatrixF otf_attention(ExecContext& ctx, const tensor::MatrixF& x,
                               const AttentionWeights& w,
                               const AttentionConfig& cfg) {
-  const Projections pr = project(ctx, x, nullptr, w, cfg, true);
+  const Projections pr = project(ctx, x, nullptr, w, cfg, true, true);
   record_otf_kernel(ctx.device(), cfg, /*kv_len=*/0, pr.v);
   return attend(ctx, pr, w, cfg);
 }
@@ -472,7 +483,7 @@ tensor::MatrixF otf_attention(ExecContext& ctx, const tensor::MatrixF& x,
 tensor::MatrixF flash_attention(ExecContext& ctx, const tensor::MatrixF& x,
                                 const AttentionWeights& w,
                                 const AttentionConfig& cfg) {
-  const Projections pr = project(ctx, x, nullptr, w, cfg, true);
+  const Projections pr = project(ctx, x, nullptr, w, cfg, true, true);
   record_flash_kernel(ctx.device(), cfg, /*kv_len=*/0, pr.v);
   return attend(ctx, pr, w, cfg, /*online_softmax=*/true);
 }
@@ -481,7 +492,7 @@ tensor::MatrixF partial_otf_attention(ExecContext& ctx,
                                       const tensor::MatrixF& x,
                                       const AttentionWeights& w,
                                       const AttentionConfig& cfg) {
-  const Projections pr = project(ctx, x, nullptr, w, cfg, true);
+  const Projections pr = project(ctx, x, nullptr, w, cfg, true, true);
   record_partial_otf_kernels(ctx.device(), cfg, pr.v);
   return attend(ctx, pr, w, cfg);
 }
@@ -491,8 +502,7 @@ tensor::MatrixF otf_cross_attention(ExecContext& ctx,
                                     const tensor::MatrixF& memory,
                                     const AttentionWeights& w,
                                     const AttentionConfig& cfg) {
-  assert(x.rows() == cfg.seq_len && memory.cols() == cfg.d_model);
-  const Projections pr = project(ctx, x, &memory, w, cfg, true);
+  const Projections pr = project(ctx, x, &memory, w, cfg, true, true);
   record_otf_kernel(ctx.device(), cfg, memory.rows(), pr.v);
   return attend(ctx, pr, w, cfg);
 }
@@ -502,8 +512,7 @@ tensor::MatrixF flash_cross_attention(ExecContext& ctx,
                                       const tensor::MatrixF& memory,
                                       const AttentionWeights& w,
                                       const AttentionConfig& cfg) {
-  assert(x.rows() == cfg.seq_len && memory.cols() == cfg.d_model);
-  const Projections pr = project(ctx, x, &memory, w, cfg, true);
+  const Projections pr = project(ctx, x, &memory, w, cfg, true, true);
   record_flash_kernel(ctx.device(), cfg, memory.rows(), pr.v);
   return attend(ctx, pr, w, cfg, /*online_softmax=*/true);
 }

@@ -36,6 +36,9 @@
 // Every operator takes a core::ExecContext: the projections run on its
 // device and the row-parallel attention math on its ThreadPool, with
 // results bit-identical at any thread count (docs/threading.md).
+// Every operator throws std::invalid_argument, before launching, when x
+// is not cfg.seq_len × cfg.d_model or a cross-attention memory is empty or
+// not d_model wide.
 #pragma once
 
 #include "core/config.hpp"

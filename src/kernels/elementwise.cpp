@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace et::kernels {
 
@@ -207,6 +209,14 @@ tensor::MatrixF transpose_kernel(gpusim::Device& dev, const tensor::MatrixF& m,
 tensor::MatrixF gather_cols(gpusim::Device& dev, const tensor::MatrixF& x,
                             std::span<const std::uint32_t> cols,
                             numeric::Precision p, std::string_view name) {
+  for (const std::uint32_t c : cols) {
+    if (c >= x.cols()) {
+      throw std::invalid_argument(
+          std::string(name) + ": column " + std::to_string(c) +
+          " is out of range for X with " + std::to_string(x.cols()) +
+          " columns");
+    }
+  }
   const std::size_t sb = numeric::storage_bytes(p);
   auto launch =
       dev.launch({.name = name,
@@ -223,7 +233,6 @@ tensor::MatrixF gather_cols(gpusim::Device& dev, const tensor::MatrixF& x,
   if (dev.traffic_only()) return out;
   for (std::size_t r = 0; r < x.rows(); ++r) {
     for (std::size_t i = 0; i < cols.size(); ++i) {
-      assert(cols[i] < x.cols());
       out(r, i) = x(r, cols[i]);
     }
   }

@@ -78,7 +78,9 @@ void layernorm(gpusim::Device& dev, tensor::MatrixF& m,
     std::string_view name = "transpose");
 
 /// Gather the listed columns of X into a condensed matrix — the
-/// "X_adjusted" pre-processing of column pruning (Fig. 5b).
+/// "X_adjusted" pre-processing of column pruning (Fig. 5b). Throws
+/// std::invalid_argument, before launching, when a listed column is not a
+/// column of X.
 [[nodiscard]] tensor::MatrixF gather_cols(
     gpusim::Device& dev, const tensor::MatrixF& x,
     std::span<const std::uint32_t> cols,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -188,22 +189,14 @@ void gemm_math(const tensor::MatrixF& a, const Fp16Rows& a16,
   });
 }
 
-template <bool Transposed>
-tensor::MatrixF gemm_impl(core::ExecContext& ctx, const tensor::MatrixF& a,
-                          const tensor::MatrixF& b, Precision p,
-                          const GemmAlgo* algo, std::string_view name) {
-  gpusim::Device& dev = ctx.device();
-  const std::size_t m = a.rows();
-  const std::size_t n = Transposed ? b.rows() : b.cols();
-  const std::size_t kk = a.cols();
-  if ((Transposed ? b.cols() : b.rows()) != kk) {
-    throw std::invalid_argument(std::string(name) + ": A is " +
-                                shape(a) + " but B is " + shape(b));
-  }
-
-  if (algo == nullptr) algo = &autotune_gemm(dev.spec(), m, n, kk, p);
-
-  const auto st = gemm_counters(m, n, kk, p, *algo);
+/// Autotune unless `algo` is given, then record the launch of one blocked
+/// m×n×k GEMM, named name[algo]. The one launch record of gemm_nt, its
+/// panels form and gemm_nn.
+void launch_gemm(gpusim::Device& dev, std::size_t m, std::size_t n,
+                 std::size_t k, Precision p, const GemmAlgo* algo,
+                 std::string_view name) {
+  if (algo == nullptr) algo = &autotune_gemm(dev.spec(), m, n, k, p);
+  const auto st = gemm_counters(m, n, k, p, *algo);
   auto launch =
       dev.launch({.name = std::string(name) + "[" + algo->name + "]",
                   .ctas = st.ctas,
@@ -213,12 +206,51 @@ tensor::MatrixF gemm_impl(core::ExecContext& ctx, const tensor::MatrixF& a,
   launch.store_bytes(st.global_store_bytes);
   launch.fp_ops(st.fp_ops);
   launch.tensor_ops(st.tensor_ops);
+}
 
-  tensor::MatrixF c(m, n);
-  if (!dev.traffic_only()) {
-    gemm_math<Transposed>(a, round_a(p, a), b, c, p, ctx.pool());
+/// Throw, before any launch, unless there is at least one panel and every
+/// panel is an n_i×k matrix for A's k. Returns Σ n_i.
+std::size_t check_panels(std::string_view name, const tensor::MatrixF& a,
+                         std::span<const tensor::MatrixF* const> bs) {
+  if (bs.empty()) {
+    throw std::invalid_argument(std::string(name) + ": empty batch");
   }
-  return c;
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < bs.size(); ++i) {
+    if (bs[i] == nullptr || bs[i]->cols() != a.cols()) {
+      throw std::invalid_argument(
+          std::string(name) + ": A is " + shape(a) + " but B panel " +
+          std::to_string(i) + " is " +
+          (bs[i] == nullptr ? std::string("null") : shape(*bs[i])));
+    }
+    n += bs[i]->rows();
+  }
+  return n;
+}
+
+/// cs[i] = A · B_iᵀ, left zero on a traffic-only device. A is rounded once
+/// for every panel and each panel rounds its own B, so a panel with an
+/// operand that overflows on rounding takes the per-step loop by itself.
+void panel_products(core::ExecContext& ctx, const tensor::MatrixF& a,
+                    std::span<const tensor::MatrixF* const> bs,
+                    std::span<tensor::MatrixF> cs, Precision p) {
+  const bool math = !ctx.device().traffic_only();
+  const Fp16Rows a16 = math ? round_a(p, a) : std::nullopt;
+  for (std::size_t i = 0; i < bs.size(); ++i) {
+    cs[i] = tensor::MatrixF(a.rows(), bs[i]->rows());
+    if (math) gemm_math<true>(a, a16, *bs[i], cs[i], p, ctx.pool());
+  }
+}
+
+/// The panels form, writing panel i's product to cs[i]; gemm_nt passes
+/// one panel and one output without allocating a list of them.
+void gemm_nt_into(core::ExecContext& ctx, const tensor::MatrixF& a,
+                  std::span<const tensor::MatrixF* const> bs,
+                  std::span<tensor::MatrixF> cs, Precision p,
+                  const GemmAlgo* algo, std::string_view name) {
+  const std::size_t n = check_panels(name, a, bs);
+  launch_gemm(ctx.device(), a.rows(), n, a.cols(), p, algo, name);
+  panel_products(ctx, a, bs, cs, p);
 }
 
 }  // namespace
@@ -270,13 +302,34 @@ const GemmAlgo& autotune_gemm(const gpusim::DeviceSpec& spec, std::size_t m,
 tensor::MatrixF gemm_nt(core::ExecContext& ctx, const tensor::MatrixF& a,
                         const tensor::MatrixF& b, numeric::Precision p,
                         const GemmAlgo* algo, std::string_view name) {
-  return gemm_impl<true>(ctx, a, b, p, algo, name);
+  const tensor::MatrixF* const panel = &b;
+  tensor::MatrixF c;
+  gemm_nt_into(ctx, a, {&panel, 1}, {&c, 1}, p, algo, name);
+  return c;
+}
+
+std::vector<tensor::MatrixF> gemm_nt_panels(
+    core::ExecContext& ctx, const tensor::MatrixF& a,
+    std::span<const tensor::MatrixF* const> bs, numeric::Precision p,
+    const GemmAlgo* algo, std::string_view name) {
+  std::vector<tensor::MatrixF> cs(bs.size());
+  gemm_nt_into(ctx, a, bs, cs, p, algo, name);
+  return cs;
 }
 
 tensor::MatrixF gemm_nn(core::ExecContext& ctx, const tensor::MatrixF& a,
                         const tensor::MatrixF& b, numeric::Precision p,
                         const GemmAlgo* algo, std::string_view name) {
-  return gemm_impl<false>(ctx, a, b, p, algo, name);
+  if (b.rows() != a.cols()) {
+    throw std::invalid_argument(std::string(name) + ": A is " + shape(a) +
+                                " but B is " + shape(b));
+  }
+  launch_gemm(ctx.device(), a.rows(), b.cols(), a.cols(), p, algo, name);
+  tensor::MatrixF c(a.rows(), b.cols());
+  if (!ctx.device().traffic_only()) {
+    gemm_math<false>(a, round_a(p, a), b, c, p, ctx.pool());
+  }
+  return c;
 }
 
 std::vector<tensor::MatrixF> batched_gemm_nt(
@@ -284,9 +337,7 @@ std::vector<tensor::MatrixF> batched_gemm_nt(
     const std::vector<const tensor::MatrixF*>& bs, numeric::Precision p,
     const GemmAlgo* algo, std::string_view name) {
   gpusim::Device& dev = ctx.device();
-  if (bs.empty()) {
-    throw std::invalid_argument(std::string(name) + ": empty batch");
-  }
+  const std::uint64_t n_total = check_panels(name, a, bs);
   const std::size_t m = a.rows();
   const std::size_t kk = a.cols();
   const std::size_t sb = numeric::storage_bytes(p);
@@ -294,20 +345,10 @@ std::vector<tensor::MatrixF> batched_gemm_nt(
   // Autotune once for the widest problem in the batch; one fused kernel
   // must run a single block shape for every panel.
   std::size_t n_max = 0;
-  std::uint64_t n_total = 0;
-  for (const auto* b : bs) {
-    if (b == nullptr || b->cols() != kk) {
-      throw std::invalid_argument(
-          std::string(name) + ": A is " + shape(a) + " but a B panel is " +
-          (b == nullptr ? std::string("null") : shape(*b)));
-    }
-    n_max = std::max(n_max, b->rows());
-    n_total += b->rows();
-  }
+  for (const auto* b : bs) n_max = std::max(n_max, b->rows());
   if (algo == nullptr) algo = &autotune_gemm(dev.spec(), m, n_max, kk, p);
 
   const std::size_t blocks_m = ceil_div(m, algo->block_m);
-  gpusim::KernelStats st;
   std::uint64_t ctas = 0;
   std::uint64_t b_loads = 0;
   std::uint64_t a_loads = 0;
@@ -335,15 +376,8 @@ std::vector<tensor::MatrixF> batched_gemm_nt(
   } else {
     launch.tensor_ops(flops);
   }
-
-  std::vector<tensor::MatrixF> out;
-  out.reserve(bs.size());
-  const Fp16Rows a16 = dev.traffic_only() ? std::nullopt : round_a(p, a);
-  for (const auto* b : bs) {
-    tensor::MatrixF c(m, b->rows());
-    if (!dev.traffic_only()) gemm_math<true>(a, a16, *b, c, p, ctx.pool());
-    out.push_back(std::move(c));
-  }
+  std::vector<tensor::MatrixF> out(bs.size());
+  panel_products(ctx, a, bs, out, p);
   return out;
 }
 

@@ -20,6 +20,7 @@
 // the operands' inner dimensions disagree.
 #pragma once
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -59,6 +60,25 @@ struct GemmAlgo {
 /// transformation in the paper.
 [[nodiscard]] tensor::MatrixF gemm_nt(
     core::ExecContext& ctx, const tensor::MatrixF& a, const tensor::MatrixF& b,
+    numeric::Precision p = numeric::Precision::kFp32,
+    const GemmAlgo* algo = nullptr, std::string_view name = "gemm_nt");
+
+/// gemm_nt against the row-wise stack of the B panels, without building
+/// the stack: C = A · [B_0; B_1; …]ᵀ, returned as its column blocks
+/// C_i = A · B_iᵀ, one matrix per panel. This is the horizontally fused
+/// Q/K/V projection of §5.2.1, run straight from the three weights.
+///
+/// The launch is gemm_nt's for the stacked m × Σn_i × k problem: one
+/// kernel, autotuned, priced and named exactly as gemm_nt(a, stack) would
+/// be, and gemm_nt is the one-panel case. A is rounded once for every
+/// panel. Each output is the same dot product in the same k order as in
+/// the stacked call, so the outputs and overflow_count() match it bit for
+/// bit; a panel with an operand that overflows on rounding takes the
+/// per-multiply-add loop by itself. An empty list, a null panel or a panel
+/// not k wide also throws std::invalid_argument.
+[[nodiscard]] std::vector<tensor::MatrixF> gemm_nt_panels(
+    core::ExecContext& ctx, const tensor::MatrixF& a,
+    std::span<const tensor::MatrixF* const> bs,
     numeric::Precision p = numeric::Precision::kFp32,
     const GemmAlgo* algo = nullptr, std::string_view name = "gemm_nt");
 

@@ -1,6 +1,6 @@
 #include "kernels/linear.hpp"
 
-#include <cassert>
+#include <stdexcept>
 #include <string>
 
 #include "kernels/elementwise.hpp"
@@ -46,6 +46,13 @@ LinearResult linear(core::ExecContext& ctx, const tensor::MatrixF& x,
   }
 
   if (const auto* col = std::get_if<sparse::ColPrunedWeight>(&w)) {
+    // The gather reads X by the weight's original column indices; an X of
+    // another width would multiply the wrong features.
+    if (x.cols() != col->original_cols()) {
+      throw std::invalid_argument(base + ": X has " + std::to_string(x.cols()) +
+                                  " columns but W has " +
+                                  std::to_string(col->original_cols()));
+    }
     tensor::MatrixF adjusted = gather_cols(dev, x, col->kept_cols(),
                                            opt.precision, base + ".gather");
     out.y = gemm_nt(ctx, adjusted, col->condensed(), opt.precision, opt.algo,

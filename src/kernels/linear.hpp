@@ -12,6 +12,9 @@
 //                argument against column pruning for W_Q/W_K);
 //   tile       — BCSR tensor-tile GEMM, no pre/post-processing;
 //   irregular  — two-level bitmap format on general cores (slow).
+//
+// Every format throws std::invalid_argument, before launching, when X is
+// not as wide as the weight's input.
 #pragma once
 
 #include <cstdint>

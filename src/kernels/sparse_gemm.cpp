@@ -1,7 +1,9 @@
 #include "kernels/sparse_gemm.hpp"
 
-#include <cassert>
-#include <set>
+#include <algorithm>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace et::kernels {
 
@@ -20,20 +22,38 @@ constexpr std::size_t ceil_div(std::size_t a, std::size_t b) {
 constexpr std::size_t kGroup = 8;
 
 /// Total distinct (group, tile-column) pairs = how many 16-column strips
-/// of X each 128-row block of the grid must load.
+/// of X each 128-row block of the grid must load. stamp[tc] holds the
+/// number (from 1) of the last group that counted tile column tc, so each
+/// column is counted once per group without clearing anything between
+/// groups.
 std::size_t union_col_strips(const sparse::TilePrunedWeight& w) {
+  std::vector<std::size_t> stamp(w.tile_cols(), 0);
   std::size_t strips = 0;
+  std::size_t group = 0;
   for (std::size_t g0 = 0; g0 < w.tile_rows(); g0 += kGroup) {
-    std::set<std::uint32_t> cols;
+    ++group;
     const std::size_t g1 = std::min(g0 + kGroup, w.tile_rows());
-    for (std::size_t tr = g0; tr < g1; ++tr) {
-      for (std::uint32_t t = w.row_ptr()[tr]; t < w.row_ptr()[tr + 1]; ++t) {
-        cols.insert(w.col_idx()[t]);
+    for (std::uint32_t t = w.row_ptr()[g0]; t < w.row_ptr()[g1]; ++t) {
+      std::size_t& last = stamp[w.col_idx()[t]];
+      if (last != group) {
+        last = group;
+        ++strips;
       }
     }
-    strips += cols.size();
   }
   return strips;
+}
+
+/// Y = X·Wᵀ needs X as wide as W; the kernels read X by W's column
+/// indices, so a narrower X would be read out of bounds.
+void check_width(std::string_view name, const tensor::MatrixF& x,
+                 std::size_t w_cols) {
+  if (x.cols() != w_cols) {
+    throw std::invalid_argument(std::string(name) + ": X has " +
+                                std::to_string(x.cols()) +
+                                " columns but W has " +
+                                std::to_string(w_cols));
+  }
 }
 
 }  // namespace
@@ -42,7 +62,7 @@ tensor::MatrixF bcsr_gemm_nt(core::ExecContext& ctx, const tensor::MatrixF& x,
                              const sparse::TilePrunedWeight& w,
                              numeric::Precision p, std::string_view name) {
   gpusim::Device& dev = ctx.device();
-  assert(x.cols() == w.cols());
+  check_width(name, x, w.cols());
   const std::size_t m = x.rows();
   const std::size_t n = w.rows();
   const std::size_t sb = numeric::storage_bytes(p);
@@ -113,7 +133,7 @@ tensor::MatrixF irregular_gemm_nt(core::ExecContext& ctx,
                                   numeric::Precision p,
                                   std::string_view name) {
   gpusim::Device& dev = ctx.device();
-  assert(x.cols() == w.cols());
+  check_width(name, x, w.cols());
   const std::size_t m = x.rows();
   const std::size_t n = w.rows();
   const std::size_t sb = numeric::storage_bytes(p);

@@ -10,6 +10,9 @@
 //                      with data-dependent access, so it is dramatically
 //                      slower despite touching fewer weights — the Table 1
 //                      "39×/44× latency" strawman.
+//
+// Both throw std::invalid_argument, before launching, when X is not as
+// wide as W.
 #pragma once
 
 #include <string_view>

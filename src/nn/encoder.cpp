@@ -1,6 +1,5 @@
 #include "nn/encoder.hpp"
 
-#include <cassert>
 #include <random>
 
 #include "kernels/elementwise.hpp"
@@ -128,10 +127,10 @@ tensor::MatrixF encoder_forward(core::ExecContext& ctx,
                                 const EncoderWeights& w,
                                 const EncoderOptions& opt) {
   gpusim::Device& dev = ctx.device();
-  assert(x.rows() == opt.attn.seq_len && x.cols() == opt.attn.d_model);
   const Precision p = opt.attn.precision;
 
-  // --- self-attention ---
+  // --- self-attention --- (every operator rejects an x that is not
+  // seq_len × d_model before its first launch)
   tensor::MatrixF attn_out;
   switch (opt.pipeline) {
     case Pipeline::kModular:

@@ -2,6 +2,8 @@
 // pipeline-structure properties (launch counts, latency ordering).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "nn/encoder.hpp"
 #include "nn/embedding.hpp"
 #include "nn/model_config.hpp"
@@ -113,6 +115,24 @@ TEST(Encoder, LatencyOrderingMatchesFig7AtDense) {
   EXPECT_GT(pytorch, trt);
   EXPECT_GE(trt, ft);
   EXPECT_GE(ft, et_time);
+}
+
+TEST(Encoder, EveryPipelineRejectsMismatchedInputShape) {
+  const auto model = tiny_model();
+  const auto w = et::nn::make_dense_encoder_weights(model, 9);
+  for (const auto pipeline :
+       {Pipeline::kModular, Pipeline::kTensorRT, Pipeline::kFasterTransformer,
+        Pipeline::kET}) {
+    const auto opt = et::nn::options_for(pipeline, model, 16);
+    for (const MatrixF& x : {MatrixF(8, model.d_model), MatrixF(16, 16)}) {
+      Device dev;
+      et::core::ExecContext ctx(dev);
+      EXPECT_THROW((void)et::nn::encoder_forward(ctx, x, w, opt),
+                   std::invalid_argument)
+          << to_string(pipeline);
+      EXPECT_EQ(dev.launch_count(), 0u) << to_string(pipeline);
+    }
+  }
 }
 
 TEST(Encoder, OptionsForSetsPaperPrecisions) {

@@ -6,7 +6,11 @@
 // reasons instead of exceptions. See docs/robustness.md.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/adaptive.hpp"
 #include "core/incremental_attention.hpp"
@@ -313,6 +317,93 @@ TEST(AttentionConfigValidation, EveryOperatorRejectsBadHeadSplit) {
   MatrixF row(1, good.d_model);
   EXPECT_THROW((void)et::core::incremental_attention(ctx, row, w, bad, cache),
                std::invalid_argument);
+}
+
+// Every operator reads cfg.seq_len rows of Q and d_model-wide operands, so
+// an input of another shape throws before anything launches — it would
+// otherwise read past the end of Q.
+TEST(AttentionConfigValidation, EveryOperatorRejectsMismatchedInputShape) {
+  const AttentionConfig cfg = small_cfg();
+  const auto w = et::core::make_dense_weights(cfg, 23);
+  const MatrixF good(cfg.seq_len, cfg.d_model);
+  using Op = std::function<MatrixF(et::core::ExecContext&, const MatrixF&,
+                                   const MatrixF&)>;
+  const std::vector<std::pair<const char*, Op>> ops = {
+      {"modular",
+       [&](auto& ctx, const MatrixF& x, const MatrixF&) {
+         return et::core::modular_attention(ctx, x, w, cfg);
+       }},
+      {"tensorrt",
+       [&](auto& ctx, const MatrixF& x, const MatrixF&) {
+         return et::core::fused_attention(ctx, x, w, cfg);
+       }},
+      {"fastertransformer",
+       [&](auto& ctx, const MatrixF& x, const MatrixF&) {
+         return et::core::fused_attention(ctx, x, w, cfg, true);
+       }},
+      {"otf",
+       [&](auto& ctx, const MatrixF& x, const MatrixF&) {
+         return et::core::otf_attention(ctx, x, w, cfg);
+       }},
+      {"partial_otf",
+       [&](auto& ctx, const MatrixF& x, const MatrixF&) {
+         return et::core::partial_otf_attention(ctx, x, w, cfg);
+       }},
+      {"flash",
+       [&](auto& ctx, const MatrixF& x, const MatrixF&) {
+         return et::core::flash_attention(ctx, x, w, cfg);
+       }},
+      {"adaptive",
+       [&](auto& ctx, const MatrixF& x, const MatrixF&) {
+         return et::core::adaptive_attention(ctx, x, w, cfg);
+       }},
+      {"otf_cross",
+       [&](auto& ctx, const MatrixF& x, const MatrixF& memory) {
+         return et::core::otf_cross_attention(ctx, x, memory, w, cfg);
+       }},
+      {"flash_cross",
+       [&](auto& ctx, const MatrixF& x, const MatrixF& memory) {
+         return et::core::flash_cross_attention(ctx, x, memory, w, cfg);
+       }},
+      {"adaptive_cross",
+       [&](auto& ctx, const MatrixF& x, const MatrixF& memory) {
+         return et::core::adaptive_cross_attention(ctx, x, memory, w, cfg);
+       }},
+  };
+  // (x, memory) pairs; the memory only matters to the cross operators.
+  const std::vector<std::pair<MatrixF, MatrixF>> bad_inputs = {
+      {MatrixF(8, cfg.d_model), good},              // too few rows
+      {MatrixF(cfg.seq_len + 4, cfg.d_model), good},  // too many rows
+      {MatrixF(cfg.seq_len, 16), good},             // too narrow
+      {MatrixF(cfg.seq_len, 48), good},             // too wide
+  };
+  for (const auto& [name, op] : ops) {
+    for (const auto& [x, memory] : bad_inputs) {
+      SCOPED_TRACE(std::string(name) + ", x " + std::to_string(x.rows()) +
+                   "x" + std::to_string(x.cols()));
+      for (const bool traffic_only : {false, true}) {
+        et::gpusim::Device dev;
+        dev.set_traffic_only(traffic_only);
+        et::core::ExecContext ctx(dev);
+        EXPECT_THROW((void)op(ctx, x, memory), std::invalid_argument);
+        EXPECT_EQ(dev.launch_count(), 0u);
+        EXPECT_TRUE(dev.fallback_log().empty());
+      }
+    }
+  }
+  // A cross-attention memory of another width, under a well-shaped x.
+  for (const std::size_t cols : {std::size_t{16}, std::size_t{48}}) {
+    const MatrixF memory(cfg.seq_len, cols);
+    for (const auto& [name, op] : ops) {
+      if (std::string(name).find("cross") == std::string::npos) continue;
+      SCOPED_TRACE(std::string(name) + ", memory width " +
+                   std::to_string(cols));
+      et::gpusim::Device dev;
+      et::core::ExecContext ctx(dev);
+      EXPECT_THROW((void)op(ctx, good, memory), std::invalid_argument);
+      EXPECT_EQ(dev.launch_count(), 0u);
+    }
+  }
 }
 
 TEST(AttentionConfigValidation, RejectsZeroDimsAndBadValidLen) {

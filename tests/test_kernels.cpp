@@ -25,6 +25,7 @@ using et::gpusim::Device;
 using et::kernels::batched_gemm_nt;
 using et::kernels::gemm_nn;
 using et::kernels::gemm_nt;
+using et::kernels::gemm_nt_panels;
 using et::numeric::half;
 using et::numeric::overflow_count;
 using et::numeric::Precision;
@@ -224,7 +225,7 @@ MatrixF operand(std::size_t rows, std::size_t k, std::uint64_t seed,
   return x;
 }
 
-enum class Entry { kNt, kNn, kBatchedNt };
+enum class Entry { kNt, kNn, kBatchedNt, kPanelsNt };
 
 class GemmFp16Differential
     : public ::testing::TestWithParam<std::tuple<Entry, Precision>> {};
@@ -241,11 +242,11 @@ TEST_P(GemmFp16Differential, BitIdenticalToHalfOracle) {
                        " k=" + std::to_string(k) +
                        " threads=" + std::to_string(threads));
           const MatrixF a = operand(kRows, k, ++seed, oc.a_scale, oc.special);
-          // B as n rows of k; the batched call adds two more panels.
+          // B as n rows of k; the multi-panel calls add two more panels.
           std::vector<MatrixF> bts;
           for (const std::size_t rows : {n, std::size_t{4}, std::size_t{13}}) {
             bts.push_back(operand(rows, k, ++seed, oc.b_scale, oc.special));
-            if (entry != Entry::kBatchedNt) break;
+            if (entry == Entry::kNt || entry == Entry::kNn) break;
           }
 
           std::uint64_t c0 = overflow_count();
@@ -266,7 +267,9 @@ TEST_P(GemmFp16Differential, BitIdenticalToHalfOracle) {
           } else {
             std::vector<const MatrixF*> panels;
             for (const MatrixF& bt : bts) panels.push_back(&bt);
-            got = batched_gemm_nt(ctx, a, panels, p);
+            got = entry == Entry::kBatchedNt
+                      ? batched_gemm_nt(ctx, a, panels, p)
+                      : gemm_nt_panels(ctx, a, panels, p);
           }
           EXPECT_EQ(overflow_count() - c0, oracle_overflows);
           ASSERT_EQ(got.size(), want.size());
@@ -282,17 +285,128 @@ TEST_P(GemmFp16Differential, BitIdenticalToHalfOracle) {
 INSTANTIATE_TEST_SUITE_P(
     Entries, GemmFp16Differential,
     ::testing::Combine(::testing::Values(Entry::kNt, Entry::kNn,
-                                         Entry::kBatchedNt),
+                                         Entry::kBatchedNt, Entry::kPanelsNt),
                        ::testing::Values(Precision::kPureFp16,
                                          Precision::kMixed)),
     [](const auto& pinfo) {
       const Entry e = std::get<0>(pinfo.param);
-      return std::string(e == Entry::kNt   ? "Nt"
-                         : e == Entry::kNn ? "Nn"
-                                           : "BatchedNt") +
+      return std::string(e == Entry::kNt          ? "Nt"
+                         : e == Entry::kNn        ? "Nn"
+                         : e == Entry::kBatchedNt ? "BatchedNt"
+                                                  : "PanelsNt") +
              (std::get<1>(pinfo.param) == Precision::kPureFp16 ? "PureFp16"
                                                               : "Mixed");
     });
+
+MatrixF stack_rows(const std::vector<MatrixF>& panels) {
+  std::size_t rows = 0;
+  for (const MatrixF& b : panels) rows += b.rows();
+  MatrixF stacked(rows, panels.front().cols());
+  std::size_t r0 = 0;
+  for (const MatrixF& b : panels) {
+    for (std::size_t r = 0; r < b.rows(); ++r) {
+      for (std::size_t c = 0; c < b.cols(); ++c) stacked(r0 + r, c) = b(r, c);
+    }
+    r0 += b.rows();
+  }
+  return stacked;
+}
+
+// The panels form must be gemm_nt against the explicitly stacked B: the
+// same launch record, the stacked product's column blocks bit for bit,
+// and the same overflow-counter delta — also when an operand overflows
+// in one panel only, which sends that panel alone to the per-step loop.
+TEST(GemmPanels, EqualsGemmNtOnTheStackedMatrix) {
+  struct Plant {
+    const char* name;
+    std::size_t panel;  ///< panel holding the overflowing value, or 3
+    bool in_a;
+  };
+  const Plant plants[] = {{"none", 3, false},
+                          {"panel1", 1, false},
+                          {"panel2", 2, false},
+                          {"a", 3, true}};
+  const Precision precisions[] = {Precision::kFp32, Precision::kPureFp16,
+                                  Precision::kMixed, Precision::kBf16Mixed};
+  const et::kernels::GemmAlgo* algos[] = {nullptr,
+                                          &et::kernels::gemm_algos()[0]};
+  std::uint64_t seed = 500;
+  for (const Precision p : precisions) {
+    for (const Plant& plant : plants) {
+      for (const auto* algo : algos) {
+        for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+          SCOPED_TRACE(std::string(et::numeric::to_string(p)) + " " +
+                       plant.name + (algo ? " algo0" : " autotuned") +
+                       " threads=" + std::to_string(threads));
+          MatrixF a = operand(9, 37, ++seed, 1.0f, 0.0f);
+          std::vector<MatrixF> bts;
+          for (const std::size_t rows : {5, 13, 4}) {
+            bts.push_back(operand(rows, 37, ++seed, 1.0f, 0.0f));
+          }
+          if (plant.in_a) a(2, 7) = -7e4f;
+          if (plant.panel < bts.size()) bts[plant.panel](1, 3) = 7e4f;
+          const MatrixF stacked = stack_rows(bts);
+
+          Device want_dev;
+          et::core::ExecContext want_ctx(want_dev, threads);
+          std::uint64_t c0 = overflow_count();
+          const MatrixF want =
+              gemm_nt(want_ctx, a, stacked, p, algo, "qkv_linear");
+          const std::uint64_t want_overflows = overflow_count() - c0;
+
+          Device got_dev;
+          et::core::ExecContext got_ctx(got_dev, threads);
+          const std::vector<const MatrixF*> panels = {&bts[0], &bts[1],
+                                                      &bts[2]};
+          c0 = overflow_count();
+          const std::vector<MatrixF> got =
+              gemm_nt_panels(got_ctx, a, panels, p, algo, "qkv_linear");
+          EXPECT_EQ(overflow_count() - c0, want_overflows);
+          if (p == Precision::kPureFp16 || p == Precision::kMixed) {
+            EXPECT_EQ(want_overflows > 0, plant.panel < 3 || plant.in_a);
+          }
+
+          ASSERT_EQ(want_dev.launch_count(), 1u);
+          ASSERT_EQ(got_dev.launch_count(), 1u);
+          const auto& w = want_dev.history()[0];
+          const auto& g = got_dev.history()[0];
+          EXPECT_EQ(g.name.view(), w.name.view());
+          EXPECT_EQ(g.ctas, w.ctas);
+          EXPECT_EQ(g.shared_bytes_per_cta, w.shared_bytes_per_cta);
+          EXPECT_EQ(g.global_load_bytes, w.global_load_bytes);
+          EXPECT_EQ(g.global_store_bytes, w.global_store_bytes);
+          EXPECT_EQ(g.fp_ops, w.fp_ops);
+          EXPECT_EQ(g.tensor_ops, w.tensor_ops);
+          EXPECT_EQ(g.time_us, w.time_us);
+
+          ASSERT_EQ(got.size(), bts.size());
+          std::size_t c_first = 0;
+          for (std::size_t q = 0; q < got.size(); ++q) {
+            EXPECT_TRUE(same_values(
+                got[q],
+                et::tensor::slice_cols(want, c_first, bts[q].rows())))
+                << "panel " << q;
+            c_first += bts[q].rows();
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmPanels, RejectsBadPanelsBeforeLaunching) {
+  const MatrixF a(4, 8), good(5, 8), bad(5, 7);
+  Device dev;
+  et::core::ExecContext ctx(dev);
+  const std::vector<const MatrixF*> mismatched = {&good, &bad};
+  const std::vector<const MatrixF*> null_panel = {&good, nullptr};
+  EXPECT_THROW((void)gemm_nt_panels(ctx, a, mismatched, Precision::kMixed),
+               std::invalid_argument);
+  EXPECT_THROW((void)gemm_nt_panels(ctx, a, null_panel),
+               std::invalid_argument);
+  EXPECT_THROW((void)gemm_nt_panels(ctx, a, {}), std::invalid_argument);
+  EXPECT_EQ(dev.launch_count(), 0u);
+}
 
 TEST(Elementwise, Scale) {
   MatrixF m(4, 4, 2.0f);
