@@ -90,7 +90,6 @@ struct Args {
   bool listen_given = false;
   std::size_t listen_port = 0;       // 0 = ephemeral, printed at startup
   std::size_t drain_ticks = 64;      // graceful-shutdown drain budget
-  bool allow_unchecksummed = false;  // accept legacy ETW1 checkpoints
 };
 
 /// Arm the device's fault injector from a CLI spec:
@@ -292,7 +291,6 @@ bool parse(int argc, char** argv, Args& a) {
       }
     }
     else if (arg == "--drain-ticks") next_size(arg, a.drain_ticks);
-    else if (arg == "--allow-unchecksummed") a.allow_unchecksummed = true;
     else if (arg == "--profile") a.profile = true;
     else if (arg == "--json") a.json = true;
     else if (arg == "--trace") { if (next(arg, v)) a.trace = v; }
@@ -377,9 +375,6 @@ void usage() {
       "  --drain-ticks N   graceful-shutdown drain budget for --serve and\n"
       "                    --listen: ticks to let in-flight requests finish\n"
       "                    before cancelling the rest (default 64)\n"
-      "  --allow-unchecksummed\n"
-      "                    let the model registry load legacy ETW1 (no\n"
-      "                    per-section CRC) checkpoints\n"
       "  --requests N      total requests in the arrival script (default 8);\n"
       "                    0 = unbounded, serve until SIGINT/SIGTERM\n"
       "  --queue-cap N     bounded admission queue; overflow is rejected\n"
@@ -567,7 +562,7 @@ int main(int argc, char** argv) {
         et::nn::options_for(pipeline, model, args.seq, /*causal=*/true);
     gopt.adaptive.forced = forced_attention;
 
-    et::serving::ModelRegistry registry(args.allow_unchecksummed);
+    et::serving::ModelRegistry registry;
     registry.add("demo", 1, std::move(layers), gopt, args.seq, 257,
                  weight_format);
 
@@ -610,6 +605,9 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // Serving modes list every recovered fallback; the encoder lists them
+  // only under --inject-fault, next to what was injected.
+  bool list_recoveries = true;
   if (args.serve) {
     // Request-level serving: a scripted arrival sequence through the
     // continuous-batching InferenceServer (docs/serving.md) — two decoder
@@ -677,7 +675,6 @@ int main(int argc, char** argv) {
       if (more_arrivals) submit_some(args.arrive);
     }
 
-    const auto fields = server.metrics().scalars();
     if (args.json) {
       // Config fields first, then every MetricsRegistry scalar — the
       // exact name/value list bench/ablation_serving rows use, so the
@@ -702,69 +699,49 @@ int main(int argc, char** argv) {
                   args.retries, args.backoff_ticks,
                   args.preempt ? "true" : "false");
       std::printf("  \"time_us\": %.1f,\n", dev.total_time_us());
-      for (const auto& f : fields) {
+      for (const auto& f : server.metrics().scalars()) {
         std::printf("  \"%s\": %g,\n", f.name.c_str(), f.value);
       }
       std::printf("  \"metrics\": %s\n", server.metrics().json(0).c_str());
       std::printf("}\n");
-      if (!args.trace.empty()) {
-        et::gpusim::write_chrome_trace(args.trace, dev);
+    } else {
+      std::printf("%s · %s · serving %zu request(s) on %zu slot(s), queue "
+                  "%zu · %s weights · %s kv · %s\n",
+                  model.name.c_str(), args.pipeline.c_str(), args.requests,
+                  slots, args.queue_cap,
+                  std::string(et::nn::to_string(handle.weight_layout())).c_str(),
+                  std::string(et::core::to_string(args.kv_precision)).c_str(),
+                  spec.name.c_str());
+      if (args.arrive > 0) {
+        std::printf("  offered load: %zu request(s)/tick\n", args.arrive);
       }
-      return 0;
+      const auto counter = [&](const char* name) {
+        const auto* c = server.metrics().find_counter(name);
+        return c != nullptr ? c->value() : 0;
+      };
+      std::printf("  %llu completed, %llu rejected, %llu expired over %zu "
+                  "ticks\n",
+                  static_cast<unsigned long long>(counter("requests_completed")),
+                  static_cast<unsigned long long>(counter("requests_rejected")),
+                  static_cast<unsigned long long>(counter("requests_expired")),
+                  server.now());
+      std::printf("  %llu tokens in %.1f us (%.1f tokens/sec)\n",
+                  static_cast<unsigned long long>(counter("tokens_emitted")),
+                  dev.total_time_us(),
+                  dev.total_time_us() > 0.0
+                      ? 1e6 * static_cast<double>(counter("tokens_emitted")) /
+                            dev.total_time_us()
+                      : 0.0);
+      const auto hist_mean = [&](const char* name) {
+        const auto* h = server.metrics().find_histogram(name);
+        return h != nullptr ? h->mean() : 0.0;
+      };
+      std::printf("  mean queue wait %.1f ticks, ttft %.1f ticks, e2e %.1f "
+                  "ticks\n",
+                  hist_mean("queue_wait_ticks"), hist_mean("ttft_ticks"),
+                  hist_mean("e2e_ticks"));
     }
-    std::printf("%s · %s · serving %zu request(s) on %zu slot(s), queue %zu "
-                "· %s weights · %s kv · %s\n",
-                model.name.c_str(), args.pipeline.c_str(), args.requests,
-                slots, args.queue_cap,
-                std::string(et::nn::to_string(handle.weight_layout())).c_str(),
-                std::string(et::core::to_string(args.kv_precision)).c_str(),
-                spec.name.c_str());
-    if (args.arrive > 0) {
-      std::printf("  offered load: %zu request(s)/tick\n", args.arrive);
-    }
-    const auto counter = [&](const char* name) {
-      const auto* c = server.metrics().find_counter(name);
-      return c != nullptr ? c->value() : 0;
-    };
-    std::printf("  %llu completed, %llu rejected, %llu expired over %zu "
-                "ticks\n",
-                static_cast<unsigned long long>(counter("requests_completed")),
-                static_cast<unsigned long long>(counter("requests_rejected")),
-                static_cast<unsigned long long>(counter("requests_expired")),
-                server.now());
-    std::printf("  %llu tokens in %.1f us (%.1f tokens/sec)\n",
-                static_cast<unsigned long long>(counter("tokens_emitted")),
-                dev.total_time_us(),
-                dev.total_time_us() > 0.0
-                    ? 1e6 * static_cast<double>(counter("tokens_emitted")) /
-                          dev.total_time_us()
-                    : 0.0);
-    const auto hist_mean = [&](const char* name) {
-      const auto* h = server.metrics().find_histogram(name);
-      return h != nullptr ? h->mean() : 0.0;
-    };
-    std::printf("  mean queue wait %.1f ticks, ttft %.1f ticks, e2e %.1f "
-                "ticks\n",
-                hist_mean("queue_wait_ticks"), hist_mean("ttft_ticks"),
-                hist_mean("e2e_ticks"));
-    for (const auto& f : dev.fallback_log()) {
-      std::printf("  recovered: %s -> %s after fault in '%s' (%s)\n",
-                  f.from_impl.c_str(), f.to_impl.c_str(), f.kernel.c_str(),
-                  f.cause.c_str());
-    }
-    if (args.profile) {
-      std::printf("\n");
-      print_report(std::cout, et::gpusim::profile(dev));
-    }
-    if (!args.trace.empty()) {
-      et::gpusim::write_chrome_trace(args.trace, dev);
-      std::printf("trace written to %s (open in chrome://tracing)\n",
-                  args.trace.c_str());
-    }
-    return 0;
-  }
-
-  if (args.batch > 0) {
+  } else if (args.batch > 0) {
     // Serving demo: decode N sequences through the slot-based batched
     // scheduler (docs/serving.md) — two decoder layers at the chosen
     // model's width, up to 8 slots, queue + backfill beyond that.
@@ -835,128 +812,121 @@ int main(int argc, char** argv) {
       std::printf("],\n");
       std::printf("  \"fallbacks\": %zu\n", dev.fallback_log().size());
       std::printf("}\n");
-      if (!args.trace.empty()) {
-        et::gpusim::write_chrome_trace(args.trace, dev);
+    } else {
+      std::printf("%s · %s · serving %zu sequences on %zu slot(s) · %s "
+                  "weights · %s kv · %s\n",
+                  model.name.c_str(), args.pipeline.c_str(), args.batch,
+                  max_batch,
+                  std::string(et::nn::to_string(handle.weight_layout())).c_str(),
+                  std::string(et::core::to_string(args.kv_precision)).c_str(),
+                  spec.name.c_str());
+      std::printf("  %zu tokens in %.1f us (%.1f tokens/sec), %zu ticks "
+                  "(%zu batched, %zu degraded to per-slot)\n",
+                  total_tokens, dev.total_time_us(),
+                  1e6 * static_cast<double>(total_tokens) / dev.total_time_us(),
+                  sched.ticks(), sched.batched_ticks(),
+                  sched.per_slot_fallback_ticks());
+      for (std::size_t i = 0; i < results.size(); ++i) {
+        std::printf("  seq %zu: %zu token(s), stop=%s", i,
+                    results[i].tokens.size(),
+                    std::string(to_string(results[i].stop_reason)).c_str());
+        if (!results[i].fault_kernel.empty()) {
+          std::printf(" (kernel '%s')", results[i].fault_kernel.c_str());
+        }
+        std::printf("\n");
       }
-      return 0;
-    }
-    std::printf("%s · %s · serving %zu sequences on %zu slot(s) · %s "
-                "weights · %s kv · %s\n",
-                model.name.c_str(), args.pipeline.c_str(), args.batch,
-                max_batch, std::string(et::nn::to_string(handle.weight_layout())).c_str(),
-                std::string(et::core::to_string(args.kv_precision)).c_str(),
-                spec.name.c_str());
-    std::printf("  %zu tokens in %.1f us (%.1f tokens/sec), %zu ticks "
-                "(%zu batched, %zu degraded to per-slot)\n",
-                total_tokens, dev.total_time_us(),
-                1e6 * static_cast<double>(total_tokens) / dev.total_time_us(),
-                sched.ticks(), sched.batched_ticks(),
-                sched.per_slot_fallback_ticks());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      std::printf("  seq %zu: %zu token(s), stop=%s", i,
-                  results[i].tokens.size(),
-                  std::string(to_string(results[i].stop_reason)).c_str());
-      if (!results[i].fault_kernel.empty()) {
-        std::printf(" (kernel '%s')", results[i].fault_kernel.c_str());
+      for (std::size_t s = 0; s < max_batch; ++s) {
+        std::printf("  slot %zu attention time: %.1f us\n", s,
+                    dev.time_us_for_slot(static_cast<int>(s)));
       }
-      std::printf("\n");
     }
-    for (std::size_t s = 0; s < max_batch; ++s) {
-      std::printf("  slot %zu attention time: %.1f us\n", s,
-                  dev.time_us_for_slot(static_cast<int>(s)));
+  } else {
+    et::tensor::MatrixF x(args.seq, model.d_model);
+    auto opt = et::nn::options_for(pipeline, model, args.seq);
+    opt.adaptive.forced = forced_attention;
+    try {
+      (void)et::nn::encoder_forward(ctx, x, weights, opt);
+    } catch (const et::gpusim::KernelFault& f) {
+      // Only the E.T. pipeline routes attention through the resilient
+      // adaptive dispatch; the baselines die on the first fault — which
+      // is exactly the contrast this flag exists to demonstrate. E.T.
+      // itself can still die when the rule also matches the modular
+      // baseline or a kernel outside the attention operator (FFN,
+      // layernorm).
+      if (pipeline == et::nn::Pipeline::kET) {
+        std::fprintf(stderr,
+                     "unrecovered kernel fault in '%s' (degradation chain "
+                     "exhausted, or the fault is outside the attention "
+                     "operator)\n",
+                     f.kernel().c_str());
+      } else {
+        std::fprintf(stderr,
+                     "unrecovered kernel fault in '%s' (pipeline '%s' has "
+                     "no fallback chain)\n",
+                     f.kernel().c_str(), args.pipeline.c_str());
+      }
+      return 1;
     }
-    for (const auto& f : dev.fallback_log()) {
-      std::printf("  recovered: %s -> %s after fault in '%s' (%s)\n",
-                  f.from_impl.c_str(), f.to_impl.c_str(), f.kernel.c_str(),
-                  f.cause.c_str());
+
+    const double layer_us = dev.total_time_us();
+    if (args.json) {
+      std::printf("{\"model\": \"%s\", \"pipeline\": \"%s\", \"seq\": %zu, "
+                  "\"device\": \"%s\", \"threads\": %zu, \"ratio\": %.2f, "
+                  "\"attention\": \"%s\", \"layer_us\": %.1f, "
+                  "\"model_ms\": %.2f, \"kernels\": %zu}\n",
+                  model.name.c_str(), args.pipeline.c_str(), args.seq,
+                  spec.name.c_str(), ctx.threads(), args.ratio,
+                  args.attention.c_str(), layer_us,
+                  layer_us * static_cast<double>(model.num_layers) / 1e3,
+                  dev.launch_count());
+    } else {
+      std::printf("%s · %s · seq %zu · %s", model.name.c_str(),
+                  args.pipeline.c_str(), args.seq, spec.name.c_str());
+      if (args.ratio > 0.0) {
+        std::printf(" · %s @ %.0f%%", args.strategy.c_str(),
+                    100 * args.ratio);
+      }
+      if (args.attention != "auto") {
+        std::printf(" · %s attention", args.attention.c_str());
+      }
+      std::printf("\n  %.1f us / layer,  %.2f ms for the %zu-layer model,  "
+                  "%zu kernels\n",
+                  layer_us,
+                  layer_us * static_cast<double>(model.num_layers) / 1e3,
+                  model.num_layers, dev.launch_count());
+      if (args.inject_given) {
+        const auto& inj = dev.fault_injector();
+        std::printf("  injected %zu fault(s) over %zu launch attempts\n",
+                    inj.faults_injected(), inj.launches_seen());
+        if (dev.fallback_log().empty() && inj.faults_injected() == 0) {
+          std::printf("  no launch matched the armed fault rule\n");
+        }
+      }
+    }
+    list_recoveries = args.inject_given;
+  }
+
+  // One emission tail for every mode. Under --json the document above is
+  // the whole stdout, so only the trace file follows it.
+  if (!args.json) {
+    if (list_recoveries) {
+      for (const auto& f : dev.fallback_log()) {
+        std::printf("  recovered: %s -> %s after fault in '%s' (%s)\n",
+                    f.from_impl.c_str(), f.to_impl.c_str(), f.kernel.c_str(),
+                    f.cause.c_str());
+      }
     }
     if (args.profile) {
       std::printf("\n");
       print_report(std::cout, et::gpusim::profile(dev));
     }
-    if (!args.trace.empty()) {
-      et::gpusim::write_chrome_trace(args.trace, dev);
-      std::printf("trace written to %s (open in chrome://tracing)\n",
-                  args.trace.c_str());
-    }
-    return 0;
-  }
-
-  et::tensor::MatrixF x(args.seq, model.d_model);
-  auto opt = et::nn::options_for(pipeline, model, args.seq);
-  opt.adaptive.forced = forced_attention;
-  try {
-    (void)et::nn::encoder_forward(ctx, x, weights, opt);
-  } catch (const et::gpusim::KernelFault& f) {
-    // Only the E.T. pipeline routes attention through the resilient
-    // adaptive dispatch; the baselines die on the first fault — which is
-    // exactly the contrast this flag exists to demonstrate. E.T. itself
-    // can still die when the rule also matches the modular baseline or a
-    // kernel outside the attention operator (FFN, layernorm).
-    if (pipeline == et::nn::Pipeline::kET) {
-      std::fprintf(stderr,
-                   "unrecovered kernel fault in '%s' (degradation chain "
-                   "exhausted, or the fault is outside the attention "
-                   "operator)\n",
-                   f.kernel().c_str());
-    } else {
-      std::fprintf(stderr,
-                   "unrecovered kernel fault in '%s' (pipeline '%s' has no "
-                   "fallback chain)\n",
-                   f.kernel().c_str(), args.pipeline.c_str());
-    }
-    return 1;
-  }
-
-  const double layer_us = dev.total_time_us();
-  if (args.json) {
-    std::printf("{\"model\": \"%s\", \"pipeline\": \"%s\", \"seq\": %zu, "
-                "\"device\": \"%s\", \"threads\": %zu, \"ratio\": %.2f, "
-                "\"attention\": \"%s\", \"layer_us\": %.1f, "
-                "\"model_ms\": %.2f, \"kernels\": %zu}\n",
-                model.name.c_str(), args.pipeline.c_str(), args.seq,
-                spec.name.c_str(), ctx.threads(), args.ratio,
-                args.attention.c_str(), layer_us,
-                layer_us * static_cast<double>(model.num_layers) / 1e3,
-                dev.launch_count());
-    if (!args.trace.empty()) {
-      et::gpusim::write_chrome_trace(args.trace, dev);
-    }
-    return 0;
-  }
-  std::printf("%s · %s · seq %zu · %s", model.name.c_str(),
-              args.pipeline.c_str(), args.seq, spec.name.c_str());
-  if (args.ratio > 0.0) {
-    std::printf(" · %s @ %.0f%%", args.strategy.c_str(), 100 * args.ratio);
-  }
-  if (args.attention != "auto") {
-    std::printf(" · %s attention", args.attention.c_str());
-  }
-  std::printf("\n  %.1f us / layer,  %.2f ms for the %zu-layer model,  "
-              "%zu kernels\n",
-              layer_us, layer_us * static_cast<double>(model.num_layers) / 1e3,
-              model.num_layers, dev.launch_count());
-  if (args.inject_given) {
-    const auto& inj = dev.fault_injector();
-    std::printf("  injected %zu fault(s) over %zu launch attempts\n",
-                inj.faults_injected(), inj.launches_seen());
-    for (const auto& f : dev.fallback_log()) {
-      std::printf("  recovered: %s -> %s after fault in '%s' (%s)\n",
-                  f.from_impl.c_str(), f.to_impl.c_str(), f.kernel.c_str(),
-                  f.cause.c_str());
-    }
-    if (dev.fallback_log().empty() && inj.faults_injected() == 0) {
-      std::printf("  no launch matched the armed fault rule\n");
-    }
-  }
-  if (args.profile) {
-    std::printf("\n");
-    print_report(std::cout, et::gpusim::profile(dev));
   }
   if (!args.trace.empty()) {
     et::gpusim::write_chrome_trace(args.trace, dev);
-    std::printf("trace written to %s (open in chrome://tracing)\n",
-                args.trace.c_str());
+    if (!args.json) {
+      std::printf("trace written to %s (open in chrome://tracing)\n",
+                  args.trace.c_str());
+    }
   }
   return 0;
 }

@@ -42,8 +42,9 @@ class Model {
   /// `layers` is borrowed and must outlive the Model and everything
   /// constructed from it (the lifetime contract the entry paths used to
   /// state individually). Throws std::invalid_argument on a null layer
-  /// vector, an invalid attention config, max_context == 0, or a W_VO
-  /// block whose head count or shape disagrees with the config.
+  /// vector, an invalid attention config, max_context == 0, or a layer
+  /// whose Q/K/V/O, FF, bias, layernorm or W_VO shapes disagree with the
+  /// config (the message names the layer and the field).
   ///
   /// `format` is the requested WeightFormat: std::nullopt derives it from
   /// the weights (dense / pruned / precomputed — the historical

@@ -1,27 +1,31 @@
 #include "nn/serialize.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
-#include <iostream>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 namespace et::nn {
 
 namespace {
 
-constexpr std::uint32_t kMagicV1 = 0x31575445;     // "ETW1" (legacy)
-constexpr std::uint32_t kMagicV2 = 0x32575445;     // "ETW2" (checksummed)
-constexpr std::uint32_t kDecMagicV1 = 0x31445445;  // "ETD1" (legacy)
-constexpr std::uint32_t kDecMagicV2 = 0x32445445;  // "ETD2" (checksummed)
-constexpr std::uint32_t kVersion1 = 1;
-constexpr std::uint32_t kVersion2 = 2;
+constexpr std::uint32_t kEncoderMagic = 0x32575445;  // "ETW2"
+constexpr std::uint32_t kDecoderMagic = 0x32445445;  // "ETD2"
+constexpr std::uint32_t kVersion = 2;
 
-/// A tampered layer-count field must not become a giant reserve().
+// Bounds on the fields a stream claims rather than carries, so a tampered
+// value never becomes a giant allocation or an overflowing rows · cols.
 constexpr std::uint64_t kMaxLayers = 1ull << 16;
+constexpr std::uint64_t kMaxSectionBytes = 1ull << 32;
+constexpr std::uint64_t kMaxDim = 1ull << 24;
+/// Payloads are read in chunks, so a size field larger than the stream
+/// costs at most one chunk before the truncation shows.
+constexpr std::size_t kReadChunk = std::size_t{1} << 20;
 
 enum class Tag : std::uint32_t {
   kDense = 1,
@@ -30,8 +34,6 @@ enum class Tag : std::uint32_t {
   kTile = 4,
   kIrregular = 5,
 };
-
-// ------------------------------------------------------------- CRC32 ----
 
 /// CRC-32 (IEEE 802.3), table-driven; the same polynomial gzip and PNG
 /// use, so a checkpoint's section CRCs can be cross-checked externally.
@@ -55,92 +57,14 @@ std::uint32_t crc32(const char* data, std::size_t n) {
   return crc ^ 0xffffffffu;
 }
 
-// ------------------------------------------------------- raw helpers ----
-
-void put_u32(std::ostream& os, std::uint32_t v) {
+template <typename T>
+void put_raw(std::ostream& os, T v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof v);
 }
 
-void put_u64(std::ostream& os, std::uint64_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-
-std::uint32_t get_u32(std::istream& is) {
-  std::uint32_t v = 0;
-  is.read(reinterpret_cast<char*>(&v), sizeof v);
-  if (!is) throw std::runtime_error("et::nn::load: truncated stream (u32)");
-  return v;
-}
-
-std::uint64_t get_u64(std::istream& is) {
-  std::uint64_t v = 0;
-  is.read(reinterpret_cast<char*>(&v), sizeof v);
-  if (!is) throw std::runtime_error("et::nn::load: truncated stream (u64)");
-  return v;
-}
-
-void put_floats(std::ostream& os, const float* data, std::size_t n) {
-  put_u64(os, n);
-  os.write(reinterpret_cast<const char*>(data),
-           static_cast<std::streamsize>(n * sizeof(float)));
-}
-
-std::vector<float> get_floats(std::istream& is) {
-  const std::uint64_t n = get_u64(is);
-  std::vector<float> out(n);
-  is.read(reinterpret_cast<char*>(out.data()),
-          static_cast<std::streamsize>(n * sizeof(float)));
-  if (!is) throw std::runtime_error("et::nn::load: truncated float block");
-  return out;
-}
-
-void put_u32s(std::ostream& os, const std::vector<std::uint32_t>& v) {
-  put_u64(os, v.size());
-  os.write(reinterpret_cast<const char*>(v.data()),
-           static_cast<std::streamsize>(v.size() * sizeof(std::uint32_t)));
-}
-
-std::vector<std::uint32_t> get_u32s(std::istream& is) {
-  const std::uint64_t n = get_u64(is);
-  std::vector<std::uint32_t> out(n);
-  is.read(reinterpret_cast<char*>(out.data()),
-          static_cast<std::streamsize>(n * sizeof(std::uint32_t)));
-  if (!is) throw std::runtime_error("et::nn::load: truncated index block");
-  return out;
-}
-
-void put_matrix(std::ostream& os, const tensor::MatrixF& m) {
-  put_u64(os, m.rows());
-  put_u64(os, m.cols());
-  put_floats(os, m.data(), m.size());
-}
-
-tensor::MatrixF get_matrix(std::istream& is) {
-  const std::uint64_t rows = get_u64(is);
-  const std::uint64_t cols = get_u64(is);
-  const auto flat = get_floats(is);
-  if (flat.size() != rows * cols) {
-    throw std::runtime_error("et::nn::load: matrix size mismatch");
-  }
-  tensor::MatrixF m(rows, cols);
-  std::copy(flat.begin(), flat.end(), m.data());
-  return m;
-}
-
-// ---------------------------------------------------------- sections ----
-// A section is one named, independently-checksummed unit of the stream:
-//   u32 name length, name bytes, u64 payload size, u32 CRC32, payload.
-// Every load-side failure mode — truncation, a flipped byte anywhere in
-// header or payload, a wrong layer count — surfaces as an exception that
-// names the section, so a corrupted checkpoint points at *what* is bad.
-
-void write_section(std::ostream& os, const std::string& name,
-                   const std::string& payload) {
-  put_u32(os, static_cast<std::uint32_t>(name.size()));
-  os.write(name.data(), static_cast<std::streamsize>(name.size()));
-  put_u64(os, payload.size());
-  put_u32(os, crc32(payload.data(), payload.size()));
-  os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+template <typename T>
+bool get_raw(std::istream& is, T& v) {
+  return static_cast<bool>(is.read(reinterpret_cast<char*>(&v), sizeof v));
 }
 
 [[noreturn]] void section_error(const std::string& section,
@@ -149,95 +73,31 @@ void write_section(std::ostream& os, const std::string& name,
                            "': " + what);
 }
 
-std::string read_section(std::istream& is, const std::string& expected) {
-  std::uint32_t name_len = 0;
-  is.read(reinterpret_cast<char*>(&name_len), sizeof name_len);
-  if (!is) section_error(expected, "truncated stream (section header)");
-  // A corrupted length would otherwise turn into a huge allocation.
-  if (name_len != expected.size()) {
-    section_error(expected, "unexpected section name (corrupted header)");
-  }
-  std::string name(name_len, '\0');
-  is.read(name.data(), name_len);
-  if (!is) section_error(expected, "truncated stream (section name)");
-  if (name != expected) {
-    section_error(expected, "found section '" + name + "' instead");
-  }
-  std::uint64_t size = 0;
-  is.read(reinterpret_cast<char*>(&size), sizeof size);
-  std::uint32_t stored_crc = 0;
-  is.read(reinterpret_cast<char*>(&stored_crc), sizeof stored_crc);
-  if (!is) section_error(expected, "truncated stream (section header)");
-  // A flipped byte in the size field must not become a huge allocation.
-  constexpr std::uint64_t kMaxSectionBytes = 1ull << 32;
-  if (size > kMaxSectionBytes) {
-    section_error(expected, "implausible section size (corrupted header)");
-  }
-  std::string payload(size, '\0');
-  is.read(payload.data(), static_cast<std::streamsize>(size));
-  if (!is || static_cast<std::uint64_t>(is.gcount()) != size) {
-    section_error(expected, "truncated stream (payload)");
-  }
-  if (crc32(payload.data(), payload.size()) != stored_crc) {
-    section_error(expected, "CRC32 mismatch (checkpoint corrupted)");
-  }
-  return payload;
+std::string layer_prefix(std::size_t i) {
+  return "layer" + std::to_string(i) + "/";
 }
 
-/// Serialize through `fill` into a buffered payload, then emit it as a
-/// checksummed section.
-template <typename Fn>
-void put_section(std::ostream& os, const std::string& name, Fn&& fill) {
-  std::ostringstream payload;
-  fill(payload);
-  write_section(os, name, payload.str());
+/// A tile record's mask: a 16×16 tile is kept iff it holds a nonzero —
+/// exactly the tiles the writer saved, since it refuses all-zero ones.
+sparse::Mask tile_mask(const tensor::MatrixF& m) {
+  constexpr std::size_t kSide = sparse::kTileSide;
+  sparse::Mask mask(m.rows(), m.cols(), 0);
+  for (std::size_t tr = 0; tr + kSide <= m.rows(); tr += kSide) {
+    for (std::size_t tc = 0; tc + kSide <= m.cols(); tc += kSide) {
+      bool kept = false;
+      for (std::size_t i = 0; i < kSide * kSide; ++i) {
+        kept = kept || m(tr + i / kSide, tc + i % kSide) != 0.0f;
+      }
+      if (!kept) continue;
+      for (std::size_t i = 0; i < kSide * kSide; ++i) {
+        mask(tr + i / kSide, tc + i % kSide) = 1;
+      }
+    }
+  }
+  return mask;
 }
 
-/// Read a section and parse its payload through `parse`. A short payload
-/// (which only a corrupted-but-CRC-colliding stream could produce) still
-/// fails inside `parse` with the plain truncation errors.
-template <typename Fn>
-auto get_section(std::istream& is, const std::string& name, Fn&& parse) {
-  std::istringstream payload(read_section(is, name));
-  return parse(payload);
-}
-
-// ----------------------------------------------------- weight formats ----
-
-void put_weight(std::ostream& os, const sparse::AnyWeight& w) {
-  // Weights serialize through their masked-dense reconstruction plus the
-  // structural metadata needed to rebuild the exact format: simple,
-  // version-stable, and exact (the formats are lossless views).
-  std::visit(
-      [&](const auto& v) {
-        using T = std::decay_t<decltype(v)>;
-        if constexpr (std::is_same_v<T, sparse::DenseWeight>) {
-          put_u32(os, static_cast<std::uint32_t>(Tag::kDense));
-          put_matrix(os, v.matrix());
-        } else if constexpr (std::is_same_v<T, sparse::RowPrunedWeight>) {
-          put_u32(os, static_cast<std::uint32_t>(Tag::kRow));
-          put_u64(os, v.original_rows());
-          put_u64(os, v.original_cols());
-          put_u32s(os, v.kept_rows());
-          put_matrix(os, v.condensed());
-        } else if constexpr (std::is_same_v<T, sparse::ColPrunedWeight>) {
-          put_u32(os, static_cast<std::uint32_t>(Tag::kColumn));
-          put_u64(os, v.original_rows());
-          put_u64(os, v.original_cols());
-          put_u32s(os, v.kept_cols());
-          put_matrix(os, v.condensed());
-        } else if constexpr (std::is_same_v<T, sparse::TilePrunedWeight>) {
-          put_u32(os, static_cast<std::uint32_t>(Tag::kTile));
-          // Tile structure is recoverable from the dense zeros pattern.
-          put_matrix(os, v.to_dense());
-        } else {
-          put_u32(os, static_cast<std::uint32_t>(Tag::kIrregular));
-          put_matrix(os, v.to_dense());
-        }
-      },
-      w);
-}
-
+/// An irregular record's mask: every nonzero is a stored value.
 sparse::Mask nonzero_mask(const tensor::MatrixF& m) {
   sparse::Mask mask(m.rows(), m.cols(), 0);
   for (std::size_t i = 0; i < m.size(); ++i) {
@@ -246,346 +106,409 @@ sparse::Mask nonzero_mask(const tensor::MatrixF& m) {
   return mask;
 }
 
-sparse::AnyWeight get_weight(std::istream& is) {
-  const auto tag = static_cast<Tag>(get_u32(is));
-  switch (tag) {
-    case Tag::kDense:
-      return sparse::DenseWeight(get_matrix(is));
-    case Tag::kRow: {
-      const std::uint64_t rows = get_u64(is);
-      const std::uint64_t cols = get_u64(is);
-      auto kept = get_u32s(is);
-      const auto condensed = get_matrix(is);
-      if (condensed.rows() != kept.size() || condensed.cols() != cols) {
-        throw std::runtime_error("et::nn::load: row-pruned shape mismatch");
-      }
-      // Rebuild through the dense reconstruction for validation.
-      tensor::MatrixF dense(rows, cols);
-      for (std::size_t i = 0; i < kept.size(); ++i) {
-        for (std::size_t c = 0; c < cols; ++c) {
-          dense(kept[i], c) = condensed(i, c);
+// A section is one named, independently checksummed unit of the stream:
+//   u32 name length, name bytes, u64 payload size, u32 CRC32, payload.
+// Its payload is a sequence of fields: u32 tags, u64 dimensions, and
+// arrays (u64 element count, then the elements); a matrix is rows, cols
+// and a float array of rows · cols elements.
+
+/// Writes each section's fields into a buffered payload, then frames it.
+class Saver {
+ public:
+  explicit Saver(std::ostream& os) : os_(os) {}
+
+  std::string prefix;  ///< "layerN/" of the layer being written
+
+  template <typename Fn>
+  void section(const char* name, Fn&& fields) {
+    section_ = prefix + name;
+    payload_.clear();
+    fields();
+    put_raw(os_, static_cast<std::uint32_t>(section_.size()));
+    os_.write(section_.data(), static_cast<std::streamsize>(section_.size()));
+    put_raw(os_, static_cast<std::uint64_t>(payload_.size()));
+    put_raw(os_, crc32(payload_.data(), payload_.size()));
+    os_.write(payload_.data(), static_cast<std::streamsize>(payload_.size()));
+  }
+
+  void weight(const char* name, const sparse::AnyWeight& w) {
+    std::visit(
+        [&](const auto& v) {
+          using T = std::decay_t<decltype(v)>;
+          if constexpr (std::is_same_v<T, sparse::DenseWeight>) {
+            put(Tag::kDense);
+            matrix(v.matrix());
+          } else if constexpr (std::is_same_v<T, sparse::RowPrunedWeight>) {
+            put(Tag::kRow);
+            put(std::uint64_t{v.original_rows()});
+            put(std::uint64_t{v.original_cols()});
+            array(v.kept_rows());
+            matrix(v.condensed());
+          } else if constexpr (std::is_same_v<T, sparse::ColPrunedWeight>) {
+            put(Tag::kColumn);
+            put(std::uint64_t{v.original_rows()});
+            put(std::uint64_t{v.original_cols()});
+            array(v.kept_cols());
+            matrix(v.condensed());
+          } else if constexpr (std::is_same_v<T, sparse::TilePrunedWeight>) {
+            constexpr std::size_t kTileElems =
+                sparse::kTileSide * sparse::kTileSide;
+            for (std::size_t t = 0; t < v.nnz_tiles(); ++t) {
+              const float* vals = v.tile_values(t);
+              if (std::all_of(vals, vals + kTileElems,
+                              [](float x) { return x == 0.0f; })) {
+                unrecordable(name, "tile-pruned weight keeps an all-zero tile");
+              }
+            }
+            put(Tag::kTile);
+            matrix(v.to_dense());
+          } else {
+            if (std::any_of(v.values().begin(), v.values().end(),
+                            [](float x) { return x == 0.0f; })) {
+              unrecordable(name, "irregular weight stores a zero value");
+            }
+            put(Tag::kIrregular);
+            matrix(v.to_dense());
+          }
+        },
+        w);
+  }
+
+  void fold(const core::PrecomputedVO& vo) {
+    put(std::uint64_t{vo.num_heads});
+    array(vo.kept_cols);
+    matrix(vo.weight);
+  }
+
+  void vec(const std::vector<float>& v) { array(v); }
+
+ private:
+  template <typename T>
+  void put(T v) {
+    payload_.append(reinterpret_cast<const char*>(&v), sizeof v);
+  }
+
+  template <typename T>
+  void array(const T* data, std::size_t n) {
+    put(std::uint64_t{n});
+    payload_.append(reinterpret_cast<const char*>(data), n * sizeof(T));
+  }
+
+  template <typename T>
+  void array(const std::vector<T>& v) {
+    array(v.data(), v.size());
+  }
+
+  void matrix(const tensor::MatrixF& m) {
+    put(std::uint64_t{m.rows()});
+    put(std::uint64_t{m.cols()});
+    array(m.data(), m.size());
+  }
+
+  /// The stored dense form marks kept elements by their nonzeros, so it
+  /// cannot record a kept zero.
+  [[noreturn]] void unrecordable(const char* name, const char* why) const {
+    throw std::invalid_argument("et::nn::save: " + section_ + " " + name +
+                                ": " + why +
+                                ", which the checkpoint cannot record");
+  }
+
+  std::ostream& os_;
+  std::string section_;
+  std::string payload_;
+};
+
+/// Reads each section through one bounded cursor over its payload: every
+/// count, shape and index is checked against the bytes left before
+/// anything is allocated or written, and every failure is a
+/// std::runtime_error naming the section.
+class Loader {
+ public:
+  explicit Loader(std::istream& is) : is_(is) {}
+
+  std::string prefix;  ///< "layerN/" of the layer being read
+
+  template <typename Fn>
+  void section(const char* name, Fn&& fields) {
+    section_ = prefix + name;
+    read_payload();
+    at_ = 0;
+    fields();
+    if (at_ != payload_.size()) {
+      fail(std::to_string(payload_.size() - at_) + " trailing payload bytes");
+    }
+  }
+
+  void weight(const char* name, sparse::AnyWeight& w) {
+    try {
+      switch (static_cast<Tag>(get<std::uint32_t>())) {
+        case Tag::kDense:
+          w = sparse::DenseWeight(matrix());
+          return;
+        case Tag::kRow: {
+          const std::uint64_t rows = dim();
+          const std::uint64_t cols = dim();
+          auto kept = array<std::uint32_t>();
+          auto condensed = matrix();
+          if (condensed.cols() != cols) fail_weight(name, "shape mismatch");
+          w = sparse::RowPrunedWeight::from_condensed(
+              rows, std::move(condensed), std::move(kept));
+          return;
+        }
+        case Tag::kColumn: {
+          const std::uint64_t rows = dim();
+          const std::uint64_t cols = dim();
+          auto kept = array<std::uint32_t>();
+          auto condensed = matrix();
+          if (condensed.rows() != rows) fail_weight(name, "shape mismatch");
+          w = sparse::ColPrunedWeight::from_condensed(
+              cols, std::move(condensed), std::move(kept));
+          return;
+        }
+        case Tag::kTile: {
+          const auto dense = matrix();
+          w = sparse::TilePrunedWeight::from_masked(dense, tile_mask(dense));
+          return;
+        }
+        case Tag::kIrregular: {
+          const auto dense = matrix();
+          w = sparse::IrregularWeight::from_masked(dense, nonzero_mask(dense));
+          return;
         }
       }
-      return sparse::RowPrunedWeight::from_kept_rows(dense, std::move(kept));
+    } catch (const std::invalid_argument& e) {
+      // The format factories' own validation (kept indices, tile
+      // alignment) is a corrupt record here, not a caller error.
+      fail_weight(name, e.what());
     }
-    case Tag::kColumn: {
-      const std::uint64_t rows = get_u64(is);
-      const std::uint64_t cols = get_u64(is);
-      auto kept = get_u32s(is);
-      const auto condensed = get_matrix(is);
-      if (condensed.cols() != kept.size() || condensed.rows() != rows) {
-        throw std::runtime_error(
-            "et::nn::load: column-pruned shape mismatch");
+    fail_weight(name, "unknown weight tag");
+  }
+
+  void fold(core::PrecomputedVO& vo) {
+    vo.num_heads = get<std::uint64_t>();
+    vo.kept_cols = array<std::uint32_t>();
+    vo.weight = matrix();
+    if (vo.empty()) return;
+    // A fold must agree with itself: rows are num_heads blocks of kept,
+    // and each kept column names an output column of the weight.
+    const std::size_t kept = vo.kept();
+    if (kept == 0 || vo.weight.rows() % kept != 0 ||
+        vo.weight.rows() / kept != vo.num_heads) {
+      fail("W_VO rows disagree with its head count and kept columns");
+    }
+    if (!sparse::kept_in_order(vo.kept_cols, vo.weight.cols())) {
+      fail("W_VO kept columns out of range or out of order");
+    }
+  }
+
+  void vec(std::vector<float>& v) { v = array<float>(); }
+
+ private:
+  [[noreturn]] void fail(const std::string& what) const {
+    section_error(section_, what);
+  }
+  [[noreturn]] void fail_weight(const char* name,
+                                const std::string& what) const {
+    fail(std::string(name) + ": " + what);
+  }
+
+  /// Section framing: name, size bound, then the payload in chunks (so
+  /// the buffer grows only with bytes actually read) and its CRC.
+  void read_payload() {
+    std::uint32_t name_len = 0;
+    if (!get_raw(is_, name_len)) fail("truncated stream (section header)");
+    if (name_len != section_.size()) {
+      fail("unexpected section name (corrupted header)");
+    }
+    std::string name(name_len, '\0');
+    if (!is_.read(name.data(), name_len)) {
+      fail("truncated stream (section name)");
+    }
+    if (name != section_) fail("found section '" + name + "' instead");
+    std::uint64_t size = 0;
+    std::uint32_t stored_crc = 0;
+    if (!get_raw(is_, size) || !get_raw(is_, stored_crc)) {
+      fail("truncated stream (section header)");
+    }
+    if (size > kMaxSectionBytes) {
+      fail("implausible section size (corrupted header)");
+    }
+    payload_.clear();
+    while (payload_.size() < size) {
+      const std::size_t have = payload_.size();
+      const std::size_t chunk =
+          static_cast<std::size_t>(std::min<std::uint64_t>(size - have,
+                                                           kReadChunk));
+      payload_.resize(have + chunk);
+      is_.read(payload_.data() + have, static_cast<std::streamsize>(chunk));
+      if (static_cast<std::size_t>(is_.gcount()) != chunk) {
+        fail("truncated stream (payload)");
       }
-      tensor::MatrixF dense(rows, cols);
-      for (std::size_t r = 0; r < rows; ++r) {
-        for (std::size_t i = 0; i < kept.size(); ++i) {
-          dense(r, kept[i]) = condensed(r, i);
-        }
-      }
-      return sparse::ColPrunedWeight::from_kept_cols(dense, std::move(kept));
     }
-    case Tag::kTile: {
-      const auto dense = get_matrix(is);
-      return sparse::TilePrunedWeight::from_masked(dense,
-                                                   nonzero_mask(dense));
-    }
-    case Tag::kIrregular: {
-      const auto dense = get_matrix(is);
-      return sparse::IrregularWeight::from_masked(dense,
-                                                  nonzero_mask(dense));
+    if (crc32(payload_.data(), payload_.size()) != stored_crc) {
+      fail("CRC32 mismatch (checkpoint corrupted)");
     }
   }
-  throw std::runtime_error("et::nn::load: unknown weight tag");
+
+  void take(void* dst, std::size_t n) {
+    if (n > payload_.size() - at_) fail("truncated payload");
+    if (n > 0) std::memcpy(dst, payload_.data() + at_, n);
+    at_ += n;
+  }
+
+  template <typename T>
+  T get() {
+    T v{};
+    take(&v, sizeof v);
+    return v;
+  }
+
+  std::uint64_t dim() {
+    const auto n = get<std::uint64_t>();
+    if (n > kMaxDim) fail("implausible dimension " + std::to_string(n));
+    return n;
+  }
+
+  /// An element count, bounded by the bytes left before the caller
+  /// allocates for it.
+  std::size_t count(std::size_t elem_bytes) {
+    const auto n = get<std::uint64_t>();
+    const std::size_t left = payload_.size() - at_;
+    if (n > left / elem_bytes) {
+      fail("count " + std::to_string(n) + " exceeds the " +
+           std::to_string(left) + " payload bytes left");
+    }
+    return static_cast<std::size_t>(n);
+  }
+
+  template <typename T>
+  std::vector<T> array() {
+    std::vector<T> out(count(sizeof(T)));
+    take(out.data(), out.size() * sizeof(T));
+    return out;
+  }
+
+  tensor::MatrixF matrix() {
+    const std::uint64_t rows = dim();
+    const std::uint64_t cols = dim();
+    const std::size_t n = count(sizeof(float));
+    if (n != rows * cols) {
+      fail("a " + std::to_string(rows) + "x" + std::to_string(cols) +
+           " matrix holding " + std::to_string(n) + " values");
+    }
+    tensor::MatrixF m(rows, cols);
+    take(m.data(), n * sizeof(float));
+    return m;
+  }
+
+  std::istream& is_;
+  std::string section_;
+  std::string payload_;
+  std::size_t at_ = 0;
+};
+
+/// One layer's sections in stream order, visited alike by the Saver and
+/// the Loader, so each layout is written down once.
+template <typename Io, typename Attention>
+void attention_fields(Io& io, Attention& a) {
+  io.weight("W_Q", a.wq);
+  io.weight("W_K", a.wk);
+  io.weight("W_V", a.wv);
+  io.weight("W_O", a.wo);
+  io.fold(a.vo);
 }
 
-void put_vector(std::ostream& os, const std::vector<float>& v) {
-  put_floats(os, v.data(), v.size());
-}
-
-// ----------------------------------------------- section payload parts ----
-
-void put_attention(std::ostream& os, const core::AttentionWeights& a) {
-  put_weight(os, a.wq);
-  put_weight(os, a.wk);
-  put_weight(os, a.wv);
-  put_weight(os, a.wo);
-  // Pre-computed W_VO (may be empty).
-  put_u64(os, a.vo.num_heads);
-  put_u32s(os, a.vo.kept_cols);
-  put_matrix(os, a.vo.weight);
-}
-
-core::AttentionWeights get_attention(std::istream& is) {
-  core::AttentionWeights a;
-  a.wq = get_weight(is);
-  a.wk = get_weight(is);
-  a.wv = get_weight(is);
-  a.wo = get_weight(is);
-  a.vo.num_heads = get_u64(is);
-  a.vo.kept_cols = get_u32s(is);
-  a.vo.weight = get_matrix(is);
-  return a;
-}
-
-void save_encoder_sections(std::ostream& os, const EncoderWeights& w,
-                           const std::string& prefix) {
-  put_section(os, prefix + "attention",
-              [&](std::ostream& p) { put_attention(p, w.attn); });
-  put_section(os, prefix + "ffn", [&](std::ostream& p) {
-    put_weight(p, w.w_ff1);
-    put_weight(p, w.w_ff2);
-    put_vector(p, w.b_ff1);
-    put_vector(p, w.b_ff2);
+template <typename Io, typename Layer>
+void layer_sections(Io& io, Layer& w) {
+  constexpr bool kDecoder =
+      std::is_same_v<std::remove_const_t<Layer>, DecoderWeights>;
+  if constexpr (kDecoder) {
+    io.section("self_attention", [&] { attention_fields(io, w.self_attn); });
+    io.section("cross_attention", [&] { attention_fields(io, w.cross_attn); });
+  } else {
+    io.section("attention", [&] { attention_fields(io, w.attn); });
+  }
+  io.section("ffn", [&] {
+    io.weight("W_FF1", w.w_ff1);
+    io.weight("W_FF2", w.w_ff2);
+    io.vec(w.b_ff1);
+    io.vec(w.b_ff2);
   });
-  put_section(os, prefix + "layernorm", [&](std::ostream& p) {
-    put_vector(p, w.ln1_gamma);
-    put_vector(p, w.ln1_beta);
-    put_vector(p, w.ln2_gamma);
-    put_vector(p, w.ln2_beta);
+  io.section("layernorm", [&] {
+    io.vec(w.ln1_gamma);
+    io.vec(w.ln1_beta);
+    io.vec(w.ln2_gamma);
+    io.vec(w.ln2_beta);
+    if constexpr (kDecoder) {
+      io.vec(w.ln3_gamma);
+      io.vec(w.ln3_beta);
+    }
   });
 }
 
-EncoderWeights load_encoder_sections(std::istream& is,
-                                     const std::string& prefix) {
-  EncoderWeights w;
-  w.attn = get_section(is, prefix + "attention",
-                       [](std::istream& p) { return get_attention(p); });
-  get_section(is, prefix + "ffn", [&](std::istream& p) {
-    w.w_ff1 = get_weight(p);
-    w.w_ff2 = get_weight(p);
-    w.b_ff1 = get_floats(p);
-    w.b_ff2 = get_floats(p);
-    return 0;
-  });
-  get_section(is, prefix + "layernorm", [&](std::istream& p) {
-    w.ln1_gamma = get_floats(p);
-    w.ln1_beta = get_floats(p);
-    w.ln2_gamma = get_floats(p);
-    w.ln2_beta = get_floats(p);
-    return 0;
-  });
-  return w;
-}
-
-/// Legacy v1 layer layout: a flat, unchecksummed field sequence.
-void save_encoder_weights_v1(std::ostream& os, const EncoderWeights& w) {
-  put_weight(os, w.attn.wq);
-  put_weight(os, w.attn.wk);
-  put_weight(os, w.attn.wv);
-  put_weight(os, w.attn.wo);
-  put_u64(os, w.attn.vo.num_heads);
-  put_u32s(os, w.attn.vo.kept_cols);
-  put_matrix(os, w.attn.vo.weight);
-  put_weight(os, w.w_ff1);
-  put_weight(os, w.w_ff2);
-  put_vector(os, w.b_ff1);
-  put_vector(os, w.b_ff2);
-  put_vector(os, w.ln1_gamma);
-  put_vector(os, w.ln1_beta);
-  put_vector(os, w.ln2_gamma);
-  put_vector(os, w.ln2_beta);
-}
-
-EncoderWeights load_encoder_weights_v1(std::istream& is) {
-  EncoderWeights w;
-  w.attn.wq = get_weight(is);
-  w.attn.wk = get_weight(is);
-  w.attn.wv = get_weight(is);
-  w.attn.wo = get_weight(is);
-  w.attn.vo.num_heads = get_u64(is);
-  w.attn.vo.kept_cols = get_u32s(is);
-  w.attn.vo.weight = get_matrix(is);
-  w.w_ff1 = get_weight(is);
-  w.w_ff2 = get_weight(is);
-  w.b_ff1 = get_floats(is);
-  w.b_ff2 = get_floats(is);
-  w.ln1_gamma = get_floats(is);
-  w.ln1_beta = get_floats(is);
-  w.ln2_gamma = get_floats(is);
-  w.ln2_beta = get_floats(is);
-  return w;
-}
-
-std::string layer_prefix(std::uint64_t i) {
-  return "layer" + std::to_string(i) + "/";
-}
-
-void warn_legacy(const char* kind) {
-  std::cerr << "et::nn::load: warning: loading legacy " << kind
-            << " checkpoint without per-section checksums; re-save to "
-               "upgrade to the checksummed v2 format\n";
-}
-
-}  // namespace
-
-void save_encoder_weights(std::ostream& os, const EncoderWeights& w) {
-  save_encoder_sections(os, w, "");
-}
-
-EncoderWeights load_encoder_weights(std::istream& is) {
-  return load_encoder_sections(is, "");
-}
-
-void save_decoder_stack(std::ostream& os,
-                        const std::vector<DecoderWeights>& layers) {
-  put_u32(os, kDecMagicV2);
-  put_u32(os, kVersion2);
-  put_u64(os, layers.size());
-  for (std::uint64_t i = 0; i < layers.size(); ++i) {
-    const auto& w = layers[i];
-    const std::string prefix = layer_prefix(i);
-    put_section(os, prefix + "self_attention",
-                [&](std::ostream& p) { put_attention(p, w.self_attn); });
-    put_section(os, prefix + "cross_attention",
-                [&](std::ostream& p) { put_attention(p, w.cross_attn); });
-    put_section(os, prefix + "ffn", [&](std::ostream& p) {
-      put_weight(p, w.w_ff1);
-      put_weight(p, w.w_ff2);
-      put_vector(p, w.b_ff1);
-      put_vector(p, w.b_ff2);
-    });
-    put_section(os, prefix + "layernorm", [&](std::ostream& p) {
-      put_vector(p, w.ln1_gamma);
-      put_vector(p, w.ln1_beta);
-      put_vector(p, w.ln2_gamma);
-      put_vector(p, w.ln2_beta);
-      put_vector(p, w.ln3_gamma);
-      put_vector(p, w.ln3_beta);
-    });
+template <typename Layer>
+void save_stack(std::ostream& os, std::uint32_t magic,
+                const std::vector<Layer>& layers) {
+  put_raw(os, magic);
+  put_raw(os, kVersion);
+  put_raw(os, static_cast<std::uint64_t>(layers.size()));
+  Saver out(os);
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    out.prefix = layer_prefix(i);
+    layer_sections(out, layers[i]);
   }
 }
 
-void save_decoder_stack_v1(std::ostream& os,
-                           const std::vector<DecoderWeights>& layers) {
-  put_u32(os, kDecMagicV1);
-  put_u32(os, kVersion1);
-  put_u64(os, layers.size());
-  for (const auto& w : layers) {
-    put_attention(os, w.self_attn);
-    put_attention(os, w.cross_attn);
-    put_weight(os, w.w_ff1);
-    put_weight(os, w.w_ff2);
-    put_vector(os, w.b_ff1);
-    put_vector(os, w.b_ff2);
-    put_vector(os, w.ln1_gamma);
-    put_vector(os, w.ln1_beta);
-    put_vector(os, w.ln2_gamma);
-    put_vector(os, w.ln2_beta);
-    put_vector(os, w.ln3_gamma);
-    put_vector(os, w.ln3_beta);
+template <typename Layer>
+std::vector<Layer> load_stack(std::istream& is, std::uint32_t magic,
+                              const char* kind) {
+  std::uint32_t got_magic = 0;
+  std::uint32_t version = 0;
+  std::uint64_t count = 0;
+  if (!get_raw(is, got_magic) || !get_raw(is, version) ||
+      !get_raw(is, count)) {
+    section_error("header", "truncated stream");
   }
-}
-
-std::vector<DecoderWeights> load_decoder_stack(std::istream& is) {
-  const std::uint32_t magic = get_u32(is);
-  if (magic != kDecMagicV1 && magic != kDecMagicV2) {
-    throw std::runtime_error("et::nn::load: bad magic (not an ETD file)");
+  if (got_magic != magic) {
+    section_error("header", std::string("bad magic (not an ") + kind +
+                                " checkpoint)");
   }
-  const std::uint32_t version = get_u32(is);
-  if ((magic == kDecMagicV1 && version != kVersion1) ||
-      (magic == kDecMagicV2 && version != kVersion2)) {
-    throw std::runtime_error("et::nn::load: unsupported decoder version " +
-                             std::to_string(version));
+  if (version != kVersion) {
+    section_error("header", "unsupported version " + std::to_string(version));
   }
-  if (magic == kDecMagicV1) warn_legacy("ETD1");
-  const std::uint64_t count = get_u64(is);
   if (count > kMaxLayers) {
-    throw std::runtime_error("et::nn::load: implausible layer count " +
-                             std::to_string(count));
+    section_error("header", "implausible layer count " + std::to_string(count));
   }
-  std::vector<DecoderWeights> layers;
-  layers.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    DecoderWeights w;
-    if (magic == kDecMagicV1) {
-      w.self_attn = get_attention(is);
-      w.cross_attn = get_attention(is);
-      w.w_ff1 = get_weight(is);
-      w.w_ff2 = get_weight(is);
-      w.b_ff1 = get_floats(is);
-      w.b_ff2 = get_floats(is);
-      w.ln1_gamma = get_floats(is);
-      w.ln1_beta = get_floats(is);
-      w.ln2_gamma = get_floats(is);
-      w.ln2_beta = get_floats(is);
-      w.ln3_gamma = get_floats(is);
-      w.ln3_beta = get_floats(is);
-    } else {
-      const std::string prefix = layer_prefix(i);
-      w.self_attn = get_section(is, prefix + "self_attention",
-                                [](std::istream& p) {
-                                  return get_attention(p);
-                                });
-      w.cross_attn = get_section(is, prefix + "cross_attention",
-                                 [](std::istream& p) {
-                                   return get_attention(p);
-                                 });
-      get_section(is, prefix + "ffn", [&](std::istream& p) {
-        w.w_ff1 = get_weight(p);
-        w.w_ff2 = get_weight(p);
-        w.b_ff1 = get_floats(p);
-        w.b_ff2 = get_floats(p);
-        return 0;
-      });
-      get_section(is, prefix + "layernorm", [&](std::istream& p) {
-        w.ln1_gamma = get_floats(p);
-        w.ln1_beta = get_floats(p);
-        w.ln2_gamma = get_floats(p);
-        w.ln2_beta = get_floats(p);
-        w.ln3_gamma = get_floats(p);
-        w.ln3_beta = get_floats(p);
-        return 0;
-      });
-    }
+  // No reserve(count): layers are allocated only as their sections load.
+  std::vector<Layer> layers;
+  Loader in(is);
+  for (std::size_t i = 0; i < count; ++i) {
+    in.prefix = layer_prefix(i);
+    Layer w;
+    layer_sections(in, w);
     layers.push_back(std::move(w));
   }
   return layers;
 }
 
+}  // namespace
+
 void save_encoder_stack(std::ostream& os,
                         const std::vector<EncoderWeights>& layers) {
-  put_u32(os, kMagicV2);
-  put_u32(os, kVersion2);
-  put_u64(os, layers.size());
-  for (std::uint64_t i = 0; i < layers.size(); ++i) {
-    save_encoder_sections(os, layers[i], layer_prefix(i));
-  }
-}
-
-void save_encoder_stack_v1(std::ostream& os,
-                           const std::vector<EncoderWeights>& layers) {
-  put_u32(os, kMagicV1);
-  put_u32(os, kVersion1);
-  put_u64(os, layers.size());
-  for (const auto& layer : layers) save_encoder_weights_v1(os, layer);
+  save_stack(os, kEncoderMagic, layers);
 }
 
 std::vector<EncoderWeights> load_encoder_stack(std::istream& is) {
-  const std::uint32_t magic = get_u32(is);
-  if (magic != kMagicV1 && magic != kMagicV2) {
-    throw std::runtime_error("et::nn::load: bad magic (not an ETW file)");
-  }
-  const std::uint32_t version = get_u32(is);
-  if ((magic == kMagicV1 && version != kVersion1) ||
-      (magic == kMagicV2 && version != kVersion2)) {
-    throw std::runtime_error("et::nn::load: unsupported version " +
-                             std::to_string(version));
-  }
-  if (magic == kMagicV1) warn_legacy("ETW1");
-  const std::uint64_t count = get_u64(is);
-  if (count > kMaxLayers) {
-    throw std::runtime_error("et::nn::load: implausible layer count " +
-                             std::to_string(count));
-  }
-  std::vector<EncoderWeights> layers;
-  layers.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    layers.push_back(magic == kMagicV1
-                         ? load_encoder_weights_v1(is)
-                         : load_encoder_sections(is, layer_prefix(i)));
-  }
-  return layers;
+  return load_stack<EncoderWeights>(is, kEncoderMagic, "ETW2");
+}
+
+void save_decoder_stack(std::ostream& os,
+                        const std::vector<DecoderWeights>& layers) {
+  save_stack(os, kDecoderMagic, layers);
+}
+
+std::vector<DecoderWeights> load_decoder_stack(std::istream& is) {
+  return load_stack<DecoderWeights>(is, kDecoderMagic, "ETD2");
 }
 
 void save_encoder_stack(const std::string& path,

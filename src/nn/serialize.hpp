@@ -1,15 +1,17 @@
-// Binary serialization of deployed encoder weights — the artifact a
-// production user ships after the prune/retrain pipeline. All five weight
-// formats round-trip, so a model pruned on one machine loads for
-// inference elsewhere without re-deriving masks.
+// Binary serialization of deployed weights — the artifact a production
+// user ships after the prune/retrain pipeline. All five weight formats
+// round-trip, so a model pruned on one machine loads for inference
+// elsewhere without re-deriving masks.
 //
-// Format (v2): little-endian, "ETW2" magic + version, then named sections
-// ("layer0/attention", "layer0/ffn", ...), each carrying its payload size
-// and a CRC32 of the payload. A truncated or bit-flipped checkpoint is
-// rejected with an error naming the bad section instead of loading
-// garbage weights. Legacy "ETW1"/"ETD1" streams (magic + element counts,
-// no checksums) still load, with a warning. Not designed for cross-endian
-// portability (like most ML checkpoint formats).
+// Format: little-endian, an "ETW2" (encoder) or "ETD2" (decoder) magic,
+// version 2 and a layer count, then named sections ("layer0/attention",
+// "layer0/ffn", ...), each carrying its payload size and a CRC32 of the
+// payload. The reader treats the stream as untrusted: every count, shape
+// and index is checked against the payload bytes before anything is
+// allocated or written, so a truncated, bit-flipped or crafted checkpoint
+// is a std::runtime_error naming the bad section, never garbage weights
+// or a giant allocation. Not designed for cross-endian portability (like
+// most ML checkpoint formats).
 #pragma once
 
 #include <iosfwd>
@@ -21,12 +23,12 @@
 
 namespace et::nn {
 
-/// Serialize one encoder layer's weights as checksummed sections
-/// ("attention", "ffn", "layernorm") without a file header.
-void save_encoder_weights(std::ostream& os, const EncoderWeights& w);
-[[nodiscard]] EncoderWeights load_encoder_weights(std::istream& is);
-
 /// Serialize a whole stack (magic + version + layer count + sections).
+/// Tile and irregular records store only the dense reconstruction, so a
+/// tile-pruned weight that keeps an all-zero tile, or an irregular one
+/// that stores a zero, throws std::invalid_argument naming the weight: it
+/// would reload with a different structure. The stream then ends after
+/// the sections already written, which the loader refuses as truncated.
 void save_encoder_stack(std::ostream& os,
                         const std::vector<EncoderWeights>& layers);
 [[nodiscard]] std::vector<EncoderWeights> load_encoder_stack(std::istream& is);
@@ -35,14 +37,6 @@ void save_encoder_stack(std::ostream& os,
 void save_decoder_stack(std::ostream& os,
                         const std::vector<DecoderWeights>& layers);
 [[nodiscard]] std::vector<DecoderWeights> load_decoder_stack(std::istream& is);
-
-/// Legacy v1 writers (no per-section checksums). Retained so compat tests
-/// and older tooling can still produce ETW1/ETD1 streams; new code should
-/// use the checksummed save_*_stack above.
-void save_encoder_stack_v1(std::ostream& os,
-                           const std::vector<EncoderWeights>& layers);
-void save_decoder_stack_v1(std::ostream& os,
-                           const std::vector<DecoderWeights>& layers);
 
 /// File-path convenience wrappers; throw std::runtime_error on IO failure.
 void save_encoder_stack(const std::string& path,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <fstream>
 #include <stdexcept>
 
 #include "nn/serialize.hpp"
@@ -25,9 +24,6 @@ float unit_float(std::uint64_t h) {
   // [-1, 1) from the top 24 bits — small enough to keep activations tame.
   return static_cast<float>((h >> 40) % 2000000ull) / 1000000.0f - 1.0f;
 }
-
-constexpr std::uint32_t kMagicEtw1 = 0x31575445;  // "ETW1"
-constexpr std::uint32_t kMagicEtw2 = 0x32575445;  // "ETW2"
 
 }  // namespace
 
@@ -75,30 +71,7 @@ nn::SelectFn LoadedModel::select_fn() const {
 void ModelRegistry::load_file(const std::string& name, std::uint64_t version,
                               const std::string& path, nn::EncoderOptions opt,
                               std::size_t max_context, std::int32_t vocab) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) {
-    throw std::runtime_error("ModelRegistry: cannot open checkpoint: " + path);
-  }
-  // Peek the magic so the unchecksummed-ETW1 gate fires with a targeted
-  // error before the legacy loader's stderr warning.
-  std::uint32_t magic = 0;
-  f.read(reinterpret_cast<char*>(&magic), sizeof magic);
-  if (!f) {
-    throw std::runtime_error("ModelRegistry: truncated checkpoint: " + path);
-  }
-  if (magic == kMagicEtw1 && !allow_unchecksummed_) {
-    throw std::runtime_error(
-        "ModelRegistry: '" + path +
-        "' is a legacy unchecksummed ETW1 checkpoint; re-save it in the "
-        "checksummed ETW2 format or pass --allow-unchecksummed");
-  }
-  if (magic != kMagicEtw1 && magic != kMagicEtw2) {
-    throw std::runtime_error("ModelRegistry: '" + path +
-                             "' is not an ETW checkpoint (bad magic)");
-  }
-  f.seekg(0);
-  auto layers = nn::load_encoder_stack(f);  // CRC-validates every section
-  add(name, version, std::move(layers), opt, max_context, vocab);
+  add(name, version, nn::load_encoder_stack(path), opt, max_context, vocab);
 }
 
 void ModelRegistry::add(const std::string& name, std::uint64_t version,

@@ -18,12 +18,11 @@
 // removes the registry's own reference; it cannot pull weights out from
 // under a pinned engine.
 //
-// Integrity: load_file() goes through nn::load_encoder_stack, so every
-// section CRC is validated before a version becomes servable. Legacy
-// unchecksummed ETW1 checkpoints are rejected unless the registry was
-// built with allow_unchecksummed (the `--allow-unchecksummed` escape
-// hatch in et_cli) — a bit flip in a served model must be a load error,
-// not a silently different transcript.
+// Integrity: load_file() is nn::load_encoder_stack, so every section CRC
+// and every field is validated before a version becomes servable, and
+// the nn::Model handle then checks each layer's shapes — a bit flip in a
+// served model must be a load error, not a silently different
+// transcript.
 //
 // Observability: bind_metrics() registers the registry gauges
 // (models_loaded / swaps / active_pins) on a caller-provided
@@ -93,19 +92,14 @@ using ModelPin = std::shared_ptr<const LoadedModel>;
 
 class ModelRegistry {
  public:
-  /// `allow_unchecksummed` gates loading legacy ETW1 checkpoints (no
-  /// per-section CRCs) through load_file.
-  explicit ModelRegistry(bool allow_unchecksummed = false)
-      : allow_unchecksummed_(allow_unchecksummed) {}
+  ModelRegistry() = default;
   ModelRegistry(const ModelRegistry&) = delete;
   ModelRegistry& operator=(const ModelRegistry&) = delete;
 
-  /// Load a checkpoint from disk as (name, version). The stream must be a
-  /// checksummed ETW2 stack (every section CRC-validated during the load);
-  /// a legacy ETW1 stack is rejected with an error naming the gate unless
-  /// the registry allows unchecksummed loads. Throws std::runtime_error on
-  /// IO/integrity failures and std::invalid_argument on a duplicate
-  /// (name, version) or a config the nn::Model validation rejects.
+  /// Load an ETW2 checkpoint from disk as (name, version). Throws
+  /// std::runtime_error on IO/integrity failures (naming the bad section)
+  /// and std::invalid_argument on a duplicate (name, version) or weights
+  /// the nn::Model validation rejects.
   void load_file(const std::string& name, std::uint64_t version,
                  const std::string& path, nn::EncoderOptions opt,
                  std::size_t max_context, std::int32_t vocab = 257);
@@ -155,7 +149,6 @@ class ModelRegistry {
 
   [[nodiscard]] ModelPin pin_locked(const std::shared_ptr<LoadedModel>& m);
 
-  bool allow_unchecksummed_ = false;
   mutable std::mutex mu_;
   std::vector<Entry> entries_;  // insertion order; lookups scan
   std::size_t pins_ = 0;        // live acquire() pins

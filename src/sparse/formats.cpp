@@ -11,6 +11,13 @@ void require(bool cond, const char* msg) {
 }
 }  // namespace
 
+bool kept_in_order(const std::vector<std::uint32_t>& kept, std::size_t bound) {
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    if (kept[i] >= bound || (i > 0 && kept[i] <= kept[i - 1])) return false;
+  }
+  return true;
+}
+
 // ---------------------------------------------------------------- row ----
 
 RowPrunedWeight RowPrunedWeight::from_masked(const tensor::MatrixF& w,
@@ -38,6 +45,21 @@ RowPrunedWeight RowPrunedWeight::from_kept_rows(
       out.condensed_(i, c) = w(out.kept_[i], c);
     }
   }
+  return out;
+}
+
+RowPrunedWeight RowPrunedWeight::from_condensed(
+    std::size_t rows, tensor::MatrixF condensed,
+    std::vector<std::uint32_t> kept) {
+  require(condensed.rows() == kept.size(),
+          "row pruning: condensed rows disagree with the kept rows");
+  require(kept_in_order(kept, rows),
+          "row pruning: kept rows out of range or out of order");
+  RowPrunedWeight out;
+  out.rows_ = rows;
+  out.cols_ = condensed.cols();
+  out.condensed_ = std::move(condensed);
+  out.kept_ = std::move(kept);
   return out;
 }
 
@@ -77,6 +99,21 @@ ColPrunedWeight ColPrunedWeight::from_kept_cols(
       out.condensed_(r, i) = w(r, out.kept_[i]);
     }
   }
+  return out;
+}
+
+ColPrunedWeight ColPrunedWeight::from_condensed(
+    std::size_t cols, tensor::MatrixF condensed,
+    std::vector<std::uint32_t> kept) {
+  require(condensed.cols() == kept.size(),
+          "column pruning: condensed columns disagree with the kept columns");
+  require(kept_in_order(kept, cols),
+          "column pruning: kept columns out of range or out of order");
+  ColPrunedWeight out;
+  out.rows_ = condensed.rows();
+  out.cols_ = cols;
+  out.condensed_ = std::move(condensed);
+  out.kept_ = std::move(kept);
   return out;
 }
 

@@ -71,6 +71,12 @@ class RowPrunedWeight {
   /// Build by keeping exactly the listed (sorted, unique) rows.
   static RowPrunedWeight from_kept_rows(const tensor::MatrixF& w,
                                         std::vector<std::uint32_t> kept);
+  /// Rebuild from the stored parts: `condensed` (kept × cols) and its
+  /// kept rows, strictly increasing and each below `rows`. Validates
+  /// before building, without materializing the rows × cols original.
+  static RowPrunedWeight from_condensed(std::size_t rows,
+                                        tensor::MatrixF condensed,
+                                        std::vector<std::uint32_t> kept);
 
   [[nodiscard]] std::size_t original_rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t original_cols() const noexcept { return cols_; }
@@ -103,6 +109,11 @@ class ColPrunedWeight {
   static ColPrunedWeight from_masked(const tensor::MatrixF& w,
                                      const Mask& mask);
   static ColPrunedWeight from_kept_cols(const tensor::MatrixF& w,
+                                        std::vector<std::uint32_t> kept);
+  /// Rebuild from `condensed` (rows × kept) and its kept columns, strictly
+  /// increasing and each below `cols`.
+  static ColPrunedWeight from_condensed(std::size_t cols,
+                                        tensor::MatrixF condensed,
                                         std::vector<std::uint32_t> kept);
 
   [[nodiscard]] std::size_t original_rows() const noexcept { return rows_; }
@@ -219,6 +230,11 @@ class IrregularWeight {
   std::vector<Tile> tiles_;
   std::vector<float> values_;
 };
+
+/// Kept indices as the pruned formats build them: strictly increasing and
+/// each below `bound`.
+[[nodiscard]] bool kept_in_order(const std::vector<std::uint32_t>& kept,
+                                 std::size_t bound);
 
 /// Any weight format a linear layer can carry.
 using AnyWeight = std::variant<DenseWeight, RowPrunedWeight, ColPrunedWeight,

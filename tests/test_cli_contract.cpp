@@ -396,11 +396,16 @@ TEST(CliContract, ListenFlagValidatesPortAndDrainTicks) {
   // And --help documents the whole network flag set.
   const auto help = run_cli("--help");
   ASSERT_EQ(help.exit_code, 0);
-  for (const char* flag :
-       {"--listen", "--drain-ticks", "--allow-unchecksummed"}) {
+  for (const char* flag : {"--listen", "--drain-ticks"}) {
     EXPECT_NE(help.output.find(flag), std::string::npos)
         << "--help is missing " << flag;
   }
+  // Checkpoints are always checksummed, so there is no opt-out flag:
+  // --allow-unchecksummed is named and refused like any unknown flag.
+  const auto legacy = run_cli("--allow-unchecksummed");
+  EXPECT_EQ(legacy.exit_code, 2);
+  EXPECT_NE(legacy.output.find("--allow-unchecksummed"), std::string::npos)
+      << legacy.output;
 }
 
 TEST(CliContract, ListenShutsDownGracefullyOnStopSignals) {

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/block_allocator.hpp"
@@ -237,6 +238,67 @@ TEST(DecodeFormats, ModelHandleValidatesItsArguments) {
   bad_layers[0].attn.vo.num_heads = kHeads + 1;
   EXPECT_THROW(et::nn::Model(&bad_layers, folded.opt, kMaxContext),
                std::invalid_argument);
+}
+
+/// The Model must refuse `s` with std::invalid_argument naming the layer
+/// and the field — before any decode path over-reads or throws mid-tick.
+void expect_refused(const Stack& s, const std::string& layer_and_field) {
+  try {
+    (void)et::nn::Model(&s.layers, s.opt, kMaxContext);
+    ADD_FAILURE() << "accepted a stack with a bad " << layer_and_field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(layer_and_field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(DecodeFormats, ModelRefusesAMisShapedAttentionWeight) {
+  Stack s = make_dense_stack(61);
+  s.layers[1].attn.wk =
+      et::sparse::DenseWeight(et::tensor::MatrixF(kDModel, kDModel + 16));
+  expect_refused(s, "layer 1 W_K");
+}
+
+TEST(DecodeFormats, ModelRefusesAnFfWeightOfTheWrongWidth) {
+  Stack s = make_dense_stack(62);
+  s.layers[0].w_ff1 =
+      et::sparse::DenseWeight(et::tensor::MatrixF(2 * kDModel, kDModel + 16));
+  expect_refused(s, "layer 0 W_FF1");
+}
+
+TEST(DecodeFormats, ModelRefusesAnFf2ThatDisagreesWithFf1) {
+  Stack s = make_dense_stack(63);
+  s.layers[1].w_ff2 =
+      et::sparse::DenseWeight(et::tensor::MatrixF(kDModel, kDModel));
+  expect_refused(s, "layer 1 W_FF2");
+}
+
+TEST(DecodeFormats, ModelRefusesAShortFfBias) {
+  Stack s = make_dense_stack(64);
+  s.layers[0].b_ff1.pop_back();
+  expect_refused(s, "layer 0 b_ff1");
+}
+
+TEST(DecodeFormats, ModelRefusesAShortOutputBias) {
+  Stack s = make_dense_stack(65);
+  s.layers[1].b_ff2.pop_back();
+  expect_refused(s, "layer 1 b_ff2");
+}
+
+TEST(DecodeFormats, ModelRefusesALayernormVectorOfTheWrongLength) {
+  Stack s = make_dense_stack(66);
+  s.layers[1].ln2_beta.resize(kDModel / 2);
+  expect_refused(s, "layer 1 ln2_beta");
+  s = make_dense_stack(66);
+  s.layers[0].ln1_gamma.push_back(1.0f);
+  expect_refused(s, "layer 0 ln1_gamma");
+}
+
+TEST(DecodeFormats, ModelRefusesAFoldKeptColumnOutOfRange) {
+  Stack dense, folded;
+  make_fold_pair(67, dense, folded);
+  folded.layers[0].attn.vo.kept_cols.back() = kDModel;
+  expect_refused(folded, "layer 0 W_VO kept column");
 }
 
 // ---------------------------------------------------------------------------

@@ -2,8 +2,7 @@
 // instances with pin-based lifetime — the subsystem the network server's
 // hot swap stands on. The suite pins:
 //   - checkpoint integrity at load (ETW2 round-trips; a corrupted byte is
-//     a load error naming the bad section; legacy ETW1 is refused unless
-//     the --allow-unchecksummed gate is set);
+//     a load error naming the bad section);
 //   - pin semantics (a pin keeps the instance alive across unload; one
 //     acquire is one pin no matter how many copies; release accounting
 //     returns to zero);
@@ -168,31 +167,6 @@ TEST(Registry, CorruptedCheckpointIsALoadError) {
         << e.what();
   }
   EXPECT_EQ(reg.models_loaded(), 0u);
-}
-
-TEST(Registry, LegacyEtw1NeedsTheUnchecksummedGate) {
-  TempFile f("registry_etw1.etw");
-  Stack s = make_stack(5);
-  {
-    std::ofstream os(f.path, std::ios::binary);
-    et::nn::save_encoder_stack_v1(os, s.layers);
-  }
-  ModelRegistry strict;
-  try {
-    strict.load_file("legacy", 1, f.path, s.opt, 16);
-    FAIL() << "unchecksummed checkpoint loaded without the gate";
-  } catch (const std::runtime_error& e) {
-    // The error must name the escape hatch.
-    EXPECT_NE(std::string(e.what()).find("--allow-unchecksummed"),
-              std::string::npos)
-        << e.what();
-  }
-  EXPECT_EQ(strict.models_loaded(), 0u);
-
-  ModelRegistry lax(/*allow_unchecksummed=*/true);
-  lax.load_file("legacy", 1, f.path, s.opt, 16);
-  EXPECT_EQ(lax.models_loaded(), 1u);
-  EXPECT_NE(lax.acquire("legacy"), nullptr);
 }
 
 // ---------------------------------------------------------------------------
