@@ -5,13 +5,14 @@
 // weight-load-bound — every step re-reads the projection and FFN weights
 // for ONE row of activations — so batching B sequences into one fused
 // tick amortizes those loads ~B× (the batched q/k/v GEMM stages its
-// weight panels once, the stacked MLP likewise) while each sequence still
-// attends over its own KV cache. Tokens/sec should therefore scale
-// strongly with batch size; per-sequence latency is the price.
+// weight panels once, the stacked MLP likewise, and one attention launch
+// per layer covers every slot) while each sequence still attends over its
+// own KV cache. Tokens/sec should therefore scale strongly with batch
+// size; per-sequence latency is the price.
 //
 // Threads axis (wall clock, real math): the same batch-8 decode through
-// ExecContext pools of 1/2/4/8 threads. The per-slot attention segment
-// and the kernel row loops partition across the pool with fixed
+// ExecContext pools of 1/2/4/8 threads. The per-slot attention math and
+// the kernel row loops partition across the pool with fixed
 // thread-count-independent chunks (docs/threading.md), so the transcripts
 // and the modeled time_us stay bit-identical while host wall time drops
 // with cores. The bench verifies the bit-identity and exits nonzero on

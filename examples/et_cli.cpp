@@ -835,8 +835,22 @@ int main(int argc, char** argv) {
         }
         std::printf("\n");
       }
+      // A batched tick's attention launch covers every live slot, so it
+      // belongs to none: it gets a line of its own, and a slot's line
+      // counts only the launches that stepped that slot alone.
+      std::size_t shared_launches = 0;
+      double shared_us = 0.0;
+      for (const auto& k : dev.history()) {
+        if (k.slot == et::gpusim::kNoSlot &&
+            k.name == "incremental_otf_attention") {
+          ++shared_launches;
+          shared_us += k.time_us;
+        }
+      }
+      std::printf("  shared attention: %zu launch(es), %.1f us\n",
+                  shared_launches, shared_us);
       for (std::size_t s = 0; s < max_batch; ++s) {
-        std::printf("  slot %zu attention time: %.1f us\n", s,
+        std::printf("  slot %zu own attention time: %.1f us\n", s,
                     dev.time_us_for_slot(static_cast<int>(s)));
       }
     }

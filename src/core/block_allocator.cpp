@@ -327,8 +327,8 @@ bool PagedKVSlot::prepare_append() {
   }
   // About to overwrite row `off`: any trie advertisement claiming more
   // rows of this block no longer describes its contents. Done here, in
-  // the serial phase, so the parallel appends' own invalidate calls find
-  // nothing to erase (read-only scans).
+  // the serial phase, so the appends' own invalidate calls find nothing
+  // to erase (read-only scans).
   pool_->trie_.invalidate(table_[bi], off);
   return true;
 }
@@ -366,9 +366,8 @@ void PagedKVSlot::append(std::size_t layer, std::span<const float> k_row,
   const std::size_t bi = pos / bt;
   const std::size_t off = pos % bt;
   if (bi == table_.size()) {
-    // Serial fallback for direct users — the scheduler's prepare_append
-    // pre-allocates, so the batched parallel section never takes this
-    // branch (allocator mutation would race across slot chunks).
+    // Fallback for direct users — the scheduler's prepare_append
+    // pre-allocates, so the decode tick never takes this branch.
     const auto b = pool_->alloc_.allocate();
     if (!b) {
       throw std::length_error(
@@ -385,8 +384,7 @@ void PagedKVSlot::append(std::size_t layer, std::span<const float> k_row,
   const BlockId b = table_[bi];
   // Precision-aware row write: a plain copy on fp32 pools, a
   // deterministic per-row quantization (scale recorded in the block
-  // metadata) on int8 ones. Still a pure row write — safe from the
-  // parallel decode section.
+  // metadata) on int8 ones. Still a pure row write.
   alloc.store_k_row(layer, b, off, k_row);
   alloc.store_v_row(layer, b, off, v_row);
   ++used_[layer];
@@ -400,8 +398,7 @@ void PagedKVSlot::register_completed_prefix(std::size_t rows_done) {
   const std::size_t bt = pool_->alloc_.block_tokens();
   if (rows_done == n || rows_done % bt == 0) {
     // The block holding row rows_done-1 now carries its full share of
-    // the prompt. Advertising is deferred to the serial flush — this
-    // runs inside the parallel decode section.
+    // the prompt. Advertising is deferred to the next tick's flush.
     pending_.emplace_back(rows_done, table_[(rows_done - 1) / bt]);
   }
 }

@@ -17,9 +17,10 @@
 // Determinism: allocation order is part of the observable transcript
 // (which request OOMs first), so all allocation and CoW happens in the
 // scheduler's SERIAL prepare phase (PagedKVSlot::prepare_append, called
-// slot-by-slot before the parallel decode section) and the free list is
-// LIFO — the same script yields the same block ids at any thread count.
-// The parallel per-slot appends are then pure row writes.
+// slot-by-slot before the decode section) and the free list is LIFO —
+// the same script yields the same block ids at any thread count. The
+// per-slot appends are then pure row writes, and the attention math that
+// runs on the thread pool only reads blocks.
 #pragma once
 
 #include <cstddef>
@@ -271,10 +272,10 @@ class PagedKVCache {
   [[nodiscard]] tensor::MatrixF k_prefix() const;
   [[nodiscard]] tensor::MatrixF v_prefix() const;
 
-  /// Cursor-only rollback (no block is freed): safe from the parallel
-  /// per-slot decode section, where freeing would race the allocator.
-  /// Block reclamation happens at slot release or an explicit
-  /// PagedKVSlot::rollback from serial code.
+  /// Cursor-only rollback (no block is freed), so a same-tick retry
+  /// still finds the block prepare_append made writable. Block
+  /// reclamation happens at slot release or an explicit
+  /// PagedKVSlot::rollback.
   void truncate(std::size_t n) noexcept;
 
  private:
@@ -316,8 +317,8 @@ class PagedKVSlot {
   /// writable — allocate the block the next append lands in, CoW-split
   /// it first if other tables alias it. Returns false on block
   /// exhaustion (the caller retires the request kv_cache_full BEFORE the
-  /// tick, deterministically). Never called concurrently; the parallel
-  /// appends that follow are pure row writes.
+  /// tick, deterministically). Never called concurrently; the appends
+  /// that follow are pure row writes.
   [[nodiscard]] bool prepare_append();
 
   /// Per-layer append — PagedKVCache::append's implementation.
@@ -355,8 +356,8 @@ class PagedKVSlot {
   std::uint64_t group_ = kNoPrefixGroup;
   std::vector<std::int32_t> prompt_;  // retained for trie registration
   // Prompt blocks completed this tick, to advertise in the trie. Trie
-  // writes are deferred to the serial flush (pool.flush_registrations)
-  // because appends run in parallel chunks.
+  // writes are deferred to the flush at the top of the next tick
+  // (pool.flush_registrations).
   std::vector<std::pair<std::size_t, BlockId>> pending_;  // (prefix_len, blk)
   bool in_use_ = false;
 };
@@ -447,8 +448,8 @@ class PagedKVPool {
 
   /// Serial flush of every slot's completed-prompt-block registrations
   /// into the trie — the scheduler calls this at the top of each tick,
-  /// before admissions, so trie writes never race the parallel decode
-  /// section.
+  /// before admissions, so they see every prompt block earlier ticks
+  /// completed.
   void flush_registrations();
 
   [[nodiscard]] const BlockAllocator& allocator() const noexcept {

@@ -4,29 +4,20 @@
 // It bundles the simulated device with an owned deterministic ThreadPool,
 // replacing the old per-call parameter sprawl with one object that can
 // grow further execution state (streams, sharding) without another API
-// break. Its parallel_for is the only sanctioned way to record kernel
-// launches from multiple threads: each fixed chunk stages its launches,
-// fallback events and slot attribution in a gpusim::LaunchSink, and the
-// sinks are merged into the device in chunk order — so the launch log,
-// profiler totals and per-slot attribution of a threads=N run are
-// bit-identical to threads=1.
+// break. Launches are recorded only from the calling thread; the pool
+// runs pure math that never touches the device, so the launch log,
+// profiler totals, slot attribution and fault indices of a threads=N run
+// are those of threads=1 by construction.
 //
 // Determinism contract (docs/threading.md):
 //   - the chunk partition depends only on (n, grain), never thread count;
 //   - numerics are untouched: each output element is computed by exactly
 //     one iteration running the same serial inner loops;
-//   - with the device's FaultInjector armed, parallel_for degrades to the
-//     exact serial loop, so injected faults fire at the same logical
-//     launch index at any thread count (fault rehearsal is a testing
-//     facility; it never needs the wall-clock win);
-//   - nested parallel_for (an operator already running inside a chunk)
-//     executes serially inline.
+//   - nested pool loops (an operator already running inside a chunk)
+//     execute serially inline.
 #pragma once
 
 #include <cstddef>
-#include <exception>
-#include <utility>
-#include <vector>
 
 #include "core/thread_pool.hpp"
 #include "gpusim/device.hpp"
@@ -46,47 +37,11 @@ class ExecContext {
 
   [[nodiscard]] gpusim::Device& device() noexcept { return dev_; }
   [[nodiscard]] const gpusim::Device& device() const noexcept { return dev_; }
+  /// The pool for math loops. Their bodies must not record launches on
+  /// device(): a Device is not thread-safe.
   [[nodiscard]] ThreadPool& pool() noexcept { return pool_; }
   [[nodiscard]] std::size_t threads() const noexcept {
     return pool_.threads();
-  }
-
-  /// Deterministic parallel loop over [0, n) whose body MAY record
-  /// launches on device(). Chunks run with per-chunk LaunchSinks; sinks
-  /// merge in chunk order. If an iteration throws, sinks up to and
-  /// including the throwing chunk are merged (matching what a serial run
-  /// would have logged), later chunks' records are discarded, and the
-  /// lowest-chunk exception is rethrown — bodies that mutate non-device
-  /// state across iterations must catch internally or roll back, since
-  /// chunks after the throwing one still execute.
-  ///
-  /// Pure math loops that never touch the device can use pool() directly
-  /// and skip the sink machinery (they may then also run parallel while
-  /// the fault injector is armed).
-  template <typename Fn>
-  void parallel_for(std::size_t n, Fn&& fn, std::size_t grain = 0) {
-    if (n == 0) return;
-    const std::size_t g = grain != 0 ? grain : ThreadPool::grain_for(n);
-    const std::size_t chunks = ThreadPool::chunk_count(n, g);
-    if (threads() <= 1 || chunks <= 1 || ThreadPool::in_parallel_region() ||
-        dev_.fault_injector().armed()) {
-      // Exact serial loop: launches record directly, faults fire at their
-      // serial launch indices, a thrown exception stops the loop.
-      for (std::size_t i = 0; i < n; ++i) fn(i);
-      return;
-    }
-    std::vector<gpusim::LaunchSink> sinks(chunks);
-    const auto errors = pool_.run_chunked(
-        n, g, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          gpusim::SinkScope scope(dev_, sinks[chunk]);
-          for (std::size_t i = begin; i < end; ++i) fn(i);
-        });
-    const std::size_t merge_through =
-        errors.empty() ? chunks - 1 : errors.front().chunk;
-    for (std::size_t c = 0; c <= merge_through; ++c) {
-      dev_.merge(std::move(sinks[c]));
-    }
-    if (!errors.empty()) std::rethrow_exception(errors.front().error);
   }
 
  private:

@@ -54,55 +54,59 @@ tensor::MatrixF incremental_attention(ExecContext& ctx,
     v_new = kernels::linear(ctx, x_row, w.wv, opt, "gen_v_linear").y;
   }
   tensor::MatrixF z(1, cfg.d_model);
-  incremental_attention_step(ctx, q.row(0), k_new.row(0), v_new.row(0), vo,
-                             v_kept.empty() ? nullptr : &v_kept, cfg, cache,
-                             z.row(0));
+  cache.append(k_new.row(0), v_new.row(0));
+  const DecodeRow row{q.row(0), &cache, z.row(0)};
+  incremental_attention_step(ctx, {&row, 1}, vo,
+                             v_kept.empty() ? nullptr : &v_kept, cfg);
   if (vo != nullptr) return z;  // W_O is folded into the cached rows
   return kernels::linear(ctx, z, w.wo, opt, "gen_out_linear").y;
 }
 
-void incremental_attention_step(ExecContext& ctx, std::span<const float> q,
-                                std::span<const float> k_new,
-                                std::span<const float> v_new,
+void incremental_attention_step(ExecContext& ctx,
+                                std::span<const DecodeRow> rows,
                                 const PrecomputedVO* vo,
                                 const std::vector<std::uint32_t>* v_kept,
-                                const AttentionConfig& cfg,
-                                PagedKVCache& cache, std::span<float> z) {
+                                const AttentionConfig& cfg) {
   gpusim::Device& dev = ctx.device();
-  cache.append(k_new, v_new);
-
-  const std::size_t ctx_len = cache.used();
   const std::size_t d = cfg.d_model;
-  assert(q.size() == d && z.size() == d);
-  const std::size_t vw = cache.v_width();  // condensed V re-read every step
   const std::size_t sb = numeric::storage_bytes(cfg.precision);
-  // Cached K/V rows: one byte per element plus two FP32 scales per row
-  // under an INT8 pool — the traffic the quarter-size cache actually
-  // moves.
-  const std::size_t kv_row_bytes = cache.precision() == KvPrecision::kInt8
-                                       ? (d + vw) + 2 * sizeof(float)
-                                       : (d + vw) * sb;
+  const std::size_t acc = numeric::accumulator_bytes(cfg.precision);
 
-  // One fused kernel: the single query row against the cache. The score
-  // row (H × ctx_len entries across CTAs) stays in shared memory — a
-  // 1-row OTF instance.
+  // One fused kernel: every row's query against its own cache, one head
+  // per CTA. Each score row (H × ctx_len entries across CTAs) stays in
+  // shared memory — a 1-row OTF instance per sequence — so the CTA
+  // footprint is set by the longest context.
+  std::size_t longest = 0;
+  std::uint64_t loads = 0, flops = 0, softmax_ops = 0;
+  for (const DecodeRow& r : rows) {
+    assert(r.q.size() == d && r.z.size() == d);
+    const std::size_t ctx_len = r.cache->used();
+    const std::size_t vw = r.cache->v_width();  // condensed V re-read
+    // Cached K/V rows: one byte per element plus two FP32 scales per row
+    // under an INT8 pool — the traffic the quarter-size cache actually
+    // moves.
+    const std::size_t kv_row_bytes =
+        r.cache->precision() == KvPrecision::kInt8
+            ? (d + vw) + 2 * sizeof(float)
+            : (d + vw) * sb;
+    longest = std::max(longest, ctx_len);
+    loads += d * sb + ctx_len * kv_row_bytes;     // q, cached K and V planes
+    flops += 2ull * ctx_len * (d + vw);           // q·K^T and s·V
+    softmax_ops += 5ull * ctx_len * cfg.num_heads;
+  }
   {
     auto launch = dev.launch(
         {.name = "incremental_otf_attention",
-         .ctas = cfg.num_heads,
-         .shared_bytes_per_cta =
-             cfg.d_k() * numeric::accumulator_bytes(cfg.precision) +
-             ctx_len * numeric::accumulator_bytes(cfg.precision),
+         .ctas = cfg.num_heads * rows.size(),
+         .shared_bytes_per_cta = cfg.d_k() * acc + longest * acc,
          .pattern = gpusim::AccessPattern::kTiled});
-    launch.load_bytes(d * sb);                    // q
-    launch.load_bytes(ctx_len * kv_row_bytes);    // cached K and V planes
-    launch.store_bytes(d * sb);                   // one output row
-    const std::uint64_t flops = 2ull * ctx_len * (d + vw);  // q·K^T and s·V
+    launch.load_bytes(loads);
+    launch.store_bytes(rows.size() * d * sb);  // one output row each
     if (cfg.precision == numeric::Precision::kFp32) {
-      launch.fp_ops(flops + 5ull * ctx_len * cfg.num_heads);
+      launch.fp_ops(flops + softmax_ops);
     } else {
       launch.tensor_ops(flops);
-      launch.fp_ops(5ull * ctx_len * cfg.num_heads);
+      launch.fp_ops(softmax_ops);
     }
   }
   if (dev.traffic_only()) return;
@@ -112,11 +116,18 @@ void incremental_attention_step(ExecContext& ctx, std::span<const float> q,
   // The query is the latest position: it may attend to the whole cache,
   // so no mask applies within this step.
   step_cfg.causal_mask = false;
-  tensor::MatrixF q_row(1, d);
-  std::copy(q.begin(), q.end(), q_row.row(0).begin());
-  const tensor::MatrixF zr = detail::attention_math(
-      q_row, cache.k_prefix(), cache.v_prefix(), vo, v_kept, step_cfg);
-  std::copy(zr.row(0).begin(), zr.row(0).end(), z.begin());
+  ctx.pool().parallel_for(
+      rows.size(),
+      [&](std::size_t b) {
+        const DecodeRow& r = rows[b];
+        tensor::MatrixF q_row(1, d);
+        std::copy(r.q.begin(), r.q.end(), q_row.row(0).begin());
+        const tensor::MatrixF zr =
+            detail::attention_math(q_row, r.cache->k_prefix(),
+                                   r.cache->v_prefix(), vo, v_kept, step_cfg);
+        std::copy(zr.row(0).begin(), zr.row(0).end(), r.z.begin());
+      },
+      /*grain=*/1);
 }
 
 }  // namespace et::core

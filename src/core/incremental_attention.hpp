@@ -34,24 +34,35 @@ namespace et::core {
                                                     const AttentionConfig& cfg,
                                                     PagedKVCache& cache);
 
-/// The post-projection half of incremental_attention, and the only place
-/// the incremental_otf_attention launch is recorded: append the already
-/// projected k_new/v_new rows to `cache`, account the 1-row OTF launch
-/// over the whole cache (1-byte K/V elements plus two FP32 scales per row
-/// on a kInt8 pool), and — unless the device is traffic-only — write the
-/// attention output into `z` (d_model wide). z is the output BEFORE W_O
-/// when `vo` is null (the caller applies its own output projection — the
-/// split that lets the INT8 and batched decode paths swap every
+/// One decode row of an attention step: the token's projected query, the
+/// cache it attends over (this token's K/V row already appended), and the
+/// d_model-wide output row it writes. Every span is a view the caller
+/// owns.
+struct DecodeRow {
+  std::span<const float> q;
+  const PagedKVCache* cache = nullptr;
+  std::span<float> z;
+};
+
+/// The post-append half of incremental_attention, and the only place the
+/// incremental_otf_attention launch is recorded: ONE launch for every row
+/// in `rows`, each a 1-row OTF instance over its own cache (the batch ×
+/// heads grid of FlashAttention-2, applied to decode). The grid is
+/// heads × rows CTAs; shared memory per CTA is sized by the longest
+/// cache; load/store bytes and ops are the sum of each row's own 1-row
+/// record (1-byte K/V elements plus two FP32 scales per cached row on a
+/// kInt8 pool), so a one-row step records exactly the single-sequence
+/// launch. Unless the device is traffic-only, each row's z is then
+/// written on ctx.pool(), which records nothing: z is the output BEFORE
+/// W_O when `vo` is null (the caller applies its own output projection —
+/// the split that lets the INT8 and batched decode paths swap every
 /// projection GEMM while sharing this step byte for byte), or the final
-/// folded output when `vo` is set. Every row is a view the caller owns,
-/// so a traffic-only step allocates nothing. A rejected append throws
-/// (PagedKVCache::append's contract) before anything is launched.
-void incremental_attention_step(ExecContext& ctx, std::span<const float> q,
-                                std::span<const float> k_new,
-                                std::span<const float> v_new,
+/// folded output when `vo` is set. The per-row math does not depend on
+/// the batch, so every row is bit-identical to a batch-of-one step.
+void incremental_attention_step(ExecContext& ctx,
+                                std::span<const DecodeRow> rows,
                                 const PrecomputedVO* vo,
                                 const std::vector<std::uint32_t>* v_kept,
-                                const AttentionConfig& cfg,
-                                PagedKVCache& cache, std::span<float> z);
+                                const AttentionConfig& cfg);
 
 }  // namespace et::core

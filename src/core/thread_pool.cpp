@@ -6,7 +6,7 @@ namespace et::core {
 
 namespace {
 /// Set while this thread executes a chunk body; the nested-parallelism
-/// guard and Device sink routing both key off it being per-thread.
+/// guard keys off it being per-thread.
 thread_local bool tl_in_parallel_region = false;
 }  // namespace
 

@@ -8,8 +8,9 @@
 // scheduling freedom, which is why callers must keep chunks independent
 // (each output element written by exactly one iteration). This is the
 // work-partitioning half of FlashAttention-2's lesson applied to the
-// simulated stack; core::ExecContext layers the device-side determinism
-// (launch-log order, fault indices) on top. See docs/threading.md.
+// simulated stack. Chunk bodies never record device launches, so the
+// launch log and fault indices cannot depend on the thread count. See
+// docs/threading.md.
 #pragma once
 
 #include <atomic>

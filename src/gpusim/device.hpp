@@ -66,26 +66,6 @@ struct LaunchConfig {
   AccessPattern pattern = AccessPattern::kStreaming;
 };
 
-/// Per-chunk staging buffer for one chunk of a core::ExecContext parallel
-/// region. While a SinkScope binds a sink on a thread, everything that
-/// thread records against the device — launches, fallback events, slot
-/// changes, launch-attempt counts — lands here instead of in the shared
-/// device state. The region owner then calls Device::merge on the sinks
-/// in chunk order, so the device log ends up byte-for-byte the order a
-/// 1-thread run would have produced. See docs/threading.md.
-struct LaunchSink {
-  std::vector<KernelStats> log;
-  std::vector<FallbackEvent> fallbacks;
-  /// Launch attempts staged here; merge advances the fault injector's
-  /// launch index by this count so post-region arming sees the same
-  /// logical indices as a serial run.
-  std::size_t launches_attempted = 0;
-  /// The thread-local current slot within this chunk (SlotScope routes
-  /// here while the sink is bound). Seeded from the device's slot at
-  /// bind time so chunks inherit the region's outer attribution.
-  int slot = kNoSlot;
-};
-
 class Device;
 
 /// RAII handle for one simulated kernel launch. Counters accumulate while
@@ -141,9 +121,10 @@ class Device {
   }
 
   /// Resilient layers report each degradation step here so recovery is
-  /// observable in the profiler rather than silent. Routed to the bound
-  /// LaunchSink inside a parallel-region chunk.
-  void note_fallback(FallbackEvent event);
+  /// observable in the profiler rather than silent.
+  void note_fallback(FallbackEvent event) {
+    fallbacks_.push_back(std::move(event));
+  }
   [[nodiscard]] const std::vector<FallbackEvent>& fallback_log()
       const noexcept {
     return fallbacks_;
@@ -162,10 +143,9 @@ class Device {
     return log_.size();
   }
 
-  /// Totals over history(), kept as running sums: record() and merge()
-  /// add each launch in log order and reset() zeroes them, so every
-  /// getter is O(1) and returns the same bits as a left-to-right sum over
-  /// history().
+  /// Totals over history(), kept as running sums: record() adds each
+  /// launch in log order and reset() zeroes them, so every getter is O(1)
+  /// and returns the same bits as a left-to-right sum over history().
   [[nodiscard]] double total_time_us() const noexcept {
     return totals_.time_us;
   }
@@ -202,33 +182,19 @@ class Device {
   [[nodiscard]] bool traffic_only() const noexcept { return traffic_only_; }
 
   /// Serving slot stamped onto every launch recorded while set (kNoSlot =
-  /// unattributed). Prefer the RAII SlotScope below. Thread-safe inside a
-  /// parallel-region chunk: the slot lives in the bound LaunchSink, so
-  /// concurrent chunks attribute their launches independently.
-  void set_current_slot(int slot) noexcept;
-  [[nodiscard]] int current_slot() const noexcept;
+  /// unattributed). Prefer the RAII SlotScope below.
+  void set_current_slot(int slot) noexcept { current_slot_ = slot; }
+  [[nodiscard]] int current_slot() const noexcept { return current_slot_; }
 
-  /// Time spent in launches attributed to `slot` (see SlotScope).
+  /// Time spent in launches attributed to `slot` alone (see SlotScope):
+  /// a launch shared by several slots carries kNoSlot.
   [[nodiscard]] double time_us_for_slot(int slot) const;
-
-  /// Fold one parallel-region chunk's staged records into the device.
-  /// Called by core::ExecContext in chunk order after the region joins —
-  /// the single point where worker-side state re-enters shared state, and
-  /// the reason the merged log is deterministic.
-  void merge(LaunchSink&& sink);
 
  private:
   friend class Launch;
-  friend class SinkScope;
+  /// Stamp the current slot, run the latency model, and append the
+  /// record to the log and the running totals.
   void record(KernelStats stats);
-  /// Append one finished record to the log and the running totals.
-  void append(KernelStats&& stats);
-
-  /// The LaunchSink bound to the calling thread for THIS device, or
-  /// nullptr outside parallel-region chunks (thread-local storage keyed
-  /// on the device identity, so scratch devices inside a region are
-  /// unaffected).
-  [[nodiscard]] LaunchSink* bound_sink() const noexcept;
 
   struct Totals {
     double time_us = 0.0;
@@ -247,27 +213,11 @@ class Device {
   int current_slot_ = kNoSlot;
 };
 
-/// RAII binding of a LaunchSink to (this thread, one device): everything
-/// the thread records against `dev` while the scope lives is staged in
-/// `sink` for a later ordered Device::merge. Restores the previous
-/// binding on destruction so scopes nest.
-class SinkScope {
- public:
-  SinkScope(Device& dev, LaunchSink& sink) noexcept;
-  SinkScope(const SinkScope&) = delete;
-  SinkScope& operator=(const SinkScope&) = delete;
-  ~SinkScope();
-
- private:
-  Device* prev_dev_;
-  LaunchSink* prev_sink_;
-};
-
 /// RAII slot attribution: every launch recorded while the scope lives is
-/// stamped with `slot`, so profiler reports can split a batched decode
-/// tick's per-sequence work (each slot's attention over its own cache)
-/// from the shared batched kernels. Scopes restore the previous slot on
-/// destruction, so nesting behaves.
+/// stamped with `slot`, so profiler reports can split one sequence's own
+/// work (the attention launch of a decode tick that steps that slot
+/// alone) from the launches a batch shares. Scopes restore the previous
+/// slot on destruction, so nesting behaves.
 class SlotScope {
  public:
   SlotScope(Device& dev, int slot) noexcept

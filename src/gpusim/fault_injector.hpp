@@ -108,14 +108,6 @@ class FaultInjector {
   /// armed rule trips (the attempt still counts toward the launch index).
   void on_launch(std::string_view kernel, std::size_t shared_bytes_per_cta);
 
-  /// Account for `n` launch attempts staged off-thread: Device::merge
-  /// advances the launch index by each parallel chunk's attempt count, in
-  /// chunk order, so rules armed after a parallel region see the same
-  /// logical indices a serial run would have produced. Parallel regions
-  /// never execute with rules armed (ExecContext serializes then), so
-  /// advancing never needs to fire a fault.
-  void advance(std::size_t n) noexcept { launches_seen_ += n; }
-
  private:
   struct NameRule {
     std::string substring;

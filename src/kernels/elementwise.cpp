@@ -39,6 +39,29 @@ float storage_round(Precision p, float x) {
   return numeric::round_to_storage(p, x);
 }
 
+/// Refuse, before anything launches, an operand the kernel would index
+/// out of range: a per-column vector (bias, gamma, beta) whose length is
+/// not the matrix width.
+void require_width(std::string_view kernel, const char* what,
+                   std::size_t got, std::size_t want) {
+  if (got != want) {
+    throw std::invalid_argument(std::string(kernel) + ": " + what + " has " +
+                                std::to_string(got) + " values, want " +
+                                std::to_string(want));
+  }
+}
+
+/// Refuse a second operand whose shape differs from the first's.
+void require_same_shape(std::string_view kernel, const tensor::MatrixF& a,
+                        const tensor::MatrixF& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) {
+    throw std::invalid_argument(
+        std::string(kernel) + ": operands are " + std::to_string(a.rows()) +
+        "x" + std::to_string(a.cols()) + " and " + std::to_string(b.rows()) +
+        "x" + std::to_string(b.cols()));
+  }
+}
+
 }  // namespace
 
 void scale(gpusim::Device& dev, tensor::MatrixF& m, float factor,
@@ -51,7 +74,7 @@ void scale(gpusim::Device& dev, tensor::MatrixF& m, float factor,
 void add_bias(gpusim::Device& dev, tensor::MatrixF& m,
               std::span<const float> bias, numeric::Precision p,
               std::string_view name) {
-  assert(bias.size() == m.cols());
+  require_width(name, "bias", bias.size(), m.cols());
   auto launch = stream_launch(dev, name, m.size(), p, 1, 1, m.size());
   launch.load_bytes(bias.size() * numeric::storage_bytes(p));
   if (dev.traffic_only()) return;
@@ -65,7 +88,7 @@ void add_bias(gpusim::Device& dev, tensor::MatrixF& m,
 void residual_add(gpusim::Device& dev, tensor::MatrixF& a,
                   const tensor::MatrixF& b, numeric::Precision p,
                   std::string_view name) {
-  assert(a.rows() == b.rows() && a.cols() == b.cols());
+  require_same_shape(name, a, b);
   auto launch = stream_launch(dev, name, a.size(), p, 2, 1, a.size());
   if (dev.traffic_only()) return;
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -130,7 +153,8 @@ void softmax_rows(gpusim::Device& dev, tensor::MatrixF& m,
 void layernorm(gpusim::Device& dev, tensor::MatrixF& m,
                std::span<const float> gamma, std::span<const float> beta,
                float eps, numeric::Precision p, std::string_view name) {
-  assert(gamma.size() == m.cols() && beta.size() == m.cols());
+  require_width(name, "gamma", gamma.size(), m.cols());
+  require_width(name, "beta", beta.size(), m.cols());
   auto launch = stream_launch(dev, name, m.size(), p, 1, 1, 10 * m.size());
   launch.load_bytes(2 * m.cols() * numeric::storage_bytes(p));
   if (dev.traffic_only()) return;
@@ -159,8 +183,9 @@ void fused_residual_layernorm(gpusim::Device& dev, tensor::MatrixF& a,
                               std::span<const float> gamma,
                               std::span<const float> beta,
                               numeric::Precision p, std::string_view name) {
-  assert(a.rows() == residual.rows() && a.cols() == residual.cols());
-  assert(gamma.size() == a.cols() && beta.size() == a.cols());
+  require_same_shape(name, a, residual);
+  require_width(name, "gamma", gamma.size(), a.cols());
+  require_width(name, "beta", beta.size(), a.cols());
   const std::size_t sb = numeric::storage_bytes(p);
   auto launch = dev.launch({.name = name,
                             .ctas = std::max<std::size_t>(1, a.size() / 4096),

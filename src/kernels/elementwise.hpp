@@ -21,13 +21,15 @@ void scale(gpusim::Device& dev, tensor::MatrixF& m, float factor,
            numeric::Precision p = numeric::Precision::kFp32,
            std::string_view name = "scale");
 
-/// M(r, :) += bias.
+/// M(r, :) += bias. Throws std::invalid_argument, before launching, when
+/// bias.size() != M.cols().
 void add_bias(gpusim::Device& dev, tensor::MatrixF& m,
               std::span<const float> bias,
               numeric::Precision p = numeric::Precision::kFp32,
               std::string_view name = "add_bias");
 
-/// A += B (residual connection).
+/// A += B (residual connection). Throws std::invalid_argument, before
+/// launching, when the shapes differ.
 void residual_add(gpusim::Device& dev, tensor::MatrixF& a,
                   const tensor::MatrixF& b,
                   numeric::Precision p = numeric::Precision::kFp32,
@@ -56,7 +58,9 @@ void softmax_rows(gpusim::Device& dev, tensor::MatrixF& m,
 
 /// Fused residual-add + layer normalization in ONE kernel (the
 /// FasterTransformer addBiasResidualLayerNorm pattern, also used by
-/// E.T.'s pipeline): a single global round trip instead of two.
+/// E.T.'s pipeline): a single global round trip instead of two. Throws
+/// std::invalid_argument, before launching, when the residual's shape or
+/// a gamma/beta length disagrees with A.
 void fused_residual_layernorm(gpusim::Device& dev, tensor::MatrixF& a,
                               const tensor::MatrixF& residual,
                               std::span<const float> gamma,
@@ -64,7 +68,9 @@ void fused_residual_layernorm(gpusim::Device& dev, tensor::MatrixF& a,
                               numeric::Precision p = numeric::Precision::kFp32,
                               std::string_view name = "residual_layernorm");
 
-/// Row-wise layer normalization with affine parameters.
+/// Row-wise layer normalization with affine parameters. Throws
+/// std::invalid_argument, before launching, when a gamma/beta length is
+/// not M.cols().
 void layernorm(gpusim::Device& dev, tensor::MatrixF& m,
                std::span<const float> gamma, std::span<const float> beta,
                float eps = 1e-5f,

@@ -143,8 +143,7 @@ void gemm_math_fp16(const std::vector<float>& a16,
 /// once and the math runs on the rounded copies.
 ///
 /// Rows are independent, so the pool partitions over i. No device calls
-/// happen inside, so this is a pure-math region: it may run parallel even
-/// while the fault injector is armed, and needs no LaunchSink.
+/// happen inside: a pure-math region.
 template <bool Transposed>
 void gemm_math(const tensor::MatrixF& a, const Fp16Rows& a16,
                const tensor::MatrixF& b, tensor::MatrixF& c, Precision p,

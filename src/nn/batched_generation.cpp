@@ -1,5 +1,6 @@
 #include "nn/batched_generation.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -38,10 +39,10 @@ struct TickSlot {
   tensor::MatrixF hidden;  // 1 × d_model when state == kOk
 };
 
-// Cursor-only: PagedKVCache::truncate never frees a block, so this is
-// safe from the parallel per-slot chunks AND the same-tick per-slot
-// retry after a shared-kernel fault still finds its prepared block in
-// the table. Storage reclamation happens at slot release.
+// Cursor-only: PagedKVCache::truncate never frees a block, so the
+// same-tick per-slot retry after a shared-kernel fault still finds its
+// prepared block in the table. Storage reclamation happens at slot
+// release.
 void rollback(TickSlot& slot) {
   for (auto& cache : *slot.caches) cache.truncate(slot.pre_used);
   slot.hidden = tensor::MatrixF();
@@ -61,15 +62,16 @@ std::int32_t input_token(const GenerationRequest& req,
 
 /// One fused decode step for every sequence in `live` (rows(i) is
 /// live[i]'s embedded input). Each shared kernel is row-wise independent
-/// and each slot's attention is one core::incremental_attention_step over
-/// its own cache, so every sequence's output is bit-identical to a
-/// batch-of-one nn::generate step. Under Model's kInt8 descriptor
+/// and the layer's one core::incremental_attention_step runs each slot's
+/// row over its own cache, so every sequence's output is bit-identical to
+/// a batch-of-one nn::generate step. Under Model's kInt8 descriptor
 /// every projection/FF GEMM swaps to quant::int8_linear, whose per-ROW
 /// activation scales keep that row-wise independence exactly (a stacked
-/// row quantizes as it would alone). Slot-attributed faults retire
-/// only the owning slot (its caches rolled back, its row dropped); faults
-/// in shared kernels roll back every live slot and propagate to the
-/// caller, which degrades the tick to per-slot stepping.
+/// row quantizes as it would alone). Slot-attributed faults (an
+/// attention launch covering one slot) retire only the owning slot (its
+/// caches rolled back, its row dropped); faults in shared kernels roll
+/// back every live slot and propagate to the caller, which degrades the
+/// tick to per-slot stepping.
 void fused_step(core::ExecContext& ctx, const Model& model,
                 std::vector<TickSlot*> live, tensor::MatrixF rows) {
   gpusim::Device& dev = ctx.device();
@@ -155,67 +157,65 @@ void fused_step(core::ExecContext& ctx, const Model& model,
           int8 ? (ql->v_kept.empty() ? nullptr : &ql->v_kept)
                : (v_kept.empty() ? nullptr : &v_kept);
 
-      // Per slot: append this token's K/V row and attend over the slot's
-      // own cache — a 1-row OTF instance per sequence. Launches here carry
-      // the slot id, so a fault is attributable: only the owning slot
-      // retires. Slots are independent (own cache, own output row, own
-      // dead flag), so this loop runs one slot per parallel chunk;
-      // slot-attributed launches land in per-chunk sinks that merge back
-      // in slot order, keeping the device log bit-identical to the serial
-      // tick. Faults the body handles (KernelFault, length_error) never
-      // escape a chunk; a SharedMemOverflow does, and surfaces after the
-      // merge exactly where the serial loop would have thrown it.
-      tensor::MatrixF z(live.size(), d);
-      std::vector<char> dead(live.size(), 0);  // char: written concurrently
-      ctx.parallel_for(
-          live.size(),
-          [&](std::size_t b) {
-            TickSlot& slot = *live[b];
-            gpusim::SlotScope scope(dev, static_cast<int>(slot.pool_slot));
-            try {
-              core::incremental_attention_step(
-                  ctx, q.row(b), k_new.row(b), v_new.row(b), vo, v_kept_ptr,
-                  opt.attn, (*slot.caches)[l], z.row(b));
-            } catch (const gpusim::KernelFault& f) {
-              rollback(slot);
-              slot.state = TickSlot::State::kKernelFault;
-              slot.fault_kernel = f.kernel();
-              dev.note_fallback({"batched_decode", "retire_slot", f.kernel(),
-                                 std::string(to_string(f.cause())),
-                                 static_cast<int>(slot.pool_slot)});
-              dead[b] = 1;
-            } catch (const std::length_error&) {
-              // A cache filled behind the tick's capacity pre-check;
-              // degrade exactly like generate()'s defensive
-              // kv_cache_full stop.
-              rollback(slot);
-              slot.state = TickSlot::State::kKvCacheFull;
-              dead[b] = 1;
-            }
-          },
-          /*grain=*/1);
-      bool any_dead = false;
-      for (const char flag : dead) any_dead = any_dead || flag != 0;
-      if (any_dead) {
+      // Per slot: append this token's K/V row to the slot's own cache. A
+      // cache that filled behind the tick's capacity pre-check retires
+      // only its slot, kv_cache_full, before anything is launched —
+      // exactly like generate()'s defensive stop.
+      std::vector<std::size_t> keep;  // indices into live that attend
+      keep.reserve(live.size());
+      for (std::size_t b = 0; b < live.size(); ++b) {
+        try {
+          (*live[b]->caches)[l].append(k_new.row(b), v_new.row(b));
+          keep.push_back(b);
+        } catch (const std::length_error&) {
+          rollback(*live[b]);
+          live[b]->state = TickSlot::State::kKvCacheFull;
+        }
+      }
+
+      // One attention launch for the batch: every slot attends over its
+      // own cache (a 1-row OTF instance per sequence) on a heads × slots
+      // grid. A launch covering one slot carries that slot's id, so a
+      // fault in it retires only the owner. A launch shared by several
+      // slots blames none: its fault propagates like any shared kernel's,
+      // and the per-slot retry makes each slot's launch its own again.
+      tensor::MatrixF z(keep.size(), d);
+      if (!keep.empty()) {
+        std::vector<core::DecodeRow> attend;
+        attend.reserve(keep.size());
+        for (std::size_t i = 0; i < keep.size(); ++i) {
+          attend.push_back(
+              {q.row(keep[i]), &(*live[keep[i]]->caches)[l], z.row(i)});
+        }
+        const int owner = keep.size() == 1
+                              ? static_cast<int>(live[keep[0]]->pool_slot)
+                              : gpusim::kNoSlot;
+        try {
+          gpusim::SlotScope scope(dev, owner);
+          core::incremental_attention_step(ctx, attend, vo, v_kept_ptr,
+                                           opt.attn);
+        } catch (const gpusim::KernelFault& f) {
+          if (owner == gpusim::kNoSlot) throw;
+          TickSlot& slot = *live[keep[0]];
+          rollback(slot);
+          slot.state = TickSlot::State::kKernelFault;
+          slot.fault_kernel = f.kernel();
+          dev.note_fallback({"batched_decode", "retire_slot", f.kernel(),
+                             std::string(to_string(f.cause())), owner});
+          keep.clear();
+        }
+      }
+      if (keep.size() != live.size()) {
         std::vector<TickSlot*> survivors;
-        std::vector<std::size_t> keep;
-        for (std::size_t b = 0; b < live.size(); ++b) {
-          if (!dead[b]) {
-            survivors.push_back(live[b]);
-            keep.push_back(b);
-          }
+        tensor::MatrixF h2(keep.size(), d);
+        for (std::size_t i = 0; i < keep.size(); ++i) {
+          survivors.push_back(live[keep[i]]);
+          const auto src = h.row(keep[i]);
+          std::copy(src.begin(), src.end(), h2.row(i).begin());
         }
         live = std::move(survivors);
         if (live.empty()) return;
-        tensor::MatrixF h2(live.size(), d), z2(live.size(), d);
-        for (std::size_t b = 0; b < keep.size(); ++b) {
-          for (std::size_t c = 0; c < d; ++c) {
-            h2(b, c) = h(keep[b], c);
-            z2(b, c) = z(keep[b], c);
-          }
-        }
         h = std::move(h2);
-        z = std::move(z2);
       }
 
       // Shared: output projection (already folded into the cached rows
@@ -369,9 +369,8 @@ void BatchedGenerationScheduler::tick(core::ExecContext& ctx) {
   gpusim::Device& dev = ctx.device();
   ++ticks_;
 
-  // Serial trie flush: advertise every prompt block the PREVIOUS tick's
-  // parallel appends completed, before this tick's admissions look the
-  // prefix up. Trie writes therefore never race the decode section.
+  // Trie flush: advertise every prompt block the PREVIOUS tick's appends
+  // completed, before this tick's admissions look the prefix up.
   pool_.flush_registrations();
 
   // Admission: backfill every free slot from the FIFO queue.
@@ -385,8 +384,8 @@ void BatchedGenerationScheduler::tick(core::ExecContext& ctx) {
   // blocks the rest of the batch. prepare_append is the paged half of
   // it, run SERIALLY in slot order: it allocates (or CoW-splits) the
   // block this tick's append lands in, so block exhaustion retires the
-  // slot kv_cache_full here, deterministically, and the parallel appends
-  // below are pure row writes. A retirement frees blocks that later
+  // slot kv_cache_full here, deterministically, and the appends below
+  // are pure row writes. A retirement frees blocks that later
   // slots' prepares may immediately reuse — still deterministic, the
   // loop is serial.
   std::vector<TickSlot> tick_slots;

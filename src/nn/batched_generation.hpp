@@ -3,9 +3,10 @@
 // together, one fused tick at a time — the per-slot q/k/v projections
 // collapse into one batched GEMM (kernels::batched_gemm_nt) and the MLP
 // runs once over the stacked rows, amortizing weight loads and kernel
-// launches across the batch, while attention stays partitioned per slot
-// (each sequence attends over its own paged KV cache, E.T.'s single-row
-// OTF instance). Finished sequences (eos / max_tokens / kv_cache_full /
+// launches across the batch. Attention is one launch per layer too, on a
+// heads × slots grid, while its math stays partitioned per slot (each
+// sequence attends over its own paged KV cache, E.T.'s single-row OTF
+// instance). Finished sequences (eos / max_tokens / kv_cache_full /
 // kernel_fault) retire their slot, which is immediately backfilled from a
 // FIFO pending queue; KV storage is recycled through the paged, block-
 // refcounted core::PagedKVPool (docs/serving.md "Paged KV and prefix
@@ -17,14 +18,15 @@
 // BIT-IDENTICAL to N independent nn::generate runs — batching buys
 // throughput, never different answers.
 //
-// Fault semantics (extends the PR-1 truncate-on-fault step atomicity):
-//   - a fault in a slot-attributed kernel (that slot's attention) rolls
-//     back and retires only the owning slot; the other slots' tick
-//     completes unaffected;
-//   - a fault in a shared batched kernel rolls every slot back to its
-//     pre-tick context and the tick degrades to per-slot stepping
-//     (recorded via Device::note_fallback), where any persistent fault is
-//     attributable again.
+// Fault semantics (extends the truncate-on-fault step atomicity):
+//   - a fault in a launch shared by two or more slots — every batched
+//     GEMM, and the attention launch of a batched tick — rolls every slot
+//     back to its pre-tick context and the tick degrades to per-slot
+//     stepping (recorded via Device::note_fallback), where any persistent
+//     fault is attributable again;
+//   - a fault in an attention launch covering one slot (a degraded tick,
+//     or a tick with one live slot) carries that slot's id and retires
+//     only the owning slot; the other slots' tick completes unaffected.
 #pragma once
 
 #include <cstdint>
@@ -100,9 +102,8 @@ class BatchedGenerationScheduler {
 
   /// One decode tick: backfill free slots from the queue, step every
   /// active sequence by one token, retire finished ones. The per-slot
-  /// attention segment of the tick runs in parallel across active slots
-  /// (one chunk per slot through ctx.parallel_for), bit-identical to the
-  /// serial tick at any thread count.
+  /// attention math runs in parallel across active slots on ctx.pool(),
+  /// bit-identical to the serial tick at any thread count.
   void tick(core::ExecContext& ctx);
 
   /// Drain: tick until every submitted request has a result. Returns all

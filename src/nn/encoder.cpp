@@ -1,6 +1,10 @@
 #include "nn/encoder.hpp"
 
 #include <random>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <variant>
 
 #include "kernels/elementwise.hpp"
 #include "kernels/linear.hpp"
@@ -32,6 +36,21 @@ void apply_bias_gelu(tensor::MatrixF& h, const std::vector<float>& bias,
           p, 0.5f * v * (1.0f + std::tanh(inner)));
     }
   }
+}
+
+/// The (out × in) shape a weight computes with, whatever its format.
+std::pair<std::size_t, std::size_t> shape_of(const sparse::AnyWeight& w) {
+  return std::visit(
+      [](const auto& v) -> std::pair<std::size_t, std::size_t> {
+        using T = std::decay_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, sparse::RowPrunedWeight> ||
+                      std::is_same_v<T, sparse::ColPrunedWeight>) {
+          return {v.original_rows(), v.original_cols()};
+        } else {
+          return {v.rows(), v.cols()};
+        }
+      },
+      w);
 }
 
 /// MLP + residual + layernorm with pipeline-dependent fusion. Returns the
@@ -126,6 +145,7 @@ tensor::MatrixF encoder_forward(core::ExecContext& ctx,
                                 const tensor::MatrixF& x,
                                 const EncoderWeights& w,
                                 const EncoderOptions& opt) {
+  validate_layer(w, 0, opt.attn, "nn::encoder_forward");
   gpusim::Device& dev = ctx.device();
   const Precision p = opt.attn.precision;
 
@@ -177,14 +197,66 @@ tensor::MatrixF encoder_forward(core::ExecContext& ctx,
   return mlp_out;
 }
 
+void validate_layer(const EncoderWeights& w, std::size_t layer,
+                    const core::AttentionConfig& cfg, std::string_view who) {
+  const std::size_t d = cfg.d_model;
+  const std::size_t heads = cfg.num_heads;
+  const auto refuse = [&](const std::string& what) {
+    throw std::invalid_argument(std::string(who) + ": layer " +
+                                std::to_string(layer) + " " + what);
+  };
+  const auto weight = [&](const char* name, const sparse::AnyWeight& x,
+                          std::size_t rows, std::size_t cols) {
+    const auto [r, c] = shape_of(x);
+    if (r != rows || c != cols) {
+      refuse(std::string(name) + " is " + std::to_string(r) + "x" +
+             std::to_string(c) + ", want " + std::to_string(rows) + "x" +
+             std::to_string(cols));
+    }
+  };
+  const auto vec = [&](const char* name, const std::vector<float>& v,
+                       std::size_t n) {
+    if (v.size() != n) {
+      refuse(std::string(name) + " has " + std::to_string(v.size()) +
+             " values, want " + std::to_string(n));
+    }
+  };
+  weight("W_Q", w.attn.wq, d, d);
+  weight("W_K", w.attn.wk, d, d);
+  weight("W_V", w.attn.wv, d, d);
+  weight("W_O", w.attn.wo, d, d);
+  const std::size_t d_ff = shape_of(w.w_ff1).first;
+  weight("W_FF1", w.w_ff1, d_ff, d);
+  weight("W_FF2", w.w_ff2, d, d_ff);
+  vec("b_ff1", w.b_ff1, d_ff);
+  vec("b_ff2", w.b_ff2, d);
+  vec("ln1_gamma", w.ln1_gamma, d);
+  vec("ln1_beta", w.ln1_beta, d);
+  vec("ln2_gamma", w.ln2_gamma, d);
+  vec("ln2_beta", w.ln2_beta, d);
+  if (w.attn.has_precomputed()) {
+    // The fold must agree with the attention config before any cache is
+    // sized from it; its kept columns index the d-wide output.
+    const core::PrecomputedVO& vo = w.attn.vo;
+    if (vo.num_heads != heads || vo.weight.cols() != d ||
+        vo.weight.rows() != heads * vo.kept() || vo.kept() == 0) {
+      refuse("W_VO shape disagrees with the attention config");
+    }
+    if (!sparse::kept_in_order(vo.kept_cols, d)) {
+      refuse("W_VO kept columns out of range or out of order");
+    }
+  }
+}
+
 tensor::MatrixF encoder_stack_forward(core::ExecContext& ctx,
                                       const tensor::MatrixF& x,
                                       const std::vector<EncoderWeights>& layers,
                                       const EncoderOptions& opt) {
-  tensor::MatrixF h = x;
-  for (const auto& layer : layers) {
-    h = encoder_forward(ctx, h, layer, opt);
+  for (std::size_t l = 0; l < layers.size(); ++l) {
+    validate_layer(layers[l], l, opt.attn, "nn::encoder_stack_forward");
   }
+  tensor::MatrixF h = x;
+  for (const auto& layer : layers) h = encoder_forward(ctx, h, layer, opt);
   return h;
 }
 

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "core/adaptive.hpp"
@@ -62,13 +63,24 @@ struct EncoderOptions {
 [[nodiscard]] EncoderWeights make_dense_encoder_weights(
     const ModelConfig& cfg, std::uint64_t seed);
 
-/// Forward one encoder layer: LN(x + Attn(x)) -> LN(y + MLP(y)).
+/// Check every shape a forward indexes by against `cfg` (d = d_model):
+/// W_Q/W_K/W_V/W_O d × d, W_FF1 f × d, W_FF2 d × f, b_ff1 f, b_ff2 d,
+/// the four layernorm vectors d, and a W_VO fold's shape and kept
+/// columns. Throws std::invalid_argument "<who>: layer <layer> <field>
+/// ...". nn::Model runs it on every layer at construction, and
+/// encoder_forward / encoder_stack_forward before their first launch.
+void validate_layer(const EncoderWeights& w, std::size_t layer,
+                    const core::AttentionConfig& cfg, std::string_view who);
+
+/// Forward one encoder layer: LN(x + Attn(x)) -> LN(y + MLP(y)). The
+/// layer is validated (as layer 0) before anything launches.
 [[nodiscard]] tensor::MatrixF encoder_forward(core::ExecContext& ctx,
                                               const tensor::MatrixF& x,
                                               const EncoderWeights& w,
                                               const EncoderOptions& opt);
 
-/// Forward a stack of identical-shape layers.
+/// Forward a stack of identical-shape layers; every layer is validated
+/// before the first launch.
 [[nodiscard]] tensor::MatrixF encoder_stack_forward(
     core::ExecContext& ctx, const tensor::MatrixF& x,
     const std::vector<EncoderWeights>& layers, const EncoderOptions& opt);

@@ -49,8 +49,8 @@ tensor::MatrixF GenerationSession::step_layers(core::ExecContext& ctx,
     tensor::MatrixF attn;
     if (int8) {
       // INT8 swaps every projection GEMM; the attention step itself
-      // (append + 1-row OTF launch + softmax math) is the shared fp32
-      // core::incremental_attention_step — quantization never touches
+      // (1-row OTF launch + softmax math after the append) is the shared
+      // fp32 core::incremental_attention_step — quantization never touches
       // the score math, only the operands feeding it.
       tensor::MatrixF q = quant::int8_linear(ctx, h, ql->wq, "gen_q_int8");
       tensor::MatrixF k_new =
@@ -64,10 +64,11 @@ tensor::MatrixF GenerationSession::step_layers(core::ExecContext& ctx,
         v_new = quant::int8_linear(ctx, h, ql->wv, "gen_v_int8");
       }
       tensor::MatrixF z(1, model_.d_model());
+      caches[l].append(k_new.row(0), v_new.row(0));
+      const core::DecodeRow row{q.row(0), &caches[l], z.row(0)};
       core::incremental_attention_step(
-          ctx, q.row(0), k_new.row(0), v_new.row(0), vo,
-          ql->v_kept.empty() ? nullptr : &ql->v_kept, opt.attn, caches[l],
-          z.row(0));
+          ctx, {&row, 1}, vo, ql->v_kept.empty() ? nullptr : &ql->v_kept,
+          opt.attn);
       attn = (vo != nullptr)
                  ? std::move(z)
                  : quant::int8_linear(ctx, z, ql->wo, "gen_out_int8");

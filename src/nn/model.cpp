@@ -4,81 +4,8 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
-#include <variant>
 
 namespace et::nn {
-
-namespace {
-
-/// The (out × in) shape a weight computes with, whatever its format.
-std::pair<std::size_t, std::size_t> shape_of(const sparse::AnyWeight& w) {
-  return std::visit(
-      [](const auto& v) -> std::pair<std::size_t, std::size_t> {
-        using T = std::decay_t<decltype(v)>;
-        if constexpr (std::is_same_v<T, sparse::RowPrunedWeight> ||
-                      std::is_same_v<T, sparse::ColPrunedWeight>) {
-          return {v.original_rows(), v.original_cols()};
-        } else {
-          return {v.rows(), v.cols()};
-        }
-      },
-      w);
-}
-
-/// Every shape the decode paths index by, checked before anything is
-/// sized from it: a short bias or layernorm vector would otherwise be
-/// over-read mid-tick, and a mis-shaped weight would throw from a kernel
-/// the tick does not catch.
-void validate_layer(const EncoderWeights& w, std::size_t l, std::size_t d,
-                    std::size_t heads) {
-  const auto refuse = [l](const std::string& what) {
-    throw std::invalid_argument("nn::Model: layer " + std::to_string(l) +
-                                " " + what);
-  };
-  const auto weight = [&](const char* name, const sparse::AnyWeight& x,
-                          std::size_t rows, std::size_t cols) {
-    const auto [r, c] = shape_of(x);
-    if (r != rows || c != cols) {
-      refuse(std::string(name) + " is " + std::to_string(r) + "x" +
-             std::to_string(c) + ", want " + std::to_string(rows) + "x" +
-             std::to_string(cols));
-    }
-  };
-  const auto vec = [&](const char* name, const std::vector<float>& v,
-                       std::size_t n) {
-    if (v.size() != n) {
-      refuse(std::string(name) + " has " + std::to_string(v.size()) +
-             " values, want " + std::to_string(n));
-    }
-  };
-  weight("W_Q", w.attn.wq, d, d);
-  weight("W_K", w.attn.wk, d, d);
-  weight("W_V", w.attn.wv, d, d);
-  weight("W_O", w.attn.wo, d, d);
-  const std::size_t d_ff = shape_of(w.w_ff1).first;
-  weight("W_FF1", w.w_ff1, d_ff, d);
-  weight("W_FF2", w.w_ff2, d, d_ff);
-  vec("b_ff1", w.b_ff1, d_ff);
-  vec("b_ff2", w.b_ff2, d);
-  vec("ln1_gamma", w.ln1_gamma, d);
-  vec("ln1_beta", w.ln1_beta, d);
-  vec("ln2_gamma", w.ln2_gamma, d);
-  vec("ln2_beta", w.ln2_beta, d);
-  if (w.attn.has_precomputed()) {
-    // The fold must agree with the attention config before any cache is
-    // sized from it; its kept columns index the d-wide output.
-    const core::PrecomputedVO& vo = w.attn.vo;
-    if (vo.num_heads != heads || vo.weight.cols() != d ||
-        vo.weight.rows() != heads * vo.kept() || vo.kept() == 0) {
-      refuse("W_VO shape disagrees with the attention config");
-    }
-    if (!sparse::kept_in_order(vo.kept_cols, d)) {
-      refuse("W_VO kept columns out of range or out of order");
-    }
-  }
-}
-
-}  // namespace
 
 Model::Model(const std::vector<EncoderWeights>* layers, EncoderOptions opt,
              std::size_t max_context, std::optional<WeightFormat> format)
@@ -91,8 +18,6 @@ Model::Model(const std::vector<EncoderWeights>* layers, EncoderOptions opt,
     throw std::invalid_argument("nn::Model: max_context must be > 0");
   }
 
-  const std::size_t d = opt_.attn.d_model;
-  const std::size_t heads = opt_.attn.num_heads;
   const auto note_method = [this](const sparse::AnyWeight& w) {
     const sparse::PruneMethod m = sparse::method_of(w);
     if (std::find(prune_methods_.begin(), prune_methods_.end(), m) ==
@@ -103,7 +28,7 @@ Model::Model(const std::vector<EncoderWeights>* layers, EncoderOptions opt,
 
   v_widths_.reserve(layers_->size());
   for (std::size_t l = 0; l < layers_->size(); ++l) {
-    validate_layer((*layers_)[l], l, d, heads);
+    validate_layer((*layers_)[l], l, opt_.attn, "nn::Model");
     const core::AttentionWeights& aw = (*layers_)[l].attn;
     note_method(aw.wq);
     note_method(aw.wk);

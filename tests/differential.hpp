@@ -29,6 +29,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -180,10 +181,17 @@ struct BatchedRun {
   std::size_t per_slot_fallback_ticks = 0;
 };
 
+/// Called before each tick with the number of ticks already run, so a
+/// test can arm the device's FaultInjector mid-stream (e.g. to strike a
+/// slot in its second tick).
+using BeforeTick = std::function<void(std::size_t ticks_run,
+                                      gpusim::Device& dev)>;
+
 /// Batched run: submit everything up front, drain the scheduler. The
-/// device is caller-provided so tests can arm its FaultInjector first.
-/// `threads` sizes the ExecContext pool the scheduler ticks run on; every
-/// thread count must produce the same transcript bit for bit.
+/// device is caller-provided so tests can arm its FaultInjector first, or
+/// from `before_tick`. `threads` sizes the ExecContext pool the scheduler
+/// ticks run on; every thread count must produce the same transcript bit
+/// for bit.
 inline BatchedRun run_batched(gpusim::Device& dev,
                               const std::vector<nn::EncoderWeights>& layers,
                               const nn::EncoderOptions& opt,
@@ -192,7 +200,8 @@ inline BatchedRun run_batched(gpusim::Device& dev,
                               std::int32_t vocab, std::size_t threads = 1,
                               core::PagedKVOptions kv = {},
                               std::optional<nn::WeightFormat> format = {},
-                              bool scripted = false) {
+                              bool scripted = false,
+                              const BeforeTick& before_tick = {}) {
   core::ExecContext ctx(dev, threads);
   BatchedRun run;
   run.outcomes.resize(requests.size());
@@ -215,7 +224,11 @@ inline BatchedRun run_batched(gpusim::Device& dev,
     const std::size_t id = sched.submit(std::move(req));
     EXPECT_EQ(id, i);
   }
-  const auto results = sched.run(ctx);
+  while (!sched.idle()) {
+    if (before_tick) before_tick(sched.ticks(), dev);
+    sched.tick(ctx);
+  }
+  const auto results = sched.run(ctx);  // idle: returns every result
   for (std::size_t i = 0; i < requests.size(); ++i) {
     run.outcomes[i].result = results[i];
   }
@@ -254,14 +267,16 @@ struct ServedRun {
 /// drain it. Outcomes are indexed by arrival order (== handle id order).
 /// `threads` sizes the ExecContext pool; every thread count must
 /// reproduce the same transcripts bit for bit — the serving axis of the
-/// differential sweep (docs/serving.md).
+/// differential sweep (docs/serving.md). `before_tick` sees the server's
+/// tick clock.
 inline ServedRun run_served(gpusim::Device& dev,
                             const std::vector<nn::EncoderWeights>& layers,
                             const nn::EncoderOptions& opt,
                             std::size_t max_context,
                             const serving::ServerConfig& cfg,
                             const std::vector<Arrival>& arrivals,
-                            std::int32_t vocab, std::size_t threads = 1) {
+                            std::int32_t vocab, std::size_t threads = 1,
+                            const BeforeTick& before_tick = {}) {
   core::ExecContext ctx(dev, threads);
   serving::InferenceServer server(nn::Model(&layers, opt, max_context), cfg);
   ServedRun run;
@@ -286,6 +301,7 @@ inline ServedRun run_served(gpusim::Device& dev,
       run.handles.push_back(server.submit(req));
       ++next;
     }
+    if (before_tick) before_tick(server.now(), dev);
     server.tick(ctx);
   }
   for (std::size_t i = 0; i < arrivals.size(); ++i) {

@@ -226,41 +226,61 @@ TEST(BatchedGenerationFaults, SharedKernelFaultFallsBackPerSlotBitIdentically) {
 }
 
 TEST(BatchedGenerationFaults, NthLaunchFaultRetiresOnlyTheFaultedSlot) {
-  // Satellite 3: locate (from a clean run's slot-attributed history) the
-  // launch index of slot 1's attention kernel in its SECOND tick, arm the
-  // injector to fault exactly that launch on a fresh device, and decode
-  // again. Only slot 1 may stop (kernel_fault, tokens a strict prefix);
-  // slots 0 and 2 must still be bit-identical to the sequential runs.
+  // A batched tick's attention launch is shared by every slot, so its
+  // fault blames none: the tick degrades to per-slot stepping, where each
+  // slot's attention launch carries its own id. Strike slot 1 in its
+  // SECOND tick: before that tick, a name rule faults the shared attention
+  // launch and an nth rule faults slot 1's own retry launch, located from
+  // the history of a run faulted by the name rule alone. Only slot 1 may
+  // stop (kernel_fault, tokens a strict prefix); slots 0 and 2 must still
+  // be bit-identical to the sequential runs.
   const std::size_t max_context = 10;
   const Model m = make_model(2, 32, 2, max_context, 19, false);
   const std::vector<Request> requests = {
       {1, 6, et::nn::kNoEosToken, 51}, {2, 6, et::nn::kNoEosToken, 52},
       {3, 6, et::nn::kNoEosToken, 53}};
 
-  et::gpusim::Device seq_dev, clean_dev;
+  et::gpusim::Device seq_dev, once_dev;
   const auto sequential = et::diff::run_sequential(
       seq_dev, m.layers, m.opt, max_context, requests, kVocab);
-  const auto clean = et::diff::run_batched(clean_dev, m.layers, m.opt, 3,
-                                           max_context, requests, kVocab);
-  et::diff::expect_bit_identical(sequential, clean.outcomes);
+  const auto arm_shared = [](std::size_t ticks_run,
+                             et::gpusim::Device& dev) {
+    if (ticks_run == 1) {
+      dev.fault_injector().arm_kernel("incremental_otf_attention", 1);
+    }
+  };
+  const auto once = et::diff::run_batched(
+      once_dev, m.layers, m.opt, 3, max_context, requests, kVocab, 1, {}, {},
+      false, arm_shared);
+  // The shared fault alone retires nobody and changes no transcript.
+  et::diff::expect_bit_identical(sequential, once.outcomes);
+  EXPECT_EQ(once.per_slot_fallback_ticks, 1u);
 
-  // Faulted launches never reach the history, so on a clean run the
-  // 0-based launch-attempt index equals the history index.
+  // Only the degraded tick stamps slots. Faulted launches never reach the
+  // history, so every launch after the one faulted attempt sits one
+  // attempt index past its history index.
   std::vector<std::size_t> slot1_attention;
-  const auto& history = clean_dev.history();
+  const auto& history = once_dev.history();
   for (std::size_t i = 0; i < history.size(); ++i) {
     if (history[i].slot == 1 &&
         history[i].name == "incremental_otf_attention") {
       slot1_attention.push_back(i);
     }
   }
-  ASSERT_GE(slot1_attention.size(), m.layers.size() + 1);
-  const std::size_t target = slot1_attention[m.layers.size()];
+  ASSERT_EQ(slot1_attention.size(), m.layers.size());
+  const std::size_t target = slot1_attention[0] + 1;
 
   et::gpusim::Device fault_dev;
-  fault_dev.fault_injector().arm_nth_launch(target);
-  const auto faulted = et::diff::run_batched(fault_dev, m.layers, m.opt, 3,
-                                             max_context, requests, kVocab);
+  const auto arm_both = [&](std::size_t ticks_run, et::gpusim::Device& dev) {
+    arm_shared(ticks_run, dev);
+    if (ticks_run == 1) {
+      dev.fault_injector().arm_nth_launch(
+          target - dev.fault_injector().launches_seen());
+    }
+  };
+  const auto faulted = et::diff::run_batched(
+      fault_dev, m.layers, m.opt, 3, max_context, requests, kVocab, 1, {}, {},
+      false, arm_both);
 
   const auto& hit = faulted.outcomes[1].result;
   EXPECT_EQ(hit.stop_reason, et::nn::StopReason::kKernelFault);
@@ -285,12 +305,16 @@ TEST(BatchedGenerationFaults, NthLaunchFaultRetiresOnlyTheFaultedSlot) {
               et::nn::StopReason::kMaxTokens);
   }
 
-  // The retirement is observable: a slot-attributed fallback event.
-  bool saw_retire = false;
-  for (const auto& fb : fault_dev.fallback_log()) {
-    if (fb.to_impl == "retire_slot" && fb.slot == 1) saw_retire = true;
-  }
-  EXPECT_TRUE(saw_retire);
+  // Both faults are observable, in order: the shared launch degrades the
+  // tick (no slot), then slot 1's own launch retires it.
+  EXPECT_EQ(fault_dev.fault_injector().faults_injected(), 2u);
+  EXPECT_EQ(faulted.per_slot_fallback_ticks, 1u);
+  const auto& fallbacks = fault_dev.fallback_log();
+  ASSERT_EQ(fallbacks.size(), 2u);
+  EXPECT_EQ(fallbacks[0].to_impl, "per_slot_decode");
+  EXPECT_EQ(fallbacks[0].slot, et::gpusim::kNoSlot);
+  EXPECT_EQ(fallbacks[1].to_impl, "retire_slot");
+  EXPECT_EQ(fallbacks[1].slot, 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -385,22 +409,44 @@ TEST(BatchedGenerationApi, SingleActiveSlotTakesThePerSlotPath) {
 // Per-slot profiler attribution over a real batched run.
 // ---------------------------------------------------------------------------
 TEST(BatchedGeneration, ProfilerAttributesAttentionToSlots) {
+  // A batched tick's attention launch is shared, so it carries kNoSlot; a
+  // tick that steps slots one at a time (here the first, degraded by one
+  // fault in the shared q/k/v GEMM) stamps each slot's own launch.
   const std::size_t max_context = 8;
+  const std::size_t tokens = 4;
   const Model m = make_model(2, 32, 2, max_context, 37, false);
   const std::vector<Request> requests = {
-      {1, 4, et::nn::kNoEosToken, 61}, {2, 4, et::nn::kNoEosToken, 62}};
+      {1, tokens, et::nn::kNoEosToken, 61},
+      {2, tokens, et::nn::kNoEosToken, 62}};
 
   et::gpusim::Device dev;
-  et::core::ExecContext ctx(dev);
-  (void)et::diff::run_batched(dev, m.layers, m.opt, 2, max_context, requests,
-                              kVocab);
+  dev.fault_injector().arm_kernel("gen_qkv_batched", 1);
+  const auto run = et::diff::run_batched(dev, m.layers, m.opt, 2, max_context,
+                                         requests, kVocab);
+  ASSERT_EQ(run.per_slot_fallback_ticks, 1u);
+  ASSERT_EQ(run.batched_ticks, tokens);
 
-  // Every slot did attention work; the shared batched kernels stay
-  // unattributed.
+  const std::size_t heads = m.opt.attn.num_heads;
+  std::size_t shared = 0, slot0 = 0, slot1 = 0;
+  for (const auto& k : dev.history()) {
+    if (k.name != "incremental_otf_attention") continue;
+    if (k.slot == et::gpusim::kNoSlot) {
+      ++shared;
+      EXPECT_EQ(k.ctas, 2 * heads);  // one launch for both slots
+    } else {
+      EXPECT_EQ(k.ctas, heads);  // a slot's own launch
+      (k.slot == 0 ? slot0 : slot1) += 1;
+    }
+  }
+  // The degraded tick: each slot's layers; every other tick: one shared
+  // launch per layer.
+  EXPECT_EQ(slot0, m.layers.size());
+  EXPECT_EQ(slot1, m.layers.size());
+  EXPECT_EQ(shared, (tokens - 1) * m.layers.size());
   EXPECT_GT(dev.time_us_for_slot(0), 0.0);
   EXPECT_GT(dev.time_us_for_slot(1), 0.0);
+
   const auto report = et::gpusim::profile(dev);
-  ASSERT_FALSE(report.slots.empty());
   bool saw_shared = false, saw_slot0 = false, saw_slot1 = false;
   for (const auto& s : report.slots) {
     if (s.slot == et::gpusim::kNoSlot) saw_shared = true;
@@ -410,6 +456,164 @@ TEST(BatchedGeneration, ProfilerAttributesAttentionToSlots) {
   EXPECT_TRUE(saw_shared);
   EXPECT_TRUE(saw_slot0);
   EXPECT_TRUE(saw_slot1);
+}
+
+// ---------------------------------------------------------------------------
+// One attention launch per layer per tick.
+// ---------------------------------------------------------------------------
+/// Every field of a launch record but its slot.
+void expect_same_record(const et::gpusim::KernelStats& a,
+                        const et::gpusim::KernelStats& b) {
+  EXPECT_EQ(a.name, b.name);
+  EXPECT_EQ(a.ctas, b.ctas);
+  EXPECT_EQ(a.shared_bytes_per_cta, b.shared_bytes_per_cta);
+  EXPECT_EQ(a.pattern, b.pattern);
+  EXPECT_EQ(a.global_load_bytes, b.global_load_bytes);
+  EXPECT_EQ(a.global_store_bytes, b.global_store_bytes);
+  EXPECT_EQ(a.score_bytes, b.score_bytes);
+  EXPECT_EQ(a.fp_ops, b.fp_ops);
+  EXPECT_EQ(a.tensor_ops, b.tensor_ops);
+  EXPECT_EQ(a.time_us, b.time_us);
+  EXPECT_EQ(a.sm_efficiency, b.sm_efficiency);
+  EXPECT_EQ(a.ipc, b.ipc);
+}
+
+std::vector<et::gpusim::KernelStats> attention_records(
+    const et::gpusim::Device& dev, std::size_t begin, std::size_t end) {
+  std::vector<et::gpusim::KernelStats> out;
+  for (std::size_t i = begin; i < end; ++i) {
+    if (dev.history()[i].name == "incremental_otf_attention") {
+      out.push_back(dev.history()[i]);
+    }
+  }
+  return out;
+}
+
+TEST(BatchedGeneration, OneAttentionLaunchPerLayerPerTick) {
+  // Request i joins before tick i and decodes `tokens` tokens, so ticks
+  // 2..4 hold three slots with three different context lengths, ticks 1
+  // and 5 two, and ticks 0 and 6 one. Each request is also decoded alone
+  // (a batch of one) for its per-position attention records and its
+  // transcript.
+  const std::size_t max_context = 8, tokens = 5, num_requests = 3;
+  const Model m = make_model(2, 32, 2, max_context, 43, false);
+  const std::size_t layers = m.layers.size();
+  const std::size_t heads = m.opt.attn.num_heads;
+  std::vector<Request> requests(num_requests);
+  for (std::size_t i = 0; i < num_requests; ++i) {
+    requests[i].first_token = static_cast<std::int32_t>(i + 1);
+    requests[i].max_new_tokens = tokens;
+    requests[i].seed = 300 + i;
+  }
+
+  for (const auto kv_precision :
+       {et::core::KvPrecision::kFp32, et::core::KvPrecision::kInt8}) {
+    const bool int8 = kv_precision == et::core::KvPrecision::kInt8;
+    SCOPED_TRACE(int8 ? "int8 KV pool" : "fp32 KV pool");
+    const et::core::PagedKVOptions kv{.precision = kv_precision};
+
+    // lone[i][pos * layers + l]: request i's attention record at context
+    // position pos of layer l, decoded alone.
+    std::vector<std::vector<et::gpusim::KernelStats>> lone;
+    std::vector<et::diff::Outcome> lone_outcomes;
+    for (const Request& r : requests) {
+      et::gpusim::Device dev;
+      const auto run = et::diff::run_batched(dev, m.layers, m.opt, 1,
+                                             max_context, {r}, kVocab, 1, kv);
+      lone.push_back(attention_records(dev, 0, dev.history().size()));
+      ASSERT_EQ(lone.back().size(), tokens * layers);
+      lone_outcomes.push_back(run.outcomes[0]);
+      if (!int8) {
+        // A one-slot tick records exactly GenerationSession's launch.
+        et::gpusim::Device seq_dev;
+        (void)et::diff::run_sequential(seq_dev, m.layers, m.opt, max_context,
+                                       {r}, kVocab);
+        const auto seq = attention_records(seq_dev, 0,
+                                           seq_dev.history().size());
+        ASSERT_EQ(seq.size(), lone.back().size());
+        for (std::size_t j = 0; j < seq.size(); ++j) {
+          expect_same_record(seq[j], lone.back()[j]);
+          EXPECT_EQ(seq[j].slot, et::gpusim::kNoSlot);
+          EXPECT_EQ(lone.back()[j].slot, 0);
+        }
+      }
+    }
+
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      et::gpusim::Device dev;
+      et::core::ExecContext ctx(dev, threads);
+      et::nn::BatchedGenerationScheduler sched(
+          et::nn::Model(&m.layers, m.opt, max_context), num_requests, kv);
+      std::vector<std::vector<std::uint64_t>> hashes(num_requests);
+      std::vector<std::size_t> ids;
+      std::vector<std::size_t> tick_begin;
+      for (std::size_t t = 0; t < num_requests || !sched.idle(); ++t) {
+        if (t < num_requests) {
+          et::nn::GenerationRequest req;
+          req.first_token = requests[t].first_token;
+          req.max_new_tokens = tokens;
+          req.embed = et::diff::make_embed(m.opt.attn.d_model,
+                                           requests[t].seed);
+          req.select = et::diff::make_select(kVocab, &hashes[t]);
+          ids.push_back(sched.submit(std::move(req)));
+        }
+        tick_begin.push_back(dev.history().size());
+        sched.tick(ctx);
+      }
+      tick_begin.push_back(dev.history().size());
+      ASSERT_EQ(tick_begin.size(), num_requests + tokens);  // ticks 0..6
+
+      // Batching changes no transcript.
+      for (std::size_t i = 0; i < num_requests; ++i) {
+        EXPECT_EQ(sched.result(ids[i]).tokens,
+                  lone_outcomes[i].result.tokens);
+        EXPECT_EQ(hashes[i], lone_outcomes[i].hidden_hashes);
+      }
+
+      for (std::size_t t = 0; t + 1 < tick_begin.size(); ++t) {
+        SCOPED_TRACE("tick " + std::to_string(t));
+        std::vector<std::size_t> live;  // requests decoding this tick
+        for (std::size_t i = 0; i < num_requests; ++i) {
+          if (i <= t && t < i + tokens) live.push_back(i);
+        }
+        const auto attn =
+            attention_records(dev, tick_begin[t], tick_begin[t + 1]);
+        ASSERT_EQ(attn.size(), layers);  // one launch per layer
+        for (std::size_t l = 0; l < layers; ++l) {
+          const auto& k = attn[l];
+          // Request i sits at context position t - i.
+          const auto one = [&](std::size_t i) -> const auto& {
+            return lone[i][(t - i) * layers + l];
+          };
+          if (live.size() == 1) {
+            expect_same_record(k, one(live[0]));
+            EXPECT_GE(k.slot, 0);
+            EXPECT_LT(k.slot, static_cast<int>(num_requests));
+            continue;
+          }
+          EXPECT_EQ(k.slot, et::gpusim::kNoSlot);
+          EXPECT_EQ(k.ctas, heads * live.size());
+          // The longest context is the earliest request's.
+          EXPECT_EQ(k.shared_bytes_per_cta, one(live[0]).shared_bytes_per_cta);
+          std::uint64_t loads = 0, stores = 0, fp = 0, tensor = 0;
+          double alone_us = 0.0;
+          for (const std::size_t i : live) {
+            loads += one(i).global_load_bytes;
+            stores += one(i).global_store_bytes;
+            fp += one(i).fp_ops;
+            tensor += one(i).tensor_ops;
+            alone_us += one(i).time_us;
+          }
+          EXPECT_EQ(k.global_load_bytes, loads);
+          EXPECT_EQ(k.global_store_bytes, stores);
+          EXPECT_EQ(k.fp_ops, fp);
+          EXPECT_EQ(k.tensor_ops, tensor);
+          EXPECT_LT(k.time_us, alone_us);  // the fixed cost is paid once
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "nn/encoder.hpp"
 #include "nn/embedding.hpp"
@@ -132,6 +134,55 @@ TEST(Encoder, EveryPipelineRejectsMismatchedInputShape) {
           << to_string(pipeline);
       EXPECT_EQ(dev.launch_count(), 0u) << to_string(pipeline);
     }
+  }
+}
+
+TEST(Encoder, MisShapedLayersAreRefusedBeforeAnyLaunch) {
+  // encoder_forward and encoder_stack_forward run the same layer check
+  // as nn::Model: a short layernorm vector or bias, or an FF weight of
+  // the wrong width, is an invalid_argument naming the field — never a
+  // read past the end of a vector.
+  const auto model = tiny_model();
+  const auto opt = et::nn::options_for(Pipeline::kET, model, 16);
+  const MatrixF x(16, model.d_model);
+  const auto broken = [&](int which) {
+    auto w = et::nn::make_dense_encoder_weights(model, 12);
+    if (which == 0) w.ln2_gamma.resize(8);
+    if (which == 1) w.b_ff1.pop_back();
+    if (which == 2) {
+      w.w_ff2 = et::sparse::DenseWeight(MatrixF(model.d_model, model.d_ff / 2));
+    }
+    return w;
+  };
+  const char* const fields[] = {"ln2_gamma", "b_ff1", "W_FF2"};
+  for (int which = 0; which < 3; ++which) {
+    SCOPED_TRACE(fields[which]);
+    const EncoderWeights w = broken(which);
+    Device dev;
+    et::core::ExecContext ctx(dev);
+    try {
+      (void)et::nn::encoder_forward(ctx, x, w, opt);
+      ADD_FAILURE() << "encoder_forward accepted a mis-shaped layer";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("layer 0 ") +
+                                           fields[which]),
+                std::string::npos)
+          << e.what();
+    }
+    // In a stack, the bad layer is named by its index, and the good
+    // layer before it does not run either.
+    const std::vector<EncoderWeights> stack = {
+        et::nn::make_dense_encoder_weights(model, 13), w};
+    try {
+      (void)et::nn::encoder_stack_forward(ctx, x, stack, opt);
+      ADD_FAILURE() << "encoder_stack_forward accepted a mis-shaped layer";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("layer 1 ") +
+                                           fields[which]),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(dev.launch_count(), 0u);
   }
 }
 

@@ -8,7 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/exec_context.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/latency_model.hpp"
 #include "gpusim/profiler.hpp"
@@ -132,21 +131,6 @@ TEST(DeviceTotals, MatchAResumAfterSerialLaunches) {
   ASSERT_EQ(dev.launch_count(), 1000u);
   EXPECT_GT(dev.total_score_bytes(), 0u);
   expect_totals_match_history(dev);
-}
-
-TEST(DeviceTotals, MatchAResumAfterParallelRegionsAtAnyThreadCount) {
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    SCOPED_TRACE(threads);
-    Device dev;
-    et::core::ExecContext ctx(dev, threads);
-    launch_varied(dev, 0, 10);
-    // Each iteration launches inside its chunk's LaunchSink; the totals
-    // only move when Device::merge folds the chunks in, in chunk order.
-    ctx.parallel_for(257, [&](std::size_t i) { launch_varied(dev, i, 3); });
-    launch_varied(dev, 10, 10);
-    ASSERT_EQ(dev.launch_count(), 20u + 3 * 257);
-    expect_totals_match_history(dev);
-  }
 }
 
 TEST(DeviceTotals, ResetZeroesThemAndLaterLaunchesCountFromZero) {

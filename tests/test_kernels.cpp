@@ -522,6 +522,34 @@ TEST(Elementwise, LayerNormZeroMeanUnitVar) {
   }
 }
 
+TEST(Elementwise, ShapeCheckedKernelsRejectMismatchedOperandsBeforeLaunching) {
+  // Each of these kernels indexes a per-column vector (or a second
+  // matrix) by the first operand's shape: a short one must be refused,
+  // not read past its end, and nothing may launch.
+  MatrixF m(2, 8, 1.0f);
+  const MatrixF narrower(2, 4), shorter(1, 8);
+  const std::vector<float> wide(8, 1.0f), narrow(4, 1.0f);
+  Device dev;
+  EXPECT_THROW(et::kernels::add_bias(dev, m, narrow), std::invalid_argument);
+  EXPECT_THROW(et::kernels::residual_add(dev, m, narrower),
+               std::invalid_argument);
+  EXPECT_THROW(et::kernels::residual_add(dev, m, shorter),
+               std::invalid_argument);
+  EXPECT_THROW(et::kernels::layernorm(dev, m, narrow, wide),
+               std::invalid_argument);
+  EXPECT_THROW(et::kernels::layernorm(dev, m, wide, narrow),
+               std::invalid_argument);
+  EXPECT_THROW(et::kernels::fused_residual_layernorm(dev, m, shorter, wide,
+                                                     wide),
+               std::invalid_argument);
+  EXPECT_THROW(et::kernels::fused_residual_layernorm(dev, m, m, narrow, wide),
+               std::invalid_argument);
+  EXPECT_THROW(et::kernels::fused_residual_layernorm(dev, m, m, wide, narrow),
+               std::invalid_argument);
+  EXPECT_EQ(dev.launch_count(), 0u);
+  for (const float v : m.flat()) EXPECT_EQ(v, 1.0f);  // untouched
+}
+
 TEST(Elementwise, TransposeKernel) {
   MatrixF m(3, 5);
   et::tensor::fill_uniform(m, 11);

@@ -859,7 +859,8 @@ et::diff::BatchedRun scheduler_run(et::gpusim::Device& dev,
                                    const std::vector<et::diff::Request>& reqs,
                                    const PagedKVOptions& kv,
                                    std::size_t threads, std::size_t* used_bytes,
-                                   std::size_t* free_blocks) {
+                                   std::size_t* free_blocks,
+                                   const et::diff::BeforeTick& before_tick) {
   et::core::ExecContext ctx(dev, threads);
   et::diff::BatchedRun run;
   run.outcomes.resize(reqs.size());
@@ -877,7 +878,11 @@ et::diff::BatchedRun scheduler_run(et::gpusim::Device& dev,
     req.eos_token = reqs[i].eos_token;
     (void)sched.submit(std::move(req));
   }
-  const auto results = sched.run(ctx);
+  while (!sched.idle()) {
+    before_tick(sched.ticks(), dev);
+    sched.tick(ctx);
+  }
+  const auto results = sched.run(ctx);  // idle: returns every result
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     run.outcomes[i].result = results[i];
   }
@@ -887,8 +892,8 @@ et::diff::BatchedRun scheduler_run(et::gpusim::Device& dev,
 }
 
 TEST(PagedDecodeOracle, FaultStormsDrainEveryBlockDeterministically) {
-  // A fault mid-decode (block_tokens=3, prompt rows cross block
-  // boundaries at 3 and 6) triggers the fault-atomic rollback plus
+  // Faults mid-decode (block_tokens=3, prompt rows cross block
+  // boundaries at 3 and 6) trigger the fault-atomic rollback plus
   // kernel-fault retirement; afterwards EVERY block — including boundary
   // partials and CoW copies — must be back on the free list, and the
   // faulted transcript must not depend on the thread count.
@@ -896,31 +901,44 @@ TEST(PagedDecodeOracle, FaultStormsDrainEveryBlockDeterministically) {
   const auto opt = make_opt();
   const auto requests = prompt_workload();
   const PagedKVOptions kv{.block_tokens = 3};
-  // Arm the slot-attributed incremental attention kernel (a fault on a
-  // shared batched kernel is absorbed by the per-slot fallback tick and
-  // retires nobody); `faults` different strikes land at different cursor
-  // positions, including mid-block and at boundaries.
-  for (const std::size_t faults : {std::size_t{1}, std::size_t{4}}) {
-    SCOPED_TRACE("faults=" + std::to_string(faults));
+  // A name rule on the attention kernel, armed before tick `arm_tick`:
+  // its first strike hits a batched tick's shared launch (absorbed by the
+  // per-slot fallback, retiring nobody); the next strikes hit the slots'
+  // own retry launches and retire them. Armed at tick 0 the retirement
+  // lands at cursor 0, a block boundary; armed at tick 4 all three slots
+  // retire at cursor 4, mid-block, and the fifth strike degrades the next
+  // tick, whose backfilled requests then decode to the end.
+  struct Storm {
+    std::size_t arm_tick;
+    std::size_t faults;
+    std::size_t retired;
+  };
+  for (const Storm storm : {Storm{0, 2, 1}, Storm{4, 5, 3}}) {
+    SCOPED_TRACE("arm_tick=" + std::to_string(storm.arm_tick) +
+                 " faults=" + std::to_string(storm.faults));
+    const auto arm = [&](std::size_t ticks_run, et::gpusim::Device& dev) {
+      if (ticks_run == storm.arm_tick) {
+        dev.fault_injector().arm_kernel("incremental_otf_attention",
+                                        storm.faults);
+      }
+    };
     et::gpusim::Device ref_dev;
-    ref_dev.fault_injector().arm_kernel("incremental_otf_attention", faults);
     std::size_t ref_used = 1, ref_free = 0;
     const auto ref = scheduler_run(ref_dev, layers, opt, requests, kv, 1,
-                                   &ref_used, &ref_free);
+                                   &ref_used, &ref_free, arm);
     EXPECT_EQ(ref_used, 0u) << "blocks leaked across the fault drain";
-    bool any_fault = false;
+    std::size_t retired = 0;
     for (const auto& o : ref.outcomes) {
-      any_fault = any_fault ||
-                  o.result.stop_reason == et::nn::StopReason::kKernelFault;
+      retired += o.result.stop_reason == et::nn::StopReason::kKernelFault;
     }
-    EXPECT_TRUE(any_fault) << "fault did not strike within the run";
+    EXPECT_EQ(retired, storm.retired);
+    EXPECT_EQ(ref_dev.fault_injector().faults_injected(), storm.faults);
     for (const std::size_t threads : {2u, 8u}) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
       et::gpusim::Device dev;
-      dev.fault_injector().arm_kernel("incremental_otf_attention", faults);
       std::size_t used = 1, free_blocks = 0;
       const auto rerun = scheduler_run(dev, layers, opt, requests, kv,
-                                       threads, &used, &free_blocks);
+                                       threads, &used, &free_blocks, arm);
       et::diff::expect_bit_identical(ref.outcomes, rerun.outcomes);
       EXPECT_EQ(used, 0u);
       EXPECT_EQ(free_blocks, ref_free);

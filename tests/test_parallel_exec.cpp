@@ -88,7 +88,8 @@ TEST_P(ThreadsSweep, BatchedDecodeBitIdenticalToSerial) {
 TEST_P(ThreadsSweep, DeviceLogBitIdenticalToSerialBatchedRun) {
   // Beyond the transcripts: the launch log itself (names, order, CTA
   // counts, slot attribution, modeled latency) must not depend on the
-  // thread count — the per-chunk sinks merge in chunk order.
+  // thread count — launches are recorded only on the calling thread, and
+  // the pool runs nothing but the per-slot math.
   const std::size_t threads = GetParam();
   const std::size_t max_new_tokens = 4;
   const std::size_t max_context = max_new_tokens + 2;
@@ -165,10 +166,10 @@ TEST_P(ThreadsSweep, EncoderForwardBitIdenticalAcrossThreads) {
 }
 
 TEST_P(ThreadsSweep, InjectedFaultFiresAtSameLaunchIndex) {
-  // With the injector armed, parallel_for degrades to the exact serial
-  // loop, so the nth-launch rule kills the same logical launch — same
-  // faulted kernel, same retired slot, same recovery — at every thread
-  // count.
+  // Launches are recorded only on the calling thread, so the nth-launch
+  // rule kills the same logical launch — same faulted kernel, same
+  // recovery — at every thread count, while the per-slot math still runs
+  // on the pool.
   const std::size_t threads = GetParam();
   const std::size_t max_new_tokens = 4;
   const std::size_t max_context = max_new_tokens + 2;

@@ -499,28 +499,52 @@ TEST_P(ResilienceDifferential, FaultedThenRetriedMatchesFaultFreeBitForBit) {
   }
   const ServerConfig cfg{2, 8};
 
-  // Fault-free reference; its launch history locates slot 1's attention
-  // kernel in its second tick (mid-stream, so the retry has a prefix to
-  // replay).
+  // Fault-free reference.
   et::gpusim::Device clean_dev;
   const auto clean = et::diff::run_served(clean_dev, m.layers, m.opt,
                                           max_context, cfg, arrivals, kVocab);
+
+  // Strike slot 1 in its second tick (mid-stream, so the retry has a
+  // prefix to replay). That tick's attention launch is shared by both
+  // slots, so a name rule faults it and the tick degrades to per-slot
+  // stepping; an nth rule then faults slot 1's own retry launch, located
+  // from the history of a run faulted by the name rule alone (one
+  // faulted attempt before it, so attempt index = history index + 1).
+  const auto arm_shared = [](std::size_t now, et::gpusim::Device& dev) {
+    if (now == 1) {
+      dev.fault_injector().arm_kernel("incremental_otf_attention", 1);
+    }
+  };
+  et::gpusim::Device once_dev;
+  const auto once = et::diff::run_served(once_dev, m.layers, m.opt,
+                                         max_context, cfg, arrivals, kVocab,
+                                         threads, arm_shared);
+  et::diff::expect_bit_identical(clean.outcomes, once.outcomes);
+  EXPECT_NE(once.metrics_json.find("\"kernel_faults\": 0"),
+            std::string::npos);
   std::vector<std::size_t> slot1_attention;
-  const auto& history = clean_dev.history();
+  const auto& history = once_dev.history();
   for (std::size_t i = 0; i < history.size(); ++i) {
     if (history[i].slot == 1 &&
         history[i].name == "incremental_otf_attention") {
       slot1_attention.push_back(i);
     }
   }
-  ASSERT_GE(slot1_attention.size(), m.layers.size() + 1);
+  ASSERT_GE(slot1_attention.size(), m.layers.size());
+  const std::size_t target = slot1_attention[0] + 1;
 
   et::gpusim::Device fault_dev;
-  fault_dev.fault_injector().arm_nth_launch(
-      slot1_attention[m.layers.size()]);
+  const auto arm_both = [&](std::size_t now, et::gpusim::Device& dev) {
+    arm_shared(now, dev);
+    if (now == 1) {
+      dev.fault_injector().arm_nth_launch(
+          target - dev.fault_injector().launches_seen());
+    }
+  };
   const auto retried = et::diff::run_served(fault_dev, m.layers, m.opt,
                                             max_context, cfg, arrivals, kVocab,
-                                            threads);
+                                            threads, arm_both);
+  EXPECT_EQ(fault_dev.fault_injector().faults_injected(), 2u);
   et::diff::expect_bit_identical(clean.outcomes, retried.outcomes);
   for (const auto& o : retried.outcomes) {
     EXPECT_EQ(o.result.stop_reason, et::nn::StopReason::kMaxTokens);
@@ -732,26 +756,45 @@ TEST(ServingFaults, SlotFaultRetiresOnlyTheOwnerAndCountsOnce) {
   }
   const ServerConfig cfg{2, 8};
 
-  // Clean run: reference transcripts + the launch history that locates
-  // slot 1's attention kernel in its second tick (faulted launches never
-  // reach the history, so launch index == history index).
+  // Clean run: reference transcripts.
   et::gpusim::Device clean_dev;
   const auto clean = et::diff::run_served(clean_dev, m.layers, m.opt,
                                           max_context, cfg, arrivals, kVocab);
+
+  // Slot 1's second tick is batched, so its attention launch is shared
+  // and a fault there blames no slot. A name rule armed before that tick
+  // faults the shared launch and degrades the tick to per-slot stepping;
+  // the history of that run locates slot 1's own retry launch (attempt
+  // index = history index + 1, past the one faulted attempt).
+  const auto arm_shared = [](std::size_t now, et::gpusim::Device& dev) {
+    if (now == 1) {
+      dev.fault_injector().arm_kernel("incremental_otf_attention", 1);
+    }
+  };
+  et::gpusim::Device once_dev;
+  const auto once = et::diff::run_served(once_dev, m.layers, m.opt,
+                                         max_context, cfg, arrivals, kVocab, 1,
+                                         arm_shared);
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    EXPECT_EQ(once.outcomes[i].result.tokens, clean.outcomes[i].result.tokens)
+        << "request " << i;
+    EXPECT_EQ(once.outcomes[i].hidden_hashes, clean.outcomes[i].hidden_hashes)
+        << "request " << i;
+  }
   std::vector<std::size_t> slot1_attention;
-  const auto& history = clean_dev.history();
+  const auto& history = once_dev.history();
   for (std::size_t i = 0; i < history.size(); ++i) {
     if (history[i].slot == 1 &&
         history[i].name == "incremental_otf_attention") {
       slot1_attention.push_back(i);
     }
   }
-  ASSERT_GE(slot1_attention.size(), m.layers.size() + 1);
-  const std::size_t target = slot1_attention[m.layers.size()];
+  ASSERT_GE(slot1_attention.size(), m.layers.size());
+  const std::size_t target = slot1_attention[0] + 1;
 
-  // Armed run, driven directly so the metrics are inspectable.
+  // Armed run, driven directly so the metrics are inspectable: both
+  // rules go in after the first tick.
   et::gpusim::Device fault_dev;
-  fault_dev.fault_injector().arm_nth_launch(target);
   et::core::ExecContext ctx(fault_dev);
   InferenceServer server(nn_model(m, max_context), cfg);
   std::vector<et::serving::RequestHandle> handles;
@@ -765,7 +808,12 @@ TEST(ServingFaults, SlotFaultRetiresOnlyTheOwnerAndCountsOnce) {
     req.select = et::diff::make_select(kVocab, &hashes[i]);
     handles.push_back(server.submit(req));
   }
+  server.tick(ctx);
+  arm_shared(server.now(), fault_dev);
+  fault_dev.fault_injector().arm_nth_launch(
+      target - fault_dev.fault_injector().launches_seen());
   server.drain(ctx);
+  EXPECT_EQ(fault_dev.fault_injector().faults_injected(), 2u);
 
   // Request 1 (slot 1) faulted after one surviving tick.
   const auto& hit = server.result(handles[1]);
