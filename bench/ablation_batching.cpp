@@ -219,8 +219,11 @@ int main(int argc, char** argv) {
     const auto select = [](const et::tensor::MatrixF&) {
       return std::int32_t{1};
     };
-    const auto r =
-        et::nn::generate(ctx, session, 0, kTokensPerSeq, embed, select);
+    et::nn::DecodeParams params;
+    params.max_new_tokens = kTokensPerSeq;
+    params.embed = embed;
+    params.select = select;
+    const auto r = et::nn::generate(ctx, session, params);
     std::printf("%.1f us for %zu tokens (%.1f tokens/sec)\n",
                 dev.total_time_us(), r.tokens.size(),
                 1e6 * static_cast<double>(r.tokens.size()) /

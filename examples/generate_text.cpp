@@ -9,7 +9,6 @@
 #include <cstdlib>
 
 #include "gpusim/device.hpp"
-#include "nn/embedding.hpp"
 #include "nn/generation.hpp"
 #include "nn/positional.hpp"
 #include "pruning/strategy.hpp"

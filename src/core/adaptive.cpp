@@ -1,15 +1,13 @@
 #include "core/adaptive.hpp"
 
 #include <limits>
-#include <span>
 
 namespace et::core {
 
 AttentionImpl choose_attention_impl(const gpusim::Device& dev,
                                     const AttentionWeights& w,
                                     const AttentionConfig& cfg,
-                                    const AdaptivePolicy& policy,
-                                    std::size_t kv_len) {
+                                    const AdaptivePolicy& policy) {
   cfg.validate();
   // A forced operator is a contract, not a heuristic: start there (the
   // degradation chain still applies if it fails at launch time).
@@ -23,9 +21,9 @@ AttentionImpl choose_attention_impl(const gpusim::Device& dev,
     gpusim::Device scratch(dev.spec());
     try {
       if (impl == AttentionImpl::kOtf) {
-        record_otf_kernel(scratch, cfg, kv_len, v);
+        record_otf_kernel(scratch, cfg, v);
       } else if (impl == AttentionImpl::kFlash) {
-        record_flash_kernel(scratch, cfg, kv_len, v);
+        record_flash_kernel(scratch, cfg, v);
       } else {
         record_partial_otf_kernels(scratch, cfg, v);
       }
@@ -34,15 +32,12 @@ AttentionImpl choose_attention_impl(const gpusim::Device& dev,
     }
     return scratch.total_time_us();
   };
-  // Partial OTF has no cross-attention kernels. Each later candidate wins
-  // ties.
-  static constexpr AttentionImpl kSelf[] = {
+  // Each later candidate wins ties.
+  static constexpr AttentionImpl kCandidates[] = {
       AttentionImpl::kPartialOtf, AttentionImpl::kOtf, AttentionImpl::kFlash};
-  const std::span<const AttentionImpl> self(kSelf);
-  const auto candidates = kv_len == 0 ? self : self.subspan(1);
-  AttentionImpl best = candidates.front();
+  AttentionImpl best = kCandidates[0];
   double best_us = std::numeric_limits<double>::infinity();
-  for (const AttentionImpl impl : candidates) {
+  for (const AttentionImpl impl : kCandidates) {
     const std::optional<double> us = price(impl);
     if (us && *us <= best_us) {
       best = impl;
@@ -112,18 +107,6 @@ tensor::MatrixF adaptive_attention(ExecContext& ctx, const tensor::MatrixF& x,
                          "shared_mem_overflow"});
     }
   }
-}
-
-tensor::MatrixF adaptive_cross_attention(ExecContext& ctx,
-                                         const tensor::MatrixF& x,
-                                         const tensor::MatrixF& memory,
-                                         const AttentionWeights& w,
-                                         const AttentionConfig& cfg,
-                                         const AdaptivePolicy& policy) {
-  return choose_attention_impl(ctx.device(), w, cfg, policy, memory.rows()) ==
-                 AttentionImpl::kFlash
-             ? flash_cross_attention(ctx, x, memory, w, cfg)
-             : otf_cross_attention(ctx, x, memory, w, cfg);
 }
 
 }  // namespace et::core

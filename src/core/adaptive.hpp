@@ -8,8 +8,7 @@
 // device, run the one whose attention kernel(s) the latency model prices
 // lowest. The three share their projections and output linear, so only
 // the kernels between them — the launch records in attention.hpp — are
-// priced, on a scratch device with the same spec. The same rule picks the
-// decoder's cross-attention kernel over the encoder memory.
+// priced, on a scratch device with the same spec.
 #pragma once
 
 #include <optional>
@@ -61,13 +60,10 @@ struct AdaptivePolicy {
 /// dev's spec, among those that launch there without SharedMemOverflow.
 /// Ties go to the later of partial OTF, OTF, flash. When no candidate
 /// launches, the first is returned and adaptive_attention degrades from
-/// it. `kv_len` > 0 prices the cross-attention kernels over that many
-/// memory rows instead; partial OTF has none, so the candidates are OTF
-/// and flash.
+/// it.
 [[nodiscard]] AttentionImpl choose_attention_impl(
     const gpusim::Device& dev, const AttentionWeights& w,
-    const AttentionConfig& cfg, const AdaptivePolicy& policy = {},
-    std::size_t kv_len = 0);
+    const AttentionConfig& cfg, const AdaptivePolicy& policy = {});
 
 /// Run the operator choose_attention_impl selects. Resilient: if the
 /// chosen operator fails with a gpusim::KernelFault or SharedMemOverflow,
@@ -79,14 +75,5 @@ struct AdaptivePolicy {
 [[nodiscard]] tensor::MatrixF adaptive_attention(
     ExecContext& ctx, const tensor::MatrixF& x, const AttentionWeights& w,
     const AttentionConfig& cfg, const AdaptivePolicy& policy = {});
-
-/// Cross-attention over an encoder `memory` with the kernel
-/// choose_attention_impl picks for memory.rows() K/V rows: flash when it
-/// is chosen (or forced), OTF otherwise. There is no degradation chain; a
-/// launch failure propagates.
-[[nodiscard]] tensor::MatrixF adaptive_cross_attention(
-    ExecContext& ctx, const tensor::MatrixF& x, const tensor::MatrixF& memory,
-    const AttentionWeights& w, const AttentionConfig& cfg,
-    const AdaptivePolicy& policy = {});
 
 }  // namespace et::core

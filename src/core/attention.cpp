@@ -63,76 +63,57 @@ bool try_fused_qkv(ExecContext& ctx, const tensor::MatrixF& x,
                    const AttentionWeights& w, const AttentionConfig& cfg,
                    Projections& pr);
 
-std::string shape(const tensor::MatrixF& m) {
-  return std::to_string(m.rows()) + "x" + std::to_string(m.cols());
-}
-
-/// Q from `x`; K and the context operand from the encoder `memory` for
-/// cross-attention (kernel names prefixed "xattn_"), from `x` otherwise.
-/// E.T.'s operators read the V side as v_side lays it out; the baselines
-/// always read the full V — the [21] limitation the paper calls out in §6.
-/// With `fuse_qkv`, self-attention over three dense weights (and, for
-/// E.T., a full V side) runs Q/K/V as one GEMM.
+/// Q, K and the context operand from `x`. E.T.'s operators read the V
+/// side as v_side lays it out; the baselines always read the full V — the
+/// [21] limitation the paper calls out in §6. With `fuse_qkv`, three
+/// dense weights (and, for E.T., a full V side) run Q/K/V as one GEMM.
 ///
 /// Every operator projects here before its first launch, so this is where
-/// the inputs are checked: each kernel reads cfg.seq_len rows of Q and
+/// the input is checked: each kernel reads cfg.seq_len rows of Q and
 /// d_model-wide rows of every operand.
 Projections project(ExecContext& ctx, const tensor::MatrixF& x,
-                    const tensor::MatrixF* memory, const AttentionWeights& w,
-                    const AttentionConfig& cfg, bool et_operators,
-                    bool fuse_qkv) {
+                    const AttentionWeights& w, const AttentionConfig& cfg,
+                    bool et_operators, bool fuse_qkv) {
   cfg.validate();
   if (x.rows() != cfg.seq_len || x.cols() != cfg.d_model) {
     throw std::invalid_argument(
-        "attention: x is " + shape(x) + " but seq_len x d_model is " +
+        "attention: x is " + std::to_string(x.rows()) + "x" +
+        std::to_string(x.cols()) + " but seq_len x d_model is " +
         std::to_string(cfg.seq_len) + "x" + std::to_string(cfg.d_model));
-  }
-  if (memory != nullptr && memory->rows() == 0) {
-    // The kernel records read K/V length 0 as self-attention.
-    throw std::invalid_argument("cross-attention: the encoder memory is empty");
-  }
-  if (memory != nullptr && memory->cols() != cfg.d_model) {
-    throw std::invalid_argument("cross-attention: the encoder memory is " +
-                                shape(*memory) + " but d_model is " +
-                                std::to_string(cfg.d_model));
   }
   kernels::LinearOptions opt;
   opt.precision = cfg.precision;
-  const tensor::MatrixF& kv = memory != nullptr ? *memory : x;
-  const auto name = [memory](std::string_view base) {
-    return (memory != nullptr ? "xattn_" : "") + std::string(base);
-  };
 
   Projections pr;
   pr.v = et_operators ? v_side(w, cfg)
                       : VSide{VSide::Layout::kFull, cfg.d_model};
-  if (fuse_qkv && memory == nullptr && pr.v.layout == VSide::Layout::kFull &&
+  if (fuse_qkv && pr.v.layout == VSide::Layout::kFull &&
       try_fused_qkv(ctx, x, w, cfg, pr)) {
     // Below the pruning regime E.T. also batches Q/K/V into one autotuned
     // GEMM — the "best cuBLAS routine" search of §5.2.1.
     return pr;
   }
-  pr.q = kernels::linear(ctx, x, w.wq, opt, name("q_linear")).y;
-  pr.k = kernels::linear(ctx, kv, w.wk, opt, name("k_linear")).y;
+  pr.q = kernels::linear(ctx, x, w.wq, opt, "q_linear").y;
+  pr.k = kernels::linear(ctx, x, w.wk, opt, "k_linear").y;
   switch (pr.v.layout) {
     case VSide::Layout::kFolded:
       // One dense GEMM against the pre-computed (H·kept × d) matrix — the
       // fold of steps ① (V part) and ⑦ (Eq. 5).
       pr.vo = &w.vo;
-      pr.ctx = kernels::gemm_nt(ctx, kv, w.vo.weight, cfg.precision, nullptr,
-                                name("vo_linear"));
+      pr.ctx = kernels::gemm_nt(ctx, x, w.vo.weight, cfg.precision, nullptr,
+                                "vo_linear");
       break;
     case VSide::Layout::kCondensed: {
       // Attention-aware row-pruned W_V: keep the GEMM output condensed so
       // step ⑥ touches only the surviving columns (§5.3.3).
       opt.scatter_row_pruned_output = false;
-      auto res = kernels::linear(ctx, kv, w.wv, opt, name("v_linear"));
+      auto res = kernels::linear(ctx, x, w.wv, opt, "v_linear");
       pr.ctx = std::move(res.y);
       pr.v_kept = std::move(res.nonzero_cols);
       break;
     }
     case VSide::Layout::kFull:
-      pr.ctx = kernels::linear(ctx, kv, w.wv, opt, name("v_linear")).y;
+      pr.ctx = kernels::linear(ctx, x, w.wv, opt, "v_linear").y;
       break;
   }
   assert(pr.ctx.cols() == pr.v.width);
@@ -228,24 +209,21 @@ tensor::MatrixF attend(ExecContext& ctx, const Projections& pr,
 
 }  // namespace
 
-std::size_t otf_shared_bytes(const AttentionConfig& cfg, std::size_t kv_len) {
-  if (kv_len == 0) kv_len = cfg.seq_len;  // self-attention
+std::size_t otf_shared_bytes(const AttentionConfig& cfg) {
   const std::size_t acc = numeric::accumulator_bytes(cfg.precision);
   const std::size_t tile_height = 16;
-  // Eq. 6: tileHeight·d_k (the Q tile) + tileHeight·kvLen (the score
+  // Eq. 6: tileHeight·d_k (the Q tile) + tileHeight·seqLen (the score
   // tile row), plus a double-buffered 16×16 staging tile for K/V.
-  return tile_height * cfg.d_k() * acc + tile_height * kv_len * acc +
+  return tile_height * cfg.d_k() * acc + tile_height * cfg.seq_len * acc +
          2 * 16 * 16 * numeric::storage_bytes(cfg.precision);
 }
 
-std::size_t flash_shared_bytes(const AttentionConfig& cfg,
-                               std::size_t kv_len) {
+std::size_t flash_shared_bytes(const AttentionConfig& cfg) {
   // Deliberately independent of how much K/V streams past the CTA — the
-  // score tile is Br×Bc no matter the sequence (or memory) length, which
-  // is why flash keeps fitting where Eq. 6 overflows.
-  (void)kv_len;
+  // score tile is Br×Bc no matter the sequence length, which is why flash
+  // keeps fitting where Eq. 6 overflows.
   const std::size_t acc = numeric::accumulator_bytes(cfg.precision);
-  // Eq. 6 with the kvLen-wide score row replaced by the fixed Bc-wide
+  // Eq. 6 with the seqLen-wide score row replaced by the fixed Bc-wide
   // block: Br·d_k (the Q tile) + Br·Bc (the score tile), plus
   // double-buffered 16×16 staging tiles for both K and V.
   return cfg.flash_block_rows * cfg.d_k() * acc +
@@ -260,7 +238,7 @@ tensor::MatrixF modular_attention(ExecContext& ctx, const tensor::MatrixF& x,
                                   const AttentionWeights& w,
                                   const AttentionConfig& cfg) {
   gpusim::Device& dev = ctx.device();
-  Projections pr = project(ctx, x, nullptr, w, cfg, /*et_operators=*/false,
+  Projections pr = project(ctx, x, w, cfg, /*et_operators=*/false,
                            /*fuse_qkv=*/false);
   const std::size_t s = cfg.seq_len;
   const std::size_t d = cfg.d_model;
@@ -294,8 +272,8 @@ tensor::MatrixF fused_attention(ExecContext& ctx, const tensor::MatrixF& x,
                                 const AttentionConfig& cfg,
                                 bool aggressive_fusion) {
   gpusim::Device& dev = ctx.device();
-  const Projections pr = project(ctx, x, nullptr, w, cfg,
-                                 /*et_operators=*/false, /*fuse_qkv=*/true);
+  const Projections pr = project(ctx, x, w, cfg, /*et_operators=*/false,
+                                 /*fuse_qkv=*/true);
   const std::size_t s = cfg.seq_len;
   const std::size_t d = cfg.d_model;
   const std::size_t h = cfg.num_heads;
@@ -333,10 +311,8 @@ tensor::MatrixF fused_attention(ExecContext& ctx, const tensor::MatrixF& x,
 // Full on-the-fly kernel (Eq. 6): steps ②–⑥ in one kernel; each CTA owns a
 // 16-row tile and keeps Q·Kᵀ and S in shared memory.
 void record_otf_kernel(gpusim::Device& dev, const AttentionConfig& cfg,
-                       std::size_t kv_len, const VSide& v) {
-  const bool cross = kv_len != 0;
+                       const VSide& v) {
   const std::size_t s = cfg.seq_len;
-  const std::size_t kv = cross ? kv_len : s;
   const std::size_t d = cfg.d_model;
   const std::size_t h = cfg.num_heads;
   const std::size_t sb = numeric::storage_bytes(cfg.precision);
@@ -347,25 +323,24 @@ void record_otf_kernel(gpusim::Device& dev, const AttentionConfig& cfg,
   // iterates all heads for its row tile so the Eq. 4/5 head-sum stays in
   // registers.
   auto launch = dev.launch(
-      {.name = cross ? "otf_cross_attention" : "otf_attention",
+      {.name = "otf_attention",
        .ctas = folded ? row_tiles : row_tiles * h,
-       .shared_bytes_per_cta = otf_shared_bytes(cfg, kv_len),
+       .shared_bytes_per_cta = otf_shared_bytes(cfg),
        .pattern = AccessPattern::kTiled});
   // Q read once; K and the context operand re-read once per row tile —
   // the deliberate extra-loads-for-zero-intermediate-stores trade of
   // §5.2.5 (Fig. 11).
   launch.load_bytes(static_cast<std::uint64_t>(s) * d * sb);
-  launch.load_bytes(static_cast<std::uint64_t>(row_tiles) * kv * d * sb);
-  launch.load_bytes(static_cast<std::uint64_t>(row_tiles) * kv * v.width * sb);
+  launch.load_bytes(static_cast<std::uint64_t>(row_tiles) * s * d * sb);
+  launch.load_bytes(static_cast<std::uint64_t>(row_tiles) * s * v.width * sb);
   // Only the final output touches global memory. With a condensed context
   // operand only the surviving columns are written.
   launch.store_bytes(static_cast<std::uint64_t>(s) * (folded ? d : v.width) *
                      sb);
-  // The causal mask never applies across an encoder memory.
   const std::uint64_t pointwise = s * d /*scale*/ +
-                                  5ull * s * kv * h /*softmax*/ +
-                                  (cross ? 0 : s * s * h / 2) /*mask*/;
-  count_ops(launch, cfg.precision, 2ull * s * kv * d + 2ull * s * kv * v.width,
+                                  5ull * s * s * h /*softmax*/ +
+                                  s * s * h / 2 /*mask*/;
+  count_ops(launch, cfg.precision, 2ull * s * s * d + 2ull * s * s * v.width,
             pointwise);
 }
 
@@ -375,10 +350,8 @@ void record_otf_kernel(gpusim::Device& dev, const AttentionConfig& cfg,
 // memory at ANY length; the only score-derived global traffic is the
 // per-row (m, ℓ) statistics, O(N).
 void record_flash_kernel(gpusim::Device& dev, const AttentionConfig& cfg,
-                         std::size_t kv_len, const VSide& v) {
-  const bool cross = kv_len != 0;
+                         const VSide& v) {
   const std::size_t s = cfg.seq_len;
-  const std::size_t kv = cross ? kv_len : s;
   const std::size_t d = cfg.d_model;
   const std::size_t h = cfg.num_heads;
   const std::size_t sb = numeric::storage_bytes(cfg.precision);
@@ -386,19 +359,19 @@ void record_flash_kernel(gpusim::Device& dev, const AttentionConfig& cfg,
   const bool folded = v.layout == VSide::Layout::kFolded;
 
   const std::size_t row_tiles = ceil_div(s, cfg.flash_block_rows);
-  const std::size_t kv_blocks = ceil_div(kv, cfg.flash_block_cols);
+  const std::size_t kv_blocks = ceil_div(s, cfg.flash_block_cols);
   // Same CTA ownership rule as OTF (pre-computation keeps the head sum in
   // registers), but over Br-row tiles instead of 16-row ones.
   auto launch = dev.launch(
-      {.name = cross ? "flash_cross_attention" : "flash_attention",
+      {.name = "flash_attention",
        .ctas = folded ? row_tiles : row_tiles * h,
-       .shared_bytes_per_cta = flash_shared_bytes(cfg, kv_len),
+       .shared_bytes_per_cta = flash_shared_bytes(cfg),
        .pattern = AccessPattern::kTiled});
   // Q read once; K and the context operand re-read once per Br-row tile —
   // the OTF trade again, but Br = 64 re-reads 4x less than 16-row tiles.
   launch.load_bytes(static_cast<std::uint64_t>(s) * d * sb);
-  launch.load_bytes(static_cast<std::uint64_t>(row_tiles) * kv * d * sb);
-  launch.load_bytes(static_cast<std::uint64_t>(row_tiles) * kv * v.width * sb);
+  launch.load_bytes(static_cast<std::uint64_t>(row_tiles) * s * d * sb);
+  launch.load_bytes(static_cast<std::uint64_t>(row_tiles) * s * v.width * sb);
   launch.store_bytes(static_cast<std::uint64_t>(s) * (folded ? d : v.width) *
                      sb);
   // The running (m, ℓ) pair per row and head — the logsumexp line real
@@ -410,10 +383,10 @@ void record_flash_kernel(gpusim::Device& dev, const AttentionConfig& cfg,
   // Online softmax costs one extra op per score (the running-max compare)
   // plus an accumulator rescale of each row's output block per K/V block.
   const std::uint64_t pointwise =
-      s * d /*scale*/ + 6ull * s * kv * h /*online softmax*/ +
+      s * d /*scale*/ + 6ull * s * s * h /*online softmax*/ +
       static_cast<std::uint64_t>(s) * kv_blocks * (v.width + 2 * h)
       /*rescale*/;
-  count_ops(launch, cfg.precision, 2ull * s * kv * d + 2ull * s * kv * v.width,
+  count_ops(launch, cfg.precision, 2ull * s * s * d + 2ull * s * s * v.width,
             pointwise);
 }
 
@@ -469,22 +442,21 @@ void record_partial_otf_kernels(gpusim::Device& dev,
 
 // --------------------------------------------------------------------------
 // E.T.'s operators: projections, the attention kernel(s), and the output
-// linear unless the W_VO fold absorbed it. Cross-attention runs the same
-// kernels with K/V projected from the encoder memory.
+// linear unless the W_VO fold absorbed it.
 // --------------------------------------------------------------------------
 tensor::MatrixF otf_attention(ExecContext& ctx, const tensor::MatrixF& x,
                               const AttentionWeights& w,
                               const AttentionConfig& cfg) {
-  const Projections pr = project(ctx, x, nullptr, w, cfg, true, true);
-  record_otf_kernel(ctx.device(), cfg, /*kv_len=*/0, pr.v);
+  const Projections pr = project(ctx, x, w, cfg, true, true);
+  record_otf_kernel(ctx.device(), cfg, pr.v);
   return attend(ctx, pr, w, cfg);
 }
 
 tensor::MatrixF flash_attention(ExecContext& ctx, const tensor::MatrixF& x,
                                 const AttentionWeights& w,
                                 const AttentionConfig& cfg) {
-  const Projections pr = project(ctx, x, nullptr, w, cfg, true, true);
-  record_flash_kernel(ctx.device(), cfg, /*kv_len=*/0, pr.v);
+  const Projections pr = project(ctx, x, w, cfg, true, true);
+  record_flash_kernel(ctx.device(), cfg, pr.v);
   return attend(ctx, pr, w, cfg, /*online_softmax=*/true);
 }
 
@@ -492,29 +464,9 @@ tensor::MatrixF partial_otf_attention(ExecContext& ctx,
                                       const tensor::MatrixF& x,
                                       const AttentionWeights& w,
                                       const AttentionConfig& cfg) {
-  const Projections pr = project(ctx, x, nullptr, w, cfg, true, true);
+  const Projections pr = project(ctx, x, w, cfg, true, true);
   record_partial_otf_kernels(ctx.device(), cfg, pr.v);
   return attend(ctx, pr, w, cfg);
-}
-
-tensor::MatrixF otf_cross_attention(ExecContext& ctx,
-                                    const tensor::MatrixF& x,
-                                    const tensor::MatrixF& memory,
-                                    const AttentionWeights& w,
-                                    const AttentionConfig& cfg) {
-  const Projections pr = project(ctx, x, &memory, w, cfg, true, true);
-  record_otf_kernel(ctx.device(), cfg, memory.rows(), pr.v);
-  return attend(ctx, pr, w, cfg);
-}
-
-tensor::MatrixF flash_cross_attention(ExecContext& ctx,
-                                      const tensor::MatrixF& x,
-                                      const tensor::MatrixF& memory,
-                                      const AttentionWeights& w,
-                                      const AttentionConfig& cfg) {
-  const Projections pr = project(ctx, x, &memory, w, cfg, true, true);
-  record_flash_kernel(ctx.device(), cfg, memory.rows(), pr.v);
-  return attend(ctx, pr, w, cfg, /*online_softmax=*/true);
 }
 
 }  // namespace et::core

@@ -37,8 +37,7 @@
 // device and the row-parallel attention math on its ThreadPool, with
 // results bit-identical at any thread count (docs/threading.md).
 // Every operator throws std::invalid_argument, before launching, when x
-// is not cfg.seq_len × cfg.d_model or a cross-attention memory is empty or
-// not d_model wide.
+// is not cfg.seq_len × cfg.d_model.
 #pragma once
 
 #include "core/config.hpp"
@@ -78,54 +77,28 @@ namespace et::core {
                                               const AttentionWeights& w,
                                               const AttentionConfig& cfg);
 
-/// Cross-attention with E.T.'s on-the-fly operator: queries come from `x`
-/// (cfg.seq_len rows) while keys/values come from an encoder `memory`
-/// (any number of rows). This is the decoder-side attention of the
-/// original Transformer (§2.1 notes the decoder mirrors the encoder);
-/// the causal mask never applies across the memory.
-[[nodiscard]] tensor::MatrixF otf_cross_attention(ExecContext& ctx,
-                                                  const tensor::MatrixF& x,
-                                                  const tensor::MatrixF& memory,
-                                                  const AttentionWeights& w,
-                                                  const AttentionConfig& cfg);
-
-/// Streaming cross-attention: flash_attention's kernel structure with K/V
-/// projected from an encoder `memory`. The win over otf_cross_attention
-/// grows with the memory length — exactly the operand the online softmax
-/// streams in O(N).
-[[nodiscard]] tensor::MatrixF flash_cross_attention(
-    ExecContext& ctx, const tensor::MatrixF& x, const tensor::MatrixF& memory,
-    const AttentionWeights& w, const AttentionConfig& cfg);
-
 /// Shared memory one OTF CTA needs (Eq. 6): a 16-row tile of Q's head
-/// slice plus a 16-row tile of the kv_len-wide score matrix, in
+/// slice plus a 16-row tile of the seq_len-wide score matrix, in
 /// accumulator precision, plus a staging buffer for K tiles.
-/// kv_len == 0 means self-attention: the score row is cfg.seq_len wide.
-[[nodiscard]] std::size_t otf_shared_bytes(const AttentionConfig& cfg,
-                                           std::size_t kv_len = 0);
+[[nodiscard]] std::size_t otf_shared_bytes(const AttentionConfig& cfg);
 
 /// Shared memory one flash CTA needs: the Br-row Q tile plus the Br×Bc
 /// score tile in accumulator precision, plus K/V staging buffers. Unlike
-/// Eq. 6 this never depends on the sequence (or memory) length — the
-/// whole point of streaming the K/V blocks — so the same `kv_len = 0`
-/// signature exists purely for interface symmetry with otf_shared_bytes.
-[[nodiscard]] std::size_t flash_shared_bytes(const AttentionConfig& cfg,
-                                             std::size_t kv_len = 0);
+/// Eq. 6 this never depends on the sequence length — the whole point of
+/// streaming the K/V blocks.
+[[nodiscard]] std::size_t flash_shared_bytes(const AttentionConfig& cfg);
 
 /// The launch records of E.T.'s attention kernels: everything flash, OTF
 /// and partial OTF launch between their shared projections and output
-/// linear. A record depends only on the config, the K/V length (`kv_len`
-/// 0 means self-attention over cfg.seq_len; the cross-attention operators
-/// pass the memory rows) and the V side (the fold flag and the context
-/// width, see v_side). The operators record onto their own device;
-/// choose_attention_impl records onto a scratch device to price each
-/// candidate. Throws gpusim::SharedMemOverflow when the kernel cannot
-/// launch on `dev`.
+/// linear. A record depends only on the config and the V side (the fold
+/// flag and the context width, see v_side). The operators record onto
+/// their own device; choose_attention_impl records onto a scratch device
+/// to price each candidate. Throws gpusim::SharedMemOverflow when the
+/// kernel cannot launch on `dev`.
 void record_otf_kernel(gpusim::Device& dev, const AttentionConfig& cfg,
-                       std::size_t kv_len, const VSide& v);
+                       const VSide& v);
 void record_flash_kernel(gpusim::Device& dev, const AttentionConfig& cfg,
-                         std::size_t kv_len, const VSide& v);
-/// Partial OTF's two kernels; it has no cross-attention variant.
+                         const VSide& v);
 void record_partial_otf_kernels(gpusim::Device& dev,
                                 const AttentionConfig& cfg, const VSide& v);
 

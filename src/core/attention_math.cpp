@@ -20,8 +20,8 @@ tensor::MatrixF attention_math(const tensor::MatrixF& q,
                                const std::vector<std::uint32_t>* v_kept,
                                const AttentionConfig& cfg, ThreadPool* pool) {
   const std::size_t s = cfg.seq_len;
-  // Cross-attention: keys/values may come from a memory of different
-  // length; self-attention has kv == s.
+  // Keys/values may be longer than the queries: incremental decode
+  // attends one query row over its whole cache. Encoders have kv == s.
   const std::size_t kv = k.rows();
   const std::size_t d = cfg.d_model;
   const std::size_t h_count = cfg.num_heads;
@@ -76,8 +76,8 @@ tensor::MatrixF attention_math(const tensor::MatrixF& q,
         }
         scores[j] = acc;
       }
-      // ④ masking (self-attention only; a causal mask is meaningless when
-      // attending over an encoder memory).
+      // ④ masking (full-sequence attention only; a decode row attends
+      // just the cache it has, which is causal by construction).
       if (cfg.causal_mask && kv == s) {
         for (std::size_t j = i + 1; j < kv; ++j) {
           scores[j] = -std::numeric_limits<float>::infinity();

@@ -16,8 +16,7 @@ std::uint64_t mix64(std::uint64_t x) {
 }  // namespace
 
 void FaultInjector::arm_nth_launch(std::size_t n) {
-  nth_armed_ = true;
-  nth_target_ = launches_seen_ + n;
+  nth_targets_.push_back(launches_seen_ + n);
 }
 
 void FaultInjector::arm_kernel(std::string substring, std::size_t max_faults) {
@@ -36,14 +35,15 @@ void FaultInjector::arm_random(double fraction, std::uint64_t seed) {
 }
 
 void FaultInjector::disarm() noexcept {
-  nth_armed_ = false;
+  nth_targets_.clear();
   name_rules_.clear();
   alloc_armed_ = false;
   random_armed_ = false;
 }
 
 bool FaultInjector::armed() const noexcept {
-  return nth_armed_ || !name_rules_.empty() || alloc_armed_ || random_armed_;
+  return !nth_targets_.empty() || !name_rules_.empty() || alloc_armed_ ||
+         random_armed_;
 }
 
 void FaultInjector::on_launch(std::string_view kernel,
@@ -54,10 +54,7 @@ void FaultInjector::on_launch(std::string_view kernel,
     throw KernelFault(std::string(kernel), cause);
   };
 
-  if (nth_armed_ && index == nth_target_) {
-    nth_armed_ = false;  // one-shot
-    fault(FaultCause::kLaunchIndex);
-  }
+  if (std::erase(nth_targets_, index) > 0) fault(FaultCause::kLaunchIndex);
   for (auto& rule : name_rules_) {
     if (rule.remaining > 0 &&
         kernel.find(rule.substring) != std::string_view::npos) {

@@ -65,29 +65,33 @@ struct FaultRecord {
   std::size_t launch_index = 0;  ///< 0-based launch-attempt counter
 };
 
-/// Armable, deterministic fault source. Rules are cumulative until
-/// disarm(); every launch attempt (faulted or not) advances the internal
-/// counter, so a given arm configuration always faults the same launches
-/// for the same workload — tests stay reproducible.
+/// Armable, deterministic fault source. Rules stay armed until they are
+/// spent or disarm() clears them; every launch attempt (faulted or not)
+/// advances the internal counter, so a given arm configuration always
+/// faults the same launches for the same workload — tests stay
+/// reproducible.
 class FaultInjector {
  public:
   static constexpr std::size_t kUnlimited =
       std::numeric_limits<std::size_t>::max();
 
   /// Fail the nth launch attempt from now (0-based: n = 0 fails the next
-  /// launch). One-shot — the rule clears after it fires.
+  /// launch). Cumulative: every armed index fires once, and an index
+  /// armed twice still faults its launch once.
   void arm_nth_launch(std::size_t n);
 
   /// Fail launches whose kernel name contains `substring`, at most
-  /// `max_faults` times.
+  /// `max_faults` times. Cumulative: each armed substring is its own rule.
   void arm_kernel(std::string substring, std::size_t max_faults = kUnlimited);
 
   /// Fail launches requesting more than `bytes` of shared memory per CTA
-  /// (models allocation failure under memory pressure).
+  /// (models allocation failure under memory pressure). Replaces an
+  /// earlier threshold.
   void arm_alloc_above(std::size_t bytes);
 
   /// Fail a seeded Bernoulli fraction of launches. Deterministic: the
-  /// per-launch draw depends only on (seed, launch index).
+  /// per-launch draw depends only on (seed, launch index). Replaces an
+  /// earlier fraction and seed.
   void arm_random(double fraction, std::uint64_t seed);
 
   /// Clear every armed rule (the log and counters are kept).
@@ -114,8 +118,7 @@ class FaultInjector {
     std::size_t remaining = kUnlimited;
   };
 
-  bool nth_armed_ = false;
-  std::size_t nth_target_ = 0;
+  std::vector<std::size_t> nth_targets_;  ///< absolute launch indices
   std::vector<NameRule> name_rules_;
   bool alloc_armed_ = false;
   std::size_t alloc_threshold_ = 0;

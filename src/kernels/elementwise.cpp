@@ -96,13 +96,6 @@ void residual_add(gpusim::Device& dev, tensor::MatrixF& a,
   }
 }
 
-void relu(gpusim::Device& dev, tensor::MatrixF& m, numeric::Precision p,
-          std::string_view name) {
-  auto launch = stream_launch(dev, name, m.size(), p, 1, 1, m.size());
-  if (dev.traffic_only()) return;
-  for (auto& v : m.flat()) v = std::max(v, 0.0f);
-}
-
 void gelu(gpusim::Device& dev, tensor::MatrixF& m, numeric::Precision p,
           std::string_view name) {
   auto launch = stream_launch(dev, name, m.size(), p, 1, 1, 8 * m.size());
@@ -216,19 +209,6 @@ void fused_residual_layernorm(gpusim::Device& dev, tensor::MatrixF& a,
           p, static_cast<float>(row[c] - mean) * inv_std * gamma[c] + beta[c]);
     }
   }
-}
-
-tensor::MatrixF transpose_kernel(gpusim::Device& dev, const tensor::MatrixF& m,
-                                 numeric::Precision p, std::string_view name) {
-  auto launch = dev.launch({.name = name,
-                            .ctas = ceil_div(m.size(), std::size_t{4096}),
-                            .shared_bytes_per_cta = 32 * 32 * 4,
-                            .pattern = gpusim::AccessPattern::kStrided});
-  const std::size_t sb = numeric::storage_bytes(p);
-  launch.load_bytes(m.size() * sb);
-  launch.store_bytes(m.size() * sb);
-  if (dev.traffic_only()) return tensor::MatrixF(m.cols(), m.rows());
-  return tensor::transpose(m);
 }
 
 tensor::MatrixF gather_cols(gpusim::Device& dev, const tensor::MatrixF& x,

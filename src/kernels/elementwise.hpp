@@ -35,11 +35,6 @@ void residual_add(gpusim::Device& dev, tensor::MatrixF& a,
                   numeric::Precision p = numeric::Precision::kFp32,
                   std::string_view name = "residual_add");
 
-/// ReLU in place.
-void relu(gpusim::Device& dev, tensor::MatrixF& m,
-          numeric::Precision p = numeric::Precision::kFp32,
-          std::string_view name = "relu");
-
 /// GELU (tanh approximation) in place.
 void gelu(gpusim::Device& dev, tensor::MatrixF& m,
           numeric::Precision p = numeric::Precision::kFp32,
@@ -76,12 +71,6 @@ void layernorm(gpusim::Device& dev, tensor::MatrixF& m,
                float eps = 1e-5f,
                numeric::Precision p = numeric::Precision::kFp32,
                std::string_view name = "layernorm");
-
-/// Out-of-place transpose kernel (column-strided global traffic).
-[[nodiscard]] tensor::MatrixF transpose_kernel(
-    gpusim::Device& dev, const tensor::MatrixF& m,
-    numeric::Precision p = numeric::Precision::kFp32,
-    std::string_view name = "transpose");
 
 /// Gather the listed columns of X into a condensed matrix — the
 /// "X_adjusted" pre-processing of column pruning (Fig. 5b). Throws

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "core/incremental_attention.hpp"
-#include "kernels/elementwise.hpp"
 #include "kernels/gemm.hpp"
 #include "kernels/linear.hpp"
 #include "quant/quantize.hpp"
@@ -219,8 +217,8 @@ void fused_step(core::ExecContext& ctx, const Model& model,
       }
 
       // Shared: output projection (already folded into the cached rows
-      // under W_VO), residual+LN and the MLP over the stacked survivors —
-      // one launch each instead of one per sequence.
+      // under W_VO) and the layer tail over the stacked survivors — one
+      // launch each instead of one per sequence.
       tensor::MatrixF attn =
           vo != nullptr
               ? std::move(z)
@@ -229,35 +227,8 @@ void fused_step(core::ExecContext& ctx, const Model& model,
                      : kernels::linear(ctx, z, w.attn.wo, lopt,
                                        "gen_out_linear")
                            .y);
-      kernels::fused_residual_layernorm(dev, attn, h, w.ln1_gamma, w.ln1_beta,
-                                        p, "gen_residual_layernorm1");
-      tensor::MatrixF m =
-          int8 ? quant::int8_linear(ctx, attn, ql->ff1, "gen_ff1_int8")
-               : kernels::linear(ctx, attn, w.w_ff1, lopt, "gen_ff1").y;
-      if (!dev.traffic_only()) {
-        constexpr float kSqrt2OverPi = 0.7978845608028654f;
-        for (std::size_t r = 0; r < m.rows(); ++r) {
-          for (std::size_t c = 0; c < m.cols(); ++c) {
-            const float v = m(r, c) + w.b_ff1[c];
-            const float inner = kSqrt2OverPi * (v + 0.044715f * v * v * v);
-            m(r, c) = numeric::round_to_storage(
-                p, 0.5f * v * (1.0f + std::tanh(inner)));
-          }
-        }
-      }
-      tensor::MatrixF y =
-          int8 ? quant::int8_linear(ctx, m, ql->ff2, "gen_ff2_int8")
-               : kernels::linear(ctx, m, w.w_ff2, lopt, "gen_ff2").y;
-      if (!dev.traffic_only()) {
-        for (std::size_t r = 0; r < y.rows(); ++r) {
-          for (std::size_t c = 0; c < y.cols(); ++c) {
-            y(r, c) = numeric::round_to_storage(p, y(r, c) + w.b_ff2[c]);
-          }
-        }
-      }
-      kernels::fused_residual_layernorm(dev, y, attn, w.ln2_gamma, w.ln2_beta,
-                                        p, "gen_residual_layernorm2");
-      h = std::move(y);
+      h = layer_tail(ctx, std::move(attn), h, w, ql, p,
+                     int8 ? kDecodeTailInt8 : kDecodeTail);
     }
   } catch (...) {
     // A shared kernel failed: no slot can be blamed, so no slot may keep

@@ -8,6 +8,8 @@
 
 #include "kernels/elementwise.hpp"
 #include "kernels/linear.hpp"
+#include "nn/model.hpp"
+#include "quant/quantize.hpp"
 #include "tensor/random.hpp"
 
 namespace et::nn {
@@ -15,6 +17,10 @@ namespace et::nn {
 namespace {
 
 using numeric::Precision;
+
+/// encoder_forward's tail under the FasterTransformer and E.T. pipelines.
+constexpr LayerTailNames kEncoderTail{"residual_layernorm1", "ff1", "ff2",
+                                      "residual_layernorm2"};
 
 std::vector<float> small_random_vector(std::size_t n, std::uint64_t seed,
                                        float scale) {
@@ -25,6 +31,8 @@ std::vector<float> small_random_vector(std::size_t n, std::uint64_t seed,
   return v;
 }
 
+/// The bias+GELU epilogue's host math: h(r, c) = GELU(h(r, c) + bias[c])
+/// (tanh approximation), rounded to p's storage.
 void apply_bias_gelu(tensor::MatrixF& h, const std::vector<float>& bias,
                      Precision p) {
   constexpr float kSqrt2OverPi = 0.7978845608028654f;
@@ -53,65 +61,38 @@ std::pair<std::size_t, std::size_t> shape_of(const sparse::AnyWeight& w) {
       w);
 }
 
-/// MLP + residual + layernorm with pipeline-dependent fusion. Returns the
-/// block output; `x` is the block input (residual source).
+/// The baselines' MLP: FF1, its bias+GELU as separate kernels (modular)
+/// or one fused epilogue kernel (TensorRT), FF2 and its bias kernel.
+/// Returns the block output; `x` is the block input.
 tensor::MatrixF mlp_block(core::ExecContext& ctx, const tensor::MatrixF& x,
                           const EncoderWeights& w, const EncoderOptions& opt) {
   gpusim::Device& dev = ctx.device();
   const Precision p = opt.attn.precision;
+  const bool modular = opt.pipeline == Pipeline::kModular;
   kernels::LinearOptions lopt;
   lopt.precision = p;
 
   tensor::MatrixF h = kernels::linear(ctx, x, w.w_ff1, lopt, "ff1").y;
-  switch (opt.pipeline) {
-    case Pipeline::kModular:
-      // Separate bias and activation kernels.
-      kernels::add_bias(dev, h, w.b_ff1, p, "ff1_bias");
-      kernels::gelu(dev, h, p, "gelu");
-      break;
-    case Pipeline::kTensorRT: {
-      // TensorRT: bias+GELU fused into one epilogue kernel (still a
-      // global round trip of the d_ff-wide activation).
-      auto launch = dev.launch({.name = "ff1_bias_gelu",
-                                .ctas = std::max<std::size_t>(1, h.size() / 4096),
-                                .shared_bytes_per_cta = 0,
-                                .pattern = gpusim::AccessPattern::kStreaming});
-      launch.load_bytes(h.size() * numeric::storage_bytes(p));
-      launch.store_bytes(h.size() * numeric::storage_bytes(p));
-      launch.fp_ops(9 * h.size());
-      launch.finish();
-      if (!dev.traffic_only()) apply_bias_gelu(h, w.b_ff1, p);
-      break;
-    }
-    case Pipeline::kFasterTransformer:
-    case Pipeline::kET:
-      // bias+GELU folded into the GEMM epilogue: zero extra kernels,
-      // zero extra global traffic (the activation is transformed in
-      // registers before the store the GEMM performs anyway).
-      if (!dev.traffic_only()) apply_bias_gelu(h, w.b_ff1, p);
-      break;
+  if (modular) {
+    kernels::add_bias(dev, h, w.b_ff1, p, "ff1_bias");
+    kernels::gelu(dev, h, p, "gelu");
+  } else {
+    // TensorRT: bias+GELU fused into one epilogue kernel (still a global
+    // round trip of the d_ff-wide activation).
+    auto launch = dev.launch({.name = "ff1_bias_gelu",
+                              .ctas = std::max<std::size_t>(1, h.size() / 4096),
+                              .shared_bytes_per_cta = 0,
+                              .pattern = gpusim::AccessPattern::kStreaming});
+    launch.load_bytes(h.size() * numeric::storage_bytes(p));
+    launch.store_bytes(h.size() * numeric::storage_bytes(p));
+    launch.fp_ops(9 * h.size());
+    launch.finish();
+    if (!dev.traffic_only()) apply_bias_gelu(h, w.b_ff1, p);
   }
 
   tensor::MatrixF y = kernels::linear(ctx, h, w.w_ff2, lopt, "ff2").y;
-  switch (opt.pipeline) {
-    case Pipeline::kModular:
-      kernels::add_bias(dev, y, w.b_ff2, p, "ff2_bias");
-      break;
-    case Pipeline::kTensorRT:
-      kernels::add_bias(dev, y, w.b_ff2, p, "ff2_bias_fused");
-      break;
-    case Pipeline::kFasterTransformer:
-    case Pipeline::kET:
-      // Folded into the ff2 GEMM epilogue.
-      if (!dev.traffic_only()) {
-        for (std::size_t r = 0; r < y.rows(); ++r) {
-          for (std::size_t c = 0; c < y.cols(); ++c) {
-            y(r, c) = numeric::round_to_storage(p, y(r, c) + w.b_ff2[c]);
-          }
-        }
-      }
-      break;
-  }
+  kernels::add_bias(dev, y, w.b_ff2, p,
+                    modular ? "ff2_bias" : "ff2_bias_fused");
   return y;
 }
 
@@ -170,31 +151,51 @@ tensor::MatrixF encoder_forward(core::ExecContext& ctx,
       break;
   }
 
-  // --- residual + layernorm 1 ---
-  const bool fuse_res_ln = opt.pipeline == Pipeline::kFasterTransformer ||
-                           opt.pipeline == Pipeline::kET;
-  if (fuse_res_ln) {
-    kernels::fused_residual_layernorm(dev, attn_out, x, w.ln1_gamma,
-                                      w.ln1_beta, p, "residual_layernorm1");
-  } else {
-    kernels::residual_add(dev, attn_out, x, p, "attn_residual");
-    kernels::layernorm(dev, attn_out, w.ln1_gamma, w.ln1_beta, 1e-5f, p,
-                       "layernorm1");
+  if (opt.pipeline == Pipeline::kFasterTransformer ||
+      opt.pipeline == Pipeline::kET) {
+    return layer_tail(ctx, std::move(attn_out), x, w, nullptr, p, kEncoderTail);
   }
 
-  // --- MLP ---
+  // The baselines: residual and layernorm as separate kernels.
+  kernels::residual_add(dev, attn_out, x, p, "attn_residual");
+  kernels::layernorm(dev, attn_out, w.ln1_gamma, w.ln1_beta, 1e-5f, p,
+                     "layernorm1");
   tensor::MatrixF mlp_out = mlp_block(ctx, attn_out, w, opt);
-
-  // --- residual + layernorm 2 ---
-  if (fuse_res_ln) {
-    kernels::fused_residual_layernorm(dev, mlp_out, attn_out, w.ln2_gamma,
-                                      w.ln2_beta, p, "residual_layernorm2");
-  } else {
-    kernels::residual_add(dev, mlp_out, attn_out, p, "mlp_residual");
-    kernels::layernorm(dev, mlp_out, w.ln2_gamma, w.ln2_beta, 1e-5f, p,
-                       "layernorm2");
-  }
+  kernels::residual_add(dev, mlp_out, attn_out, p, "mlp_residual");
+  kernels::layernorm(dev, mlp_out, w.ln2_gamma, w.ln2_beta, 1e-5f, p,
+                     "layernorm2");
   return mlp_out;
+}
+
+tensor::MatrixF layer_tail(core::ExecContext& ctx, tensor::MatrixF attn,
+                           const tensor::MatrixF& x, const EncoderWeights& w,
+                           const QuantizedLayer* ql, Precision p,
+                           const LayerTailNames& names) {
+  gpusim::Device& dev = ctx.device();
+  kernels::LinearOptions lopt;
+  lopt.precision = p;
+  kernels::fused_residual_layernorm(dev, attn, x, w.ln1_gamma, w.ln1_beta, p,
+                                    names.ln1);
+  // bias+GELU and the FF2 bias ride the GEMM epilogues: zero extra
+  // kernels, zero extra global traffic (the activation is transformed in
+  // registers before the store the GEMM performs anyway).
+  tensor::MatrixF h =
+      ql != nullptr ? quant::int8_linear(ctx, attn, ql->ff1, names.ff1)
+                    : kernels::linear(ctx, attn, w.w_ff1, lopt, names.ff1).y;
+  if (!dev.traffic_only()) apply_bias_gelu(h, w.b_ff1, p);
+  tensor::MatrixF y =
+      ql != nullptr ? quant::int8_linear(ctx, h, ql->ff2, names.ff2)
+                    : kernels::linear(ctx, h, w.w_ff2, lopt, names.ff2).y;
+  if (!dev.traffic_only()) {
+    for (std::size_t r = 0; r < y.rows(); ++r) {
+      for (std::size_t c = 0; c < y.cols(); ++c) {
+        y(r, c) = numeric::round_to_storage(p, y(r, c) + w.b_ff2[c]);
+      }
+    }
+  }
+  kernels::fused_residual_layernorm(dev, y, attn, w.ln2_gamma, w.ln2_beta, p,
+                                    names.ln2);
+  return y;
 }
 
 void validate_layer(const EncoderWeights& w, std::size_t layer,

@@ -55,7 +55,7 @@ struct EncoderOptions {
   core::AttentionConfig attn;
   Pipeline pipeline = Pipeline::kET;
   /// E.T. operator selection (the forced override; unset, the latency
-  /// model decides) — consumed by self- AND cross-attention dispatch.
+  /// model decides), consumed by adaptive_attention under kET.
   core::AdaptivePolicy adaptive;
 };
 
@@ -71,6 +71,29 @@ struct EncoderOptions {
 /// encoder_forward / encoder_stack_forward before their first launch.
 void validate_layer(const EncoderWeights& w, std::size_t layer,
                     const core::AttentionConfig& cfg, std::string_view who);
+
+struct QuantizedLayer;  // nn/model.hpp
+
+/// Kernel names of layer_tail's four launches, in launch order. The
+/// callers pass constants, so no name is built per call.
+struct LayerTailNames {
+  std::string_view ln1, ff1, ff2, ln2;
+};
+
+/// Everything a layer runs after its attention, with the fusion
+/// FasterTransformer and E.T. share (§5, Fig. 1), over any number of
+/// rows: attn = LN1(attn + x) in one fused kernel; FF1 with bias+GELU in
+/// its GEMM epilogue; FF2 with its bias in the epilogue; then
+/// LN2(· + attn) in one fused kernel, which is returned. A non-null `ql`
+/// runs both FF GEMMs as quant::int8_linear on its ff1/ff2. The layer's
+/// shapes are the caller's to check (validate_layer, nn::Model).
+[[nodiscard]] tensor::MatrixF layer_tail(core::ExecContext& ctx,
+                                         tensor::MatrixF attn,
+                                         const tensor::MatrixF& x,
+                                         const EncoderWeights& w,
+                                         const QuantizedLayer* ql,
+                                         numeric::Precision p,
+                                         const LayerTailNames& names);
 
 /// Forward one encoder layer: LN(x + Attn(x)) -> LN(y + MLP(y)). The
 /// layer is validated (as layer 0) before anything launches.

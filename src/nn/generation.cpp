@@ -1,11 +1,8 @@
 #include "nn/generation.hpp"
 
 #include <cassert>
-#include <cmath>
 
 #include "core/incremental_attention.hpp"
-#include "kernels/elementwise.hpp"
-#include "kernels/linear.hpp"
 #include "quant/quantize.hpp"
 
 namespace et::nn {
@@ -37,7 +34,6 @@ tensor::MatrixF GenerationSession::step(core::ExecContext& ctx,
 tensor::MatrixF GenerationSession::step_layers(core::ExecContext& ctx,
                                                const tensor::MatrixF& x_row,
                                                numeric::Precision p) {
-  gpusim::Device& dev = ctx.device();
   const std::vector<EncoderWeights>& layers = model_.layers();
   const EncoderOptions& opt = model_.options();
   const bool int8 = model_.quantized();
@@ -76,47 +72,10 @@ tensor::MatrixF GenerationSession::step_layers(core::ExecContext& ctx,
       attn = core::incremental_attention(ctx, h, w.attn, opt.attn,
                                          caches[l]);
     }
-    kernels::fused_residual_layernorm(dev, attn, h, w.ln1_gamma, w.ln1_beta,
-                                      p, "gen_residual_layernorm1");
-
-    kernels::LinearOptions lopt;
-    lopt.precision = p;
-    tensor::MatrixF m =
-        int8 ? quant::int8_linear(ctx, attn, ql->ff1, "gen_ff1_int8")
-             : kernels::linear(ctx, attn, w.w_ff1, lopt, "gen_ff1").y;
-    if (!dev.traffic_only()) {
-      constexpr float kSqrt2OverPi = 0.7978845608028654f;
-      for (std::size_t c = 0; c < m.cols(); ++c) {
-        const float v = m(0, c) + w.b_ff1[c];
-        const float inner = kSqrt2OverPi * (v + 0.044715f * v * v * v);
-        m(0, c) = numeric::round_to_storage(
-            p, 0.5f * v * (1.0f + std::tanh(inner)));
-      }
-    }
-    tensor::MatrixF y =
-        int8 ? quant::int8_linear(ctx, m, ql->ff2, "gen_ff2_int8")
-             : kernels::linear(ctx, m, w.w_ff2, lopt, "gen_ff2").y;
-    if (!dev.traffic_only()) {
-      for (std::size_t c = 0; c < y.cols(); ++c) {
-        y(0, c) = numeric::round_to_storage(p, y(0, c) + w.b_ff2[c]);
-      }
-    }
-    kernels::fused_residual_layernorm(dev, y, attn, w.ln2_gamma, w.ln2_beta,
-                                      p, "gen_residual_layernorm2");
-    h = std::move(y);
+    h = layer_tail(ctx, std::move(attn), h, w, ql, p,
+                   int8 ? kDecodeTailInt8 : kDecodeTail);
   }
   return h;
-}
-
-tensor::MatrixF GenerationSession::prime(core::ExecContext& ctx,
-                                         const tensor::MatrixF& prompt) {
-  tensor::MatrixF last;
-  for (std::size_t t = 0; t < prompt.rows(); ++t) {
-    tensor::MatrixF row(1, prompt.cols());
-    for (std::size_t c = 0; c < prompt.cols(); ++c) row(0, c) = prompt(t, c);
-    last = step(ctx, row);
-  }
-  return last;
 }
 
 void GenerationSession::reset() { kv_.slot(0).rollback(0); }
@@ -178,19 +137,6 @@ GenerationResult generate(core::ExecContext& ctx, GenerationSession& session,
   }
   result.stop_reason = StopReason::kMaxTokens;
   return result;
-}
-
-GenerationResult generate(core::ExecContext& ctx, GenerationSession& session,
-                          std::int32_t first_token,
-                          std::size_t max_new_tokens, const EmbedFn& embed,
-                          const SelectFn& select, std::int32_t eos_token) {
-  DecodeParams params;
-  params.first_token = first_token;
-  params.max_new_tokens = max_new_tokens;
-  params.embed = embed;
-  params.select = select;
-  params.eos_token = eos_token;
-  return generate(ctx, session, params);
 }
 
 }  // namespace et::nn

@@ -16,9 +16,16 @@
 
 namespace et::nn {
 
+/// The layer tail (nn::layer_tail) kernel names of both decode loops:
+/// GenerationSession's and the batched scheduler's fused tick. Under int8
+/// the FF kernels carry an `_int8` suffix.
+inline constexpr LayerTailNames kDecodeTail{
+    "gen_residual_layernorm1", "gen_ff1", "gen_ff2", "gen_residual_layernorm2"};
+inline constexpr LayerTailNames kDecodeTailInt8{
+    "gen_residual_layernorm1", "gen_ff1_int8", "gen_ff2_int8",
+    "gen_residual_layernorm2"};
+
 /// Holds the per-layer KV caches and steps the stack one token at a time.
-/// Prefill (`prime`) runs the prompt through token by token so the caches
-/// and the step path share one code path (and one set of tests).
 ///
 /// The caches are one slot of a core::PagedKVPool whose single block
 /// spans max_context — the same store the batched scheduler decodes on,
@@ -41,11 +48,6 @@ class GenerationSession {
   /// propagates, so the session stays consistent and resumable.
   [[nodiscard]] tensor::MatrixF step(core::ExecContext& ctx,
                                      const tensor::MatrixF& x_row);
-
-  /// Feed a whole prompt (rows = tokens); returns the final position's
-  /// hidden state.
-  [[nodiscard]] tensor::MatrixF prime(core::ExecContext& ctx,
-                                      const tensor::MatrixF& prompt);
 
   [[nodiscard]] const Model& model() const noexcept { return model_; }
 
@@ -167,14 +169,5 @@ struct DecodeParams {
 [[nodiscard]] GenerationResult generate(core::ExecContext& ctx,
                                         GenerationSession& session,
                                         const DecodeParams& params);
-
-/// Field-by-field convenience spelling of the DecodeParams overload.
-[[nodiscard]] GenerationResult generate(core::ExecContext& ctx,
-                                        GenerationSession& session,
-                                        std::int32_t first_token,
-                                        std::size_t max_new_tokens,
-                                        const EmbedFn& embed,
-                                        const SelectFn& select,
-                                        std::int32_t eos_token = kNoEosToken);
 
 }  // namespace et::nn

@@ -38,11 +38,9 @@ tensor::MatrixF narrow(const tensor::MatrixD& m) {
 }
 
 tensor::MatrixD attention_d(const tensor::MatrixD& x,
-                            const tensor::MatrixD& kv_source,
                             const core::AttentionWeights& w,
                             const core::AttentionConfig& cfg) {
   const std::size_t s = x.rows();
-  const std::size_t kv = kv_source.rows();
   const std::size_t d = cfg.d_model;
   const std::size_t dk = cfg.d_k();
   const double scale = 1.0 / std::sqrt(static_cast<double>(dk));
@@ -53,27 +51,27 @@ tensor::MatrixD attention_d(const tensor::MatrixD& x,
   const tensor::MatrixD wo = widen(sparse::to_dense(w.wo));
 
   const tensor::MatrixD q = gemm_nt_d(x, wq);
-  const tensor::MatrixD k = gemm_nt_d(kv_source, wk);
-  const tensor::MatrixD v = gemm_nt_d(kv_source, wv);
+  const tensor::MatrixD k = gemm_nt_d(x, wk);
+  const tensor::MatrixD v = gemm_nt_d(x, wv);
 
   tensor::MatrixD z(s, d);
-  std::vector<double> scores(kv);
+  std::vector<double> scores(s);
   for (std::size_t h = 0; h < cfg.num_heads; ++h) {
     for (std::size_t i = 0; i < s; ++i) {
-      for (std::size_t j = 0; j < kv; ++j) {
+      for (std::size_t j = 0; j < s; ++j) {
         double acc = 0.0;
         for (std::size_t c = 0; c < dk; ++c) {
           acc += q(i, h * dk + c) * k(j, h * dk + c);
         }
         scores[j] = acc * scale;
       }
-      if (cfg.causal_mask && kv == s) {
-        for (std::size_t j = i + 1; j < kv; ++j) {
+      if (cfg.causal_mask) {
+        for (std::size_t j = i + 1; j < s; ++j) {
           scores[j] = -std::numeric_limits<double>::infinity();
         }
       }
-      if (cfg.valid_len > 0 && cfg.valid_len < kv) {
-        for (std::size_t j = cfg.valid_len; j < kv; ++j) {
+      if (cfg.valid_len > 0 && cfg.valid_len < s) {
+        for (std::size_t j = cfg.valid_len; j < s; ++j) {
           scores[j] = -std::numeric_limits<double>::infinity();
         }
       }
@@ -87,7 +85,7 @@ tensor::MatrixD attention_d(const tensor::MatrixD& x,
       for (auto& v2 : scores) v2 /= sum;
       for (std::size_t c = 0; c < dk; ++c) {
         double acc = 0.0;
-        for (std::size_t j = 0; j < kv; ++j) {
+        for (std::size_t j = 0; j < s; ++j) {
           acc += scores[j] * v(j, h * dk + c);
         }
         z(i, h * dk + c) = acc;
@@ -121,22 +119,14 @@ void layernorm_d(tensor::MatrixD& m, const std::vector<float>& gamma,
 tensor::MatrixF reference_attention(const tensor::MatrixF& x,
                                     const core::AttentionWeights& w,
                                     const core::AttentionConfig& cfg) {
-  const tensor::MatrixD xd = widen(x);
-  return narrow(attention_d(xd, xd, w, cfg));
-}
-
-tensor::MatrixF reference_cross_attention(const tensor::MatrixF& x,
-                                          const tensor::MatrixF& memory,
-                                          const core::AttentionWeights& w,
-                                          const core::AttentionConfig& cfg) {
-  return narrow(attention_d(widen(x), widen(memory), w, cfg));
+  return narrow(attention_d(widen(x), w, cfg));
 }
 
 tensor::MatrixF reference_encoder(const tensor::MatrixF& x,
                                   const EncoderWeights& w,
                                   const core::AttentionConfig& cfg) {
   const tensor::MatrixD xd = widen(x);
-  tensor::MatrixD attn = attention_d(xd, xd, w.attn, cfg);
+  tensor::MatrixD attn = attention_d(xd, w.attn, cfg);
   for (std::size_t i = 0; i < attn.size(); ++i) attn.flat()[i] += xd.flat()[i];
   layernorm_d(attn, w.ln1_gamma, w.ln1_beta);
 

@@ -14,11 +14,6 @@ namespace et::nn {
     const tensor::MatrixF& x, const core::AttentionWeights& w,
     const core::AttentionConfig& cfg);
 
-/// Cross-attention in double: queries from x, keys/values from memory.
-[[nodiscard]] tensor::MatrixF reference_cross_attention(
-    const tensor::MatrixF& x, const tensor::MatrixF& memory,
-    const core::AttentionWeights& w, const core::AttentionConfig& cfg);
-
 /// Full encoder layer in double.
 [[nodiscard]] tensor::MatrixF reference_encoder(const tensor::MatrixF& x,
                                                 const EncoderWeights& w,

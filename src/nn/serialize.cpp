@@ -14,8 +14,7 @@ namespace et::nn {
 
 namespace {
 
-constexpr std::uint32_t kEncoderMagic = 0x32575445;  // "ETW2"
-constexpr std::uint32_t kDecoderMagic = 0x32445445;  // "ETD2"
+constexpr std::uint32_t kMagic = 0x32575445;  // "ETW2"
 constexpr std::uint32_t kVersion = 2;
 
 // Bounds on the fields a stream claims rather than carries, so a tampered
@@ -290,7 +289,9 @@ class Loader {
     vo.weight = matrix();
     if (vo.empty()) return;
     // A fold must agree with itself: rows are num_heads blocks of kept,
-    // and each kept column names an output column of the weight.
+    // and each kept column names an output column of the weight. The
+    // loader checks this itself because load_encoder_stack also runs
+    // without an nn::Model to check the layer against a config.
     const std::size_t kept = vo.kept();
     if (kept == 0 || vo.weight.rows() % kept != 0 ||
         vo.weight.rows() / kept != vo.num_heads) {
@@ -408,26 +409,17 @@ class Loader {
 };
 
 /// One layer's sections in stream order, visited alike by the Saver and
-/// the Loader, so each layout is written down once.
-template <typename Io, typename Attention>
-void attention_fields(Io& io, Attention& a) {
-  io.weight("W_Q", a.wq);
-  io.weight("W_K", a.wk);
-  io.weight("W_V", a.wv);
-  io.weight("W_O", a.wo);
-  io.fold(a.vo);
-}
-
+/// the Loader, so the layout is written down once. `Layer` is
+/// EncoderWeights, const for the Saver.
 template <typename Io, typename Layer>
 void layer_sections(Io& io, Layer& w) {
-  constexpr bool kDecoder =
-      std::is_same_v<std::remove_const_t<Layer>, DecoderWeights>;
-  if constexpr (kDecoder) {
-    io.section("self_attention", [&] { attention_fields(io, w.self_attn); });
-    io.section("cross_attention", [&] { attention_fields(io, w.cross_attn); });
-  } else {
-    io.section("attention", [&] { attention_fields(io, w.attn); });
-  }
+  io.section("attention", [&] {
+    io.weight("W_Q", w.attn.wq);
+    io.weight("W_K", w.attn.wk);
+    io.weight("W_V", w.attn.wv);
+    io.weight("W_O", w.attn.wo);
+    io.fold(w.attn.vo);
+  });
   io.section("ffn", [&] {
     io.weight("W_FF1", w.w_ff1);
     io.weight("W_FF2", w.w_ff2);
@@ -439,17 +431,14 @@ void layer_sections(Io& io, Layer& w) {
     io.vec(w.ln1_beta);
     io.vec(w.ln2_gamma);
     io.vec(w.ln2_beta);
-    if constexpr (kDecoder) {
-      io.vec(w.ln3_gamma);
-      io.vec(w.ln3_beta);
-    }
   });
 }
 
-template <typename Layer>
-void save_stack(std::ostream& os, std::uint32_t magic,
-                const std::vector<Layer>& layers) {
-  put_raw(os, magic);
+}  // namespace
+
+void save_encoder_stack(std::ostream& os,
+                        const std::vector<EncoderWeights>& layers) {
+  put_raw(os, kMagic);
   put_raw(os, kVersion);
   put_raw(os, static_cast<std::uint64_t>(layers.size()));
   Saver out(os);
@@ -459,9 +448,7 @@ void save_stack(std::ostream& os, std::uint32_t magic,
   }
 }
 
-template <typename Layer>
-std::vector<Layer> load_stack(std::istream& is, std::uint32_t magic,
-                              const char* kind) {
+std::vector<EncoderWeights> load_encoder_stack(std::istream& is) {
   std::uint32_t got_magic = 0;
   std::uint32_t version = 0;
   std::uint64_t count = 0;
@@ -469,9 +456,8 @@ std::vector<Layer> load_stack(std::istream& is, std::uint32_t magic,
       !get_raw(is, count)) {
     section_error("header", "truncated stream");
   }
-  if (got_magic != magic) {
-    section_error("header", std::string("bad magic (not an ") + kind +
-                                " checkpoint)");
+  if (got_magic != kMagic) {
+    section_error("header", "bad magic (not an ETW2 checkpoint)");
   }
   if (version != kVersion) {
     section_error("header", "unsupported version " + std::to_string(version));
@@ -480,35 +466,15 @@ std::vector<Layer> load_stack(std::istream& is, std::uint32_t magic,
     section_error("header", "implausible layer count " + std::to_string(count));
   }
   // No reserve(count): layers are allocated only as their sections load.
-  std::vector<Layer> layers;
+  std::vector<EncoderWeights> layers;
   Loader in(is);
   for (std::size_t i = 0; i < count; ++i) {
     in.prefix = layer_prefix(i);
-    Layer w;
+    EncoderWeights w;
     layer_sections(in, w);
     layers.push_back(std::move(w));
   }
   return layers;
-}
-
-}  // namespace
-
-void save_encoder_stack(std::ostream& os,
-                        const std::vector<EncoderWeights>& layers) {
-  save_stack(os, kEncoderMagic, layers);
-}
-
-std::vector<EncoderWeights> load_encoder_stack(std::istream& is) {
-  return load_stack<EncoderWeights>(is, kEncoderMagic, "ETW2");
-}
-
-void save_decoder_stack(std::ostream& os,
-                        const std::vector<DecoderWeights>& layers) {
-  save_stack(os, kDecoderMagic, layers);
-}
-
-std::vector<DecoderWeights> load_decoder_stack(std::istream& is) {
-  return load_stack<DecoderWeights>(is, kDecoderMagic, "ETD2");
 }
 
 void save_encoder_stack(const std::string& path,

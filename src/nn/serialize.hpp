@@ -3,22 +3,22 @@
 // round-trip, so a model pruned on one machine loads for inference
 // elsewhere without re-deriving masks.
 //
-// Format: little-endian, an "ETW2" (encoder) or "ETD2" (decoder) magic,
-// version 2 and a layer count, then named sections ("layer0/attention",
-// "layer0/ffn", ...), each carrying its payload size and a CRC32 of the
-// payload. The reader treats the stream as untrusted: every count, shape
-// and index is checked against the payload bytes before anything is
-// allocated or written, so a truncated, bit-flipped or crafted checkpoint
-// is a std::runtime_error naming the bad section, never garbage weights
-// or a giant allocation. Not designed for cross-endian portability (like
-// most ML checkpoint formats).
+// Format: little-endian, the "ETW2" magic, version 2 and a layer count,
+// then named sections ("layer0/attention", "layer0/ffn",
+// "layer0/layernorm", ...), each carrying its payload size and a CRC32 of
+// the payload. Any other magic is refused as bad magic. The reader treats
+// the stream as untrusted: every count, shape and index is checked
+// against the payload bytes before anything is allocated or written, so
+// a truncated, bit-flipped or crafted checkpoint is a std::runtime_error
+// naming the bad section, never garbage weights or a giant allocation.
+// Not designed for cross-endian portability (like most ML checkpoint
+// formats).
 #pragma once
 
 #include <iosfwd>
 #include <string>
 #include <vector>
 
-#include "nn/decoder.hpp"
 #include "nn/encoder.hpp"
 
 namespace et::nn {
@@ -32,11 +32,6 @@ namespace et::nn {
 void save_encoder_stack(std::ostream& os,
                         const std::vector<EncoderWeights>& layers);
 [[nodiscard]] std::vector<EncoderWeights> load_encoder_stack(std::istream& is);
-
-/// Decoder stacks (self-attn + cross-attn + MLP per layer).
-void save_decoder_stack(std::ostream& os,
-                        const std::vector<DecoderWeights>& layers);
-[[nodiscard]] std::vector<DecoderWeights> load_decoder_stack(std::istream& is);
 
 /// File-path convenience wrappers; throw std::runtime_error on IO failure.
 void save_encoder_stack(const std::string& path,

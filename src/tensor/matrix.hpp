@@ -107,30 +107,6 @@ template <typename T>
   return s;
 }
 
-/// Concatenate along columns — the paper's ‖ operator over heads.
-template <typename T>
-[[nodiscard]] Matrix<T> concat_cols(const Matrix<T>& a, const Matrix<T>& b) {
-  assert(a.rows() == b.rows());
-  Matrix<T> c(a.rows(), a.cols() + b.cols());
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    for (std::size_t j = 0; j < a.cols(); ++j) c(r, j) = a(r, j);
-    for (std::size_t j = 0; j < b.cols(); ++j) c(r, a.cols() + j) = b(r, j);
-  }
-  return c;
-}
-
-/// Write the column block of `dst` starting at col0 from `src`.
-template <typename T>
-void paste_cols(Matrix<T>& dst, const Matrix<T>& src, std::size_t col0) {
-  assert(col0 + src.cols() <= dst.cols());
-  assert(src.rows() == dst.rows());
-  for (std::size_t r = 0; r < src.rows(); ++r) {
-    for (std::size_t c = 0; c < src.cols(); ++c) {
-      dst(r, col0 + c) = src(r, c);
-    }
-  }
-}
-
 using MatrixF = Matrix<float>;
 using MatrixD = Matrix<double>;
 

@@ -451,59 +451,6 @@ TEST(Adaptive, ChoiceIsModeledFastestFeasible) {
   EXPECT_GT(infeasible, 0);
 }
 
-TEST(Adaptive, CrossChoiceIsModeledFastestFeasible) {
-  using et::core::AttentionImpl;
-  std::map<AttentionImpl, int> chosen_count;
-  int infeasible = 0;
-  selection_sweep([&](AttentionConfig cfg, const AttentionWeights& w,
-                      const et::gpusim::DeviceSpec& spec,
-                      std::mt19937_64& rng) {
-    cfg.causal_mask = false;
-    const MatrixF x(cfg.seq_len, cfg.d_model);
-    const MatrixF memory(
-        std::uniform_int_distribution<std::size_t>(8, 512)(rng), cfg.d_model);
-    const auto run = [&](auto op) -> std::optional<double> {
-      Device dev(spec);
-      dev.set_traffic_only(true);
-      et::core::ExecContext ctx(dev);
-      try {
-        (void)op(ctx);
-      } catch (const et::gpusim::SharedMemOverflow&) {
-        return std::nullopt;
-      }
-      return dev.total_time_us();
-    };
-    const std::optional<double> otf = run([&](auto& ctx) {
-      return et::core::otf_cross_attention(ctx, x, memory, w, cfg);
-    });
-    const std::optional<double> flash = run([&](auto& ctx) {
-      return et::core::flash_cross_attention(ctx, x, memory, w, cfg);
-    });
-    const std::optional<double> chosen = run([&](auto& ctx) {
-      return et::core::adaptive_cross_attention(ctx, x, memory, w, cfg);
-    });
-    ++chosen_count[et::core::choose_attention_impl(Device(spec), w, cfg, {},
-                                                   memory.rows())];
-    infeasible += !otf + !flash;
-    // With neither kernel launchable the decoder's cross step must fail
-    // loudly rather than pick something that cannot run.
-    ASSERT_EQ(chosen.has_value(), otf || flash)
-        << "seq=" << cfg.seq_len << " memory=" << memory.rows() << " on "
-        << spec.name;
-    for (const auto& candidate : {otf, flash}) {
-      if (candidate) {
-        EXPECT_LE(*chosen, *candidate * (1.0 + 1e-9))
-            << "d=" << cfg.d_model << " H=" << cfg.num_heads
-            << " seq=" << cfg.seq_len << " memory=" << memory.rows()
-            << " on " << spec.name;
-      }
-    }
-  });
-  EXPECT_GT(chosen_count[AttentionImpl::kFlash], 0);
-  EXPECT_GT(chosen_count[AttentionImpl::kOtf], 0);
-  EXPECT_GT(infeasible, 0);
-}
-
 TEST(Attention, OtfStoresLessLoadsMore) {
   // Fig. 11's claim in kernel form: the fused OTF kernel stores much less
   // and loads somewhat more than the TensorRT-like sequence.

@@ -1,11 +1,11 @@
-// Checkpoint integrity: the ETW2/ETD2 format detects truncation and bit
-// flips per named section, and its reader treats every field as untrusted
+// Checkpoint integrity: the ETW2 format detects truncation and bit flips
+// per named section, and its reader treats every field as untrusted
 // — counts, shapes and kept indices are bounded before anything is
 // allocated or written. Every corruption test asserts the error names the
 // bad section: a corrupted checkpoint must point at *what* is bad, not
 // just fail. The seeded mutation fuzzer at the bottom drives crafted
 // streams (CRCs recomputed, so the parser behind the checksum is reached)
-// through the loaders, the nn::Model validation and a real-math decode.
+// through the loader, the nn::Model validation and a real-math decode.
 // See docs/robustness.md.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
@@ -51,20 +51,9 @@ std::string serialize(const std::vector<et::nn::EncoderWeights>& layers) {
   return ss.str();
 }
 
-std::string serialize(const std::vector<et::nn::DecoderWeights>& layers) {
-  std::stringstream ss;
-  et::nn::save_decoder_stack(ss, layers);
-  return ss.str();
-}
-
 std::vector<et::nn::EncoderWeights> load_encoder(const std::string& blob) {
   std::stringstream ss(blob);
   return et::nn::load_encoder_stack(ss);
-}
-
-std::vector<et::nn::DecoderWeights> load_decoder(const std::string& blob) {
-  std::stringstream ss(blob);
-  return et::nn::load_decoder_stack(ss);
 }
 
 /// Byte offset of the section *header* (the u32 name-length field) for
@@ -226,17 +215,15 @@ TEST(CheckpointIntegrity, V2StackRoundTripsAndLeadsWithMagic) {
 }
 
 TEST(CheckpointIntegrity, LegacyMagicsAreRefusedAsBadMagic) {
-  // Only the checksummed format is read: the unchecksummed ETW1/ETD1
-  // magics are as foreign as any other.
-  std::string enc = serialize(tiny_stack(120));
-  enc.replace(0, 4, "ETW1");
-  EXPECT_NE(error_of([&] { (void)load_encoder(enc); }).find("bad magic"),
-            std::string::npos);
-  std::string dec = serialize(std::vector<et::nn::DecoderWeights>{
-      et::nn::make_dense_decoder_weights(tiny_model(), 121)});
-  dec.replace(0, 4, "ETD1");
-  EXPECT_NE(error_of([&] { (void)load_decoder(dec); }).find("bad magic"),
-            std::string::npos);
+  // Only ETW2 is read: the unchecksummed ETW1 and the retired decoder
+  // magics ETD1/ETD2 are as foreign as any other.
+  for (const char* magic : {"ETW1", "ETD1", "ETD2"}) {
+    std::string blob = serialize(tiny_stack(120));
+    blob.replace(0, 4, magic);
+    EXPECT_NE(error_of([&] { (void)load_encoder(blob); }).find("bad magic"),
+              std::string::npos)
+        << magic;
+  }
 }
 
 // -------------------------------------------------------- truncation ----
@@ -466,47 +453,23 @@ TEST(CheckpointIntegrity, IrregularStoredZeroIsRefusedAtSave) {
   }
 }
 
-// ------------------------------------------------------------ decoder ----
-
-TEST(CheckpointIntegrity, DecoderV2RoundTripAndCorruptionNaming) {
-  const auto model = tiny_model();
-  std::vector<et::nn::DecoderWeights> layers = {
-      et::nn::make_dense_decoder_weights(model, 111),
-      et::nn::make_dense_decoder_weights(model, 112)};
-  const std::string blob = serialize(layers);
-  EXPECT_EQ(blob.substr(0, 4), "ETD2");
-
-  const auto loaded = load_decoder(blob);
-  ASSERT_EQ(loaded.size(), 2u);
-  using et::sparse::to_dense;
-  EXPECT_TRUE(allclose(to_dense(loaded[1].cross_attn.wk),
-                       to_dense(layers[1].cross_attn.wk), 0.0, 0.0));
-  EXPECT_EQ(loaded[0].ln3_gamma, layers[0].ln3_gamma);
-
-  std::string bad = blob;
-  bad[section_payload_pos(bad, "layer0/cross_attention")] ^= 0x20;
-  const std::string msg = error_of([&] { (void)load_decoder(bad); });
-  EXPECT_NE(msg.find("layer0/cross_attention"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("CRC32"), std::string::npos) << msg;
-}
-
 // ------------------------------------------------------------- fuzzer ----
-// Seeded, structure-aware mutation of streams the repo's own writers
-// produce. Each case applies one mutation — a bit flip, a rewritten
+// Seeded, structure-aware mutation of streams the repo's own writer
+// produces. Each case applies one mutation — a bit flip, a rewritten
 // count/shape/tag/index field, a consistently resized array (count, dims
 // and bytes together), inserted or deleted bytes, a flip in the framing,
 // or truncation — and recomputes every section's size and CRC (framing
 // flips and truncation excepted), so the parser behind the checksum sees
 // the crafted fields. Every case must end in exactly one way:
 //   - the loader throws std::runtime_error;
-//   - nn::Model refuses the stack with std::invalid_argument (encoders);
-//   - the stack decodes 3 tokens with real math on a one-slot scheduler
-//     (encoders), or re-saves and reloads to the same weights (decoders).
+//   - nn::Model refuses the stack with std::invalid_argument;
+//   - the stack decodes 3 tokens with real math on a one-slot scheduler.
+// A stack that loads must also re-save and reload to the same weights.
 // Anything else — another exception type, a crash, a sanitizer report —
 // fails. `ctest --preset sanitize` runs this binary under ASan + UBSan.
 
 constexpr std::uint64_t kFuzzSeed = 0xE7C0FFEEull;
-constexpr std::size_t kFuzzCasesPerKind = 1500;
+constexpr std::size_t kFuzzCases = 1500;
 
 struct Rng {
   std::uint64_t state;
@@ -651,14 +614,13 @@ Seed make_seed(const std::string& blob) {
 }
 
 TEST(CheckpointIntegrity, FoldKeptColumnBeyondItsWeightIsALoadError) {
-  // A decoder stack has no nn::Model to check it against a config, so
-  // the reader bounds the W_VO kept columns by the weight they index.
-  auto dec = et::nn::make_dense_decoder_weights(tiny_model(), 152);
-  dec.cross_attn = deployed(et::pruning::Strategy::kAttentionAware,
-                            /*precompute_vo=*/true)
-                       .attn;
-  std::string blob = serialize(std::vector<et::nn::DecoderWeights>{dec});
-  const std::string section = "layer0/cross_attention";
+  // load_encoder_stack runs without an nn::Model to check the stack
+  // against a config, so the reader bounds the W_VO kept columns by the
+  // weight they index.
+  std::string blob = serialize(std::vector<et::nn::EncoderWeights>{
+      deployed(et::pruning::Strategy::kAttentionAware,
+               /*precompute_vo=*/true)});
+  const std::string section = "layer0/attention";
   const std::size_t payload = section_payload_pos(blob, section);
   std::uint64_t size = 0;
   std::memcpy(&size, blob.data() + payload - 12, 8);
@@ -667,7 +629,7 @@ TEST(CheckpointIntegrity, FoldKeptColumnBeyondItsWeightIsALoadError) {
   ASSERT_GT(kept.n, 0u);
   patch(blob, section, kept.count_at + 8 + 4 * (kept.n - 1),
         std::uint32_t{1u << 20});
-  const std::string msg = error_of([&] { (void)load_decoder(blob); });
+  const std::string msg = error_of([&] { (void)load_encoder(blob); });
   EXPECT_NE(msg.find(section), std::string::npos) << msg;
   EXPECT_NE(msg.find("W_VO"), std::string::npos) << msg;
 }
@@ -830,32 +792,20 @@ void decode_three_tokens(const et::nn::Model& model) {
 
 /// The loaded weights are a fixed point of the writer and reader: they
 /// re-save, and reload to the same formats, structures and bits.
-template <typename Layer>
-void expect_reload_identical(const std::vector<Layer>& layers) {
+void expect_reload_identical(
+    const std::vector<et::nn::EncoderWeights>& layers) {
   const std::string blob = serialize(layers);
-  std::stringstream ss(blob);
-  std::vector<Layer> again;
-  if constexpr (std::is_same_v<Layer, et::nn::DecoderWeights>) {
-    again = et::nn::load_decoder_stack(ss);
-  } else {
-    again = et::nn::load_encoder_stack(ss);
-  }
+  const std::vector<et::nn::EncoderWeights> again = load_encoder(blob);
   if (serialize(again) != blob) throw std::logic_error("re-save differs");
-  const auto same_attn = [](const et::core::AttentionWeights& a,
-                            const et::core::AttentionWeights& b) {
-    return same_weight(a.wq, b.wq) && same_weight(a.wk, b.wk) &&
-           same_weight(a.wv, b.wv) && same_weight(a.wo, b.wo);
-  };
   for (std::size_t l = 0; l < layers.size(); ++l) {
-    bool same = same_weight(layers[l].w_ff1, again[l].w_ff1) &&
-                same_weight(layers[l].w_ff2, again[l].w_ff2);
-    if constexpr (std::is_same_v<Layer, et::nn::DecoderWeights>) {
-      same = same && same_attn(layers[l].self_attn, again[l].self_attn) &&
-             same_attn(layers[l].cross_attn, again[l].cross_attn);
-    } else {
-      same = same && same_attn(layers[l].attn, again[l].attn);
+    const et::core::AttentionWeights& a = layers[l].attn;
+    const et::core::AttentionWeights& b = again[l].attn;
+    if (!same_weight(layers[l].w_ff1, again[l].w_ff1) ||
+        !same_weight(layers[l].w_ff2, again[l].w_ff2) ||
+        !same_weight(a.wq, b.wq) || !same_weight(a.wk, b.wk) ||
+        !same_weight(a.wv, b.wv) || !same_weight(a.wo, b.wo)) {
+      throw std::logic_error("reload changed a weight's structure");
     }
-    if (!same) throw std::logic_error("reload changed a weight's structure");
   }
 }
 
@@ -879,22 +829,10 @@ Outcome run_encoder_case(const std::string& blob) {
   return Outcome::kDecoded;
 }
 
-Outcome run_decoder_case(const std::string& blob) {
-  std::vector<et::nn::DecoderWeights> layers;
-  try {
-    layers = load_decoder(blob);
-  } catch (const std::runtime_error&) {
-    return Outcome::kLoadError;
-  }
-  expect_reload_identical(layers);
-  return Outcome::kDecoded;
-}
-
 /// Every seed must either save and round-trip exactly, or be refused at
 /// save with std::invalid_argument. Returns the streams that saved.
-template <typename Layer>
 std::vector<std::string> seed_streams(
-    const std::vector<std::vector<Layer>>& stacks) {
+    const std::vector<std::vector<et::nn::EncoderWeights>>& stacks) {
   std::vector<std::string> out;
   for (const auto& stack : stacks) {
     std::string blob;
@@ -910,14 +848,12 @@ std::vector<std::string> seed_streams(
 }
 
 /// Run the budget over the seeds; stops at the first failing case.
-template <typename RunCase>
-std::array<std::size_t, 3> fuzz(const std::vector<std::string>& blobs,
-                                RunCase&& run_case) {
+std::array<std::size_t, 3> fuzz(const std::vector<std::string>& blobs) {
   std::vector<Seed> seeds;
   for (const std::string& b : blobs) seeds.push_back(make_seed(b));
   std::array<std::size_t, 3> outcomes{};
   Rng rng{kFuzzSeed};
-  for (std::size_t i = 0; i < kFuzzCasesPerKind; ++i) {
+  for (std::size_t i = 0; i < kFuzzCases; ++i) {
     // Case 0 of each seed is the unmutated stream.
     const Seed& seed = seeds[i % seeds.size()];
     const auto [blob, what] =
@@ -926,7 +862,7 @@ std::array<std::size_t, 3> fuzz(const std::vector<std::string>& blobs,
                                                   "unmutated"}
             : mutate(seed, rng);
     try {
-      ++outcomes[static_cast<std::size_t>(run_case(blob))];
+      ++outcomes[static_cast<std::size_t>(run_encoder_case(blob))];
     } catch (const std::exception& e) {
       ADD_FAILURE() << "case " << i << " (" << what << "): "
                     << typeid(e).name() << ": " << e.what();
@@ -954,42 +890,29 @@ std::vector<std::vector<et::nn::EncoderWeights>> encoder_seeds() {
   auto irregular = deployed(Strategy::kIrregular);
   auto zero_value = irregular;
   zero_value.w_ff1 = with_stored_zero(irregular.w_ff1);
+  // Mixed formats in one layer: a W_VO fold beside a column-pruned W_K
+  // and an irregular W_FF1.
+  auto mixed = deployed(Strategy::kAttentionAware, /*precompute_vo=*/true);
+  mixed.attn.wk = deployed(Strategy::kColumn).attn.wk;
+  mixed.w_ff1 = irregular.w_ff1;
   return {{et::nn::make_dense_encoder_weights(tiny_model(), 140)},
           {aware, deployed(Strategy::kAttentionAware, /*precompute_vo=*/true)},
           {irregular, deployed(Strategy::kColumn)},
+          {mixed},
           {zero_tile},
           {zero_value}};
 }
 
 TEST(CheckpointIntegrity, FuzzedEtw2StreamsFailCleanlyOrDecode) {
   const auto blobs = seed_streams(encoder_seeds());
-  ASSERT_EQ(blobs.size(), 3u) << "an unrecordable seed saved";
-  const auto outcomes = fuzz(blobs, run_encoder_case);
+  ASSERT_EQ(blobs.size(), 4u) << "an unrecordable seed saved";
+  const auto outcomes = fuzz(blobs);
   // Each outcome must actually be reached, or the fuzzer tests nothing.
   EXPECT_GT(outcomes[0], 0u) << "no case failed to load";
   EXPECT_GT(outcomes[1], 0u) << "no case was refused by nn::Model";
   EXPECT_GT(outcomes[2], 0u) << "no case decoded";
   std::printf("[ fuzz     ] ETW2: %zu load errors, %zu refused, %zu decoded\n",
               outcomes[0], outcomes[1], outcomes[2]);
-}
-
-TEST(CheckpointIntegrity, FuzzedEtd2StreamsFailCleanlyOrReloadConsistently) {
-  using et::pruning::Strategy;
-  auto dec = et::nn::make_dense_decoder_weights(tiny_model(), 150);
-  const auto aware = deployed(Strategy::kAttentionAware);
-  const auto folded = deployed(Strategy::kAttentionAware, true);
-  dec.self_attn = aware.attn;    // tile + row-pruned
-  dec.cross_attn = folded.attn;  // W_VO fold
-  dec.cross_attn.wk = deployed(Strategy::kColumn).attn.wk;
-  dec.w_ff1 = deployed(Strategy::kIrregular).w_ff1;
-  const auto blobs = seed_streams<et::nn::DecoderWeights>(
-      {{dec}, {et::nn::make_dense_decoder_weights(tiny_model(), 151)}});
-  ASSERT_EQ(blobs.size(), 2u);
-  const auto outcomes = fuzz(blobs, run_decoder_case);
-  EXPECT_GT(outcomes[0], 0u) << "no case failed to load";
-  EXPECT_GT(outcomes[2], 0u) << "no case reloaded";
-  std::printf("[ fuzz     ] ETD2: %zu load errors, %zu reloaded\n",
-              outcomes[0], outcomes[2]);
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "nn/encoder.hpp"
-#include "nn/embedding.hpp"
 #include "nn/model_config.hpp"
 #include "nn/positional.hpp"
 #include "nn/reference.hpp"
@@ -207,17 +206,6 @@ TEST(Positional, MatchesEquation1And2) {
   EXPECT_NEAR(pe(1, 0), std::sin(1.0), 1e-6);
   EXPECT_NEAR(pe(1, 1), std::cos(1.0), 1e-6);
   EXPECT_NEAR(pe(2, 2), std::sin(2.0 / std::pow(10000.0, 2.0 / 8.0)), 1e-6);
-}
-
-TEST(Embedding, LooksUpRows) {
-  MatrixF table(10, 4);
-  et::tensor::fill_uniform(table, 10);
-  const std::int32_t toks[] = {3, 7, 3};
-  const MatrixF x = et::nn::embed_tokens(table, toks);
-  EXPECT_EQ(x.rows(), 3u);
-  EXPECT_EQ(x(0, 2), table(3, 2));
-  EXPECT_EQ(x(1, 0), table(7, 0));
-  EXPECT_EQ(x(2, 2), x(0, 2));
 }
 
 TEST(ModelConfig, ParameterCounts) {

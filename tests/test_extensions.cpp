@@ -1,15 +1,11 @@
 // Extensions beyond the paper's evaluation: serialization round trips,
-// cross-attention + decoder stacks, the §7 folded-attention training
-// layer, and other-hardware behaviour.
+// the §7 folded-attention training layer, and other-hardware behaviour.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "core/attention.hpp"
-#include "nn/decoder.hpp"
-#include "nn/reference.hpp"
 #include "nn/serialize.hpp"
-#include "pruning/criteria.hpp"
 #include "pruning/strategy.hpp"
 #include "tensor/compare.hpp"
 #include "tensor/random.hpp"
@@ -119,134 +115,6 @@ TEST(Serialize, RejectsTruncation) {
   EXPECT_THROW((void)et::nn::load_encoder_stack(cut), std::runtime_error);
 }
 
-// ------------------------------------------------------ cross-attention ----
-
-TEST(CrossAttention, MatchesReference) {
-  et::core::AttentionConfig cfg;
-  cfg.seq_len = 12;
-  cfg.d_model = 32;
-  cfg.num_heads = 2;
-  cfg.precision = et::numeric::Precision::kFp32;
-  cfg.causal_mask = false;
-  const auto w = et::core::make_dense_weights(cfg, 7);
-  MatrixF x(12, 32), memory(20, 32);
-  et::tensor::fill_normal(x, 8);
-  et::tensor::fill_normal(memory, 9);
-
-  et::gpusim::Device dev;
-  et::core::ExecContext ctx(dev);
-  const MatrixF out = et::core::otf_cross_attention(ctx, x, memory, w, cfg);
-  const MatrixF ref = et::nn::reference_cross_attention(x, memory, w, cfg);
-  EXPECT_TRUE(allclose(out, ref, 1e-4, 1e-3))
-      << "max diff " << max_abs_diff(out, ref);
-}
-
-TEST(CrossAttention, SelfMemoryEqualsSelfAttention) {
-  et::core::AttentionConfig cfg;
-  cfg.seq_len = 16;
-  cfg.d_model = 32;
-  cfg.num_heads = 2;
-  cfg.precision = et::numeric::Precision::kFp32;
-  cfg.causal_mask = false;
-  const auto w = et::core::make_dense_weights(cfg, 10);
-  MatrixF x(16, 32);
-  et::tensor::fill_normal(x, 11);
-  et::gpusim::Device dev;
-  et::core::ExecContext ctx(dev);
-  const MatrixF cross = et::core::otf_cross_attention(ctx, x, x, w, cfg);
-  const MatrixF self = et::core::otf_attention(ctx, x, w, cfg);
-  EXPECT_TRUE(allclose(cross, self, 1e-5, 1e-5));
-}
-
-TEST(CrossAttention, PrecomputePathWorks) {
-  et::core::AttentionConfig cfg;
-  cfg.seq_len = 8;
-  cfg.d_model = 32;
-  cfg.num_heads = 2;
-  cfg.precision = et::numeric::Precision::kFp32;
-  cfg.causal_mask = false;
-  auto w = et::core::make_dense_weights(cfg, 12);
-  MatrixF x(8, 32), memory(24, 32);
-  et::tensor::fill_normal(x, 13);
-  et::tensor::fill_normal(memory, 14);
-
-  et::gpusim::Device dev;
-  et::core::ExecContext ctx(dev);
-  const MatrixF without = et::core::otf_cross_attention(ctx, x, memory, w,
-                                                        cfg);
-  const auto& wv = std::get<et::sparse::DenseWeight>(w.wv).matrix();
-  const auto& wo = std::get<et::sparse::DenseWeight>(w.wo).matrix();
-  w.vo = et::core::precompute_vo(wv, wo, cfg.num_heads);
-  const MatrixF with_pre = et::core::otf_cross_attention(ctx, x, memory, w,
-                                                         cfg);
-  EXPECT_TRUE(allclose(with_pre, without, 1e-3, 1e-3));
-}
-
-// -------------------------------------------------------------- decoder ----
-
-TEST(Decoder, MatchesReference) {
-  const auto model = tiny_model();
-  const auto w = et::nn::make_dense_decoder_weights(model, 15);
-  MatrixF x(10, model.d_model), memory(14, model.d_model);
-  et::tensor::fill_normal(x, 16, 0.0f, 0.5f);
-  et::tensor::fill_normal(memory, 17, 0.0f, 0.5f);
-
-  auto opt = et::nn::options_for(et::nn::Pipeline::kET, model, 10);
-  opt.attn.precision = et::numeric::Precision::kFp32;
-  et::gpusim::Device dev;
-  et::core::ExecContext ctx(dev);
-  const MatrixF out = et::nn::decoder_forward(ctx, x, memory, w, opt);
-  const MatrixF ref = et::nn::reference_decoder(x, memory, w, opt.attn);
-  EXPECT_TRUE(allclose(out, ref, 2e-3, 2e-3))
-      << "max diff " << max_abs_diff(out, ref);
-}
-
-TEST(Decoder, Seq2SeqRunsAndCountsKernels) {
-  const auto model = tiny_model();
-  std::vector<et::nn::EncoderWeights> enc = {
-      et::nn::make_dense_encoder_weights(model, 18)};
-  std::vector<et::nn::DecoderWeights> dec = {
-      et::nn::make_dense_decoder_weights(model, 19)};
-  MatrixF source(16, model.d_model), target(8, model.d_model);
-  et::tensor::fill_normal(source, 20, 0.0f, 0.5f);
-  et::tensor::fill_normal(target, 21, 0.0f, 0.5f);
-
-  auto enc_opt = et::nn::options_for(et::nn::Pipeline::kET, model, 16);
-  enc_opt.attn.precision = et::numeric::Precision::kFp32;
-  auto dec_opt = enc_opt;
-  dec_opt.attn.seq_len = 8;
-  dec_opt.attn.causal_mask = true;
-
-  et::gpusim::Device dev;
-  et::core::ExecContext ctx(dev);
-  const MatrixF out = et::nn::seq2seq_forward(ctx, source, target, enc, dec,
-                                              enc_opt, dec_opt);
-  EXPECT_EQ(out.rows(), 8u);
-  EXPECT_EQ(out.cols(), model.d_model);
-  EXPECT_GT(dev.time_us_matching("otf_cross_attention"), 0.0);
-  for (float v : out.flat()) ASSERT_TRUE(std::isfinite(v));
-}
-
-TEST(Decoder, PrunedCrossAttentionWeights) {
-  // Decoder attention weights prune like encoder ones.
-  const auto model = tiny_model();
-  auto w = et::nn::make_dense_decoder_weights(model, 22);
-  const auto& wq =
-      std::get<et::sparse::DenseWeight>(w.cross_attn.wq).matrix();
-  w.cross_attn.wq = et::sparse::make_weight(
-      et::sparse::PruneMethod::kTile, wq, et::pruning::tile_mask(wq, 0.5));
-  MatrixF x(8, model.d_model), memory(12, model.d_model);
-  et::tensor::fill_normal(x, 23, 0.0f, 0.5f);
-  et::tensor::fill_normal(memory, 24, 0.0f, 0.5f);
-  auto opt = et::nn::options_for(et::nn::Pipeline::kET, model, 8);
-  opt.attn.precision = et::numeric::Precision::kFp32;
-  et::gpusim::Device dev;
-  et::core::ExecContext ctx(dev);
-  const MatrixF out = et::nn::decoder_forward(ctx, x, memory, w, opt);
-  EXPECT_GT(dev.time_us_matching("bcsr"), 0.0) << "tile kernel in use";
-  for (float v : out.flat()) ASSERT_TRUE(std::isfinite(v));
-}
-
 // ----------------------------------------------------- folded training ----
 
 TEST(FoldedAttention, FoldReproducesStandardForward) {
@@ -344,54 +212,6 @@ TEST(OtherHardware, A100FasterAndShiftsCrossover) {
     return dev.total_time_us();
   };
   EXPECT_LT(run(et::gpusim::a100()), run(et::gpusim::v100s()));
-}
-
-}  // namespace
-
-namespace {
-
-TEST(Serialize, DecoderStackRoundTrip) {
-  et::nn::ModelConfig model;
-  model.num_layers = 2;
-  model.d_model = 32;
-  model.num_heads = 2;
-  model.d_ff = 64;
-  std::vector<et::nn::DecoderWeights> layers = {
-      et::nn::make_dense_decoder_weights(model, 60),
-      et::nn::make_dense_decoder_weights(model, 61)};
-  std::stringstream ss;
-  et::nn::save_decoder_stack(ss, layers);
-  const auto loaded = et::nn::load_decoder_stack(ss);
-  ASSERT_EQ(loaded.size(), 2u);
-  EXPECT_TRUE(et::tensor::allclose(to_dense(loaded[1].cross_attn.wk),
-                                   to_dense(layers[1].cross_attn.wk), 0.0,
-                                   0.0));
-  EXPECT_EQ(loaded[0].ln3_gamma, layers[0].ln3_gamma);
-  // Loaded weights forward identically.
-  MatrixF x(6, 32), memory(9, 32);
-  et::tensor::fill_normal(x, 62, 0.0f, 0.5f);
-  et::tensor::fill_normal(memory, 63, 0.0f, 0.5f);
-  auto opt = et::nn::options_for(et::nn::Pipeline::kET, model, 6);
-  opt.attn.precision = et::numeric::Precision::kFp32;
-  et::gpusim::Device dev;
-  et::core::ExecContext ctx(dev);
-  const MatrixF a =
-      et::nn::decoder_stack_forward(ctx, x, memory, layers, opt);
-  const MatrixF b =
-      et::nn::decoder_stack_forward(ctx, x, memory, loaded, opt);
-  EXPECT_TRUE(et::tensor::allclose(a, b, 1e-6, 1e-6));
-}
-
-TEST(Serialize, EncoderRejectsDecoderFile) {
-  et::nn::ModelConfig model;
-  model.d_model = 32;
-  model.num_heads = 2;
-  model.d_ff = 64;
-  std::vector<et::nn::DecoderWeights> layers = {
-      et::nn::make_dense_decoder_weights(model, 70)};
-  std::stringstream ss;
-  et::nn::save_decoder_stack(ss, layers);
-  EXPECT_THROW((void)et::nn::load_encoder_stack(ss), std::runtime_error);
 }
 
 }  // namespace

@@ -54,6 +54,39 @@ TEST(FaultInjector, NthLaunchFaultsExactlyOnce) {
   EXPECT_EQ(dev.fault_injector().fault_log()[0].launch_index, 2u);
 }
 
+TEST(FaultInjector, NthRulesAreCumulative) {
+  // Two nth rules armed before either fires both stay armed.
+  et::gpusim::Device dev;
+  et::core::ExecContext ctx(dev);
+  et::gpusim::FaultInjector& inj = dev.fault_injector();
+  const auto faulted_launches = [&](std::size_t launches) {
+    std::vector<std::size_t> faulted;
+    for (std::size_t i = 0; i < launches; ++i) {
+      try {
+        make_launch(dev, "k").finish();
+      } catch (const KernelFault& f) {
+        EXPECT_EQ(f.cause(), FaultCause::kLaunchIndex);
+        faulted.push_back(i);
+      }
+    }
+    return faulted;
+  };
+  inj.arm_nth_launch(2);
+  inj.arm_nth_launch(5);
+  EXPECT_EQ(faulted_launches(8), (std::vector<std::size_t>{2, 5}));
+  ASSERT_EQ(inj.fault_log().size(), 2u);
+  EXPECT_EQ(inj.fault_log()[0].launch_index, 2u);
+  EXPECT_EQ(inj.fault_log()[1].launch_index, 5u);
+  EXPECT_FALSE(inj.armed()) << "every nth rule is spent";
+
+  // The same index armed twice faults its launch once.
+  inj.arm_nth_launch(1);
+  inj.arm_nth_launch(1);
+  EXPECT_EQ(faulted_launches(4), (std::vector<std::size_t>{1}));
+  EXPECT_EQ(inj.faults_injected(), 3u);
+  EXPECT_FALSE(inj.armed());
+}
+
 TEST(FaultInjector, NamedKernelFaultWithBudget) {
   et::gpusim::Device dev;
   et::core::ExecContext ctx(dev);
@@ -300,17 +333,6 @@ TEST(AttentionConfigValidation, EveryOperatorRejectsBadHeadSplit) {
                std::invalid_argument);
   EXPECT_THROW((void)et::core::adaptive_attention(ctx, x, w, bad),
                std::invalid_argument);
-  EXPECT_THROW((void)et::core::otf_cross_attention(ctx, x, x, w, bad),
-               std::invalid_argument);
-  EXPECT_THROW((void)et::core::flash_cross_attention(ctx, x, x, w, bad),
-               std::invalid_argument);
-  // Cross-attention also rejects an encoder memory with no keys.
-  const MatrixF no_memory(0, good.d_model);
-  EXPECT_THROW((void)et::core::otf_cross_attention(ctx, x, no_memory, w, good),
-               std::invalid_argument);
-  EXPECT_THROW(
-      (void)et::core::flash_cross_attention(ctx, x, no_memory, w, good),
-      std::invalid_argument);
   et::core::PagedKVPool pool(1, 4, good.d_model, {good.d_model},
                              {.block_tokens = 4});
   et::core::PagedKVCache& cache = pool.caches(pool.acquire())[0];
@@ -325,83 +347,55 @@ TEST(AttentionConfigValidation, EveryOperatorRejectsBadHeadSplit) {
 TEST(AttentionConfigValidation, EveryOperatorRejectsMismatchedInputShape) {
   const AttentionConfig cfg = small_cfg();
   const auto w = et::core::make_dense_weights(cfg, 23);
-  const MatrixF good(cfg.seq_len, cfg.d_model);
-  using Op = std::function<MatrixF(et::core::ExecContext&, const MatrixF&,
-                                   const MatrixF&)>;
+  using Op = std::function<MatrixF(et::core::ExecContext&, const MatrixF&)>;
   const std::vector<std::pair<const char*, Op>> ops = {
       {"modular",
-       [&](auto& ctx, const MatrixF& x, const MatrixF&) {
+       [&](auto& ctx, const MatrixF& x) {
          return et::core::modular_attention(ctx, x, w, cfg);
        }},
       {"tensorrt",
-       [&](auto& ctx, const MatrixF& x, const MatrixF&) {
+       [&](auto& ctx, const MatrixF& x) {
          return et::core::fused_attention(ctx, x, w, cfg);
        }},
       {"fastertransformer",
-       [&](auto& ctx, const MatrixF& x, const MatrixF&) {
+       [&](auto& ctx, const MatrixF& x) {
          return et::core::fused_attention(ctx, x, w, cfg, true);
        }},
       {"otf",
-       [&](auto& ctx, const MatrixF& x, const MatrixF&) {
+       [&](auto& ctx, const MatrixF& x) {
          return et::core::otf_attention(ctx, x, w, cfg);
        }},
       {"partial_otf",
-       [&](auto& ctx, const MatrixF& x, const MatrixF&) {
+       [&](auto& ctx, const MatrixF& x) {
          return et::core::partial_otf_attention(ctx, x, w, cfg);
        }},
       {"flash",
-       [&](auto& ctx, const MatrixF& x, const MatrixF&) {
+       [&](auto& ctx, const MatrixF& x) {
          return et::core::flash_attention(ctx, x, w, cfg);
        }},
       {"adaptive",
-       [&](auto& ctx, const MatrixF& x, const MatrixF&) {
+       [&](auto& ctx, const MatrixF& x) {
          return et::core::adaptive_attention(ctx, x, w, cfg);
        }},
-      {"otf_cross",
-       [&](auto& ctx, const MatrixF& x, const MatrixF& memory) {
-         return et::core::otf_cross_attention(ctx, x, memory, w, cfg);
-       }},
-      {"flash_cross",
-       [&](auto& ctx, const MatrixF& x, const MatrixF& memory) {
-         return et::core::flash_cross_attention(ctx, x, memory, w, cfg);
-       }},
-      {"adaptive_cross",
-       [&](auto& ctx, const MatrixF& x, const MatrixF& memory) {
-         return et::core::adaptive_cross_attention(ctx, x, memory, w, cfg);
-       }},
   };
-  // (x, memory) pairs; the memory only matters to the cross operators.
-  const std::vector<std::pair<MatrixF, MatrixF>> bad_inputs = {
-      {MatrixF(8, cfg.d_model), good},              // too few rows
-      {MatrixF(cfg.seq_len + 4, cfg.d_model), good},  // too many rows
-      {MatrixF(cfg.seq_len, 16), good},             // too narrow
-      {MatrixF(cfg.seq_len, 48), good},             // too wide
+  const std::vector<MatrixF> bad_inputs = {
+      MatrixF(8, cfg.d_model),                // too few rows
+      MatrixF(cfg.seq_len + 4, cfg.d_model),  // too many rows
+      MatrixF(cfg.seq_len, 16),               // too narrow
+      MatrixF(cfg.seq_len, 48),               // too wide
   };
   for (const auto& [name, op] : ops) {
-    for (const auto& [x, memory] : bad_inputs) {
+    for (const MatrixF& x : bad_inputs) {
       SCOPED_TRACE(std::string(name) + ", x " + std::to_string(x.rows()) +
                    "x" + std::to_string(x.cols()));
       for (const bool traffic_only : {false, true}) {
         et::gpusim::Device dev;
         dev.set_traffic_only(traffic_only);
         et::core::ExecContext ctx(dev);
-        EXPECT_THROW((void)op(ctx, x, memory), std::invalid_argument);
+        EXPECT_THROW((void)op(ctx, x), std::invalid_argument);
         EXPECT_EQ(dev.launch_count(), 0u);
         EXPECT_TRUE(dev.fallback_log().empty());
       }
-    }
-  }
-  // A cross-attention memory of another width, under a well-shaped x.
-  for (const std::size_t cols : {std::size_t{16}, std::size_t{48}}) {
-    const MatrixF memory(cfg.seq_len, cols);
-    for (const auto& [name, op] : ops) {
-      if (std::string(name).find("cross") == std::string::npos) continue;
-      SCOPED_TRACE(std::string(name) + ", memory width " +
-                   std::to_string(cols));
-      et::gpusim::Device dev;
-      et::core::ExecContext ctx(dev);
-      EXPECT_THROW((void)op(ctx, good, memory), std::invalid_argument);
-      EXPECT_EQ(dev.launch_count(), 0u);
     }
   }
 }
@@ -460,14 +454,23 @@ et::nn::SelectFn test_select() {
   };
 }
 
+/// Token 0 first, then up to `max_new_tokens` greedy emissions.
+et::nn::DecodeParams test_params(std::size_t d_model,
+                                 std::size_t max_new_tokens) {
+  et::nn::DecodeParams params;
+  params.max_new_tokens = max_new_tokens;
+  params.embed = test_embed(d_model);
+  params.select = test_select();
+  return params;
+}
+
 TEST(Generate, CompletesWithMaxTokens) {
   TinyStack s;
   et::gpusim::Device dev;
   et::core::ExecContext ctx(dev);
   et::nn::GenerationSession session(et::nn::Model(&s.layers, s.opt, /*max_context=*/16));
-  const auto result = et::nn::generate(ctx, session, 0, 5,
-                                       test_embed(s.model.d_model),
-                                       test_select());
+  const auto result = et::nn::generate(
+      ctx, session, test_params(s.model.d_model, 5));
   EXPECT_EQ(result.stop_reason, et::nn::StopReason::kMaxTokens);
   EXPECT_EQ(result.tokens.size(), 5u);
 }
@@ -477,9 +480,8 @@ TEST(Generate, StopsCleanlyWhenKvCacheFills) {
   et::gpusim::Device dev;
   et::core::ExecContext ctx(dev);
   et::nn::GenerationSession session(et::nn::Model(&s.layers, s.opt, /*max_context=*/3));
-  const auto result = et::nn::generate(ctx, session, 0, 10,
-                                       test_embed(s.model.d_model),
-                                       test_select());
+  const auto result = et::nn::generate(
+      ctx, session, test_params(s.model.d_model, 10));
   EXPECT_EQ(result.stop_reason, et::nn::StopReason::kKvCacheFull);
   // All three steps that fit the cache produced (and kept) their tokens.
   EXPECT_EQ(result.tokens.size(), 3u);
@@ -493,9 +495,8 @@ TEST(Generate, CapacityOneCacheReturnsInsteadOfThrowing) {
   et::gpusim::Device dev;
   et::core::ExecContext ctx(dev);
   et::nn::GenerationSession session(et::nn::Model(&s.layers, s.opt, /*max_context=*/1));
-  const auto result = et::nn::generate(ctx, session, 0, 10,
-                                       test_embed(s.model.d_model),
-                                       test_select());
+  const auto result = et::nn::generate(
+      ctx, session, test_params(s.model.d_model, 10));
   EXPECT_EQ(result.stop_reason, et::nn::StopReason::kKvCacheFull);
   EXPECT_EQ(result.tokens.size(), 1u);
 }
@@ -518,9 +519,8 @@ TEST(Generate, KernelFaultMidGenerationKeepsEarlierTokens) {
   et::nn::GenerationSession session(et::nn::Model(&s.layers, s.opt, 16));
   dev.fault_injector().arm_nth_launch(2 * launches_per_step +
                                       launches_per_step / 2);
-  const auto result = et::nn::generate(ctx, session, 0, 10,
-                                       test_embed(s.model.d_model),
-                                       test_select());
+  const auto result = et::nn::generate(
+      ctx, session, test_params(s.model.d_model, 10));
   EXPECT_EQ(result.stop_reason, et::nn::StopReason::kKernelFault);
   EXPECT_FALSE(result.fault_kernel.empty());
   EXPECT_EQ(result.tokens.size(), 2u) << "tokens before the fault survive";

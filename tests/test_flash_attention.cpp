@@ -11,7 +11,6 @@
 
 #include "core/adaptive.hpp"
 #include "core/attention.hpp"
-#include "nn/reference.hpp"
 #include "tensor/compare.hpp"
 #include "tensor/random.hpp"
 
@@ -191,22 +190,6 @@ TEST(FlashAttention, CondensedVMatchesScatteredV) {
   EXPECT_TRUE(allclose(a, b, 1e-4, 1e-3)) << max_abs_diff(a, b);
 }
 
-TEST(FlashCrossAttention, MatchesReference) {
-  auto cfg = base_cfg(24, /*causal=*/false);
-  const auto w = et::core::make_dense_weights(cfg, 12);
-  const MatrixF x = random_input(cfg);
-  MatrixF memory(70, cfg.d_model);  // kv length well past one Bc block
-  et::tensor::fill_normal(memory, 13);
-  Device dev;
-  et::core::ExecContext ctx(dev);
-  const MatrixF flash =
-      et::core::flash_cross_attention(ctx, x, memory, w, cfg);
-  const MatrixF ref =
-      et::nn::reference_cross_attention(x, memory, w, cfg);
-  EXPECT_TRUE(allclose(flash, ref, 1e-4, 1e-3))
-      << "max diff " << max_abs_diff(flash, ref);
-}
-
 // ------------------------------------------------ resource contracts ----
 
 TEST(FlashAttention, SharedBytesAreSequenceIndependent) {
@@ -220,9 +203,6 @@ TEST(FlashAttention, SharedBytesAreSequenceIndependent) {
   const auto at4096 = et::core::flash_shared_bytes(cfg);
   EXPECT_EQ(at64, at4096)
       << "the Br×Bc working set must not grow with the sequence";
-  EXPECT_EQ(et::core::flash_shared_bytes(cfg, 16),
-            et::core::flash_shared_bytes(cfg, 8192))
-      << "nor with an explicit cross-attention kv length";
   // The Eq. 6 footprint does grow — that asymmetry is why flash survives
   // lengths that force OTF off the scratchpad.
   cfg.seq_len = 64;

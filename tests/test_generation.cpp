@@ -11,7 +11,6 @@
 #include "core/incremental_attention.hpp"
 #include "nn/generation.hpp"
 #include "pruning/criteria.hpp"
-#include "tensor/compare.hpp"
 #include "tensor/random.hpp"
 
 namespace {
@@ -137,27 +136,6 @@ TEST(GenerationSession, MatchesFullCausalForwardPerPosition) {
   EXPECT_EQ(session.context_length(), 10u);
 }
 
-TEST(GenerationSession, PrimeEqualsSteps) {
-  const auto model = tiny_model();
-  std::vector<et::nn::EncoderWeights> layers = {
-      et::nn::make_dense_encoder_weights(model, 20)};
-  MatrixF prompt(6, model.d_model);
-  et::tensor::fill_normal(prompt, 5, 0.0f, 0.5f);
-  auto opt = et::nn::options_for(et::nn::Pipeline::kET, model, 6, true);
-  opt.attn.precision = et::numeric::Precision::kFp32;
-
-  et::gpusim::Device dev;
-  et::core::ExecContext ctx(dev);
-  const et::nn::Model model_handle(&layers, opt, 8);
-  et::nn::GenerationSession a(model_handle), b(model_handle);
-  const MatrixF via_prime = a.prime(ctx, prompt);
-  MatrixF via_steps;
-  for (std::size_t t = 0; t < prompt.rows(); ++t) {
-    via_steps = b.step(ctx, row_of(prompt, t));
-  }
-  EXPECT_TRUE(allclose(via_prime, via_steps, 1e-6, 1e-6));
-}
-
 TEST(GenerationSession, StepCostGrowsLinearlyWithContext) {
   // The attention kernel's loads scale with the cache length; the linears
   // stay constant — the classic generation cost profile.
@@ -221,15 +199,21 @@ TEST(Generate, StopsAtEosTokenAndKeepsTheEmission) {
   et::gpusim::Device dev;
   et::core::ExecContext ctx(dev);
   et::nn::GenerationSession session(et::nn::Model(&layers, opt, 8));
-  const auto r =
-      et::nn::generate(ctx, session, 1, 6, embed, select, /*eos_token=*/5);
+  et::nn::DecodeParams params;
+  params.first_token = 1;
+  params.max_new_tokens = 6;
+  params.embed = embed;
+  params.select = select;
+  params.eos_token = 5;
+  const auto r = et::nn::generate(ctx, session, params);
   EXPECT_EQ(r.stop_reason, et::nn::StopReason::kEos);
   ASSERT_EQ(r.tokens.size(), 1u);
   EXPECT_EQ(r.tokens[0], 5);
 
   // A negative eos_token (the default) disables the check entirely.
   session.reset();
-  const auto full = et::nn::generate(ctx, session, 1, 6, embed, select);
+  params.eos_token = et::nn::kNoEosToken;
+  const auto full = et::nn::generate(ctx, session, params);
   EXPECT_EQ(full.stop_reason, et::nn::StopReason::kMaxTokens);
   EXPECT_EQ(full.tokens.size(), 6u);
 }

@@ -35,8 +35,14 @@ TEST(Matrix, SliceAndConcatRoundTrip) {
   et::tensor::fill_uniform(m, 2);
   const MatrixF left = slice_cols(m, 0, 4);
   const MatrixF right = slice_cols(m, 4, 4);
-  const MatrixF joined = concat_cols(left, right);
-  EXPECT_TRUE(allclose(m, joined, 0.0, 0.0));
+  ASSERT_EQ(left.cols(), 4u);
+  ASSERT_EQ(right.cols(), 4u);
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    for (std::size_t c = 0; c < 4; ++c) {
+      EXPECT_EQ(left(r, c), m(r, c));
+      EXPECT_EQ(right(r, c), m(r, c + 4));
+    }
+  }
 }
 
 TEST(Matrix, SliceRows) {
@@ -46,16 +52,6 @@ TEST(Matrix, SliceRows) {
   EXPECT_EQ(mid.rows(), 3u);
   EXPECT_EQ(mid(0, 0), m(2, 0));
   EXPECT_EQ(mid(2, 1), m(4, 1));
-}
-
-TEST(Matrix, PasteCols) {
-  MatrixF dst(3, 6, 0.0f);
-  MatrixF src(3, 2, 9.0f);
-  paste_cols(dst, src, 2);
-  EXPECT_EQ(dst(0, 2), 9.0f);
-  EXPECT_EQ(dst(2, 3), 9.0f);
-  EXPECT_EQ(dst(0, 0), 0.0f);
-  EXPECT_EQ(dst(0, 5), 0.0f);
 }
 
 TEST(Compare, MaxAbsDiffAndAllclose) {
