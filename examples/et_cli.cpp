@@ -3,7 +3,8 @@
 // latency and an optional kernel profile — the tool a performance engineer
 // would reach for before committing to a deployment configuration.
 //
-//   $ ./examples/et_cli --model bert_base --pipeline et --seq 128 \
+// For example (one command):
+//   $ ./examples/et_cli --model bert_base --pipeline et --seq 128
 //       --strategy attention-aware --ratio 0.7 --device a100 --profile
 #include <chrono>
 #include <csignal>

@@ -1,8 +1,10 @@
 #include "core/attention_math.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "numeric/precision.hpp"
@@ -11,6 +13,86 @@ namespace et::core::detail {
 
 namespace {
 using numeric::Precision;
+
+constexpr std::size_t kLanes = numeric::kDotLanes;
+
+constexpr std::size_t lane_blocks(std::size_t n) {
+  return (n + kLanes - 1) / kLanes;
+}
+
+/// One output of the per-step loop: Σ_t a[t]·b(t) in t order, rounded
+/// per p at every step and at the end.
+template <class B>
+float dot_per_step(Precision p, const float* a, std::size_t n, const B& b) {
+  float acc = 0.0f;
+  if (p == Precision::kFp32) {
+    for (std::size_t t = 0; t < n; ++t) acc += a[t] * b(t);
+    return acc;
+  }
+  for (std::size_t t = 0; t < n; ++t) {
+    acc = numeric::fma_step(p, a[t], b(t), acc);
+  }
+  return numeric::round_to_storage(p, acc);
+}
+
+/// K and the context operand of one kPureFp16 or kMixed call, rounded to
+/// binary16 once and packed per head for dot16_fp16, zero-padded to whole
+/// blocks of 16:
+///   - kt: Kᵀ, keys in blocks, as [head][key block][c < d_k][16];
+///   - ctx: the head's context columns in blocks, as
+///     [head][column block][key][16].
+struct Fp16Operands {
+  std::vector<float> kt;
+  std::vector<float> ctx;
+  std::size_t key_blocks = 0, col_blocks = 0;
+};
+
+/// nullopt, counting nothing, when an element of K or of the context
+/// overflows on rounding: that call keeps the per-step fma_step loop,
+/// which counts the overflow once per use, as the GEMM does.
+std::optional<Fp16Operands> pack_fp16(const tensor::MatrixF& k,
+                                      const tensor::MatrixF& context,
+                                      std::size_t h_count, std::size_t dk,
+                                      std::size_t vw) {
+  const std::size_t kv = k.rows();
+  Fp16Operands ops;
+  ops.key_blocks = lane_blocks(kv);
+  ops.col_blocks = lane_blocks(vw);
+  ops.kt.assign(h_count * ops.key_blocks * dk * kLanes, 0.0f);
+  ops.ctx.assign(h_count * ops.col_blocks * kv * kLanes, 0.0f);
+  for (std::size_t h = 0; h < h_count; ++h) {
+    for (std::size_t j = 0; j < kv; ++j) {
+      float* kt = ops.kt.data() +
+                  (h * ops.key_blocks + j / kLanes) * dk * kLanes +
+                  j % kLanes;
+      if (!numeric::round_fp16_into(&k(j, h * dk), kt, dk, kLanes)) {
+        return std::nullopt;
+      }
+      for (std::size_t c0 = 0; c0 < vw; c0 += kLanes) {
+        float* v = ops.ctx.data() +
+                   ((h * ops.col_blocks + c0 / kLanes) * kv + j) * kLanes;
+        if (!numeric::round_fp16_into(&context(j, h * vw + c0), v,
+                                      std::min(kLanes, vw - c0))) {
+          return std::nullopt;
+        }
+      }
+    }
+  }
+  return ops;
+}
+
+/// out[0, n) = dot16_fp16 of a against the kk × 16 packed blocks from
+/// `b` on. False, with out partly written, as soon as a block flags: the
+/// caller then redoes all n with dot_per_step.
+bool dot_blocks(Precision p, const float* a, const float* b, std::size_t kk,
+                std::size_t n, float* out) {
+  float lanes[kLanes];
+  for (std::size_t j0 = 0; j0 < n; j0 += kLanes, b += kk * kLanes) {
+    if (!numeric::dot16_fp16(p, a, b, kk, lanes)) return false;
+    std::copy(lanes, lanes + std::min(kLanes, n - j0), out + j0);
+  }
+  return true;
+}
 }  // namespace
 
 tensor::MatrixF attention_math(const tensor::MatrixF& q,
@@ -41,14 +123,23 @@ tensor::MatrixF attention_math(const tensor::MatrixF& q,
   } else {
     assert(context.cols() == d);
   }
-  const std::size_t v_per_head =
-      v_kept != nullptr ? v_kept->size() / h_count : 0;
+  /// Width of one head's slice of the context operand.
+  const std::size_t vw = context.cols() / h_count;
+
+  // Under the binary16 policies ③ and ⑥ run sixteen independent chains
+  // per step over operands rounded once; a (row, head) whose lanes leave
+  // binary16's range redoes that product with the per-step loop below.
+  const std::optional<Fp16Operands> ops =
+      p == Precision::kPureFp16 || p == Precision::kMixed
+          ? pack_fp16(k, context, h_count, dk, vw)
+          : std::nullopt;
 
   tensor::MatrixF out(s, d);
 
   const auto row_body = [&](std::size_t i) {
-    std::vector<float> qrow(dk);
+    std::vector<float> qrow(dk), q16(dk);
     std::vector<float> scores(kv);
+    std::vector<float> z(vw);
     for (std::size_t h = 0; h < h_count; ++h) {
       // ② the scaling operator. Reordered before the multiply it keeps
       // every partial product within FP16 range (§3.3).
@@ -59,22 +150,20 @@ tensor::MatrixF attention_math(const tensor::MatrixF& q,
                       : v;
       }
       // ③ one row of Q·Kᵀ, accumulated under the precision policy.
-      for (std::size_t j = 0; j < kv; ++j) {
-        float acc = 0.0f;
-        if (p == Precision::kFp32) {
-          for (std::size_t c = 0; c < dk; ++c) {
-            acc += qrow[c] * k(j, h * dk + c);
-          }
-        } else {
-          for (std::size_t c = 0; c < dk; ++c) {
-            acc = numeric::fma_step(p, qrow[c], k(j, h * dk + c), acc);
-          }
-          acc = numeric::round_to_storage(p, acc);
+      if (!ops || !numeric::round_fp16_into(qrow.data(), q16.data(), dk) ||
+          !dot_blocks(p, q16.data(),
+                      ops->kt.data() + h * ops->key_blocks * dk * kLanes, dk,
+                      kv, scores.data())) {
+        for (std::size_t j = 0; j < kv; ++j) {
+          scores[j] = dot_per_step(p, qrow.data(), dk, [&](std::size_t c) {
+            return k(j, h * dk + c);
+          });
         }
-        if (!cfg.scale_before_multiply) {
-          acc = numeric::round_to_storage(p, acc * scale);
+      }
+      if (!cfg.scale_before_multiply) {
+        for (std::size_t j = 0; j < kv; ++j) {
+          scores[j] = numeric::round_to_storage(p, scores[j] * scale);
         }
-        scores[j] = acc;
       }
       // ④ masking (full-sequence attention only; a decode row attends
       // just the cache it has, which is causal by construction).
@@ -102,58 +191,27 @@ tensor::MatrixF attention_math(const tensor::MatrixF& q,
       for (std::size_t j = 0; j < kv; ++j) {
         scores[j] = numeric::round_to_storage(p, scores[j] * inv);
       }
-      // ⑥ multiply with the context operand.
-      if (v_kept != nullptr) {
-        // Condensed V: only the surviving columns of this head are
-        // computed; Z keeps zeros at pruned positions.
-        for (std::size_t c = 0; c < v_per_head; ++c) {
-          float acc = 0.0f;
-          if (p == Precision::kFp32) {
-            for (std::size_t j = 0; j < kv; ++j) {
-              acc += scores[j] * context(j, h * v_per_head + c);
-            }
-          } else {
-            for (std::size_t j = 0; j < kv; ++j) {
-              acc = numeric::fma_step(p, scores[j],
-                                      context(j, h * v_per_head + c), acc);
-            }
-            acc = numeric::round_to_storage(p, acc);
-          }
-          out(i, (*v_kept)[h * v_per_head + c]) = acc;
+      // ⑥ multiply with the head's slice of the context operand.
+      if (!ops ||
+          !dot_blocks(p, scores.data(),
+                      ops->ctx.data() + h * ops->col_blocks * kv * kLanes, kv,
+                      vw, z.data())) {
+        for (std::size_t c = 0; c < vw; ++c) {
+          z[c] = dot_per_step(p, scores.data(), kv, [&](std::size_t j) {
+            return context(j, h * vw + c);
+          });
         }
-      } else if (vo == nullptr) {
-        for (std::size_t c = 0; c < dk; ++c) {
-          float acc = 0.0f;
-          if (p == Precision::kFp32) {
-            for (std::size_t j = 0; j < kv; ++j) {
-              acc += scores[j] * context(j, h * dk + c);
-            }
-          } else {
-            for (std::size_t j = 0; j < kv; ++j) {
-              acc = numeric::fma_step(p, scores[j], context(j, h * dk + c),
-                                      acc);
-            }
-            acc = numeric::round_to_storage(p, acc);
-          }
-          out(i, h * dk + c) = acc;
-        }
-      } else {
-        const std::size_t kept = vo->kept();
-        for (std::size_t c = 0; c < kept; ++c) {
-          float acc = 0.0f;
-          if (p == Precision::kFp32) {
-            for (std::size_t j = 0; j < kv; ++j) {
-              acc += scores[j] * context(j, h * kept + c);
-            }
-          } else {
-            for (std::size_t j = 0; j < kv; ++j) {
-              acc = numeric::fma_step(p, scores[j], context(j, h * kept + c),
-                                      acc);
-            }
-            acc = numeric::round_to_storage(p, acc);
-          }
+      }
+      for (std::size_t c = 0; c < vw; ++c) {
+        if (v_kept != nullptr) {
+          // Condensed V: only the surviving columns of this head are
+          // computed; Z keeps zeros at pruned positions.
+          out(i, (*v_kept)[h * vw + c]) = z[c];
+        } else if (vo != nullptr) {
           // ⑧ heads sum into the shared output columns (Eq. 4/5).
-          out(i, vo->kept_cols[c]) += acc;
+          out(i, vo->kept_cols[c]) += z[c];
+        } else {
+          out(i, h * dk + c) = z[c];
         }
       }
     }

@@ -10,6 +10,10 @@
 //   - the scaling operator, before or after the multiply (§3.3 reorder),
 //   - softmax output,
 //   - the S·V (or S·M) accumulation.
+// Under kPureFp16 and kMixed, attention_math runs Q·Kᵀ and S·V sixteen
+// chains at a time over K and the context rounded to binary16 once per
+// call, with the per-step loop's outputs and overflow counts
+// (docs/simulator.md, "Host cost of the numerics").
 #pragma once
 
 #include "core/config.hpp"

@@ -1,7 +1,8 @@
 #include "core/weights.hpp"
 
-#include <cassert>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "tensor/random.hpp"
 
@@ -64,9 +65,28 @@ VSide v_side(const AttentionWeights& w, const AttentionConfig& cfg) {
 PrecomputedVO precompute_vo(const tensor::MatrixF& wv,
                             const tensor::MatrixF& wo, std::size_t num_heads,
                             std::vector<std::uint32_t> kept_rows) {
-  assert(wv.rows() == wv.cols() && wo.rows() == wo.cols());
-  assert(wv.rows() == wo.rows());
+  const auto shape = [](const tensor::MatrixF& m) {
+    return std::to_string(m.rows()) + "x" + std::to_string(m.cols());
+  };
+  if (wv.rows() != wv.cols() || wo.rows() != wo.cols() ||
+      wv.rows() != wo.rows()) {
+    throw std::invalid_argument("precompute_vo: W_V is " + shape(wv) +
+                                " and W_O is " + shape(wo) +
+                                ", want two equal square matrices");
+  }
   const std::size_t d = wv.rows();
+  if (num_heads == 0 || d % num_heads != 0) {
+    throw std::invalid_argument("precompute_vo: num_heads " +
+                                std::to_string(num_heads) +
+                                " does not divide d_model " +
+                                std::to_string(d));
+  }
+  if (!sparse::kept_in_order(kept_rows, d)) {
+    throw std::invalid_argument(
+        "precompute_vo: kept_rows must be strictly increasing and below "
+        "d_model " +
+        std::to_string(d));
+  }
   const std::size_t dk = d / num_heads;
 
   if (kept_rows.empty()) {

@@ -80,6 +80,9 @@ struct VSide {
 /// optional set of kept W_O rows (row pruning). `kept_rows` empty means
 /// all rows kept. This is a pre-inference step, so no device kernels are
 /// recorded — exactly like the paper, which computes it "beforehand".
+/// Throws std::invalid_argument, before reading either weight, unless
+/// W_V and W_O are equal square matrices, num_heads divides their width,
+/// and kept_rows is strictly increasing and below it.
 [[nodiscard]] PrecomputedVO precompute_vo(const tensor::MatrixF& wv,
                                           const tensor::MatrixF& wo,
                                           std::size_t num_heads,

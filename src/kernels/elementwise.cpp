@@ -35,10 +35,6 @@ gpusim::Launch stream_launch(gpusim::Device& dev, std::string_view name,
   return launch;
 }
 
-float storage_round(Precision p, float x) {
-  return numeric::round_to_storage(p, x);
-}
-
 /// Refuse, before anything launches, an operand the kernel would index
 /// out of range: a per-column vector (bias, gamma, beta) whose length is
 /// not the matrix width.
@@ -68,7 +64,7 @@ void scale(gpusim::Device& dev, tensor::MatrixF& m, float factor,
            numeric::Precision p, std::string_view name) {
   auto launch = stream_launch(dev, name, m.size(), p, 1, 1, m.size());
   if (dev.traffic_only()) return;
-  for (auto& v : m.flat()) v = storage_round(p, v * factor);
+  for (auto& v : m.flat()) v = numeric::round_to_storage(p, v * factor);
 }
 
 void add_bias(gpusim::Device& dev, tensor::MatrixF& m,
@@ -80,7 +76,7 @@ void add_bias(gpusim::Device& dev, tensor::MatrixF& m,
   if (dev.traffic_only()) return;
   for (std::size_t r = 0; r < m.rows(); ++r) {
     for (std::size_t c = 0; c < m.cols(); ++c) {
-      m(r, c) = storage_round(p, m(r, c) + bias[c]);
+      m(r, c) = numeric::round_to_storage(p, m(r, c) + bias[c]);
     }
   }
 }
@@ -92,7 +88,7 @@ void residual_add(gpusim::Device& dev, tensor::MatrixF& a,
   auto launch = stream_launch(dev, name, a.size(), p, 2, 1, a.size());
   if (dev.traffic_only()) return;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    a.flat()[i] = storage_round(p, a.flat()[i] + b.flat()[i]);
+    a.flat()[i] = numeric::round_to_storage(p, a.flat()[i] + b.flat()[i]);
   }
 }
 
@@ -100,11 +96,7 @@ void gelu(gpusim::Device& dev, tensor::MatrixF& m, numeric::Precision p,
           std::string_view name) {
   auto launch = stream_launch(dev, name, m.size(), p, 1, 1, 8 * m.size());
   if (dev.traffic_only()) return;
-  constexpr float kSqrt2OverPi = 0.7978845608028654f;
-  for (auto& v : m.flat()) {
-    const float inner = kSqrt2OverPi * (v + 0.044715f * v * v * v);
-    v = storage_round(p, 0.5f * v * (1.0f + std::tanh(inner)));
-  }
+  for (auto& v : m.flat()) v = numeric::round_to_storage(p, gelu_tanh(v));
 }
 
 void causal_mask(gpusim::Device& dev, tensor::MatrixF& scores,
@@ -139,7 +131,7 @@ void softmax_rows(gpusim::Device& dev, tensor::MatrixF& m,
       sum += v;
     }
     const float inv = sum > 0.0f ? 1.0f / sum : 0.0f;
-    for (auto& v : row) v = storage_round(p, v * inv);
+    for (auto& v : row) v = numeric::round_to_storage(p, v * inv);
   }
 }
 
@@ -164,7 +156,7 @@ void layernorm(gpusim::Device& dev, tensor::MatrixF& m,
     var /= static_cast<double>(row.size());
     const float inv_std = 1.0f / std::sqrt(static_cast<float>(var) + eps);
     for (std::size_t c = 0; c < row.size(); ++c) {
-      row[c] = storage_round(
+      row[c] = numeric::round_to_storage(
           p, (static_cast<float>(row[c] - mean)) * inv_std * gamma[c] +
                  beta[c]);
     }
@@ -205,7 +197,7 @@ void fused_residual_layernorm(gpusim::Device& dev, tensor::MatrixF& a,
     var /= static_cast<double>(row.size());
     const float inv_std = 1.0f / std::sqrt(static_cast<float>(var) + 1e-5f);
     for (std::size_t c = 0; c < row.size(); ++c) {
-      row[c] = storage_round(
+      row[c] = numeric::round_to_storage(
           p, static_cast<float>(row[c] - mean) * inv_std * gamma[c] + beta[c]);
     }
   }

@@ -7,6 +7,7 @@
 // vertical fusion (fewer launches, same global traffic for GEMM outputs).
 #pragma once
 
+#include <cmath>
 #include <span>
 #include <string_view>
 
@@ -35,7 +36,15 @@ void residual_add(gpusim::Device& dev, tensor::MatrixF& a,
                   numeric::Precision p = numeric::Precision::kFp32,
                   std::string_view name = "residual_add");
 
-/// GELU (tanh approximation) in place.
+/// GELU's tanh approximation: the one formula of the gelu kernel and of
+/// the fused bias+GELU epilogue (nn::layer_tail).
+[[nodiscard]] inline float gelu_tanh(float v) noexcept {
+  constexpr float kSqrt2OverPi = 0.7978845608028654f;
+  const float inner = kSqrt2OverPi * (v + 0.044715f * v * v * v);
+  return 0.5f * v * (1.0f + std::tanh(inner));
+}
+
+/// GELU (tanh approximation, gelu_tanh) in place.
 void gelu(gpusim::Device& dev, tensor::MatrixF& m,
           numeric::Precision p = numeric::Precision::kFp32,
           std::string_view name = "gelu");

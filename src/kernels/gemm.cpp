@@ -16,6 +16,9 @@ namespace {
 
 using numeric::Precision;
 
+/// Output columns per packed block of B: dot16_fp16's width.
+constexpr std::size_t kLanes = numeric::kDotLanes;
+
 constexpr std::size_t ceil_div(std::size_t a, std::size_t b) {
   return (a + b - 1) / b;
 }
@@ -60,77 +63,84 @@ gpusim::KernelStats gemm_counters(std::size_t m, std::size_t n,
   return st;
 }
 
-/// A GEMM operand rounded to binary16 once per call, as float rows of k
-/// elements: A as stored, B as its n rows of k whichever way round it is
-/// stored, so the inner loop walks both contiguously.
-using Fp16Rows = std::optional<std::vector<float>>;
+/// A GEMM operand rounded to binary16 once per call, or nullopt.
+using Fp16Operand = std::optional<std::vector<float>>;
 
-/// Round `x` (its columns when `by_column`) to binary16 rows. Returns
-/// nullopt, with the overflow counter untouched, when a finite element
-/// overflows on rounding: that call keeps the per-multiply-add loop, which
-/// counts the overflow once per use as the per-step conversion always has.
-Fp16Rows round_fp16_rows(const tensor::MatrixF& x, bool by_column) {
-  const std::size_t rows = by_column ? x.cols() : x.rows();
-  const std::size_t kk = by_column ? x.rows() : x.cols();
-  std::vector<float> out(rows * kk);
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t k = 0; k < kk; ++k) {
-      const float v = by_column ? x(k, r) : x(r, k);
-      if (numeric::overflows_fp16(v)) return std::nullopt;
-      out[r * kk + k] = numeric::round_fp16(v);
-    }
+/// A rounded once for every GEMM that shares it, as its m rows of k
+/// elements; nullopt under the policies that do not round operands to
+/// binary16, and (with the overflow counter untouched) when a finite
+/// element overflows on rounding: that call keeps the per-multiply-add
+/// loop, which counts the overflow once per use as the per-step
+/// conversion always has.
+Fp16Operand round_a(Precision p, const tensor::MatrixF& a) {
+  if (p != Precision::kPureFp16 && p != Precision::kMixed) return std::nullopt;
+  std::vector<float> out(a.size());
+  if (!numeric::round_fp16_into(a.data(), out.data(), a.size())) {
+    return std::nullopt;
   }
   return out;
 }
 
-/// A rounded once for every GEMM that shares it; nullopt under the
-/// policies that do not round operands to binary16.
-Fp16Rows round_a(Precision p, const tensor::MatrixF& a) {
-  if (p != Precision::kPureFp16 && p != Precision::kMixed) return std::nullopt;
-  return round_fp16_rows(a, false);
+/// B rounded to binary16 as round_a rounds A, and packed for dot16_fp16:
+/// its n output columns (rows of B when `transposed`, else columns) in
+/// blocks of 16, laid out [block][k][16], the last block zero-padded.
+Fp16Operand pack_b(const tensor::MatrixF& b, bool transposed) {
+  const std::size_t n = transposed ? b.rows() : b.cols();
+  const std::size_t kk = transposed ? b.cols() : b.rows();
+  std::vector<float> out(ceil_div(n, kLanes) * kk * kLanes, 0.0f);
+  bool ok = true;
+  if (transposed) {
+    for (std::size_t j = 0; j < n && ok; ++j) {
+      ok = numeric::round_fp16_into(
+          b.row(j).data(),
+          out.data() + (j / kLanes) * kk * kLanes + j % kLanes, kk, kLanes);
+    }
+  } else {
+    for (std::size_t j0 = 0; j0 < n && ok; j0 += kLanes) {
+      for (std::size_t k = 0; k < kk && ok; ++k) {
+        ok = numeric::round_fp16_into(&b(k, j0),
+                                      out.data() + j0 * kk + k * kLanes,
+                                      std::min(kLanes, n - j0));
+      }
+    }
+  }
+  if (!ok) return std::nullopt;
+  return out;
 }
 
-/// kPureFp16 (Pure) and kMixed over operands rounded once: a16 is m×k,
-/// b16 n×k. A product of two binary16 values has at most 11+11 significant
-/// bits, so it is exact in binary32, and a kPureFp16 accumulator is always
-/// a binary16 value, so fma_step's rounding of it is the identity: each
-/// multiply-add rounds only the product and the sum, and kMixed rounds
-/// nothing. kCols output columns advance together so their dependent
-/// chains overlap; each output still sums over k in order, so outputs and
-/// overflow counts equal the per-step fma_step loop's bit for bit.
-template <bool Pure>
+/// kPureFp16 and kMixed over operands rounded once: a16 is m×k, b16 is
+/// pack_b's. Each row runs sixteen output columns per dot16_fp16 call. A
+/// block in which a lane left binary16's range is recomputed with `mac`,
+/// fma_step over binary16 operands: they are already rounded and a
+/// kPureFp16 accumulator is always a binary16 value, so only the product
+/// and the sum round, and the conversions count the block's overflows.
+/// Each output sums over k in order either way, so outputs and overflow
+/// counts equal the per-step fma_step loop's bit for bit.
 void gemm_math_fp16(const std::vector<float>& a16,
                     const std::vector<float>& b16, std::size_t kk,
                     tensor::MatrixF& c, Precision p, core::ThreadPool& pool) {
-  constexpr std::size_t kCols = 4;
   const std::size_t n = c.cols();
-  const auto mac = [](float x, float y, float acc) {
-    if constexpr (Pure) {
-      return numeric::round_fp16(numeric::round_fp16(x * y) + acc);
-    } else {
-      return x * y + acc;
-    }
+  const auto mac = [p](float x, float y, float acc) {
+    return p == Precision::kPureFp16
+               ? numeric::round_fp16(numeric::round_fp16(x * y) + acc)
+               : x * y + acc;
   };
   pool.parallel_for(c.rows(), [&](std::size_t i) {
     const float* ar = a16.data() + i * kk;
-    std::size_t j = 0;
-    for (; j + kCols <= n; j += kCols) {
-      const float* br = b16.data() + j * kk;
-      float acc[kCols] = {};
-      for (std::size_t k = 0; k < kk; ++k) {
-        for (std::size_t t = 0; t < kCols; ++t) {
-          acc[t] = mac(ar[k], br[t * kk + k], acc[t]);
+    for (std::size_t j0 = 0; j0 < n; j0 += kLanes) {
+      const float* bb = b16.data() + j0 * kk;
+      const std::size_t cols = std::min(kLanes, n - j0);
+      float out[kLanes];
+      if (!numeric::dot16_fp16(p, ar, bb, kk, out)) {
+        for (std::size_t t = 0; t < cols; ++t) {
+          float acc = 0.0f;
+          for (std::size_t k = 0; k < kk; ++k) {
+            acc = mac(ar[k], bb[k * kLanes + t], acc);
+          }
+          out[t] = numeric::round_to_storage(p, acc);
         }
       }
-      for (std::size_t t = 0; t < kCols; ++t) {
-        c(i, j + t) = numeric::round_to_storage(p, acc[t]);
-      }
-    }
-    for (; j < n; ++j) {
-      const float* br = b16.data() + j * kk;
-      float acc = 0.0f;
-      for (std::size_t k = 0; k < kk; ++k) acc = mac(ar[k], br[k], acc);
-      c(i, j) = numeric::round_to_storage(p, acc);
+      std::copy(out, out + cols, c.row(i).begin() + j0);
     }
   });
 }
@@ -145,7 +155,7 @@ void gemm_math_fp16(const std::vector<float>& a16,
 /// Rows are independent, so the pool partitions over i. No device calls
 /// happen inside: a pure-math region.
 template <bool Transposed>
-void gemm_math(const tensor::MatrixF& a, const Fp16Rows& a16,
+void gemm_math(const tensor::MatrixF& a, const Fp16Operand& a16,
                const tensor::MatrixF& b, tensor::MatrixF& c, Precision p,
                core::ThreadPool& pool) {
   const std::size_t m = a.rows();
@@ -153,12 +163,8 @@ void gemm_math(const tensor::MatrixF& a, const Fp16Rows& a16,
   const std::size_t kk = a.cols();
 
   if (a16) {
-    if (const Fp16Rows b16 = round_fp16_rows(b, !Transposed)) {
-      if (p == Precision::kPureFp16) {
-        gemm_math_fp16<true>(*a16, *b16, kk, c, p, pool);
-      } else {
-        gemm_math_fp16<false>(*a16, *b16, kk, c, p, pool);
-      }
+    if (const Fp16Operand b16 = pack_b(b, Transposed)) {
+      gemm_math_fp16(*a16, *b16, kk, c, p, pool);
       return;
     }
   }
@@ -234,7 +240,7 @@ void panel_products(core::ExecContext& ctx, const tensor::MatrixF& a,
                     std::span<const tensor::MatrixF* const> bs,
                     std::span<tensor::MatrixF> cs, Precision p) {
   const bool math = !ctx.device().traffic_only();
-  const Fp16Rows a16 = math ? round_a(p, a) : std::nullopt;
+  const Fp16Operand a16 = math ? round_a(p, a) : std::nullopt;
   for (std::size_t i = 0; i < bs.size(); ++i) {
     cs[i] = tensor::MatrixF(a.rows(), bs[i]->rows());
     if (math) gemm_math<true>(a, a16, *bs[i], cs[i], p, ctx.pool());

@@ -12,9 +12,10 @@
 // and the modeled latency describe the equivalent GPU kernel. Row loops
 // run on the context's ThreadPool with a thread-count-invariant partition,
 // so results are bit-identical at any thread count (docs/threading.md).
-// Under the binary16 policies each operand is rounded once per call, with
-// the outputs and overflow counts of per-step fma_step rounding
-// (docs/simulator.md, "Host cost of the numerics").
+// Under the binary16 policies each operand is rounded once per call and
+// sixteen output columns advance per step, with the outputs and overflow
+// counts of per-step fma_step rounding (docs/simulator.md, "Host cost of
+// the numerics").
 //
 // Every entry point throws std::invalid_argument, before launching, when
 // the operands' inner dimensions disagree.

@@ -392,7 +392,15 @@ void BatchedGenerationScheduler::tick(core::ExecContext& ctx) {
     const std::int32_t token =
         input_token(req, results_[ts.request_id].tokens, ts.pre_used);
     const tensor::MatrixF row = req.embed(token, ts.pre_used);
-    assert(row.rows() == 1 && row.cols() == d);
+    // Checked before the tick's first launch: prepare_append is
+    // idempotent, so a retried tick or a cancel leaves the pool whole.
+    if (row.rows() != 1 || row.cols() != d) {
+      throw std::invalid_argument(
+          "BatchedGenerationScheduler::tick: request " +
+          std::to_string(ts.request_id) + " embedded a " +
+          std::to_string(row.rows()) + "x" + std::to_string(row.cols()) +
+          " row, want 1x" + std::to_string(d));
+    }
     for (std::size_t c = 0; c < d; ++c) rows(i, c) = row(0, c);
   }
 

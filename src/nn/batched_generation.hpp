@@ -103,7 +103,10 @@ class BatchedGenerationScheduler {
   /// One decode tick: backfill free slots from the queue, step every
   /// active sequence by one token, retire finished ones. The per-slot
   /// attention math runs in parallel across active slots on ctx.pool(),
-  /// bit-identical to the serial tick at any thread count.
+  /// bit-identical to the serial tick at any thread count. Throws
+  /// std::invalid_argument, naming the request, before anything launches
+  /// when a slot's embed() row is not 1 × d_model; cancelling that
+  /// request (or fixing its embed) and ticking again resumes the batch.
   void tick(core::ExecContext& ctx);
 
   /// Drain: tick until every submitted request has a result. Returns all

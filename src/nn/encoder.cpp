@@ -35,13 +35,10 @@ std::vector<float> small_random_vector(std::size_t n, std::uint64_t seed,
 /// (tanh approximation), rounded to p's storage.
 void apply_bias_gelu(tensor::MatrixF& h, const std::vector<float>& bias,
                      Precision p) {
-  constexpr float kSqrt2OverPi = 0.7978845608028654f;
   for (std::size_t r = 0; r < h.rows(); ++r) {
     for (std::size_t c = 0; c < h.cols(); ++c) {
-      const float v = h(r, c) + bias[c];
-      const float inner = kSqrt2OverPi * (v + 0.044715f * v * v * v);
       h(r, c) = numeric::round_to_storage(
-          p, 0.5f * v * (1.0f + std::tanh(inner)));
+          p, kernels::gelu_tanh(h(r, c) + bias[c]));
     }
   }
 }

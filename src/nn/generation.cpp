@@ -1,6 +1,7 @@
 #include "nn/generation.hpp"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "core/incremental_attention.hpp"
 #include "quant/quantize.hpp"
@@ -16,7 +17,12 @@ GenerationSession::GenerationSession(const Model& model)
 
 tensor::MatrixF GenerationSession::step(core::ExecContext& ctx,
                                         const tensor::MatrixF& x_row) {
-  assert(x_row.rows() == 1 && x_row.cols() == model_.d_model());
+  if (x_row.rows() != 1 || x_row.cols() != model_.d_model()) {
+    throw std::invalid_argument(
+        "GenerationSession::step: input row is " +
+        std::to_string(x_row.rows()) + "x" + std::to_string(x_row.cols()) +
+        ", want 1x" + std::to_string(model_.d_model()));
+  }
   const auto p = model_.options().attn.precision;
 
   // A kernel fault partway through the stack would leave earlier layers'

@@ -45,7 +45,9 @@ class GenerationSession {
   /// hidden state for that position (1 × d_model). Atomic under faults:
   /// if a kernel fails partway through the layer stack, every per-layer
   /// KV cache is rolled back to its pre-step length before the exception
-  /// propagates, so the session stays consistent and resumable.
+  /// propagates, so the session stays consistent and resumable. Throws
+  /// std::invalid_argument, before anything launches, when x_row is not
+  /// 1 × d_model.
   [[nodiscard]] tensor::MatrixF step(core::ExecContext& ctx,
                                      const tensor::MatrixF& x_row);
 

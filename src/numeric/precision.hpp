@@ -7,6 +7,8 @@
 // overflows on unscaled Q·K^T; E.T.'s scale-reordering fixes that.
 #pragma once
 
+#include <cstddef>
+#include <cstring>
 #include <string_view>
 
 #include "numeric/bfloat16.hpp"
@@ -74,6 +76,52 @@ enum class Precision {
       return static_cast<float>(bfloat16(x));
   }
   return x;
+}
+
+/// Output columns of one dot16_fp16 call.
+inline constexpr std::size_t kDotLanes = 16;
+
+namespace detail {
+template <bool Pure>
+[[nodiscard]] inline bool dot16_fp16(const float* a, const float* b,
+                                     std::size_t kk, float* out) noexcept {
+  f32x4 acc[4] = {};
+  i32x4 flag{};
+  for (std::size_t k = 0; k < kk; ++k) {
+    for (std::size_t v = 0; v < 4; ++v) {
+      f32x4 bv;
+      std::memcpy(&bv, b + kDotLanes * k + 4 * v, sizeof bv);
+      const f32x4 prod = a[k] * bv;
+      if constexpr (Pure) {
+        acc[v] =
+            round_fp16_lanes(round_fp16_lanes(prod, flag) + acc[v], flag);
+      } else {
+        acc[v] += prod;
+      }
+    }
+  }
+  for (std::size_t v = 0; v < 4; ++v) {
+    if constexpr (!Pure) acc[v] = round_fp16_lanes(acc[v], flag);
+    std::memcpy(out + 4 * v, &acc[v], sizeof acc[v]);
+  }
+  return !any_lane(flag);
+}
+}  // namespace detail
+
+/// Sixteen dot products under kPureFp16 or kMixed, four lanes at a time:
+/// out[t] = Σ_k a[k]·b[16k + t], summed over k in order, then rounded to
+/// binary16 (round_to_storage). a and b hold binary16 values, so every
+/// product is exact in binary32 and a kPureFp16 accumulator is always a
+/// binary16 value: each step rounds the product and the sum, which is
+/// fma_step exactly, and kMixed rounds only the finished sum. Returns
+/// false, with out unspecified and nothing counted, when any lane reaches
+/// |x| >= 65520, inf or NaN at any rounding: the caller recomputes those
+/// outputs with the per-step loop, whose conversions count the overflows.
+[[nodiscard]] inline bool dot16_fp16(Precision p, const float* a,
+                                     const float* b, std::size_t kk,
+                                     float* out) noexcept {
+  return p == Precision::kPureFp16 ? detail::dot16_fp16<true>(a, b, kk, out)
+                                   : detail::dot16_fp16<false>(a, b, kk, out);
 }
 
 }  // namespace et::numeric

@@ -220,7 +220,7 @@ struct ServerConfig {
   /// and docs/serving.md "Paged KV and prefix sharing". Sharing changes
   /// kv_bytes_used only; transcripts and every other metric are
   /// bit-identical with it on or off.
-  core::PagedKVOptions kv;
+  core::PagedKVOptions kv{};
 };
 
 class InferenceServer {

@@ -124,7 +124,7 @@ struct Request {
   /// — the prefix-sharing axis of the sweep. Requests sharing a
   /// prefix_group MUST also share `seed` (identical embed closures); the
   /// harness mirrors the production contract, it does not check it.
-  std::vector<std::int32_t> prompt;
+  std::vector<std::int32_t> prompt{};
   std::uint64_t prefix_group = core::kNoPrefixGroup;
 };
 

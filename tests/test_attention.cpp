@@ -4,12 +4,17 @@
 // runs the modeled-fastest operator that fits the device (§3.2, Eq. 6).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <optional>
 #include <random>
+#include <string>
 
 #include "core/adaptive.hpp"
 #include "core/attention.hpp"
+#include "core/attention_math.hpp"
 #include "nn/reference.hpp"
 #include "pruning/criteria.hpp"
 #include "tensor/compare.hpp"
@@ -490,5 +495,274 @@ TEST(Attention, OtfStoresLessLoadsMore) {
   EXPECT_GT(otf_ld, trt_ld) << "the price: K and V re-read per row tile";
   EXPECT_LT(otf_n, trt_n) << "one kernel instead of four";
 }
+
+TEST(Attention, PrecomputeVoRefusesBadShapes) {
+  const MatrixF w(32, 32);
+  const MatrixF narrow(32, 16), other(16, 16);
+  EXPECT_THROW((void)et::core::precompute_vo(narrow, w, 2),
+               std::invalid_argument);
+  EXPECT_THROW((void)et::core::precompute_vo(w, narrow, 2),
+               std::invalid_argument);
+  EXPECT_THROW((void)et::core::precompute_vo(w, other, 2),
+               std::invalid_argument);
+  EXPECT_THROW((void)et::core::precompute_vo(w, w, 0), std::invalid_argument);
+  EXPECT_THROW((void)et::core::precompute_vo(w, w, 3), std::invalid_argument);
+  // Kept rows past d_model would be read out of W_O's bounds; repeated or
+  // unordered ones are not a kept set.
+  EXPECT_THROW((void)et::core::precompute_vo(w, w, 2, {0, 40}),
+               std::invalid_argument);
+  EXPECT_THROW((void)et::core::precompute_vo(w, w, 2, {3, 3}),
+               std::invalid_argument);
+  EXPECT_THROW((void)et::core::precompute_vo(w, w, 2, {5, 2}),
+               std::invalid_argument);
+  EXPECT_EQ(et::core::precompute_vo(w, w, 2, {0, 31}).kept(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// attention_math under kPureFp16 and kMixed against the per-step row loop
+// it runs instead of, written out here over numeric::half (the out-of-line
+// conversion) so it shares no code with the lane path: the same output
+// bits, NaN compared by class, and the same overflow count.
+// ---------------------------------------------------------------------------
+
+using et::core::PrecomputedVO;
+
+float to_half(float x) { return static_cast<float>(et::numeric::half(x)); }
+
+float oracle_step(Precision p, float a, float b, float acc) {
+  if (p == Precision::kPureFp16) {
+    return to_half(to_half(to_half(a) * to_half(b)) + to_half(acc));
+  }
+  return to_half(a) * to_half(b) + acc;
+}
+
+MatrixF oracle_attention(const MatrixF& q, const MatrixF& k,
+                         const MatrixF& context, const PrecomputedVO* vo,
+                         const std::vector<std::uint32_t>* v_kept,
+                         const AttentionConfig& cfg) {
+  const std::size_t s = cfg.seq_len;
+  const std::size_t kv = k.rows();
+  const std::size_t h_count = cfg.num_heads;
+  const std::size_t dk = cfg.d_k();
+  const std::size_t vw = context.cols() / h_count;
+  const Precision p = cfg.precision;
+  const float scale = cfg.scale();
+  MatrixF out(s, cfg.d_model);
+  std::vector<float> qrow(dk), scores(kv);
+  for (std::size_t i = 0; i < s; ++i) {
+    for (std::size_t h = 0; h < h_count; ++h) {
+      for (std::size_t c = 0; c < dk; ++c) {
+        const float v = q(i, h * dk + c);
+        qrow[c] = cfg.scale_before_multiply ? to_half(v * scale) : v;
+      }
+      for (std::size_t j = 0; j < kv; ++j) {
+        float acc = 0.0f;
+        for (std::size_t c = 0; c < dk; ++c) {
+          acc = oracle_step(p, qrow[c], k(j, h * dk + c), acc);
+        }
+        acc = to_half(acc);
+        if (!cfg.scale_before_multiply) acc = to_half(acc * scale);
+        scores[j] = acc;
+      }
+      if (cfg.causal_mask && kv == s) {
+        for (std::size_t j = i + 1; j < kv; ++j) {
+          scores[j] = -std::numeric_limits<float>::infinity();
+        }
+      }
+      float mx = -std::numeric_limits<float>::infinity();
+      for (std::size_t j = 0; j < kv; ++j) mx = std::max(mx, scores[j]);
+      float sum = 0.0f;
+      for (std::size_t j = 0; j < kv; ++j) {
+        scores[j] = std::exp(scores[j] - mx);
+        sum += scores[j];
+      }
+      const float inv = sum > 0.0f ? 1.0f / sum : 0.0f;
+      for (std::size_t j = 0; j < kv; ++j) {
+        scores[j] = to_half(scores[j] * inv);
+      }
+      for (std::size_t c = 0; c < vw; ++c) {
+        float acc = 0.0f;
+        for (std::size_t j = 0; j < kv; ++j) {
+          acc = oracle_step(p, scores[j], context(j, h * vw + c), acc);
+        }
+        acc = to_half(acc);
+        if (v_kept != nullptr) {
+          out(i, (*v_kept)[h * vw + c]) = acc;
+        } else if (vo != nullptr) {
+          out(i, vo->kept_cols[c]) += acc;
+        } else {
+          out(i, h * dk + c) = acc;
+        }
+      }
+    }
+  }
+  return out;
+}
+
+::testing::AssertionResult same_bits(const MatrixF& got, const MatrixF& want) {
+  for (std::size_t i = 0; i < got.rows(); ++i) {
+    for (std::size_t j = 0; j < got.cols(); ++j) {
+      const float g = got(i, j);
+      const float w = want(i, j);
+      if (std::isnan(g) && std::isnan(w)) continue;
+      if (std::bit_cast<std::uint32_t>(g) != std::bit_cast<std::uint32_t>(w)) {
+        return ::testing::AssertionFailure()
+               << "(" << i << "," << j << "): got " << g << ", oracle " << w;
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+enum class ContextForm { kDense, kCondensed, kFolded };
+enum class Plant { kNone, kQ, kK, kV };
+
+struct AttnOperandCase {
+  const char* name;
+  float qk_scale;  ///< standard deviation of Q and K (V: 1)
+  bool int8;       ///< K and V as int8 codes times a non-binary16 scale
+  Plant plant;
+  float special;   ///< the value planted
+};
+
+constexpr float kAttnInf = std::numeric_limits<float>::infinity();
+constexpr float kAttnNaN = std::numeric_limits<float>::quiet_NaN();
+
+// qk_large overflows Q·Kᵀ partway along the chain when the scale comes
+// after the multiply. A planted 7e4 or 65520 overflows on rounding, which
+// keeps the call (K, V) or the (row, head) (q) on the per-step loop.
+// v_max fills one context column with 65504, whose S·V sum can round
+// past the binary16 range.
+const AttnOperandCase kAttnCases[] = {
+    {"unit", 1.0f, false, Plant::kNone, 0.0f},
+    {"int8_dequantized", 1.0f, true, Plant::kNone, 0.0f},
+    {"qk_large", 100.0f, false, Plant::kNone, 0.0f},
+    {"q_7e4", 1.0f, false, Plant::kQ, 7e4f},
+    {"k_65520", 1.0f, false, Plant::kK, 65520.0f},
+    {"v_7e4", 1.0f, false, Plant::kV, 7e4f},
+    {"v_max", 1.0f, false, Plant::kV, 65504.0f},
+    {"k_inf", 1.0f, false, Plant::kK, kAttnInf},
+    {"q_nan", 1.0f, false, Plant::kQ, kAttnNaN},
+    {"v_nan", 1.0f, false, Plant::kV, kAttnNaN},
+};
+
+void fill_int8(MatrixF& m, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<int> code(-127, 127);
+  for (float& v : m.flat()) v = 0.0173f * static_cast<float>(code(rng));
+}
+
+struct AttnShape {
+  std::size_t d, heads;
+};
+
+class AttentionMathFp16Differential
+    : public ::testing::TestWithParam<std::tuple<AttnShape, ContextForm>> {};
+
+TEST_P(AttentionMathFp16Differential, MatchesPerStepLoop) {
+  const auto [shape, form] = GetParam();
+  const std::size_t d = shape.d;
+  const std::size_t dk = d / shape.heads;
+
+  // Context layouts: the condensed V keeps every other column of each
+  // head; the fold keeps the output columns c % 3 != 1 (an odd width).
+  std::vector<std::uint32_t> v_kept;
+  for (std::size_t h = 0; h < shape.heads; ++h) {
+    for (std::size_t c = 0; c < dk; c += 2) {
+      v_kept.push_back(static_cast<std::uint32_t>(h * dk + c));
+    }
+  }
+  PrecomputedVO vo;
+  vo.num_heads = shape.heads;
+  for (std::size_t c = 0; c < d; ++c) {
+    if (c % 3 != 1) vo.kept_cols.push_back(static_cast<std::uint32_t>(c));
+  }
+  const std::size_t ctx_cols = form == ContextForm::kDense ? d
+                               : form == ContextForm::kCondensed
+                                   ? v_kept.size()
+                                   : shape.heads * vo.kept();
+  const PrecomputedVO* vo_ptr = form == ContextForm::kFolded ? &vo : nullptr;
+  const std::vector<std::uint32_t>* kept_ptr =
+      form == ContextForm::kCondensed ? &v_kept : nullptr;
+
+  et::core::ThreadPool pool4(4);
+  std::uint64_t seed = 500;
+  std::uint64_t total_overflows = 0;
+  for (const std::size_t kv : {1, 3, 5, 16, 17, 33, 130}) {
+    // One decode row over the cache, and for short caches the causal
+    // full-sequence form at 1 and 4 threads.
+    std::vector<std::size_t> rows = {1};
+    if (kv == 3 || kv == 17) rows.push_back(kv);
+    for (const std::size_t s : rows) {
+      for (const Precision p : {Precision::kPureFp16, Precision::kMixed}) {
+        for (const bool before : {true, false}) {
+          for (const AttnOperandCase& oc : kAttnCases) {
+            AttentionConfig cfg;
+            cfg.seq_len = s;
+            cfg.d_model = d;
+            cfg.num_heads = shape.heads;
+            cfg.precision = p;
+            cfg.scale_before_multiply = before;
+            cfg.causal_mask = true;
+            MatrixF q(s, d), k(kv, d), ctx(kv, ctx_cols);
+            et::tensor::fill_normal(q, ++seed, 0.0f, oc.qk_scale);
+            if (oc.int8) {
+              fill_int8(k, ++seed);
+              fill_int8(ctx, ++seed);
+            } else {
+              et::tensor::fill_normal(k, ++seed, 0.0f, oc.qk_scale);
+              et::tensor::fill_normal(ctx, ++seed);
+            }
+            if (oc.plant == Plant::kQ) q(0, 1) = oc.special;
+            if (oc.plant == Plant::kK) k(kv / 2, d - 1) = oc.special;
+            if (oc.plant == Plant::kV && oc.special == 65504.0f) {
+              for (std::size_t j = 0; j < kv; ++j) ctx(j, 0) = oc.special;
+            } else if (oc.plant == Plant::kV) {
+              ctx(kv / 2, ctx_cols / 2) = oc.special;
+            }
+
+            std::uint64_t c0 = et::numeric::overflow_count();
+            const MatrixF want =
+                oracle_attention(q, k, ctx, vo_ptr, kept_ptr, cfg);
+            const std::uint64_t oracle_overflows =
+                et::numeric::overflow_count() - c0;
+            total_overflows += oracle_overflows;
+            for (et::core::ThreadPool* pool :
+                 {static_cast<et::core::ThreadPool*>(nullptr), &pool4}) {
+              if (pool != nullptr && s == 1) continue;
+              SCOPED_TRACE(std::string(oc.name) + " kv=" +
+                           std::to_string(kv) + " s=" + std::to_string(s) +
+                           " " + std::string(et::numeric::to_string(p)) +
+                           (before ? " scale-first" : " scale-last") +
+                           (pool != nullptr ? " threads=4" : " threads=1"));
+              c0 = et::numeric::overflow_count();
+              const MatrixF got = et::core::detail::attention_math(
+                  q, k, ctx, vo_ptr, kept_ptr, cfg, pool);
+              EXPECT_EQ(et::numeric::overflow_count() - c0, oracle_overflows);
+              EXPECT_TRUE(same_bits(got, want));
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(total_overflows, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, AttentionMathFp16Differential,
+    ::testing::Combine(::testing::Values(AttnShape{32, 2}, AttnShape{128, 2},
+                                         AttnShape{30, 3}),
+                       ::testing::Values(ContextForm::kDense,
+                                         ContextForm::kCondensed,
+                                         ContextForm::kFolded)),
+    [](const auto& pinfo) {
+      const AttnShape sh = std::get<0>(pinfo.param);
+      const ContextForm f = std::get<1>(pinfo.param);
+      return "d" + std::to_string(sh.d) + "h" + std::to_string(sh.heads) +
+             (f == ContextForm::kDense       ? "Dense"
+              : f == ContextForm::kCondensed ? "CondensedV"
+                                             : "FoldedVO");
+    });
 
 }  // namespace

@@ -16,6 +16,7 @@ namespace {
 
 using et::diff::Outcome;
 using et::diff::Request;
+using et::tensor::MatrixF;
 
 constexpr std::int32_t kVocab = 257;
 
@@ -614,6 +615,75 @@ TEST(BatchedGeneration, OneAttentionLaunchPerLayerPerTick) {
       }
     }
   }
+}
+
+// A request whose embed() returns a row of the wrong width is refused by
+// name before the tick launches anything. The refused tick changes
+// nothing the others see: once the request is cancelled they finish with
+// the transcripts of a run that never had it.
+TEST(BatchedGenerationApi, WrongWidthEmbedThrowsBeforeAnyLaunch) {
+  constexpr std::size_t kMaxContext = 8;
+  const Model m = make_model(2, 32, 2, kMaxContext, 61, false);
+  const std::vector<Request> good = {{1, 4, et::nn::kNoEosToken, 71},
+                                     {2, 4, et::nn::kNoEosToken, 72},
+                                     {3, 4, et::nn::kNoEosToken, 73}};
+  et::gpusim::Device seq_dev;
+  const auto sequential = et::diff::run_sequential(
+      seq_dev, m.layers, m.opt, kMaxContext, good, kVocab);
+
+  et::gpusim::Device dev;
+  et::core::ExecContext ctx(dev);
+  et::nn::BatchedGenerationScheduler sched(
+      et::nn::Model(&m.layers, m.opt, kMaxContext), 4);
+  std::vector<Outcome> outcomes(good.size());
+  std::vector<std::size_t> ids;
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    if (i == 1) {
+      et::nn::GenerationRequest bad;
+      bad.first_token = 9;
+      bad.max_new_tokens = 4;
+      bad.embed = [](std::int32_t, std::size_t) { return MatrixF(1, 8); };
+      bad.select = et::diff::make_select(kVocab);
+      EXPECT_EQ(sched.submit(std::move(bad)), 1u);
+    }
+    et::nn::GenerationRequest req;
+    req.first_token = good[i].first_token;
+    req.max_new_tokens = good[i].max_new_tokens;
+    req.embed = et::diff::make_embed(32, good[i].seed);
+    req.select = et::diff::make_select(kVocab, &outcomes[i].hidden_hashes);
+    ids.push_back(sched.submit(std::move(req)));
+  }
+
+  try {
+    sched.tick(ctx);
+    ADD_FAILURE() << "a 1x8 embed row for d_model 32 was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("request 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("1x8"), std::string::npos) << what;
+  }
+  EXPECT_EQ(dev.launch_count(), 0u);
+
+  EXPECT_TRUE(sched.cancel(1));
+  const auto results = sched.run(ctx);
+  EXPECT_EQ(results[1].stop_reason, et::nn::StopReason::kCancelled);
+  EXPECT_TRUE(results[1].tokens.empty());
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    outcomes[i].result = results[ids[i]];
+  }
+  et::diff::expect_bit_identical(sequential, outcomes);
+}
+
+TEST(BatchedGenerationApi, SessionStepRefusesWrongWidthRow) {
+  const Model m = make_model(1, 32, 2, 4, 62, false);
+  et::gpusim::Device dev;
+  et::core::ExecContext ctx(dev);
+  et::nn::GenerationSession session(et::nn::Model(&m.layers, m.opt, 4));
+  EXPECT_THROW((void)session.step(ctx, MatrixF(1, 8)), std::invalid_argument);
+  EXPECT_THROW((void)session.step(ctx, MatrixF(2, 32)),
+               std::invalid_argument);
+  EXPECT_EQ(dev.launch_count(), 0u);
+  EXPECT_EQ(session.context_length(), 0u);
 }
 
 }  // namespace

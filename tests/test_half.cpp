@@ -16,12 +16,15 @@
 namespace {
 
 using et::numeric::bfloat16;
+using et::numeric::f32x4;
 using et::numeric::half;
+using et::numeric::i32x4;
 using et::numeric::overflow_count;
 using et::numeric::overflows_fp16;
 using et::numeric::Precision;
 using et::numeric::reset_overflow_count;
 using et::numeric::round_fp16;
+using et::numeric::round_fp16_lanes;
 
 TEST(Half, ExactSmallIntegersRoundTrip) {
   for (int i = -2048; i <= 2048; ++i) {
@@ -186,7 +189,9 @@ INSTANTIATE_TEST_SUITE_P(Values, HalfSweep,
 
 // round_fp16 against the out-of-line conversion on every float bit
 // pattern: the same result bits and the same overflow count, which
-// overflows_fp16 must also predict. Where the compiler has _Float16 it is
+// overflows_fp16 must also predict. round_fp16_lanes, four consecutive
+// patterns at a time, must give the same bits with its flag clear for
+// every finite |x| < 65520 and set its flag for everything else. Where the compiler has _Float16 it is
 // a third, independent rounding (NaN compared by class: the payload is not
 // part of the rounding contract). Without F16C it is a ~60 ns library
 // call, so it checks 1 pattern in 16: every sign, exponent and dropped
@@ -200,8 +205,11 @@ TEST_P(RoundFp16Exhaustive, MatchesHalfOnEveryBitPattern) {
   const std::uint64_t per_shard = (std::uint64_t{1} << 32) / kRoundShards;
   const std::uint64_t begin = GetParam() * per_shard;
   std::uint64_t mismatches = 0, count_mismatches = 0, f16_mismatches = 0;
+  std::uint64_t lane_mismatches = 0;
   std::uint64_t overflows = 0;
   std::uint64_t c2 = overflow_count();
+  f32x4 lanes{};
+  std::uint32_t lane_want[4] = {};
   for (std::uint64_t b = begin; b < begin + per_shard; ++b) {
     const float x = std::bit_cast<float>(static_cast<std::uint32_t>(b));
     const std::uint64_t c0 = c2;
@@ -223,6 +231,26 @@ TEST_P(RoundFp16Exhaustive, MatchesHalfOnEveryBitPattern) {
                     << overflows_fp16(x);
     }
     overflows += c1 - c0;
+    lanes[b % 4] = x;
+    lane_want[b % 4] = std::bit_cast<std::uint32_t>(want);
+    if (b % 4 == 3) {
+      i32x4 flag{};
+      const f32x4 r = round_fp16_lanes(lanes, flag);
+      for (std::uint32_t t = 0; t < 4; ++t) {
+        const std::uint64_t bt = b - 3 + t;
+        const bool in_range = (bt & 0x7fffffffu) < 0x477ff000u;
+        const bool ok =
+            in_range ? flag[t] == 0 &&
+                           std::bit_cast<std::uint32_t>(r[t]) == lane_want[t]
+                     : flag[t] != 0;
+        if (!ok && ++lane_mismatches <= 5) {
+          ADD_FAILURE() << std::hex << "bits 0x" << bt
+                        << ": round_fp16_lanes 0x"
+                        << std::bit_cast<std::uint32_t>(r[t]) << " flag "
+                        << flag[t] << ", half 0x" << lane_want[t];
+        }
+      }
+    }
 #ifdef __FLT16_MAX__
     if (((b >> 13) & 0xfu) != 0) continue;
     const float hw = static_cast<float>(static_cast<_Float16>(x));
@@ -240,6 +268,7 @@ TEST_P(RoundFp16Exhaustive, MatchesHalfOnEveryBitPattern) {
   EXPECT_EQ(mismatches, 0u);
   EXPECT_EQ(count_mismatches, 0u);
   EXPECT_EQ(f16_mismatches, 0u);
+  EXPECT_EQ(lane_mismatches, 0u);
   // Every finite |x| >= 65520 overflows exactly once: the magnitudes
   // 0x477ff000 up to (not including) inf's 0x7f800000.
   const std::uint64_t lo = begin & 0x7fffffffu;

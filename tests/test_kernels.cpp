@@ -196,6 +196,10 @@ struct OperandCase {
   const char* name;
   float a_scale, b_scale;  ///< standard deviation of the normal fill
   float special;           ///< 0, or the value planted in a and bt
+  /// Plant 400 in A's column k/2 and in B row n/2 at k/2: one output
+  /// column per row overflows halfway along its chain, in the middle of a
+  /// 16-column block whose other columns stay in range.
+  bool mid_block = false;
 };
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
@@ -212,6 +216,7 @@ const OperandCase kOperandCases[] = {
     {"both_overflow", 7e4f, 7e4f, 0.0f},
     {"inf", 1.0f, 1.0f, kInf},
     {"nan", 1.0f, 1.0f, std::numeric_limits<float>::quiet_NaN()},
+    {"mid_block_overflow", 1.0f, 1.0f, 0.0f, true},
 };
 
 MatrixF operand(std::size_t rows, std::size_t k, std::uint64_t seed,
@@ -230,51 +235,66 @@ enum class Entry { kNt, kNn, kBatchedNt, kPanelsNt };
 class GemmFp16Differential
     : public ::testing::TestWithParam<std::tuple<Entry, Precision>> {};
 
+/// One case: an m×k A against B panels of n, 4 and 13 rows of k (the
+/// single-panel entries take the first).
+void check_gemm_fp16(Entry entry, Precision p, std::size_t threads,
+                     std::size_t m, std::size_t n, std::size_t k,
+                     const OperandCase& oc, std::uint64_t& seed) {
+  MatrixF a = operand(m, k, ++seed, oc.a_scale, oc.special);
+  std::vector<MatrixF> bts;
+  for (const std::size_t rows : {n, std::size_t{4}, std::size_t{13}}) {
+    bts.push_back(operand(rows, k, ++seed, oc.b_scale, oc.special));
+    if (entry == Entry::kNt || entry == Entry::kNn) break;
+  }
+  if (oc.mid_block) {
+    for (std::size_t i = 0; i < m; ++i) a(i, k / 2) = 400.0f;
+    bts[0](n / 2, k / 2) = 400.0f;
+  }
+
+  std::uint64_t c0 = overflow_count();
+  std::vector<MatrixF> want;
+  for (const MatrixF& bt : bts) want.push_back(half_oracle_nt(a, bt, p));
+  const std::uint64_t oracle_overflows = overflow_count() - c0;
+  if (oc.mid_block) {
+    EXPECT_GT(oracle_overflows, 0u);
+  }
+
+  Device dev;
+  et::core::ExecContext ctx(dev, threads);
+  std::vector<MatrixF> got;
+  c0 = overflow_count();
+  if (entry == Entry::kNt) {
+    got.push_back(gemm_nt(ctx, a, bts[0], p));
+  } else if (entry == Entry::kNn) {
+    got.push_back(gemm_nn(ctx, a, et::tensor::transpose(bts[0]), p));
+  } else {
+    std::vector<const MatrixF*> panels;
+    for (const MatrixF& bt : bts) panels.push_back(&bt);
+    got = entry == Entry::kBatchedNt ? batched_gemm_nt(ctx, a, panels, p)
+                                     : gemm_nt_panels(ctx, a, panels, p);
+  }
+  EXPECT_EQ(overflow_count() - c0, oracle_overflows);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t q = 0; q < got.size(); ++q) {
+    EXPECT_TRUE(same_values(got[q], want[q])) << "panel " << q;
+  }
+}
+
 TEST_P(GemmFp16Differential, BitIdenticalToHalfOracle) {
   const auto [entry, p] = GetParam();
-  constexpr std::size_t kRows = 7;
   std::uint64_t seed = 100;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    for (const std::size_t n : {1, 3, 4, 5, 13}) {
-      for (const std::size_t k : {1, 37}) {
-        for (const OperandCase& oc : kOperandCases) {
-          SCOPED_TRACE(std::string(oc.name) + " n=" + std::to_string(n) +
-                       " k=" + std::to_string(k) +
-                       " threads=" + std::to_string(threads));
-          const MatrixF a = operand(kRows, k, ++seed, oc.a_scale, oc.special);
-          // B as n rows of k; the multi-panel calls add two more panels.
-          std::vector<MatrixF> bts;
-          for (const std::size_t rows : {n, std::size_t{4}, std::size_t{13}}) {
-            bts.push_back(operand(rows, k, ++seed, oc.b_scale, oc.special));
-            if (entry == Entry::kNt || entry == Entry::kNn) break;
-          }
-
-          std::uint64_t c0 = overflow_count();
-          std::vector<MatrixF> want;
-          for (const MatrixF& bt : bts) {
-            want.push_back(half_oracle_nt(a, bt, p));
-          }
-          const std::uint64_t oracle_overflows = overflow_count() - c0;
-
-          Device dev;
-          et::core::ExecContext ctx(dev, threads);
-          std::vector<MatrixF> got;
-          c0 = overflow_count();
-          if (entry == Entry::kNt) {
-            got.push_back(gemm_nt(ctx, a, bts[0], p));
-          } else if (entry == Entry::kNn) {
-            got.push_back(gemm_nn(ctx, a, et::tensor::transpose(bts[0]), p));
-          } else {
-            std::vector<const MatrixF*> panels;
-            for (const MatrixF& bt : bts) panels.push_back(&bt);
-            got = entry == Entry::kBatchedNt
-                      ? batched_gemm_nt(ctx, a, panels, p)
-                      : gemm_nt_panels(ctx, a, panels, p);
-          }
-          EXPECT_EQ(overflow_count() - c0, oracle_overflows);
-          ASSERT_EQ(got.size(), want.size());
-          for (std::size_t q = 0; q < got.size(); ++q) {
-            EXPECT_TRUE(same_values(got[q], want[q])) << "panel " << q;
+  // m = 1 is a decode row; n = 16 is one whole block of output columns,
+  // 46 two blocks and a part.
+  for (const std::size_t threads : {1, 4}) {
+    for (const std::size_t m : {1, 7}) {
+      for (const std::size_t n : {1, 3, 4, 5, 13, 16, 46}) {
+        for (const std::size_t k : {1, 37}) {
+          for (const OperandCase& oc : kOperandCases) {
+            SCOPED_TRACE(std::string(oc.name) + " m=" + std::to_string(m) +
+                         " n=" + std::to_string(n) +
+                         " k=" + std::to_string(k) +
+                         " threads=" + std::to_string(threads));
+            check_gemm_fp16(entry, p, threads, m, n, k, oc, seed);
           }
         }
       }

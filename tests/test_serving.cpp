@@ -1430,4 +1430,45 @@ TEST(ServingResilience, ConservationIdentitiesHoldAfterAResilienceStorm) {
   EXPECT_DOUBLE_EQ(mx.find_gauge("kv_bytes_used")->value(), 0.0);
 }
 
+// The server reaches the scheduler's embed check: a wrong-width row
+// throws out of tick() before anything launches, and once that request is
+// cancelled the others finish with the transcripts of a run without it.
+TEST(Serving, WrongWidthEmbedThrowsAndCancelRecovers) {
+  constexpr std::size_t kMaxContext = 8;
+  const Model m = make_model(2, 32, 2, kMaxContext, 63);
+  const std::vector<Request> good = {{1, 4, et::nn::kNoEosToken, 81},
+                                     {2, 3, et::nn::kNoEosToken, 82}};
+  et::gpusim::Device seq_dev;
+  const auto sequential = et::diff::run_sequential(
+      seq_dev, m.layers, m.opt, kMaxContext, good, kVocab);
+
+  et::gpusim::Device dev;
+  et::core::ExecContext ctx(dev);
+  InferenceServer server(nn_model(m, kMaxContext), ServerConfig{});
+  std::vector<et::diff::Outcome> outcomes(good.size());
+  std::vector<et::serving::RequestHandle> handles;
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    et::serving::Request r =
+        make_request(m, good[i].first_token, good[i].max_new_tokens,
+                     good[i].seed);
+    r.select = et::diff::make_select(kVocab, &outcomes[i].hidden_hashes);
+    handles.push_back(server.submit(r));
+  }
+  et::serving::Request bad = make_request(m, 9, 4, 83);
+  bad.embed = [](std::int32_t, std::size_t) {
+    return et::tensor::MatrixF(1, 8);
+  };
+  const et::serving::RequestHandle bad_h = server.submit(bad);
+
+  EXPECT_THROW(server.tick(ctx), std::invalid_argument);
+  EXPECT_EQ(dev.launch_count(), 0u);
+  EXPECT_TRUE(server.cancel(bad_h));
+  server.drain(ctx);
+  EXPECT_EQ(server.result(bad_h).stop_reason, et::nn::StopReason::kCancelled);
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    outcomes[i].result = server.result(handles[i]);
+  }
+  et::diff::expect_bit_identical(sequential, outcomes);
+}
+
 }  // namespace
