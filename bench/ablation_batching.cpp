@@ -1,5 +1,6 @@
 // Ablation: decode throughput vs batch size AND thread count through the
-// slot-based BatchedGenerationScheduler (docs/serving.md).
+// slot-based BatchedGenerationScheduler, every sequence submitted at once
+// to a serving::InferenceServer (docs/serving.md).
 //
 // Batch axis (modeled time, traffic-only): autoregressive decode is
 // weight-load-bound — every step re-reads the projection and FFN weights
@@ -28,8 +29,8 @@
 #include "bench_common.hpp"
 #include "core/exec_context.hpp"
 #include "gpusim/device.hpp"
-#include "nn/batched_generation.hpp"
 #include "nn/generation.hpp"
+#include "serving/server.hpp"
 
 namespace {
 
@@ -39,7 +40,7 @@ struct RunOutcome {
   std::size_t batched_ticks = 0;
   std::size_t per_slot_fallback_ticks = 0;
   double time_us = 0.0;  // modeled device time
-  double wall_ms = 0.0;  // host wall clock around run()
+  double wall_ms = 0.0;  // host wall clock around the drain
 };
 
 RunOutcome run_batched(const std::vector<et::nn::EncoderWeights>& layers,
@@ -47,26 +48,32 @@ RunOutcome run_batched(const std::vector<et::nn::EncoderWeights>& layers,
                        std::size_t tokens_per_seq, std::size_t max_context,
                        std::size_t d_model, std::size_t threads,
                        bool traffic_only) {
-  et::nn::BatchedGenerationScheduler sched(
-      et::nn::Model(&layers, opt, max_context), batch);
+  et::serving::ServerConfig cfg;
+  cfg.max_batch = batch;
+  cfg.queue_capacity = batch;
+  et::serving::InferenceServer server(et::nn::Model(&layers, opt, max_context),
+                                      cfg);
+  std::vector<et::serving::RequestHandle> handles;
   for (std::size_t i = 0; i < batch; ++i) {
-    et::nn::GenerationRequest req;
+    et::serving::Request req;
     req.first_token = static_cast<std::int32_t>(i);
     req.max_new_tokens = tokens_per_seq;
     req.embed = [d_model](std::int32_t, std::size_t) {
       return et::tensor::MatrixF(1, d_model);
     };
     req.select = [](const et::tensor::MatrixF&) { return std::int32_t{1}; };
-    (void)sched.submit(std::move(req));
+    handles.push_back(server.submit(std::move(req)));
   }
 
   et::gpusim::Device dev;
   et::core::ExecContext ctx(dev, threads);
   dev.set_traffic_only(traffic_only);
   const auto t0 = std::chrono::steady_clock::now();
-  RunOutcome out;
-  out.results = sched.run(ctx);
+  server.drain(ctx);
   const auto t1 = std::chrono::steady_clock::now();
+  RunOutcome out;
+  for (const auto h : handles) out.results.push_back(server.result(h));
+  const et::nn::BatchedGenerationScheduler& sched = server.scheduler();
   out.ticks = sched.ticks();
   out.batched_ticks = sched.batched_ticks();
   out.per_slot_fallback_ticks = sched.per_slot_fallback_ticks();

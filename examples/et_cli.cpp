@@ -745,7 +745,9 @@ int main(int argc, char** argv) {
   } else if (args.batch > 0) {
     // Serving demo: decode N sequences through the slot-based batched
     // scheduler (docs/serving.md) — two decoder layers at the chosen
-    // model's width, up to 8 slots, queue + backfill beyond that.
+    // model's width, up to 8 slots, every sequence submitted at tick 0 to
+    // an InferenceServer whose queue holds them all, backfilling slots as
+    // they retire.
     std::vector<et::nn::EncoderWeights> layers;
     if (!build_serving_layers(args, model, weights, layers)) return 2;
     auto gopt =
@@ -753,23 +755,34 @@ int main(int argc, char** argv) {
     gopt.adaptive.forced = forced_attention;
     const std::size_t max_batch = args.batch < 8 ? args.batch : 8;
     const et::nn::Model handle(&layers, gopt, args.tokens + 1, weight_format);
-    et::core::PagedKVOptions kv;
-    kv.precision = args.kv_precision;
-    et::nn::BatchedGenerationScheduler sched(handle, max_batch, kv);
+    et::serving::ServerConfig scfg;
+    scfg.max_batch = max_batch;
+    scfg.queue_capacity = args.batch;
+    scfg.kv.precision = args.kv_precision;
+    et::serving::InferenceServer server(handle, scfg);
+    std::vector<et::serving::RequestHandle> handles;
     for (std::size_t i = 0; i < args.batch; ++i) {
-      et::nn::GenerationRequest req;
+      et::serving::Request req;
       req.first_token = static_cast<std::int32_t>(i);
       req.max_new_tokens = args.tokens;
       req.embed = [&model](std::int32_t, std::size_t) {
         return et::tensor::MatrixF(1, model.d_model);
       };
       req.select = [](const et::tensor::MatrixF&) { return std::int32_t{1}; };
-      (void)sched.submit(std::move(req));
+      handles.push_back(server.submit(std::move(req)));
     }
-    const auto results = sched.run(ctx);
-
+    server.drain(ctx);
+    const et::nn::BatchedGenerationScheduler& sched = server.scheduler();
+    std::vector<et::nn::GenerationResult> results;
     std::size_t total_tokens = 0;
-    for (const auto& r : results) total_tokens += r.tokens.size();
+    for (const auto h : handles) {
+      results.push_back(server.result(h));
+      total_tokens += results.back().tokens.size();
+    }
+    const double tokens_per_sec =
+        dev.total_time_us() > 0.0
+            ? 1e6 * static_cast<double>(total_tokens) / dev.total_time_us()
+            : 0.0;
     if (args.json) {
       // One JSON object per run; scalar field names are identical to the
       // bench/ablation_batching --json row keys so serving dashboards can
@@ -792,9 +805,7 @@ int main(int argc, char** argv) {
                   total_tokens, sched.ticks(), sched.batched_ticks(),
                   sched.per_slot_fallback_ticks());
       std::printf("  \"time_us\": %.1f, \"tokens_per_sec\": %.1f,\n",
-                  dev.total_time_us(),
-                  1e6 * static_cast<double>(total_tokens) /
-                      dev.total_time_us());
+                  dev.total_time_us(), tokens_per_sec);
       std::printf("  \"results\": [\n");
       for (std::size_t i = 0; i < results.size(); ++i) {
         std::printf("    {\"id\": %zu, \"tokens\": %zu, \"stop_reason\": "
@@ -823,8 +834,7 @@ int main(int argc, char** argv) {
                   spec.name.c_str());
       std::printf("  %zu tokens in %.1f us (%.1f tokens/sec), %zu ticks "
                   "(%zu batched, %zu degraded to per-slot)\n",
-                  total_tokens, dev.total_time_us(),
-                  1e6 * static_cast<double>(total_tokens) / dev.total_time_us(),
+                  total_tokens, dev.total_time_us(), tokens_per_sec,
                   sched.ticks(), sched.batched_ticks(),
                   sched.per_slot_fallback_ticks());
       for (std::size_t i = 0; i < results.size(); ++i) {

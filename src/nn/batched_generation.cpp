@@ -28,7 +28,6 @@ struct TickSlot {
   enum class State { kRunning, kOk, kKernelFault, kKvCacheFull };
 
   std::size_t pool_slot = 0;
-  std::size_t request_id = 0;
   std::vector<core::PagedKVCache>* caches = nullptr;
   std::size_t pre_used = 0;
 
@@ -47,15 +46,16 @@ void rollback(TickSlot& slot) {
 }
 
 /// The input token for context position `pos`: a prompt position embeds
-/// the prompt token, everything after embeds the emission stream (which
-/// replay re-fills, so a resumed request derives identical inputs).
-std::int32_t input_token(const GenerationRequest& req,
-                         const std::vector<std::int32_t>& emitted,
+/// the prompt token, everything after embeds the transcript (which holds
+/// a resumed request's earlier tenures, so replay derives identical
+/// inputs).
+std::int32_t input_token(const DecodeParams& req,
+                         const std::vector<std::int32_t>& transcript,
                          std::size_t pos) {
   const std::vector<std::int32_t>& pt = req.prompt_tokens;
   const std::size_t n = pt.empty() ? 1 : pt.size();
   if (pos < n) return pt.empty() ? req.first_token : pt[pos];
-  return emitted.at(pos - n);
+  return transcript.at(pos - n);
 }
 
 /// One fused decode step for every sequence in `live` (rows(i) is
@@ -266,74 +266,47 @@ BatchedGenerationScheduler::BatchedGenerationScheduler(const Model& model,
             model_.v_widths(), kv),
       slots_(max_batch) {}
 
-std::size_t BatchedGenerationScheduler::submit(GenerationRequest req) {
-  const std::size_t id = requests_.size();
-  requests_.push_back(std::move(req));
-  results_.emplace_back();
-  completed_.push_back(false);
-  if (requests_.back().max_new_tokens == 0) {
-    // Nothing to decode — mirror generate()'s empty happy path.
-    results_.back().stop_reason = StopReason::kMaxTokens;
-    completed_.back() = true;
-  } else {
-    queue_.push_back(id);
+std::size_t BatchedGenerationScheduler::admit(GenerationRequest req) {
+  if (req.max_new_tokens == 0) {
+    throw std::invalid_argument(
+        "BatchedGenerationScheduler::admit: a request must decode at least "
+        "one token");
   }
-  return id;
-}
-
-bool BatchedGenerationScheduler::cancel(std::size_t id, StopReason reason) {
-  if (completed_.at(id)) return false;
-  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    if (*it == id) {
-      queue_.erase(it);
-      results_[id].stop_reason = reason;
-      completed_[id] = true;
-      return true;
-    }
+  // Checked before the trie flush below, so a refused admit changes
+  // nothing.
+  if (!pool_.has_free()) {
+    throw std::length_error(
+        "BatchedGenerationScheduler::admit: every slot is taken");
   }
-  for (std::size_t s = 0; s < slots_.size(); ++s) {
-    if (slots_[s].has_value() && slots_[s]->request_id == id) {
-      retire(s, reason);
-      return true;
-    }
+  // Trie flush: advertise every prompt block earlier ticks' appends
+  // completed before the lookup below. Prompt-aware acquisition: the trie
+  // may seed the slot's block table with another request's resident
+  // prompt blocks (refcounts bumped; appends below the shared frontier
+  // skip the write).
+  pool_.flush_registrations();
+  const std::size_t slot = pool_.acquire(req.prefix_group, req.prompt());
+  GenerationResult result;
+  result.tokens = std::move(req.resume_tokens);
+  slots_[slot] = Seat{std::move(req), std::move(result)};
+  return slot;
+}
+
+GenerationResult BatchedGenerationScheduler::cancel(std::size_t slot,
+                                                    StopReason reason) {
+  if (slot >= slots_.size() || !slots_[slot].has_value()) {
+    throw std::invalid_argument("BatchedGenerationScheduler::cancel: slot " +
+                                std::to_string(slot) + " is not seated");
   }
-  // Every unfinished request is either queued or in a slot.
-  assert(false);
-  return false;
+  return release(slot, reason);
 }
 
-std::size_t BatchedGenerationScheduler::active() const noexcept {
-  std::size_t n = 0;
-  for (const auto& s : slots_) n += s.has_value() ? 1 : 0;
-  return n;
-}
-
-const GenerationResult& BatchedGenerationScheduler::result(
-    std::size_t id) const {
-  if (!completed_.at(id)) {
-    throw std::logic_error("BatchedGenerationScheduler::result: request " +
-                           std::to_string(id) + " has not finished");
-  }
-  return results_[id];
-}
-
-void BatchedGenerationScheduler::admit(std::size_t request_id) {
-  const GenerationRequest& req = requests_[request_id];
-  // Prompt-aware acquisition: the pool's prefix trie may seed the slot's
-  // block table with another request's resident prompt blocks (refcounts
-  // bumped; appends below the shared frontier skip the write).
-  const std::vector<std::int32_t> prompt = req.prompt();
-  const std::size_t slot = pool_.acquire(req.prefix_group, prompt);
-  slots_[slot] = ActiveSlot{request_id};
-}
-
-void BatchedGenerationScheduler::retire(std::size_t pool_slot,
-                                        StopReason reason) {
-  const std::size_t id = slots_[pool_slot]->request_id;
-  results_[id].stop_reason = reason;
-  completed_[id] = true;
-  slots_[pool_slot].reset();
-  pool_.release(pool_slot);
+GenerationResult BatchedGenerationScheduler::release(std::size_t slot,
+                                                     StopReason reason) {
+  GenerationResult result = std::move(slots_[slot]->result);
+  result.stop_reason = reason;
+  slots_[slot].reset();
+  pool_.release(slot);
+  return result;
 }
 
 void BatchedGenerationScheduler::tick(core::ExecContext& ctx) {
@@ -341,14 +314,8 @@ void BatchedGenerationScheduler::tick(core::ExecContext& ctx) {
   ++ticks_;
 
   // Trie flush: advertise every prompt block the PREVIOUS tick's appends
-  // completed, before this tick's admissions look the prefix up.
+  // completed.
   pool_.flush_registrations();
-
-  // Admission: backfill every free slot from the FIFO queue.
-  while (pool_.has_free() && !queue_.empty()) {
-    admit(queue_.front());
-    queue_.pop_front();
-  }
 
   // Capacity pre-check — the same at_capacity() stop generate() takes
   // before a step, applied per slot so one exhausted sequence never
@@ -374,7 +341,6 @@ void BatchedGenerationScheduler::tick(core::ExecContext& ctx) {
     }
     TickSlot ts;
     ts.pool_slot = s;
-    ts.request_id = slots_[s]->request_id;
     ts.caches = &pool_.caches(s);
     ts.pre_used = kv_slot.tokens();
     tick_slots.push_back(std::move(ts));
@@ -388,16 +354,16 @@ void BatchedGenerationScheduler::tick(core::ExecContext& ctx) {
   tensor::MatrixF rows(tick_slots.size(), d);
   for (std::size_t i = 0; i < tick_slots.size(); ++i) {
     const TickSlot& ts = tick_slots[i];
-    const GenerationRequest& req = requests_[ts.request_id];
+    const Seat& seat = *slots_[ts.pool_slot];
     const std::int32_t token =
-        input_token(req, results_[ts.request_id].tokens, ts.pre_used);
-    const tensor::MatrixF row = req.embed(token, ts.pre_used);
+        input_token(seat.params, seat.result.tokens, ts.pre_used);
+    const tensor::MatrixF row = seat.params.embed(token, ts.pre_used);
     // Checked before the tick's first launch: prepare_append is
     // idempotent, so a retried tick or a cancel leaves the pool whole.
     if (row.rows() != 1 || row.cols() != d) {
       throw std::invalid_argument(
-          "BatchedGenerationScheduler::tick: request " +
-          std::to_string(ts.request_id) + " embedded a " +
+          "BatchedGenerationScheduler::tick: slot " +
+          std::to_string(ts.pool_slot) + " embedded a " +
           std::to_string(row.rows()) + "x" + std::to_string(row.cols()) +
           " row, want 1x" + std::to_string(d));
     }
@@ -443,34 +409,32 @@ void BatchedGenerationScheduler::tick(core::ExecContext& ctx) {
   for (TickSlot& ts : tick_slots) {
     switch (ts.state) {
       case TickSlot::State::kOk: {
-        auto& res = results_[ts.request_id];
-        const GenerationRequest& req = requests_[ts.request_id];
+        Seat& seat = *slots_[ts.pool_slot];
+        const DecodeParams& req = seat.params;
+        std::vector<std::int32_t>& tokens = seat.result.tokens;
         // Prefill positions (every prompt token but the last) emit
         // nothing: the hidden state is discarded and the slot just
         // advances, exactly like nn::generate's prefill loop.
         const std::size_t prompt_len =
             req.prompt_tokens.empty() ? 1 : req.prompt_tokens.size();
         if (ts.pre_used + 1 < prompt_len) break;
-        // Recompute-resume replay: while tokens from a preempted/faulted
-        // earlier run remain, the tick rebuilt their KV rows and the
-        // outcome is already known — take it verbatim instead of calling
-        // select(), whose side effects (streaming hashes, logging) must
-        // fire once per token across the request's whole life.
-        ActiveSlot& as = *slots_[ts.pool_slot];
-        const bool replaying = as.replayed < req.resume_tokens.size();
-        const std::int32_t token = replaying
-                                       ? req.resume_tokens[as.replayed++]
-                                       : req.select(ts.hidden);
-        res.tokens.push_back(token);
+        // Recompute-resume replay: a position the transcript already
+        // holds was decided by an earlier tenure — the tick only rebuilt
+        // its KV rows. select() runs past the transcript's end alone, so
+        // its side effects (streaming hashes, logging) fire once per
+        // token across the request's whole life.
+        const std::size_t index = ts.pre_used + 1 - prompt_len;
+        if (index == tokens.size()) tokens.push_back(req.select(ts.hidden));
+        const std::int32_t token = tokens[index];
         if (req.eos_token >= 0 && token == req.eos_token) {
           retire(ts.pool_slot, StopReason::kEos);
-        } else if (res.tokens.size() >= req.max_new_tokens) {
+        } else if (index + 1 >= req.max_new_tokens) {
           retire(ts.pool_slot, StopReason::kMaxTokens);
         }
         break;
       }
       case TickSlot::State::kKernelFault:
-        results_[ts.request_id].fault_kernel = ts.fault_kernel;
+        slots_[ts.pool_slot]->result.fault_kernel = ts.fault_kernel;
         retire(ts.pool_slot, StopReason::kKernelFault);
         break;
       case TickSlot::State::kKvCacheFull:
@@ -482,12 +446,6 @@ void BatchedGenerationScheduler::tick(core::ExecContext& ctx) {
         break;
     }
   }
-}
-
-std::vector<GenerationResult> BatchedGenerationScheduler::run(
-    core::ExecContext& ctx) {
-  while (!idle()) tick(ctx);
-  return results_;
 }
 
 }  // namespace et::nn

@@ -6,12 +6,16 @@
 // launches across the batch. Attention is one launch per layer too, on a
 // heads × slots grid, while its math stays partitioned per slot (each
 // sequence attends over its own paged KV cache, E.T.'s single-row OTF
-// instance). Finished sequences (eos / max_tokens / kv_cache_full /
-// kernel_fault) retire their slot, which is immediately backfilled from a
-// FIFO pending queue; KV storage is recycled through the paged, block-
-// refcounted core::PagedKVPool (docs/serving.md "Paged KV and prefix
-// sharing") — retiring a slot drops one reference per block in its
-// table, so prompt-prefix blocks other requests still alias survive.
+// instance).
+//
+// The scheduler holds nothing but its slots. A caller (serving::
+// InferenceServer) seats a request with admit(), reads its transcript
+// with tokens(), and gets the whole GenerationResult back when the slot
+// retires (eos / max_tokens / kv_cache_full / kernel_fault, drained with
+// take_retired()) or is cancelled. KV storage is recycled through the
+// paged, block-refcounted core::PagedKVPool (docs/serving.md "Paged KV
+// and prefix sharing") — freeing a slot drops one reference per block in
+// its table, so prompt-prefix blocks other requests still alias survive.
 //
 // The correctness contract, enforced by tests/test_batched_generation.cpp:
 // every per-row kernel is row-wise independent, so a batch-of-N decode is
@@ -30,8 +34,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/block_allocator.hpp"
@@ -42,17 +46,24 @@
 namespace et::nn {
 
 /// One generation job: the shared nn::DecodeParams fields —
-/// semantics match a `nn::generate(ctx, session, params)` call — plus an
-/// optional recompute-resume prefix.
+/// semantics match a `nn::generate(ctx, session, params)` call — plus the
+/// transcript an earlier tenure already emitted.
 struct GenerationRequest : DecodeParams {
-  /// Tokens an earlier run of this job already emitted (the serving
-  /// runtime's preemption/retry resume path, docs/robustness.md). They
-  /// are REPLAYED through the fused decode tick to rebuild the KV caches
-  /// — embed() runs for each, select() does NOT (the outcome is already
+  /// Tokens earlier slot tenures of this job emitted (the serving
+  /// runtime's preemption/retry resume path, docs/robustness.md). The
+  /// seated request's result starts with them, and the tick REPLAYS
+  /// their positions through the fused decode to rebuild the KV caches —
+  /// embed() runs for each, select() does NOT (the outcome is already
   /// known, and the caller's select may carry observable side effects) —
-  /// and they re-appear at the front of the result's token stream, so a
-  /// resumed job's transcript is bit-identical to an uninterrupted run.
+  /// so a resumed job's transcript is bit-identical to an uninterrupted
+  /// run.
   std::vector<std::int32_t> resume_tokens;
+};
+
+/// A slot a tick retired, with its request's whole result.
+struct RetiredSlot {
+  std::size_t slot = 0;
+  GenerationResult result;
 };
 
 class BatchedGenerationScheduler {
@@ -74,24 +85,28 @@ class BatchedGenerationScheduler {
   BatchedGenerationScheduler(const Model& model, std::size_t max_batch,
                              core::PagedKVOptions kv = {});
 
-  /// Enqueue a request; returns its id (index into run()'s results).
-  /// Admission to a slot happens at the next tick.
-  std::size_t submit(GenerationRequest req);
+  /// Seat `req` in a free slot now and return the slot. The pool's
+  /// prefix trie — flushed first, so it holds every prompt block earlier
+  /// ticks completed — may seed the slot's block table with another
+  /// request's resident prompt blocks. Throws std::invalid_argument on a
+  /// request with no tokens to decode, and std::length_error when every
+  /// slot is taken.
+  std::size_t admit(GenerationRequest req);
 
-  /// Finish request `id` early with `reason` — kCancelled for an explicit
-  /// caller cancel, kDeadlineExceeded when the serving runtime's budget
-  /// expired (docs/serving.md). A still-queued request finishes with no
-  /// tokens; an active one keeps every token emitted so far and frees its
-  /// slot for the next tick's backfill. Returns false (and does nothing)
-  /// when the request already finished.
-  bool cancel(std::size_t id, StopReason reason = StopReason::kCancelled);
+  /// Free `slot` now and return its result, finished with `reason` —
+  /// kCancelled for a caller cancel or a preemption, kDeadlineExceeded
+  /// when the serving runtime's budget expired (docs/serving.md). The
+  /// result keeps every token of the transcript, earlier tenures'
+  /// included. Throws std::invalid_argument when nothing is seated there.
+  GenerationResult cancel(std::size_t slot,
+                          StopReason reason = StopReason::kCancelled);
 
-  /// Tokens emitted so far for request `id`, finished or not — the
+  /// The seated request's transcript so far (resume_tokens first) — the
   /// streaming view the serving layer reads after each tick to deliver
   /// per-token callbacks.
-  [[nodiscard]] const std::vector<std::int32_t>& tokens_so_far(
-      std::size_t id) const {
-    return results_.at(id).tokens;
+  [[nodiscard]] const std::vector<std::int32_t>& tokens(
+      std::size_t slot) const {
+    return slots_.at(slot).value().result.tokens;
   }
 
   /// The paged slot storage, for capacity/memory accounting (the
@@ -100,34 +115,28 @@ class BatchedGenerationScheduler {
     return pool_;
   }
 
-  /// One decode tick: backfill free slots from the queue, step every
-  /// active sequence by one token, retire finished ones. The per-slot
-  /// attention math runs in parallel across active slots on ctx.pool(),
-  /// bit-identical to the serial tick at any thread count. Throws
-  /// std::invalid_argument, naming the request, before anything launches
-  /// when a slot's embed() row is not 1 × d_model; cancelling that
-  /// request (or fixing its embed) and ticking again resumes the batch.
+  /// One decode tick: step every seated sequence by one token and retire
+  /// the finished ones. The per-slot attention math runs in parallel
+  /// across active slots on ctx.pool(), bit-identical to the serial tick
+  /// at any thread count. Throws std::invalid_argument, naming the slot,
+  /// before anything launches when a slot's embed() row is not
+  /// 1 × d_model; cancelling that slot (or fixing its embed) and ticking
+  /// again resumes the batch. Slots the capacity pre-check retired before
+  /// the throw are in take_retired() all the same.
   void tick(core::ExecContext& ctx);
 
-  /// Drain: tick until every submitted request has a result. Returns all
-  /// results so far, indexed by the id submit() returned.
-  std::vector<GenerationResult> run(core::ExecContext& ctx);
-
-  [[nodiscard]] const Model& model() const noexcept { return model_; }
-
-  [[nodiscard]] bool idle() const noexcept {
-    return queue_.empty() && active() == 0;
+  /// The slots retired since the last call, in retirement order, each
+  /// with its request's whole result. A retired slot is free at once.
+  [[nodiscard]] std::vector<RetiredSlot> take_retired() {
+    return std::exchange(retired_, {});
   }
-  [[nodiscard]] std::size_t pending() const noexcept { return queue_.size(); }
-  [[nodiscard]] std::size_t active() const noexcept;
+
+  [[nodiscard]] std::size_t active() const noexcept {
+    return pool_.num_slots() - pool_.free_slots();
+  }
   [[nodiscard]] std::size_t max_batch() const noexcept {
     return slots_.size();
   }
-
-  [[nodiscard]] bool finished(std::size_t id) const {
-    return completed_.at(id);
-  }
-  [[nodiscard]] const GenerationResult& result(std::size_t id) const;
 
   /// Tick accounting for benchmarks and tests.
   [[nodiscard]] std::size_t ticks() const noexcept { return ticks_; }
@@ -139,22 +148,21 @@ class BatchedGenerationScheduler {
   }
 
  private:
-  struct ActiveSlot {
-    std::size_t request_id = 0;
-    std::size_t replayed = 0;  ///< resume_tokens consumed so far
+  struct Seat {
+    DecodeParams params;
+    GenerationResult result;  // the transcript so far
   };
 
-  void admit(std::size_t request_id);
-  void retire(std::size_t pool_slot, StopReason reason);
+  /// Free `slot` and hand back its result, finished with `reason`.
+  GenerationResult release(std::size_t slot, StopReason reason);
+  void retire(std::size_t slot, StopReason reason) {
+    retired_.push_back({slot, release(slot, reason)});
+  }
 
   Model model_;
   core::PagedKVPool pool_;
-  std::vector<std::optional<ActiveSlot>> slots_;  // index == pool slot id
-  std::deque<std::size_t> queue_;                 // pending request ids
-
-  std::vector<GenerationRequest> requests_;
-  std::vector<GenerationResult> results_;
-  std::vector<bool> completed_;
+  std::vector<std::optional<Seat>> slots_;  // index == pool slot id
+  std::vector<RetiredSlot> retired_;
 
   std::size_t ticks_ = 0;
   std::size_t batched_ticks_ = 0;

@@ -81,7 +81,7 @@ RequestHandle InferenceServer::submit(Request req) {
   if (r.req.max_new_tokens == 0) {
     // Nothing to decode: the empty happy path completes without touching
     // the queue or a slot, mirroring the scheduler's own semantics.
-    finish_unadmitted(h.id, nn::StopReason::kMaxTokens, tick_);
+    finish(h.id, nn::StopReason::kMaxTokens, tick_);
     completed_->inc();
     return h;
   }
@@ -90,14 +90,14 @@ RequestHandle InferenceServer::submit(Request req) {
     // owns; when it is full the honest answer is an immediate typed
     // rejection, not unbounded growth or silent blocking.
     r.reject_reason = RejectReason::kQueueFull;
-    finish_unadmitted(h.id, nn::StopReason::kRejected, tick_);
+    finish(h.id, nn::StopReason::kRejected, tick_);
     rejected_->inc();
     return h;
   }
   if (r.req.total_budget_ticks == 0) {
     // Deadline checked at admission: a zero end-to-end budget can never
     // produce a token, so it expires before it wastes queue space.
-    finish_unadmitted(h.id, nn::StopReason::kDeadlineExceeded, tick_);
+    finish(h.id, nn::StopReason::kDeadlineExceeded, tick_);
     expired_->inc();
     return h;
   }
@@ -155,7 +155,7 @@ RequestHandle InferenceServer::submit(Request req) {
                          : 1 + (ahead - capacity) / sched_.max_batch();
     if (est_wait > r.req.queue_budget_ticks) {
       r.reject_reason = RejectReason::kShed;
-      finish_unadmitted(h.id, nn::StopReason::kRejected, tick_);
+      finish(h.id, nn::StopReason::kRejected, tick_);
       shed_->inc();
       return h;
     }
@@ -174,14 +174,15 @@ bool InferenceServer::cancel(RequestHandle h) {
     // into the result).
     auto& q = queues_[static_cast<std::size_t>(r.req.priority)];
     q.erase(std::find(q.begin(), q.end(), h.id));
-    finish_unadmitted(h.id, nn::StopReason::kCancelled, tick_);
+    finish(h.id, nn::StopReason::kCancelled, tick_);
     cancelled_->inc();
     return true;
   }
   // Active: retire the slot now; tokens already emitted are kept (and
   // were already streamed after the tick that produced them).
-  sched_.cancel(r.sched_id, nn::StopReason::kCancelled);
-  finish_admitted(h.id, tick_, /*device_us=*/-1.0);
+  finish_admitted(h.id, tick_,
+                  sched_.cancel(r.slot, nn::StopReason::kCancelled),
+                  /*device_us=*/-1.0);
   cancelled_->inc();
   return true;
 }
@@ -202,7 +203,7 @@ void InferenceServer::expire_queued(std::size_t t) {
       if (queue_out || total_out) {
         const std::uint64_t id = q[i];
         q.erase(q.begin() + static_cast<std::ptrdiff_t>(i));
-        finish_unadmitted(id, nn::StopReason::kDeadlineExceeded, t);
+        finish(id, nn::StopReason::kDeadlineExceeded, t);
         expired_->inc();
       } else {
         ++i;
@@ -222,14 +223,17 @@ void InferenceServer::expire_active(std::size_t t) {
     }
   }
   for (const std::uint64_t id : out) {
-    sched_.cancel(records_[id].sched_id, nn::StopReason::kDeadlineExceeded);
-    finish_admitted(id, t, /*device_us=*/-1.0);
+    finish_admitted(
+        id, t,
+        sched_.cancel(records_[id].slot, nn::StopReason::kDeadlineExceeded),
+        /*device_us=*/-1.0);
     expired_->inc();
   }
 }
 
 void InferenceServer::admit_from_queues(std::size_t t) {
   std::size_t free = sched_.max_batch() - sched_.active();
+  std::vector<std::uint64_t> admitted;  // admission order
   for (auto& q : queues_) {  // class order: interactive, normal, bulk
     for (std::size_t i = 0; free > 0 && i < q.size();) {
       if (records_[q[i]].earliest_admit_tick > t) {
@@ -238,22 +242,22 @@ void InferenceServer::admit_from_queues(std::size_t t) {
         ++i;
         continue;
       }
-      const std::uint64_t id = q[i];
+      admitted.push_back(q[i]);
       q.erase(q.begin() + static_cast<std::ptrdiff_t>(i));
-      admit_one(id, t);
       --free;
     }
   }
-  if (!cfg_.enable_preemption) return;
-  // Preemption pass. Every slot is occupied by now (an eligible waiter
+  // Preemption pass. Every slot is promised by now (an eligible waiter
   // plus a free slot would have been matched above), so a request whose
   // class strictly outranks some active request's class may displace it:
   // the victim's slot is released and the victim requeued with its
   // tokens as a replay prefix (recompute-resume). Bulk, the lowest
   // class, never preempts. Displacement cascades deterministically — a
   // normal request preempted by an interactive one may in turn displace
-  // an active bulk request this same tick.
-  for (std::size_t c = 0; c + 1 < kPriorityClasses; ++c) {
+  // an active bulk request this same tick. A request admitted in this
+  // pass is never a victim: it is of the candidate's class or higher.
+  for (std::size_t c = 0; cfg_.enable_preemption && c + 1 < kPriorityClasses;
+       ++c) {
     auto& q = queues_[c];
     for (std::size_t i = 0; i < q.size();) {
       if (records_[q[i]].earliest_admit_tick > t) {
@@ -263,30 +267,29 @@ void InferenceServer::admit_from_queues(std::size_t t) {
       const std::size_t victim = pick_victim(static_cast<Priority>(c));
       if (victim == active_.size()) break;  // nothing below class c runs
       preempt(victim, t);
-      const std::uint64_t id = q[i];
+      admitted.push_back(q[i]);
       q.erase(q.begin() + static_cast<std::ptrdiff_t>(i));
-      admit_one(id, t);
     }
   }
+  // Seat after the whole pass, in admission order, so every release the
+  // tick made (expiry, preemption) precedes every acquisition: the LIFO
+  // free list and prefix aliasing then see one order.
+  for (const std::uint64_t id : admitted) admit_one(id, t);
 }
 
 void InferenceServer::admit_one(std::uint64_t id, std::size_t t) {
   Record& r = records_[id];
   nn::GenerationRequest g;
   // The generation job is the shared DecodeParams slice of the serving
-  // Request — COPIED, not moved: a later preemption or fault retry
-  // re-submits the same job with a longer replay prefix, so the record
-  // keeps its params until the request is terminal.
+  // Request — COPIED, not moved: a later preemption or fault retry seats
+  // the same job again, so the record keeps its params until the request
+  // is terminal. The transcript moves: the seat holds it until the slot
+  // hands the whole result back.
   static_cast<nn::DecodeParams&>(g) =
       static_cast<const nn::DecodeParams&>(r.req);
-  // COPIED, not moved: until the new tenure's replay has caught up,
-  // r.resume stays the authoritative transcript — the scheduler result
-  // holds only the replayed-so-far prefix, and a displacement or
-  // termination mid-replay must not shrink what was already delivered
-  // (harvest clears it once the replay is complete).
-  g.resume_tokens = r.resume;
-  r.replay_len = r.resume.size();
-  r.sched_id = sched_.submit(std::move(g));
+  r.replay_len = r.result.tokens.size();
+  g.resume_tokens = std::exchange(r.result.tokens, {});
+  r.slot = sched_.admit(std::move(g));
   if (r.admitted_tick == kNoTick) r.admitted_tick = t;
   r.admit_device_us = device_us_;
   r.state = RequestState::kActive;
@@ -318,93 +321,85 @@ void InferenceServer::preempt(std::size_t victim, std::size_t t) {
   if (r.preemptions >= cfg_.preemption_limit) {
     // The cap converts endless churn into an honest terminal state: the
     // request keeps every token it emitted, typed kPreemptionLimit.
-    sched_.cancel(r.sched_id, nn::StopReason::kPreemptionLimit);
-    finish_admitted(id, t, /*device_us=*/-1.0);
+    finish_admitted(id, t,
+                    sched_.cancel(r.slot, nn::StopReason::kPreemptionLimit),
+                    /*device_us=*/-1.0);
     return;
   }
   ++r.preemptions;
   preemptions_->inc();
-  // Retire the slot (KV released back to the pool); the emitted tokens
-  // become the replay prefix that rebuilds the KV on re-admission. If
-  // this tenure was itself still replaying, the scheduler result is
-  // only the replayed-so-far prefix of r.resume — keep the longer
-  // transcript, never shrink it below what was already streamed.
-  sched_.cancel(r.sched_id, nn::StopReason::kCancelled);
-  const auto& toks = sched_.result(r.sched_id).tokens;
-  if (toks.size() > r.resume.size()) r.resume = toks;
-  r.state = RequestState::kPreempted;
-  r.queued_since_tick = t;  // fresh queue stint
-  r.earliest_admit_tick = 0;
+  // Retire the slot (KV released back to the pool); the transcript
+  // becomes the replay prefix that rebuilds the KV on re-admission. Head
+  // of its class, in a fresh queue stint: the victim outranks everything
+  // waiting behind it (it had already been admitted once).
+  requeue(id, sched_.cancel(r.slot, nn::StopReason::kCancelled).tokens,
+          RequestState::kPreempted, t, 0);
+}
+
+void InferenceServer::requeue(std::uint64_t id,
+                              std::vector<std::int32_t> transcript,
+                              RequestState state, std::size_t queued_since,
+                              std::size_t earliest_admit) {
+  Record& r = records_[id];
+  r.result = nn::GenerationResult{};
+  r.result.tokens = std::move(transcript);
+  r.state = state;
+  r.queued_since_tick = queued_since;
+  r.earliest_admit_tick = earliest_admit;
   std::erase(active_, id);
-  // Head of its class: the victim outranks everything waiting behind it
-  // (it had already been admitted once).
   queues_[static_cast<std::size_t>(r.req.priority)].push_front(id);
 }
 
 void InferenceServer::harvest(std::size_t t) {
-  std::vector<std::uint64_t> done;
+  std::vector<nn::RetiredSlot> retired = sched_.take_retired();
+  std::vector<std::pair<std::uint64_t, nn::GenerationResult>> done;
   for (const std::uint64_t id : active_) {
     Record& r = records_[id];
-    const auto& toks = sched_.tokens_so_far(r.sched_id);
-    // While a recompute-resume replay is catching up, toks is a prefix
-    // of what was already streamed — the guard keeps every token's
-    // delivery (and its count) exactly-once across tenures.
-    if (toks.size() > r.streamed) {
-      for (std::size_t j = r.streamed; j < toks.size(); ++j) {
-        if (j == 0) {
-          ttft_->observe(static_cast<double>(t + 1 - r.submitted_tick));
-        }
-        if (r.req.on_token) r.req.on_token(id, toks[j], j);
+    const auto it = std::find_if(
+        retired.begin(), retired.end(),
+        [&r](const nn::RetiredSlot& x) { return x.slot == r.slot; });
+    const std::vector<std::int32_t>& toks =
+        it != retired.end() ? it->result.tokens : sched_.tokens(r.slot);
+    // The transcript holds earlier tenures too: only what lies past
+    // `streamed` is new, so each token is delivered (and counted) once.
+    for (std::size_t j = r.streamed; j < toks.size(); ++j) {
+      if (j == 0) {
+        ttft_->observe(static_cast<double>(t + 1 - r.submitted_tick));
       }
-      tokens_emitted_->inc(toks.size() - r.streamed);
-      r.streamed = toks.size();
+      if (r.req.on_token) r.req.on_token(id, toks[j], j);
     }
-    if (!r.resume.empty() && toks.size() >= r.resume.size()) {
-      // Replay caught up: from here the scheduler transcript supersedes
-      // the kept prefix, so the copy retained at admission can go.
-      r.resume.clear();
-    }
-    if (sched_.finished(r.sched_id)) done.push_back(id);
+    tokens_emitted_->inc(toks.size() - r.streamed);
+    r.streamed = toks.size();
+    if (it != retired.end()) done.emplace_back(id, std::move(it->result));
   }
-  for (const std::uint64_t id : done) {
+  for (auto& [id, res] : done) {
     Record& r = records_[id];
-    const auto& res = sched_.result(r.sched_id);
     if (res.stop_reason == nn::StopReason::kKernelFault) {
       kernel_faults_->inc();  // every fault event, retried or terminal
       if (r.retries < r.req.retry_budget) {
         // Fault retry with recompute: requeue at the head of the class
         // (the request has seniority — it was admitted once already),
-        // gated by the backoff before it may take a slot again. Emitted
-        // tokens become the replay prefix, so the resumed transcript is
-        // bit-identical to a fault-free run.
+        // gated by the backoff before it may take a slot again. The
+        // transcript becomes the replay prefix, so the resumed
+        // transcript is bit-identical to a fault-free run.
         ++r.retries;
         retries_->inc();
-        // A fault can strike while this tenure is still replaying, in
-        // which case res.tokens is the shorter replayed-so-far prefix —
-        // keep whichever transcript is longer.
-        if (res.tokens.size() > r.resume.size()) r.resume = res.tokens;
-        r.state = RequestState::kQueued;
-        r.queued_since_tick = t + 1;
-        r.earliest_admit_tick = t + 1 + r.req.retry_backoff_ticks;
-        std::erase(active_, id);
-        queues_[static_cast<std::size_t>(r.req.priority)].push_front(id);
+        requeue(id, std::move(res.tokens), RequestState::kQueued, t + 1,
+                t + 1 + r.req.retry_backoff_ticks);
         continue;
       }
     }
-    finish_admitted(id, t + 1, device_us_);
+    finish_admitted(id, t + 1, std::move(res), device_us_);
     completed_->inc();
   }
 }
 
-void InferenceServer::finish_unadmitted(std::uint64_t id,
-                                        nn::StopReason reason,
-                                        std::size_t t) {
+void InferenceServer::finish(std::uint64_t id, nn::StopReason reason,
+                             std::size_t t) {
   Record& r = records_[id];
+  // The transcript earlier slot tenures emitted stays: a request
+  // cancelled or expired while preempted keeps its output.
   r.result.stop_reason = reason;
-  // Tokens from earlier slot tenures survive a terminal-from-the-queue:
-  // a request cancelled or expired while preempted keeps its output.
-  r.result.tokens = std::move(r.resume);
-  r.resume.clear();
   r.state = RequestState::kFinished;
   r.finished_tick = t;
   stop_reason_[static_cast<std::size_t>(reason)]->inc();
@@ -414,23 +409,12 @@ void InferenceServer::finish_unadmitted(std::uint64_t id,
 }
 
 void InferenceServer::finish_admitted(std::uint64_t id, std::size_t t,
+                                      nn::GenerationResult result,
                                       double device_us) {
   Record& r = records_[id];
-  r.result = sched_.result(r.sched_id);
-  // Terminated mid-replay (preemption-limit, cancel, expiry): the
-  // scheduler transcript is only the replayed-so-far prefix of what
-  // earlier tenures already delivered — r.resume, still held from
-  // admission, is then the longer, authoritative token stream.
-  if (r.resume.size() > r.result.tokens.size()) {
-    r.result.tokens = std::move(r.resume);
-  }
-  r.resume.clear();
-  r.streamed = r.result.tokens.size();
-  r.state = RequestState::kFinished;
-  r.finished_tick = t;
+  r.result = std::move(result);
   std::erase(active_, id);
   e2e_->observe(static_cast<double>(t - r.submitted_tick));
-  stop_reason_[static_cast<std::size_t>(r.result.stop_reason)]->inc();
   // kernel_faults is counted per fault EVENT in harvest (a retried fault
   // still counts), not here at the terminal.
   //
@@ -447,9 +431,7 @@ void InferenceServer::finish_admitted(std::uint64_t id, std::size_t t,
       tokens_per_sec_->observe(1e6 * static_cast<double>(fresh) / span);
     }
   }
-  r.req.embed = nullptr;
-  r.req.select = nullptr;
-  r.req.on_token = nullptr;
+  finish(id, r.result.stop_reason, t);
 }
 
 void InferenceServer::refresh_gauges() {
@@ -481,10 +463,17 @@ void InferenceServer::tick(core::ExecContext& ctx) {
   expire_active(t);
   admit_from_queues(t);
   ticks_->inc();
-  if (sched_.active() > 0 || sched_.pending() > 0) {
+  if (sched_.active() > 0) {
     const gpusim::Device& dev = ctx.device();
     const double before = dev.total_time_us();
-    sched_.tick(ctx);
+    try {
+      sched_.tick(ctx);
+    } catch (...) {
+      // Slots the tick retired before it threw (its capacity pre-check
+      // runs first) finish now, so a cancel() on one loses the race.
+      harvest(t);
+      throw;
+    }
     // device_us_ += after - before, grouped so that while nothing else
     // launches on the device (one server, fresh device) device_us_ equals
     // before and the sum stays bit-identical to the device total.
@@ -536,11 +525,7 @@ const nn::GenerationResult& InferenceServer::result(RequestHandle h) const {
 }
 
 bool InferenceServer::idle() const noexcept {
-  if (!active_.empty()) return false;
-  for (const auto& q : queues_) {
-    if (!q.empty()) return false;
-  }
-  return true;
+  return active_.empty() && queue_depth() == 0;
 }
 
 std::size_t InferenceServer::queue_depth() const noexcept {

@@ -1,11 +1,13 @@
 // serving::InferenceServer — the request-level serving runtime above
 // nn::BatchedGenerationScheduler (docs/serving.md).
 //
-// The scheduler (PR 2/3) decodes whatever it is given; this layer adds
-// the notion of a *request* arriving, waiting, being admitted, timing
-// out, being cancelled — the continuous-batching runtime that keeps the
-// fused decode tick's batch full under real traffic (the throughput
-// story of serving-oriented transformer stacks, Li et al. 2021):
+// The server is the one owner of every request, from submit() to its
+// result; the scheduler holds only the slots it seats admissions in. This
+// layer adds the notion of a *request* arriving, waiting, being
+// admitted, timing out, being cancelled — the continuous-batching
+// runtime that keeps the fused decode tick's batch full under real
+// traffic (the throughput story of serving-oriented transformer stacks,
+// Li et al. 2021):
 //
 //   - a bounded admission queue with explicit backpressure: submit() on a
 //     full queue finishes the request immediately with
@@ -24,8 +26,8 @@
 //     higher-priority arrival finds every slot occupied, the
 //     lowest-priority, most-recently-admitted active request is
 //     preempted — its KV slot released, the request requeued at the HEAD
-//     of its class carrying the tokens emitted so far; on re-admission
-//     the scheduler replays that prefix through the fused tick to
+//     of its class carrying its transcript; on re-admission the
+//     scheduler replays that transcript through the fused tick to
 //     rebuild the KV, so the resumed transcript is bit-identical to an
 //     uninterrupted run. A per-request preemption cap turns the
 //     (cap+1)th preemption into StopReason::kPreemptionLimit;
@@ -261,6 +263,8 @@ class InferenceServer {
   ///   3. run one scheduler tick (fused batched decode),
   ///   4. deliver streaming tokens and retire finished requests,
   ///   5. refresh the gauges.
+  /// If the scheduler tick throws, the requests it retired first are
+  /// finished before the exception propagates.
   void tick(core::ExecContext& ctx);
 
   /// Drive until every submitted request has finished.
@@ -279,14 +283,11 @@ class InferenceServer {
   /// Coarse load state derived from the queue backlog (also exported as
   /// the `health` gauge each tick).
   [[nodiscard]] ServerHealth health() const noexcept;
-  [[nodiscard]] std::size_t active_slots() const noexcept {
-    return sched_.active();
-  }
-  [[nodiscard]] std::size_t max_batch() const noexcept {
-    return sched_.max_batch();
-  }
-  [[nodiscard]] const nn::Model& model() const noexcept {
-    return sched_.model();
+  /// The batched scheduler underneath: slot occupancy, tick counters
+  /// and the KV pool.
+  [[nodiscard]] const nn::BatchedGenerationScheduler& scheduler()
+      const noexcept {
+    return sched_;
   }
   /// The logical clock: number of completed drive ticks.
   [[nodiscard]] std::size_t now() const noexcept { return tick_; }
@@ -304,21 +305,18 @@ class InferenceServer {
     std::size_t submitted_tick = 0;
     std::size_t admitted_tick = kNoTick;  // first admission only
     std::size_t finished_tick = kNoTick;
-    std::size_t sched_id = 0;       // valid once admitted (latest tenure)
+    std::size_t slot = 0;           // scheduler slot while active
     std::size_t streamed = 0;       // tokens already delivered to on_token
     std::size_t preemptions = 0;    // slot tenures lost to a higher class
     std::size_t retries = 0;        // kernel-fault retries consumed
     std::size_t queued_since_tick = 0;     // start of the current queue stint
     std::size_t earliest_admit_tick = 0;   // retry backoff gate
-    std::size_t replay_len = 0;  // resume-prefix length at latest admission
-    // Emitted tokens awaiting replay. Retained (not moved) across an
-    // admission until the new tenure's replay catches up: while the
-    // scheduler is still replaying, its result holds only a prefix of
-    // this transcript, and any mid-replay displacement or termination
-    // must keep the longer of the two.
-    std::vector<std::int32_t> resume;
+    std::size_t replay_len = 0;  // transcript length at latest admission
     double admit_device_us = 0.0;   // engine clock at latest admission
-    nn::GenerationResult result;    // final outcome (copied from scheduler)
+    // While the request waits: its transcript (the tokens earlier slot
+    // tenures emitted). While a slot holds it: empty — admission moved
+    // the transcript into the seat. Once finished: the final outcome.
+    nn::GenerationResult result;
   };
 
   void expire_queued(std::size_t t);
@@ -327,28 +325,33 @@ class InferenceServer {
   void harvest(std::size_t t);
   void refresh_gauges();
 
-  /// Move a queued request into a scheduler slot (DecodeParams are
-  /// COPIED — a later preemption/retry re-submits them; Record::resume
-  /// rides along as the scheduler's replay prefix).
+  /// Seat a request the admission pass took off its queue in a scheduler
+  /// slot (DecodeParams are COPIED — a later preemption/retry seats them
+  /// again; the transcript is moved into the seat as its replay prefix).
   void admit_one(std::uint64_t id, std::size_t t);
   /// Index into active_ of the preemption victim for an arrival of class
   /// `cls`: lowest priority strictly below `cls`, most recently admitted
   /// among those. active_.size() when nobody is preemptible.
   [[nodiscard]] std::size_t pick_victim(Priority cls) const noexcept;
   /// Displace active_[victim]: release its slot and requeue it at the
-  /// head of its class with its tokens as the replay prefix — unless its
-  /// preemption cap is already spent, in which case it finishes with
+  /// head of its class with its transcript as the replay prefix — unless
+  /// its preemption cap is already spent, in which case it finishes with
   /// StopReason::kPreemptionLimit. Either way one slot is free after.
   void preempt(std::size_t victim, std::size_t t);
+  /// Put an active request back at the head of its class queue in
+  /// `state`, holding `transcript`, seatable from `earliest_admit` on.
+  void requeue(std::uint64_t id, std::vector<std::int32_t> transcript,
+               RequestState state, std::size_t queued_since,
+               std::size_t earliest_admit);
 
   /// Finish a request that is not in a slot (reject / shed / cancel /
-  /// queue expiry). Tokens from earlier tenures (Record::resume) become
-  /// the result's token stream, so a request cancelled while preempted
-  /// keeps everything it emitted.
-  void finish_unadmitted(std::uint64_t id, nn::StopReason reason,
-                         std::size_t t);
-  /// Finish an admitted request whose scheduler result is final.
-  void finish_admitted(std::uint64_t id, std::size_t t, double device_us);
+  /// queue expiry, and the tail of finish_admitted). The transcript it
+  /// holds stays the result's token stream, so a request cancelled while
+  /// preempted keeps everything it emitted.
+  void finish(std::uint64_t id, nn::StopReason reason, std::size_t t);
+  /// Finish an admitted request with the result its slot handed back.
+  void finish_admitted(std::uint64_t id, std::size_t t,
+                       nn::GenerationResult result, double device_us);
 
   Record& record(RequestHandle h) { return records_.at(h.id); }
   [[nodiscard]] const Record& record(RequestHandle h) const {

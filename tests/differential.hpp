@@ -1,7 +1,8 @@
 // Differential-testing harness for batched generation (docs/serving.md):
 // the same workload is decoded twice — N independent nn::generate runs
-// (the sequential reference) and one BatchedGenerationScheduler run — and
-// the two transcripts must match BIT FOR BIT.
+// (the sequential reference) and one batched run through
+// serving::InferenceServer — and the two transcripts must match BIT FOR
+// BIT.
 //
 // Bit-identity is checkable because the embed/select closures are
 // deterministic hash functions: embed() derives every input row from
@@ -36,7 +37,6 @@
 #include <vector>
 
 #include "core/exec_context.hpp"
-#include "nn/batched_generation.hpp"
 #include "nn/generation.hpp"
 #include "serving/server.hpp"
 
@@ -112,7 +112,7 @@ inline nn::SelectFn make_scripted_select(
   };
 }
 
-/// One generation job in harness terms; expanded to a GenerationRequest
+/// One generation job in harness terms; expanded to a serving::Request
 /// (batched run) or a generate() call (sequential run) with per-request
 /// embed/select closures derived from `seed`.
 struct Request {
@@ -174,69 +174,11 @@ inline std::vector<Outcome> run_sequential(
   return outcomes;
 }
 
-struct BatchedRun {
-  std::vector<Outcome> outcomes;
-  std::size_t ticks = 0;
-  std::size_t batched_ticks = 0;
-  std::size_t per_slot_fallback_ticks = 0;
-};
-
 /// Called before each tick with the number of ticks already run, so a
 /// test can arm the device's FaultInjector mid-stream (e.g. to strike a
 /// slot in its second tick).
 using BeforeTick = std::function<void(std::size_t ticks_run,
                                       gpusim::Device& dev)>;
-
-/// Batched run: submit everything up front, drain the scheduler. The
-/// device is caller-provided so tests can arm its FaultInjector first, or
-/// from `before_tick`. `threads` sizes the ExecContext pool the scheduler
-/// ticks run on; every thread count must produce the same transcript bit
-/// for bit.
-inline BatchedRun run_batched(gpusim::Device& dev,
-                              const std::vector<nn::EncoderWeights>& layers,
-                              const nn::EncoderOptions& opt,
-                              std::size_t max_batch, std::size_t max_context,
-                              const std::vector<Request>& requests,
-                              std::int32_t vocab, std::size_t threads = 1,
-                              core::PagedKVOptions kv = {},
-                              std::optional<nn::WeightFormat> format = {},
-                              bool scripted = false,
-                              const BeforeTick& before_tick = {}) {
-  core::ExecContext ctx(dev, threads);
-  BatchedRun run;
-  run.outcomes.resize(requests.size());
-  nn::BatchedGenerationScheduler sched(
-      nn::Model(&layers, opt, max_context, format), max_batch, kv);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const Request& r = requests[i];
-    nn::GenerationRequest req;
-    req.first_token = r.first_token;
-    req.prompt_tokens = r.prompt;
-    req.prefix_group = r.prefix_group;
-    req.max_new_tokens = r.max_new_tokens;
-    req.embed = make_embed(opt.attn.d_model, r.seed);
-    req.select =
-        scripted ? make_scripted_select(vocab, r.seed,
-                                        &run.outcomes[i].hidden_hashes,
-                                        &run.outcomes[i].hidden_values)
-                 : make_select(vocab, &run.outcomes[i].hidden_hashes);
-    req.eos_token = r.eos_token;
-    const std::size_t id = sched.submit(std::move(req));
-    EXPECT_EQ(id, i);
-  }
-  while (!sched.idle()) {
-    if (before_tick) before_tick(sched.ticks(), dev);
-    sched.tick(ctx);
-  }
-  const auto results = sched.run(ctx);  // idle: returns every result
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    run.outcomes[i].result = results[i];
-  }
-  run.ticks = sched.ticks();
-  run.batched_ticks = sched.batched_ticks();
-  run.per_slot_fallback_ticks = sched.per_slot_fallback_ticks();
-  return run;
-}
 
 /// One scripted arrival for the serving runtime: `request` becomes a
 /// serving::Request submitted right before the server's tick number
@@ -256,6 +198,13 @@ struct ServedRun {
   std::vector<Outcome> outcomes;  // indexed by arrival order
   std::vector<serving::RequestHandle> handles;
   std::size_t ticks = 0;
+  /// The scheduler's tick counters.
+  std::size_t batched_ticks = 0;
+  std::size_t per_slot_fallback_ticks = 0;
+  /// The KV pool after the drain: zero used bytes means every block came
+  /// back.
+  std::size_t kv_used_bytes = 0;
+  std::size_t kv_free_blocks = 0;
   std::string metrics_json;  ///< full snapshot at drain (determinism probe)
   /// The same snapshot as named fields, for comparisons that must exempt
   /// specific scalars (the sharing-differential exempts the four
@@ -268,7 +217,8 @@ struct ServedRun {
 /// `threads` sizes the ExecContext pool; every thread count must
 /// reproduce the same transcripts bit for bit — the serving axis of the
 /// differential sweep (docs/serving.md). `before_tick` sees the server's
-/// tick clock.
+/// tick clock. `format` forwards to the nn::Model handle; `scripted`
+/// swaps in the precision-independent select and logs hidden values.
 inline ServedRun run_served(gpusim::Device& dev,
                             const std::vector<nn::EncoderWeights>& layers,
                             const nn::EncoderOptions& opt,
@@ -276,9 +226,12 @@ inline ServedRun run_served(gpusim::Device& dev,
                             const serving::ServerConfig& cfg,
                             const std::vector<Arrival>& arrivals,
                             std::int32_t vocab, std::size_t threads = 1,
-                            const BeforeTick& before_tick = {}) {
+                            const BeforeTick& before_tick = {},
+                            std::optional<nn::WeightFormat> format = {},
+                            bool scripted = false) {
   core::ExecContext ctx(dev, threads);
-  serving::InferenceServer server(nn::Model(&layers, opt, max_context), cfg);
+  serving::InferenceServer server(
+      nn::Model(&layers, opt, max_context, format), cfg);
   ServedRun run;
   run.outcomes.resize(arrivals.size());
   std::size_t next = 0;  // arrivals must be sorted by tick
@@ -291,7 +244,11 @@ inline ServedRun run_served(gpusim::Device& dev,
       req.prefix_group = a.request.prefix_group;
       req.max_new_tokens = a.request.max_new_tokens;
       req.embed = make_embed(opt.attn.d_model, a.request.seed);
-      req.select = make_select(vocab, &run.outcomes[next].hidden_hashes);
+      Outcome& o = run.outcomes[next];
+      req.select = scripted ? make_scripted_select(vocab, a.request.seed,
+                                                   &o.hidden_hashes,
+                                                   &o.hidden_values)
+                            : make_select(vocab, &o.hidden_hashes);
       req.eos_token = a.request.eos_token;
       req.priority = a.priority;
       req.queue_budget_ticks = a.queue_budget;
@@ -308,9 +265,40 @@ inline ServedRun run_served(gpusim::Device& dev,
     run.outcomes[i].result = server.result(run.handles[i]);
   }
   run.ticks = server.now();
+  run.batched_ticks = server.scheduler().batched_ticks();
+  run.per_slot_fallback_ticks = server.scheduler().per_slot_fallback_ticks();
+  run.kv_used_bytes = server.scheduler().pool().used_bytes();
+  run.kv_free_blocks = server.scheduler().pool().allocator().free_blocks();
   run.metrics_json = server.metrics().json(0);
   run.scalars = server.metrics().scalars();
   return run;
+}
+
+/// Batched run: every request arrives at tick 0 to a server with
+/// `max_batch` slots and a queue that holds them all, drained. The
+/// device is caller-provided so tests can arm its FaultInjector first, or
+/// from `before_tick`. Every thread count must produce the same
+/// transcript bit for bit.
+inline ServedRun run_batched(gpusim::Device& dev,
+                             const std::vector<nn::EncoderWeights>& layers,
+                             const nn::EncoderOptions& opt,
+                             std::size_t max_batch, std::size_t max_context,
+                             const std::vector<Request>& requests,
+                             std::int32_t vocab, std::size_t threads = 1,
+                             core::PagedKVOptions kv = {},
+                             std::optional<nn::WeightFormat> format = {},
+                             bool scripted = false,
+                             const BeforeTick& before_tick = {}) {
+  serving::ServerConfig cfg;
+  cfg.max_batch = max_batch;
+  cfg.queue_capacity = requests.size();
+  cfg.kv = kv;
+  std::vector<Arrival> arrivals(requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    arrivals[i].request = requests[i];
+  }
+  return run_served(dev, layers, opt, max_context, cfg, arrivals, vocab,
+                    threads, before_tick, format, scripted);
 }
 
 /// The four scalars prefix sharing is ALLOWED to change — its own

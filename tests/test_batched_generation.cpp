@@ -5,6 +5,7 @@
 // for the harness and docs/serving.md for the methodology.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <ostream>
 
 #include "differential.hpp"
@@ -345,47 +346,91 @@ TEST(BatchedGenerationApi, RejectsZeroMaxBatchButAcceptsPrecomputedVo) {
   req.max_new_tokens = 3;
   req.embed = et::diff::make_embed(32, 5);
   req.select = et::diff::make_select(kVocab);
-  const std::size_t id = sched.submit(std::move(req));
+  const std::size_t slot = sched.admit(std::move(req));
   et::gpusim::Device dev;
   et::core::ExecContext ctx(dev);
-  (void)sched.run(ctx);
-  EXPECT_EQ(sched.result(id).stop_reason, et::nn::StopReason::kMaxTokens);
-  EXPECT_EQ(sched.result(id).tokens.size(), 3u);
+  while (sched.active() > 0) sched.tick(ctx);
+  const auto retired = sched.take_retired();
+  ASSERT_EQ(retired.size(), 1u);
+  EXPECT_EQ(retired[0].slot, slot);
+  EXPECT_EQ(retired[0].result.stop_reason, et::nn::StopReason::kMaxTokens);
+  EXPECT_EQ(retired[0].result.tokens.size(), 3u);
 }
 
-TEST(BatchedGenerationApi, ZeroTokenRequestCompletesWithoutASlot) {
+// The scheduler seats only what it can decode: a request with no tokens
+// to decode and a request that finds every slot taken are refused, and
+// neither takes a slot.
+TEST(BatchedGenerationApi, AdmitRefusesZeroTokensAndAFullPool) {
   const Model m = make_model(1, 32, 2, 8, 27, false);
   et::nn::BatchedGenerationScheduler sched(et::nn::Model(&m.layers, m.opt, 8),
-                                           2);
-  et::nn::GenerationRequest req;
-  req.max_new_tokens = 0;
-  req.embed = et::diff::make_embed(32, 1);
-  req.select = et::diff::make_select(kVocab);
-  const std::size_t id = sched.submit(std::move(req));
-  EXPECT_TRUE(sched.finished(id));
-  EXPECT_TRUE(sched.idle());
-  EXPECT_TRUE(sched.result(id).tokens.empty());
-  EXPECT_EQ(sched.result(id).stop_reason, et::nn::StopReason::kMaxTokens);
+                                           1);
+  const auto request = [](std::size_t tokens) {
+    et::nn::GenerationRequest req;
+    req.max_new_tokens = tokens;
+    req.embed = et::diff::make_embed(32, 1);
+    req.select = et::diff::make_select(kVocab);
+    return req;
+  };
+  EXPECT_THROW((void)sched.admit(request(0)), std::invalid_argument);
+  EXPECT_EQ(sched.active(), 0u);
+  EXPECT_EQ(sched.admit(request(2)), 0u);
+  EXPECT_THROW((void)sched.admit(request(2)), std::length_error);
+  EXPECT_EQ(sched.active(), 1u);
+  EXPECT_THROW((void)sched.cancel(1), std::invalid_argument);
+  EXPECT_EQ(sched.cancel(0).stop_reason, et::nn::StopReason::kCancelled);
+  EXPECT_EQ(sched.active(), 0u);
+  EXPECT_TRUE(sched.take_retired().empty());  // a cancel hands back directly
 }
 
-TEST(BatchedGenerationApi, ResultThrowsUntilTheRequestFinishes) {
-  const Model m = make_model(1, 32, 2, 8, 29, false);
-  et::nn::BatchedGenerationScheduler sched(et::nn::Model(&m.layers, m.opt, 8),
-                                           2);
-  et::nn::GenerationRequest req;
-  req.max_new_tokens = 2;
-  req.embed = et::diff::make_embed(32, 2);
-  req.select = et::diff::make_select(kVocab);
-  const std::size_t id = sched.submit(std::move(req));
-  EXPECT_FALSE(sched.finished(id));
-  EXPECT_THROW((void)sched.result(id), std::logic_error);
-  EXPECT_EQ(sched.pending(), 1u);
+// A seated request's transcript starts with its resume_tokens: the tick
+// replays those positions without calling select(), the result carries
+// them at its front, and a cancel mid-replay hands back the whole
+// transcript rather than the replayed-so-far part.
+TEST(BatchedGenerationApi, SeatedTranscriptStartsWithResumeTokens) {
+  const std::size_t max_context = 8, tokens = 5, resumed = 3;
+  const Model m = make_model(2, 32, 2, max_context, 33, false);
+  const std::vector<Request> requests = {{4, tokens, et::nn::kNoEosToken, 45}};
+  et::gpusim::Device seq_dev;
+  const auto sequential = et::diff::run_sequential(
+      seq_dev, m.layers, m.opt, max_context, requests, kVocab);
+  const std::vector<std::int32_t>& reference = sequential[0].result.tokens;
+  ASSERT_EQ(reference.size(), tokens);
 
   et::gpusim::Device dev;
   et::core::ExecContext ctx(dev);
-  (void)sched.run(ctx);
-  EXPECT_TRUE(sched.finished(id));
-  EXPECT_EQ(sched.result(id).tokens.size(), 2u);
+  et::nn::BatchedGenerationScheduler sched(
+      et::nn::Model(&m.layers, m.opt, max_context), 1);
+  std::vector<std::uint64_t> hashes;
+  const auto request = [&] {
+    et::nn::GenerationRequest req;
+    req.first_token = requests[0].first_token;
+    req.max_new_tokens = tokens;
+    req.embed = et::diff::make_embed(32, requests[0].seed);
+    req.select = et::diff::make_select(kVocab, &hashes);
+    req.resume_tokens.assign(reference.begin(), reference.begin() + resumed);
+    return req;
+  };
+
+  std::size_t slot = sched.admit(request());
+  sched.tick(ctx);  // replays position 0 of 3
+  EXPECT_EQ(sched.tokens(slot), request().resume_tokens);
+  const et::nn::GenerationResult cancelled = sched.cancel(slot);
+  EXPECT_EQ(cancelled.stop_reason, et::nn::StopReason::kCancelled);
+  EXPECT_EQ(cancelled.tokens, request().resume_tokens);
+  EXPECT_TRUE(hashes.empty());
+
+  slot = sched.admit(request());
+  while (sched.active() > 0) sched.tick(ctx);
+  const auto retired = sched.take_retired();
+  ASSERT_EQ(retired.size(), 1u);
+  EXPECT_EQ(retired[0].slot, slot);
+  EXPECT_EQ(retired[0].result.stop_reason, et::nn::StopReason::kMaxTokens);
+  EXPECT_EQ(retired[0].result.tokens, reference);
+  // select() ran past the transcript's end only, on the same hidden
+  // states the uninterrupted run saw there.
+  EXPECT_EQ(hashes, std::vector<std::uint64_t>(
+                        sequential[0].hidden_hashes.begin() + resumed,
+                        sequential[0].hidden_hashes.end()));
 }
 
 TEST(BatchedGenerationApi, SingleActiveSlotTakesThePerSlotPath) {
@@ -547,9 +592,10 @@ TEST(BatchedGeneration, OneAttentionLaunchPerLayerPerTick) {
       et::nn::BatchedGenerationScheduler sched(
           et::nn::Model(&m.layers, m.opt, max_context), num_requests, kv);
       std::vector<std::vector<std::uint64_t>> hashes(num_requests);
-      std::vector<std::size_t> ids;
+      std::vector<std::size_t> slots;
+      std::vector<et::nn::GenerationResult> results(num_requests);
       std::vector<std::size_t> tick_begin;
-      for (std::size_t t = 0; t < num_requests || !sched.idle(); ++t) {
+      for (std::size_t t = 0; t < num_requests || sched.active() > 0; ++t) {
         if (t < num_requests) {
           et::nn::GenerationRequest req;
           req.first_token = requests[t].first_token;
@@ -557,18 +603,22 @@ TEST(BatchedGeneration, OneAttentionLaunchPerLayerPerTick) {
           req.embed = et::diff::make_embed(m.opt.attn.d_model,
                                            requests[t].seed);
           req.select = et::diff::make_select(kVocab, &hashes[t]);
-          ids.push_back(sched.submit(std::move(req)));
+          slots.push_back(sched.admit(std::move(req)));
         }
         tick_begin.push_back(dev.history().size());
         sched.tick(ctx);
+        for (auto& r : sched.take_retired()) {
+          const auto i = std::find(slots.begin(), slots.end(), r.slot);
+          results[static_cast<std::size_t>(i - slots.begin())] =
+              std::move(r.result);
+        }
       }
       tick_begin.push_back(dev.history().size());
       ASSERT_EQ(tick_begin.size(), num_requests + tokens);  // ticks 0..6
 
       // Batching changes no transcript.
       for (std::size_t i = 0; i < num_requests; ++i) {
-        EXPECT_EQ(sched.result(ids[i]).tokens,
-                  lone_outcomes[i].result.tokens);
+        EXPECT_EQ(results[i].tokens, lone_outcomes[i].result.tokens);
         EXPECT_EQ(hashes[i], lone_outcomes[i].hidden_hashes);
       }
 
@@ -617,10 +667,10 @@ TEST(BatchedGeneration, OneAttentionLaunchPerLayerPerTick) {
   }
 }
 
-// A request whose embed() returns a row of the wrong width is refused by
-// name before the tick launches anything. The refused tick changes
-// nothing the others see: once the request is cancelled they finish with
-// the transcripts of a run that never had it.
+// A request whose embed() returns a row of the wrong width is refused,
+// naming its slot, before the tick launches anything. The refused tick
+// changes nothing the others see: once the slot is cancelled they finish
+// with the transcripts of a run that never had it.
 TEST(BatchedGenerationApi, WrongWidthEmbedThrowsBeforeAnyLaunch) {
   constexpr std::size_t kMaxContext = 8;
   const Model m = make_model(2, 32, 2, kMaxContext, 61, false);
@@ -636,7 +686,7 @@ TEST(BatchedGenerationApi, WrongWidthEmbedThrowsBeforeAnyLaunch) {
   et::nn::BatchedGenerationScheduler sched(
       et::nn::Model(&m.layers, m.opt, kMaxContext), 4);
   std::vector<Outcome> outcomes(good.size());
-  std::vector<std::size_t> ids;
+  std::vector<std::size_t> slots;
   for (std::size_t i = 0; i < good.size(); ++i) {
     if (i == 1) {
       et::nn::GenerationRequest bad;
@@ -644,14 +694,14 @@ TEST(BatchedGenerationApi, WrongWidthEmbedThrowsBeforeAnyLaunch) {
       bad.max_new_tokens = 4;
       bad.embed = [](std::int32_t, std::size_t) { return MatrixF(1, 8); };
       bad.select = et::diff::make_select(kVocab);
-      EXPECT_EQ(sched.submit(std::move(bad)), 1u);
+      EXPECT_EQ(sched.admit(std::move(bad)), 1u);
     }
     et::nn::GenerationRequest req;
     req.first_token = good[i].first_token;
     req.max_new_tokens = good[i].max_new_tokens;
     req.embed = et::diff::make_embed(32, good[i].seed);
     req.select = et::diff::make_select(kVocab, &outcomes[i].hidden_hashes);
-    ids.push_back(sched.submit(std::move(req)));
+    slots.push_back(sched.admit(std::move(req)));
   }
 
   try {
@@ -659,17 +709,20 @@ TEST(BatchedGenerationApi, WrongWidthEmbedThrowsBeforeAnyLaunch) {
     ADD_FAILURE() << "a 1x8 embed row for d_model 32 was accepted";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("request 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("slot 1"), std::string::npos) << what;
     EXPECT_NE(what.find("1x8"), std::string::npos) << what;
   }
   EXPECT_EQ(dev.launch_count(), 0u);
 
-  EXPECT_TRUE(sched.cancel(1));
-  const auto results = sched.run(ctx);
-  EXPECT_EQ(results[1].stop_reason, et::nn::StopReason::kCancelled);
-  EXPECT_TRUE(results[1].tokens.empty());
-  for (std::size_t i = 0; i < good.size(); ++i) {
-    outcomes[i].result = results[ids[i]];
+  const et::nn::GenerationResult cancelled = sched.cancel(1);
+  EXPECT_EQ(cancelled.stop_reason, et::nn::StopReason::kCancelled);
+  EXPECT_TRUE(cancelled.tokens.empty());
+  while (sched.active() > 0) sched.tick(ctx);
+  for (auto& r : sched.take_retired()) {
+    const auto i = std::find(slots.begin(), slots.end(), r.slot);
+    ASSERT_NE(i, slots.end());
+    outcomes[static_cast<std::size_t>(i - slots.begin())].result =
+        std::move(r.result);
   }
   et::diff::expect_bit_identical(sequential, outcomes);
 }

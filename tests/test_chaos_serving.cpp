@@ -221,7 +221,7 @@ ChaosRun run_chaos(const Model& m, const ServerConfig& cfg,
 
     // Per-tick invariants: slot occupancy bounded; terminal states are
     // absorbing (a finished request never un-finishes or mutates).
-    EXPECT_LE(server.active_slots(), cfg.max_batch);
+    EXPECT_LE(server.scheduler().active(), cfg.max_batch);
     for (std::size_t i = 0; i < next; ++i) {
       const bool fin = server.finished(handles[i]);
       if (seen_finished[i]) {
@@ -238,7 +238,7 @@ ChaosRun run_chaos(const Model& m, const ServerConfig& cfg,
 
   // Drain invariants: nothing left anywhere, and the KV pool is empty.
   EXPECT_EQ(server.queue_depth(), 0u);
-  EXPECT_EQ(server.active_slots(), 0u);
+  EXPECT_EQ(server.scheduler().active(), 0u);
   const auto& mx = server.metrics();
   EXPECT_DOUBLE_EQ(mx.find_gauge("kv_bytes_used")->value(), 0.0);
   EXPECT_DOUBLE_EQ(mx.find_gauge("health")->value(), 0.0);

@@ -18,10 +18,10 @@
 #include <typeinfo>
 #include <utility>
 
-#include "nn/batched_generation.hpp"
 #include "nn/model.hpp"
 #include "nn/serialize.hpp"
 #include "pruning/strategy.hpp"
+#include "serving/server.hpp"
 #include "tensor/compare.hpp"
 #include "train/model.hpp"
 
@@ -761,12 +761,13 @@ et::nn::EncoderOptions fuzz_options() {
                              /*causal=*/true);
 }
 
-/// Three tokens through a one-slot scheduler on a real-math device.
+/// Three tokens through a one-slot server on a real-math device.
 void decode_three_tokens(const et::nn::Model& model) {
   et::gpusim::Device dev(et::gpusim::v100s());
   et::core::ExecContext ctx(dev);
-  et::nn::BatchedGenerationScheduler sched(model, /*max_batch=*/1);
-  et::nn::GenerationRequest req;
+  et::serving::InferenceServer server(model, {/*max_batch=*/1,
+                                              /*queue_capacity=*/1});
+  et::serving::Request req;
   req.first_token = 1;
   req.max_new_tokens = 3;
   const std::size_t d = model.d_model();
@@ -782,11 +783,11 @@ void decode_three_tokens(const et::nn::Model& model) {
     std::memcpy(&bits, h.data(), sizeof bits);
     return static_cast<std::int32_t>(bits % 16);
   };
-  (void)sched.submit(std::move(req));
-  const auto results = sched.run(ctx);
-  if (results.size() != 1 || results[0].tokens.size() != 3) {
+  const et::serving::RequestHandle h = server.submit(std::move(req));
+  const et::nn::GenerationResult& result = server.wait(h, ctx);
+  if (result.tokens.size() != 3) {
     throw std::logic_error("decode stopped early: " +
-                           std::string(to_string(results.at(0).stop_reason)));
+                           std::string(to_string(result.stop_reason)));
   }
 }
 

@@ -477,4 +477,25 @@ TEST(CliContract, ServeRejectsAndExpiresUnderPressureDeterministically) {
       << r.output;
 }
 
+TEST(CliContract, BatchReportsZeroTokensPerSecWhenNoDeviceTimeAccrues) {
+  // No decode step (zero tokens), or every slot retired by a fault before
+  // any launch completed: no device time accrues, and the rate reads 0
+  // rather than a 0/0 NaN, which is not valid JSON.
+  for (const char* flags :
+       {"--batch 2 --tokens 0",
+        "--batch 4 --tokens 6 --inject-fault kernel=gen_qkv_batched"}) {
+    SCOPED_TRACE(flags);
+    const auto json = run_cli(std::string(flags) + " --json");
+    ASSERT_EQ(json.exit_code, 0) << json.output;
+    EXPECT_NE(json.output.find("\"time_us\": 0.0, \"tokens_per_sec\": 0.0,"),
+              std::string::npos)
+        << json.output;
+    EXPECT_EQ(json.output.find("nan"), std::string::npos) << json.output;
+    const auto text = run_cli(flags);
+    ASSERT_EQ(text.exit_code, 0) << text.output;
+    EXPECT_NE(text.output.find("(0.0 tokens/sec)"), std::string::npos)
+        << text.output;
+  }
+}
+
 }  // namespace

@@ -850,47 +850,6 @@ TEST(PagedDecodeOracle, BlockExhaustionIsDeterministicKvCacheFull) {
   }
 }
 
-/// run_batched, but keeping the scheduler so the pool can be inspected
-/// after the drain.
-et::diff::BatchedRun scheduler_run(et::gpusim::Device& dev,
-                                   const std::vector<et::nn::EncoderWeights>&
-                                       layers,
-                                   const et::nn::EncoderOptions& opt,
-                                   const std::vector<et::diff::Request>& reqs,
-                                   const PagedKVOptions& kv,
-                                   std::size_t threads, std::size_t* used_bytes,
-                                   std::size_t* free_blocks,
-                                   const et::diff::BeforeTick& before_tick) {
-  et::core::ExecContext ctx(dev, threads);
-  et::diff::BatchedRun run;
-  run.outcomes.resize(reqs.size());
-  et::nn::BatchedGenerationScheduler sched(
-      et::nn::Model(&layers, opt, kMaxContext), /*max_batch=*/3, kv);
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    et::nn::GenerationRequest req;
-    req.first_token = reqs[i].first_token;
-    req.prompt_tokens = reqs[i].prompt;
-    req.prefix_group = reqs[i].prefix_group;
-    req.max_new_tokens = reqs[i].max_new_tokens;
-    req.embed = et::diff::make_embed(opt.attn.d_model, reqs[i].seed);
-    req.select =
-        et::diff::make_select(kVocab, &run.outcomes[i].hidden_hashes);
-    req.eos_token = reqs[i].eos_token;
-    (void)sched.submit(std::move(req));
-  }
-  while (!sched.idle()) {
-    before_tick(sched.ticks(), dev);
-    sched.tick(ctx);
-  }
-  const auto results = sched.run(ctx);  // idle: returns every result
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    run.outcomes[i].result = results[i];
-  }
-  *used_bytes = sched.pool().used_bytes();
-  *free_blocks = sched.pool().allocator().free_blocks();
-  return run;
-}
-
 TEST(PagedDecodeOracle, FaultStormsDrainEveryBlockDeterministically) {
   // Faults mid-decode (block_tokens=3, prompt rows cross block
   // boundaries at 3 and 6) trigger the fault-atomic rollback plus
@@ -923,10 +882,10 @@ TEST(PagedDecodeOracle, FaultStormsDrainEveryBlockDeterministically) {
       }
     };
     et::gpusim::Device ref_dev;
-    std::size_t ref_used = 1, ref_free = 0;
-    const auto ref = scheduler_run(ref_dev, layers, opt, requests, kv, 1,
-                                   &ref_used, &ref_free, arm);
-    EXPECT_EQ(ref_used, 0u) << "blocks leaked across the fault drain";
+    const auto ref = et::diff::run_batched(ref_dev, layers, opt, 3,
+                                           kMaxContext, requests, kVocab, 1,
+                                           kv, {}, false, arm);
+    EXPECT_EQ(ref.kv_used_bytes, 0u) << "blocks leaked across the fault drain";
     std::size_t retired = 0;
     for (const auto& o : ref.outcomes) {
       retired += o.result.stop_reason == et::nn::StopReason::kKernelFault;
@@ -936,12 +895,12 @@ TEST(PagedDecodeOracle, FaultStormsDrainEveryBlockDeterministically) {
     for (const std::size_t threads : {2u, 8u}) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
       et::gpusim::Device dev;
-      std::size_t used = 1, free_blocks = 0;
-      const auto rerun = scheduler_run(dev, layers, opt, requests, kv,
-                                       threads, &used, &free_blocks, arm);
+      const auto rerun = et::diff::run_batched(dev, layers, opt, 3,
+                                               kMaxContext, requests, kVocab,
+                                               threads, kv, {}, false, arm);
       et::diff::expect_bit_identical(ref.outcomes, rerun.outcomes);
-      EXPECT_EQ(used, 0u);
-      EXPECT_EQ(free_blocks, ref_free);
+      EXPECT_EQ(rerun.kv_used_bytes, 0u);
+      EXPECT_EQ(rerun.kv_free_blocks, ref.kv_free_blocks);
     }
   }
 }

@@ -10,7 +10,9 @@
 
 #include <algorithm>
 #include <clocale>
+#include <functional>
 #include <iterator>
+#include <memory>
 #include <ostream>
 #include <stdexcept>
 #include <tuple>
@@ -886,7 +888,7 @@ TEST(ServingApi, ResultThrowsUntilFinishedAndWaitDrivesToCompletion) {
   const auto& result = server.wait(h, ctx);
   EXPECT_EQ(result.tokens.size(), 3u);
   EXPECT_EQ(server.status(h).state, RequestState::kFinished);
-  EXPECT_EQ(server.active_slots(), 0u);
+  EXPECT_EQ(server.scheduler().active(), 0u);
   EXPECT_TRUE(server.idle());
 }
 
@@ -1469,6 +1471,164 @@ TEST(Serving, WrongWidthEmbedThrowsAndCancelRecovers) {
     outcomes[i].result = server.result(handles[i]);
   }
   et::diff::expect_bit_identical(sequential, outcomes);
+}
+
+// A tick can retire a slot in its capacity pre-check and then throw on
+// another slot's embed row. The retired request is finished by the time
+// the exception reaches the caller, so cancelling it loses the race.
+TEST(Serving, SlotRetiredBeforeAThrowingTickIsFinished) {
+  constexpr std::size_t kMaxContext = 4;
+  const Model m = make_model(2, 32, 2, kMaxContext, 64);
+  const std::vector<Request> full = {{1, 10, et::nn::kNoEosToken, 84}};
+  et::gpusim::Device seq_dev;
+  const auto sequential = et::diff::run_sequential(
+      seq_dev, m.layers, m.opt, kMaxContext, full, kVocab);
+  ASSERT_EQ(sequential[0].result.stop_reason,
+            et::nn::StopReason::kKvCacheFull);
+
+  et::gpusim::Device dev;
+  et::core::ExecContext ctx(dev);
+  InferenceServer server(nn_model(m, kMaxContext), ServerConfig{});
+  std::vector<et::diff::Outcome> outcomes(1);
+  et::serving::Request a = make_request(m, 1, 10, 84);
+  a.select = et::diff::make_select(kVocab, &outcomes[0].hidden_hashes);
+  const auto a_h = server.submit(std::move(a));
+  server.tick(ctx);
+  // B's embed row is 1x8 at context position 3, which it reaches at
+  // tick 4 — the tick whose pre-check retires A with a full cache.
+  et::serving::Request b = make_request(m, 2, 10, 85);
+  b.embed = [inner = b.embed](std::int32_t token, std::size_t position) {
+    return position == 3 ? et::tensor::MatrixF(1, 8) : inner(token, position);
+  };
+  const auto b_h = server.submit(std::move(b));
+  for (int i = 0; i < 3; ++i) server.tick(ctx);
+  EXPECT_THROW(server.tick(ctx), std::invalid_argument);
+
+  EXPECT_EQ(server.status(a_h).state, RequestState::kFinished);
+  EXPECT_FALSE(server.cancel(a_h));
+  const auto& mx = server.metrics();
+  EXPECT_EQ(mx.find_counter("requests_cancelled")->value(), 0u);
+  EXPECT_TRUE(server.cancel(b_h));
+  server.drain(ctx);
+  outcomes[0].result = server.result(a_h);
+  et::diff::expect_bit_identical(sequential, outcomes);
+  EXPECT_EQ(server.result(b_h).stop_reason, et::nn::StopReason::kCancelled);
+  EXPECT_EQ(mx.find_counter("requests_cancelled")->value(), 1u);
+  EXPECT_EQ(mx.find_counter("stop_kv_cache_full")->value(), 1u);
+}
+
+// A finished request keeps nothing its closures capture alive, however
+// it finished: the server drops its own copies at the finish, and the
+// scheduler's seat, the only other holder, goes with the slot.
+TEST(ServingApi, FinishedRequestReleasesWhatItsClosuresCapture) {
+  using et::nn::StopReason;
+  using et::serving::RequestHandle;
+  const Model m = make_model(1, 32, 2, 16, 151);
+  // embed, select and on_token each hold a copy of `probe`.
+  const auto probed = [&m](const std::shared_ptr<int>& probe) {
+    et::serving::Request r = make_request(m, 1, 6, 161);
+    r.priority = Priority::kBulk;
+    r.embed = [probe, inner = r.embed](std::int32_t t, std::size_t pos) {
+      return inner(t, pos);
+    };
+    r.select = [probe, inner = r.select](const et::tensor::MatrixF& h) {
+      return inner(h);
+    };
+    r.on_token = [probe](std::uint64_t, std::int32_t, std::size_t) {};
+    return r;
+  };
+  // An interactive arrival that displaces the bulk request.
+  const auto preempt = [&m](InferenceServer& s, et::core::ExecContext& ctx) {
+    auto inter = make_request(m, 2, 2, 162);
+    inter.priority = Priority::kInteractive;
+    (void)s.submit(std::move(inter));
+    s.tick(ctx);
+  };
+  using Finish = std::function<RequestHandle(
+      InferenceServer&, et::core::ExecContext&, et::serving::Request)>;
+  struct Path {
+    const char* name;
+    StopReason stop;
+    std::size_t preemption_limit;
+    Finish finish;
+  };
+  const std::vector<Path> paths = {
+      {"max_tokens", StopReason::kMaxTokens, 2,
+       [](auto& s, auto& ctx, auto r) {
+         const auto h = s.submit(std::move(r));
+         s.drain(ctx);
+         return h;
+       }},
+      {"eos", StopReason::kEos, 2,
+       [](auto& s, auto& ctx, auto r) {
+         r.eos_token = 5;
+         r.select = [inner = std::move(r.select)](
+                        const et::tensor::MatrixF& h) {
+           (void)inner(h);
+           return std::int32_t{5};
+         };
+         const auto h = s.submit(std::move(r));
+         s.drain(ctx);
+         return h;
+       }},
+      {"cancel while active", StopReason::kCancelled, 2,
+       [](auto& s, auto& ctx, auto r) {
+         const auto h = s.submit(std::move(r));
+         s.tick(ctx);
+         s.tick(ctx);
+         EXPECT_TRUE(s.cancel(h));
+         return h;
+       }},
+      {"cancel while preempted", StopReason::kCancelled, 2,
+       [&preempt](auto& s, auto& ctx, auto r) {
+         const auto h = s.submit(std::move(r));
+         s.tick(ctx);
+         s.tick(ctx);
+         preempt(s, ctx);
+         EXPECT_EQ(s.status(h).state, RequestState::kPreempted);
+         EXPECT_TRUE(s.cancel(h));
+         return h;
+       }},
+      {"total budget", StopReason::kDeadlineExceeded, 2,
+       [](auto& s, auto& ctx, auto r) {
+         r.total_budget_ticks = 2;
+         const auto h = s.submit(std::move(r));
+         s.drain(ctx);
+         return h;
+       }},
+      {"fault retry then success", StopReason::kMaxTokens, 2,
+       [](auto& s, auto& ctx, auto r) {
+         r.retry_budget = 1;
+         ctx.device().fault_injector().arm_kernel("incremental_otf_attention",
+                                                  1);
+         const auto h = s.submit(std::move(r));
+         s.drain(ctx);
+         EXPECT_EQ(s.status(h).retries, 1u);
+         return h;
+       }},
+      {"preemption limit", StopReason::kPreemptionLimit, 0,
+       [&preempt](auto& s, auto& ctx, auto r) {
+         const auto h = s.submit(std::move(r));
+         s.tick(ctx);
+         s.tick(ctx);
+         preempt(s, ctx);
+         return h;
+       }},
+  };
+  for (const Path& path : paths) {
+    SCOPED_TRACE(path.name);
+    ServerConfig cfg{1, 8};
+    cfg.preemption_limit = path.preemption_limit;
+    InferenceServer server(nn_model(m, 16), cfg);
+    et::gpusim::Device dev;
+    et::core::ExecContext ctx(dev);
+    const auto probe = std::make_shared<int>(0);
+    const RequestHandle h = path.finish(server, ctx, probed(probe));
+    ASSERT_TRUE(server.finished(h));
+    EXPECT_EQ(server.result(h).stop_reason, path.stop);
+    EXPECT_EQ(probe.use_count(), 1);
+    server.drain(ctx);
+  }
 }
 
 }  // namespace
