@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -44,15 +45,44 @@ void install_stop_signals() {
   std::signal(SIGTERM, handle_stop_signal);
 }
 
+/// One accepted value of a flag: the token as typed (echoed in the
+/// output) and what it selects.
+template <typename T>
+struct Choice {
+  const char* token;
+  T value;
+};
+
+constexpr Choice<et::nn::ModelConfig (*)()> kModels[] = {
+    {"transformer", et::nn::transformer_wikitext},
+    {"bert_base", et::nn::bert_base},
+    {"distilbert", et::nn::distilbert},
+    {"bert_large", et::nn::bert_large}};
+constexpr Choice<et::nn::Pipeline> kPipelines[] = {
+    {"pytorch", et::nn::Pipeline::kModular},
+    {"tensorrt", et::nn::Pipeline::kTensorRT},
+    {"fastertransformer", et::nn::Pipeline::kFasterTransformer},
+    {"et", et::nn::Pipeline::kET}};
+/// nullopt: no pruning.
+constexpr Choice<std::optional<et::pruning::Strategy>> kStrategies[] = {
+    {"none", std::nullopt},
+    {"irregular", et::pruning::Strategy::kIrregular},
+    {"column", et::pruning::Strategy::kColumn},
+    {"tile", et::pruning::Strategy::kTile},
+    {"attention-aware", et::pruning::Strategy::kAttentionAware}};
+constexpr Choice<et::gpusim::DeviceSpec (*)()> kDevices[] = {
+    {"v100s", et::gpusim::v100s}, {"a100", et::gpusim::a100}};
+
 struct Args {
-  std::string model = "bert_base";
-  std::string pipeline = "et";
-  std::string strategy = "none";
+  const Choice<et::nn::ModelConfig (*)()>* model = &kModels[1];  // bert_base
+  const Choice<et::nn::Pipeline>* pipeline = &kPipelines[3];     // et
+  const Choice<std::optional<et::pruning::Strategy>>* strategy =
+      &kStrategies[0];  // none
   // E.T. attention operator: a name core::from_string accepts pins
   // adaptive.forced; "auto" leaves selection to choose_attention_impl.
   // Distinct from --strategy, which picks the *pruning* strategy.
   std::string attention = "auto";
-  std::string device = "v100s";
+  const Choice<et::gpusim::DeviceSpec (*)()>* device = &kDevices[0];  // v100s
   std::size_t seq = 128;
   std::size_t batch = 0;    // > 0: batched-generation serving demo
   std::size_t tokens = 16;  // tokens per sequence in serving modes
@@ -165,6 +195,26 @@ bool arm_from_spec(et::gpusim::FaultInjector& inj, const std::string& spec) {
   return true;
 }
 
+/// Point `out` at the entry of `table` whose token is `v`. An unknown
+/// token is an error that names it and every accepted one.
+template <typename T, std::size_t N>
+bool pick(const std::string& flag, const std::string& v,
+          const Choice<T> (&table)[N], const Choice<T>*& out) {
+  for (const Choice<T>& c : table) {
+    if (v == c.token) {
+      out = &c;
+      return true;
+    }
+  }
+  std::string want;
+  for (const Choice<T>& c : table) {
+    want += (want.empty() ? "" : " | ") + std::string(c.token);
+  }
+  std::fprintf(stderr, "bad value for %s: '%s' (want %s)\n", flag.c_str(),
+               v.c_str(), want.c_str());
+  return false;
+}
+
 /// Strict CLI parsing: every error names the offending token on stderr
 /// and fails the parse (main exits 2) — a typo'd flag or a junk value
 /// must never be silently dropped or read as zero.
@@ -193,12 +243,17 @@ bool parse(int argc, char** argv, Args& a) {
     }
     out = static_cast<std::size_t>(n);
   };
+  const auto next_choice = [&](const std::string& flag, const auto& table,
+                               auto& out) {
+    std::string v;
+    if (next(flag, v) && !pick(flag, v, table, out)) ok = false;
+  };
   for (; i < argc; ++i) {
     const std::string arg = argv[i];
     std::string v;
-    if (arg == "--model") { if (next(arg, v)) a.model = v; }
-    else if (arg == "--pipeline") { if (next(arg, v)) a.pipeline = v; }
-    else if (arg == "--strategy") { if (next(arg, v)) a.strategy = v; }
+    if (arg == "--model") next_choice(arg, kModels, a.model);
+    else if (arg == "--pipeline") next_choice(arg, kPipelines, a.pipeline);
+    else if (arg == "--strategy") next_choice(arg, kStrategies, a.strategy);
     else if (arg == "--attention") {
       if (next(arg, v)) {
         if (v != "auto" && !et::core::from_string(v)) {
@@ -212,8 +267,16 @@ bool parse(int argc, char** argv, Args& a) {
         }
       }
     }
-    else if (arg == "--device") { if (next(arg, v)) a.device = v; }
-    else if (arg == "--seq") next_size(arg, a.seq);
+    else if (arg == "--device") next_choice(arg, kDevices, a.device);
+    else if (arg == "--seq") {
+      next_size(arg, a.seq);
+      if (a.seq == 0) {
+        std::fprintf(stderr,
+                     "bad value for --seq: '%s' (want a positive integer)\n",
+                     argv[i]);
+        ok = false;
+      }
+    }
     else if (arg == "--batch") next_size(arg, a.batch);
     else if (arg == "--tokens") next_size(arg, a.tokens);
     else if (arg == "--threads") next_size(arg, a.threads);
@@ -496,18 +559,9 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const et::nn::ModelConfig model =
-      args.model == "transformer"   ? et::nn::transformer_wikitext()
-      : args.model == "distilbert"  ? et::nn::distilbert()
-      : args.model == "bert_large"  ? et::nn::bert_large()
-                                    : et::nn::bert_base();
-  const et::nn::Pipeline pipeline =
-      args.pipeline == "pytorch"             ? et::nn::Pipeline::kModular
-      : args.pipeline == "tensorrt"          ? et::nn::Pipeline::kTensorRT
-      : args.pipeline == "fastertransformer" ? et::nn::Pipeline::kFasterTransformer
-                                             : et::nn::Pipeline::kET;
-  const et::gpusim::DeviceSpec spec =
-      args.device == "a100" ? et::gpusim::a100() : et::gpusim::v100s();
+  const et::nn::ModelConfig model = args.model->value();
+  const et::nn::Pipeline pipeline = args.pipeline->value;
+  const et::gpusim::DeviceSpec spec = args.device->value();
   // "auto" keeps adaptive selection; anything else was validated by parse()
   // and pins the operator through AdaptivePolicy::forced (only the E.T.
   // pipeline consults the policy — baselines model fixed engines).
@@ -517,14 +571,10 @@ int main(int argc, char** argv) {
 
   // Build weights: dense, or pruned through the requested strategy.
   et::nn::EncoderWeights weights;
-  if (args.strategy == "none" || args.ratio <= 0.0) {
+  if (!args.strategy->value || args.ratio <= 0.0) {
     weights = et::nn::make_dense_encoder_weights(model, 1);
   } else {
-    const et::pruning::Strategy strategy =
-        args.strategy == "irregular" ? et::pruning::Strategy::kIrregular
-        : args.strategy == "column"  ? et::pruning::Strategy::kColumn
-        : args.strategy == "tile"    ? et::pruning::Strategy::kTile
-                                     : et::pruning::Strategy::kAttentionAware;
+    const et::pruning::Strategy strategy = *args.strategy->value;
     et::train::TrainModelConfig tcfg;
     tcfg.vocab_size = 64;
     tcfg.d_model = model.d_model;
@@ -684,7 +734,7 @@ int main(int argc, char** argv) {
       std::printf("{\n");
       std::printf("  \"model\": \"%s\", \"pipeline\": \"%s\", \"device\": "
                   "\"%s\",\n",
-                  model.name.c_str(), args.pipeline.c_str(),
+                  model.name.c_str(), args.pipeline->token,
                   spec.name.c_str());
       std::printf("  \"requests\": %zu, \"slots\": %zu, \"queue_capacity\": "
                   "%zu, \"offered_per_tick\": %zu, \"threads\": %zu, "
@@ -708,7 +758,7 @@ int main(int argc, char** argv) {
     } else {
       std::printf("%s · %s · serving %zu request(s) on %zu slot(s), queue "
                   "%zu · %s weights · %s kv · %s\n",
-                  model.name.c_str(), args.pipeline.c_str(), args.requests,
+                  model.name.c_str(), args.pipeline->token, args.requests,
                   slots, args.queue_cap,
                   std::string(et::nn::to_string(handle.weight_layout())).c_str(),
                   std::string(et::core::to_string(args.kv_precision)).c_str(),
@@ -790,7 +840,7 @@ int main(int argc, char** argv) {
       std::printf("{\n");
       std::printf("  \"model\": \"%s\", \"pipeline\": \"%s\", \"device\": "
                   "\"%s\",\n",
-                  model.name.c_str(), args.pipeline.c_str(),
+                  model.name.c_str(), args.pipeline->token,
                   spec.name.c_str());
       std::printf("  \"batch\": %zu, \"threads\": %zu, \"slots\": %zu, "
                   "\"weights\": \"%s\", \"kv_precision\": \"%s\", "
@@ -827,7 +877,7 @@ int main(int argc, char** argv) {
     } else {
       std::printf("%s · %s · serving %zu sequences on %zu slot(s) · %s "
                   "weights · %s kv · %s\n",
-                  model.name.c_str(), args.pipeline.c_str(), args.batch,
+                  model.name.c_str(), args.pipeline->token, args.batch,
                   max_batch,
                   std::string(et::nn::to_string(handle.weight_layout())).c_str(),
                   std::string(et::core::to_string(args.kv_precision)).c_str(),
@@ -888,7 +938,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr,
                      "unrecovered kernel fault in '%s' (pipeline '%s' has "
                      "no fallback chain)\n",
-                     f.kernel().c_str(), args.pipeline.c_str());
+                     f.kernel().c_str(), args.pipeline->token);
       }
       return 1;
     }
@@ -899,16 +949,16 @@ int main(int argc, char** argv) {
                   "\"device\": \"%s\", \"threads\": %zu, \"ratio\": %.2f, "
                   "\"attention\": \"%s\", \"layer_us\": %.1f, "
                   "\"model_ms\": %.2f, \"kernels\": %zu}\n",
-                  model.name.c_str(), args.pipeline.c_str(), args.seq,
+                  model.name.c_str(), args.pipeline->token, args.seq,
                   spec.name.c_str(), ctx.threads(), args.ratio,
                   args.attention.c_str(), layer_us,
                   layer_us * static_cast<double>(model.num_layers) / 1e3,
                   dev.launch_count());
     } else {
       std::printf("%s · %s · seq %zu · %s", model.name.c_str(),
-                  args.pipeline.c_str(), args.seq, spec.name.c_str());
+                  args.pipeline->token, args.seq, spec.name.c_str());
       if (args.ratio > 0.0) {
-        std::printf(" · %s @ %.0f%%", args.strategy.c_str(),
+        std::printf(" · %s @ %.0f%%", args.strategy->token,
                     100 * args.ratio);
       }
       if (args.attention != "auto") {

@@ -172,12 +172,6 @@ tensor::MatrixF attention_math(const tensor::MatrixF& q,
           scores[j] = -std::numeric_limits<float>::infinity();
         }
       }
-      // Padding mask: keys past the valid prefix never receive weight.
-      if (cfg.valid_len > 0 && cfg.valid_len < kv) {
-        for (std::size_t j = cfg.valid_len; j < kv; ++j) {
-          scores[j] = -std::numeric_limits<float>::infinity();
-        }
-      }
       // ⑤ softmax over the row (max-subtracted; ±inf saturations from an
       // FP16 overflow propagate into NaN/garbage exactly as on hardware).
       float mx = -std::numeric_limits<float>::infinity();
@@ -284,14 +278,11 @@ tensor::MatrixF flash_attention_math(const tensor::MatrixF& q,
                         : v;
         }
         // Fully-masked keys contribute exp(-inf) = 0, so the streaming
-        // loop stops at the causal diagonal / valid prefix — the block
-        // skip a flash kernel performs. At least one key always remains
-        // (the diagonal itself).
+        // loop stops at the causal diagonal — the block skip a flash
+        // kernel performs. At least one key always remains (the diagonal
+        // itself).
         std::size_t kv_end = kv;
         if (cfg.causal_mask && kv == s) kv_end = std::min(kv_end, i + 1);
-        if (cfg.valid_len > 0 && cfg.valid_len < kv) {
-          kv_end = std::min(kv_end, cfg.valid_len);
-        }
 
         float m = -kInf;   // running row max
         float l = 0.0f;    // running softmax denominator

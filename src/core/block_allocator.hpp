@@ -1,11 +1,12 @@
 // Paged KV storage (docs/serving.md "Paged KV and prefix sharing"): the
-// vLLM PagedAttention memory model (Kwon et al., PAPERS.md) applied to
-// this repo's per-layer KV planes. Instead of one contiguous
-// max_context-row cache per slot per layer, KV rows live in fixed-size
-// BLOCKS of `block_tokens` rows; each serving slot holds a block TABLE
-// mapping logical token index -> (block, offset), and blocks are
-// refcounted so requests with a common prompt prefix can alias the same
-// physical rows (copy-on-write split on the first divergent append).
+// vLLM PagedAttention memory model (Kwon et al.,
+// https://arxiv.org/abs/2309.06180) applied to this repo's per-layer KV
+// planes. Instead of one contiguous max_context-row cache per slot per
+// layer, KV rows live in fixed-size BLOCKS of `block_tokens` rows; each
+// serving slot holds a block TABLE mapping logical token index ->
+// (block, offset), and blocks are refcounted so requests with a common
+// prompt prefix can alias the same physical rows (copy-on-write split on
+// the first divergent append).
 //
 // Layer geometry: one block id spans EVERY layer — block b owns row band
 // [b*block_tokens, (b+1)*block_tokens) of each layer's K plane (k_width

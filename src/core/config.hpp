@@ -27,11 +27,6 @@ struct AttentionConfig {
   /// Apply the §2.1 lower-triangular mask (decoder-style models).
   bool causal_mask = true;
 
-  /// BERT-style padding mask: keys/values at positions >= valid_len are
-  /// excluded from every query's softmax (step ④ of Fig. 3 masks padding
-  /// in encoder-only models). 0 means "no padding" (all positions valid).
-  std::size_t valid_len = 0;
-
   /// Flash-attention tile shape: each flash CTA owns a Br-row query tile
   /// of one head and streams K/V in Bc-column blocks through its online
   /// softmax (FlashAttention-2 partitions the seq-length dimension this
@@ -57,10 +52,6 @@ struct AttentionConfig {
     if (d_model % num_heads != 0) {
       throw std::invalid_argument(
           "AttentionConfig: d_model must be divisible by num_heads");
-    }
-    if (valid_len > seq_len) {
-      throw std::invalid_argument(
-          "AttentionConfig: valid_len exceeds seq_len");
     }
     if (flash_block_rows == 0 || flash_block_cols == 0) {
       throw std::invalid_argument(

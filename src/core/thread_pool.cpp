@@ -14,11 +14,6 @@ bool ThreadPool::in_parallel_region() noexcept {
   return tl_in_parallel_region;
 }
 
-std::size_t ThreadPool::hardware_threads() noexcept {
-  const unsigned n = std::thread::hardware_concurrency();
-  return n == 0 ? 1 : n;
-}
-
 ThreadPool::ThreadPool(std::size_t threads)
     : threads_(std::max<std::size_t>(1, threads)) {
   workers_.reserve(threads_ - 1);

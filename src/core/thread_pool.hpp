@@ -92,9 +92,6 @@ class ThreadPool {
     return (n + kMaxAutoChunks - 1) / kMaxAutoChunks;
   }
 
-  /// What the host offers (>= 1); convenience for CLI --threads defaults.
-  [[nodiscard]] static std::size_t hardware_threads() noexcept;
-
  private:
   struct Job {
     const ChunkFn* fn = nullptr;

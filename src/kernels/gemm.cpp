@@ -82,27 +82,17 @@ Fp16Operand round_a(Precision p, const tensor::MatrixF& a) {
 }
 
 /// B rounded to binary16 as round_a rounds A, and packed for dot16_fp16:
-/// its n output columns (rows of B when `transposed`, else columns) in
-/// blocks of 16, laid out [block][k][16], the last block zero-padded.
-Fp16Operand pack_b(const tensor::MatrixF& b, bool transposed) {
-  const std::size_t n = transposed ? b.rows() : b.cols();
-  const std::size_t kk = transposed ? b.cols() : b.rows();
+/// its n rows (the output columns) in blocks of 16, laid out
+/// [block][k][16], the last block zero-padded.
+Fp16Operand pack_b(const tensor::MatrixF& b) {
+  const std::size_t n = b.rows();
+  const std::size_t kk = b.cols();
   std::vector<float> out(ceil_div(n, kLanes) * kk * kLanes, 0.0f);
   bool ok = true;
-  if (transposed) {
-    for (std::size_t j = 0; j < n && ok; ++j) {
-      ok = numeric::round_fp16_into(
-          b.row(j).data(),
-          out.data() + (j / kLanes) * kk * kLanes + j % kLanes, kk, kLanes);
-    }
-  } else {
-    for (std::size_t j0 = 0; j0 < n && ok; j0 += kLanes) {
-      for (std::size_t k = 0; k < kk && ok; ++k) {
-        ok = numeric::round_fp16_into(&b(k, j0),
-                                      out.data() + j0 * kk + k * kLanes,
-                                      std::min(kLanes, n - j0));
-      }
-    }
+  for (std::size_t j = 0; j < n && ok; ++j) {
+    ok = numeric::round_fp16_into(
+        b.row(j).data(),
+        out.data() + (j / kLanes) * kk * kLanes + j % kLanes, kk, kLanes);
   }
   if (!ok) return std::nullopt;
   return out;
@@ -145,7 +135,7 @@ void gemm_math_fp16(const std::vector<float>& a16,
   });
 }
 
-/// Run the actual math: C(i,j) = Σ_k a(i,k)·b_row(j)(k), with rounding per
+/// Run the actual math: C(i,j) = Σ_k a(i,k)·b(j,k), with rounding per
 /// the precision policy applied at each accumulate step (tile-granularity
 /// rounding is what real tensor cores do; per-step rounding is the
 /// conservative software equivalent and reproduces the Fig. 4 overflow).
@@ -154,16 +144,15 @@ void gemm_math_fp16(const std::vector<float>& a16,
 ///
 /// Rows are independent, so the pool partitions over i. No device calls
 /// happen inside: a pure-math region.
-template <bool Transposed>
 void gemm_math(const tensor::MatrixF& a, const Fp16Operand& a16,
                const tensor::MatrixF& b, tensor::MatrixF& c, Precision p,
                core::ThreadPool& pool) {
   const std::size_t m = a.rows();
-  const std::size_t n = Transposed ? b.rows() : b.cols();
+  const std::size_t n = b.rows();
   const std::size_t kk = a.cols();
 
   if (a16) {
-    if (const Fp16Operand b16 = pack_b(b, Transposed)) {
+    if (const Fp16Operand b16 = pack_b(b)) {
       gemm_math_fp16(*a16, *b16, kk, c, p, pool);
       return;
     }
@@ -174,7 +163,7 @@ void gemm_math(const tensor::MatrixF& a, const Fp16Operand& a16,
       for (std::size_t j = 0; j < n; ++j) {
         float acc = 0.0f;
         for (std::size_t k = 0; k < kk; ++k) {
-          acc += a(i, k) * (Transposed ? b(j, k) : b(k, j));
+          acc += a(i, k) * b(j, k);
         }
         c(i, j) = acc;
       }
@@ -186,8 +175,7 @@ void gemm_math(const tensor::MatrixF& a, const Fp16Operand& a16,
     for (std::size_t j = 0; j < n; ++j) {
       float acc = 0.0f;
       for (std::size_t k = 0; k < kk; ++k) {
-        acc = numeric::fma_step(p, a(i, k), Transposed ? b(j, k) : b(k, j),
-                                acc);
+        acc = numeric::fma_step(p, a(i, k), b(j, k), acc);
       }
       c(i, j) = numeric::round_to_storage(p, acc);
     }
@@ -195,8 +183,8 @@ void gemm_math(const tensor::MatrixF& a, const Fp16Operand& a16,
 }
 
 /// Autotune unless `algo` is given, then record the launch of one blocked
-/// m×n×k GEMM, named name[algo]. The one launch record of gemm_nt, its
-/// panels form and gemm_nn.
+/// m×n×k GEMM, named name[algo]. The one launch record of gemm_nt and its
+/// panels form.
 void launch_gemm(gpusim::Device& dev, std::size_t m, std::size_t n,
                  std::size_t k, Precision p, const GemmAlgo* algo,
                  std::string_view name) {
@@ -243,7 +231,7 @@ void panel_products(core::ExecContext& ctx, const tensor::MatrixF& a,
   const Fp16Operand a16 = math ? round_a(p, a) : std::nullopt;
   for (std::size_t i = 0; i < bs.size(); ++i) {
     cs[i] = tensor::MatrixF(a.rows(), bs[i]->rows());
-    if (math) gemm_math<true>(a, a16, *bs[i], cs[i], p, ctx.pool());
+    if (math) gemm_math(a, a16, *bs[i], cs[i], p, ctx.pool());
   }
 }
 
@@ -320,21 +308,6 @@ std::vector<tensor::MatrixF> gemm_nt_panels(
   std::vector<tensor::MatrixF> cs(bs.size());
   gemm_nt_into(ctx, a, bs, cs, p, algo, name);
   return cs;
-}
-
-tensor::MatrixF gemm_nn(core::ExecContext& ctx, const tensor::MatrixF& a,
-                        const tensor::MatrixF& b, numeric::Precision p,
-                        const GemmAlgo* algo, std::string_view name) {
-  if (b.rows() != a.cols()) {
-    throw std::invalid_argument(std::string(name) + ": A is " + shape(a) +
-                                " but B is " + shape(b));
-  }
-  launch_gemm(ctx.device(), a.rows(), b.cols(), a.cols(), p, algo, name);
-  tensor::MatrixF c(a.rows(), b.cols());
-  if (!ctx.device().traffic_only()) {
-    gemm_math<false>(a, round_a(p, a), b, c, p, ctx.pool());
-  }
-  return c;
 }
 
 std::vector<tensor::MatrixF> batched_gemm_nt(

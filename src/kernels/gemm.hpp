@@ -83,12 +83,6 @@ struct GemmAlgo {
     numeric::Precision p = numeric::Precision::kFp32,
     const GemmAlgo* algo = nullptr, std::string_view name = "gemm_nt");
 
-/// C = A (m×k) · B (k×n).
-[[nodiscard]] tensor::MatrixF gemm_nn(
-    core::ExecContext& ctx, const tensor::MatrixF& a, const tensor::MatrixF& b,
-    numeric::Precision p = numeric::Precision::kFp32,
-    const GemmAlgo* algo = nullptr, std::string_view name = "gemm_nn");
-
 /// Batched C_i = A · B_iᵀ over one shared input panel: the whole batch
 /// executes in ONE launch (the cublasGemmStridedBatchedEx analogue) with
 /// the A strips staged in shared memory once and every B panel streamed

@@ -7,17 +7,6 @@
 
 namespace et::kernels {
 
-tensor::MatrixF LinearResult::full_width(std::size_t out_cols) const {
-  if (!condensed) return y;
-  tensor::MatrixF full(y.rows(), out_cols);
-  for (std::size_t r = 0; r < y.rows(); ++r) {
-    for (std::size_t i = 0; i < nonzero_cols.size(); ++i) {
-      full(r, nonzero_cols[i]) = y(r, i);
-    }
-  }
-  return full;
-}
-
 LinearResult linear(core::ExecContext& ctx, const tensor::MatrixF& x,
                     const sparse::AnyWeight& w, const LinearOptions& opt,
                     std::string_view name) {
@@ -26,14 +15,14 @@ LinearResult linear(core::ExecContext& ctx, const tensor::MatrixF& x,
   LinearResult out;
 
   if (const auto* dense = std::get_if<sparse::DenseWeight>(&w)) {
-    out.y = gemm_nt(ctx, x, dense->matrix(), opt.precision, opt.algo,
+    out.y = gemm_nt(ctx, x, dense->matrix(), opt.precision, nullptr,
                     base + ".dense");
     return out;
   }
 
   if (const auto* row = std::get_if<sparse::RowPrunedWeight>(&w)) {
     tensor::MatrixF cond = gemm_nt(ctx, x, row->condensed(), opt.precision,
-                                   opt.algo, base + ".row_gemm");
+                                   nullptr, base + ".row_gemm");
     if (opt.scatter_row_pruned_output) {
       out.y = scatter_cols(dev, cond, row->kept_rows(), row->original_rows(),
                            opt.precision, base + ".scatter");
@@ -55,7 +44,7 @@ LinearResult linear(core::ExecContext& ctx, const tensor::MatrixF& x,
     }
     tensor::MatrixF adjusted = gather_cols(dev, x, col->kept_cols(),
                                            opt.precision, base + ".gather");
-    out.y = gemm_nt(ctx, adjusted, col->condensed(), opt.precision, opt.algo,
+    out.y = gemm_nt(ctx, adjusted, col->condensed(), opt.precision, nullptr,
                     base + ".col_gemm");
     return out;
   }

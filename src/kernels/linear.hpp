@@ -35,10 +35,6 @@ struct LinearResult {
   /// full-width and nonzero_cols is empty.
   bool condensed = false;
   std::vector<std::uint32_t> nonzero_cols;
-
-  /// Materialize the full-width view (pure host-side helper for tests —
-  /// does not model a kernel).
-  [[nodiscard]] tensor::MatrixF full_width(std::size_t out_cols) const;
 };
 
 struct LinearOptions {
@@ -46,7 +42,6 @@ struct LinearOptions {
   /// For row-pruned weights: emit the scatter kernel and return a
   /// full-width output instead of the condensed one.
   bool scatter_row_pruned_output = true;
-  const GemmAlgo* algo = nullptr;  ///< nullptr = autotune
 };
 
 [[nodiscard]] LinearResult linear(core::ExecContext& ctx,

@@ -1,6 +1,5 @@
 #include "nn/model.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -18,40 +17,28 @@ Model::Model(const std::vector<EncoderWeights>* layers, EncoderOptions opt,
     throw std::invalid_argument("nn::Model: max_context must be > 0");
   }
 
-  const auto note_method = [this](const sparse::AnyWeight& w) {
-    const sparse::PruneMethod m = sparse::method_of(w);
-    if (std::find(prune_methods_.begin(), prune_methods_.end(), m) ==
-        prune_methods_.end()) {
-      prune_methods_.push_back(m);
-    }
-  };
-
+  // True when any attention weight is stored in a non-dense format.
+  bool pruned = false;
   v_widths_.reserve(layers_->size());
   for (std::size_t l = 0; l < layers_->size(); ++l) {
     validate_layer((*layers_)[l], l, opt_.attn, "nn::Model");
     const core::AttentionWeights& aw = (*layers_)[l].attn;
-    note_method(aw.wq);
-    note_method(aw.wk);
-    note_method(aw.wv);
-    note_method(aw.wo);
+    for (const sparse::AnyWeight* w : {&aw.wq, &aw.wk, &aw.wv, &aw.wo}) {
+      pruned = pruned ||
+               sparse::method_of(*w) != sparse::PruneMethod::kDense;
+    }
     has_precomputed_ = has_precomputed_ || aw.has_precomputed();
     v_widths_.push_back(core::v_side(aw, opt_.attn).width);
   }
-  std::sort(prune_methods_.begin(), prune_methods_.end());
 
   // Derive the base layout, then reconcile it with the requested
   // descriptor. kInt8 layers ON TOP of any base layout (it quantizes the
   // dense materialization the decode GEMMs would read anyway); every
   // other explicit request must agree with what the weights actually
   // are.
-  WeightFormat derived = WeightFormat::kDense;
-  if (has_precomputed_) {
-    derived = WeightFormat::kPrecomputed;
-  } else {
-    for (const sparse::PruneMethod m : prune_methods_) {
-      if (m != sparse::PruneMethod::kDense) derived = WeightFormat::kPruned;
-    }
-  }
+  const WeightFormat derived = has_precomputed_ ? WeightFormat::kPrecomputed
+                               : pruned         ? WeightFormat::kPruned
+                                                : WeightFormat::kDense;
   format_ = format.value_or(derived);
   if (format_ != WeightFormat::kInt8 && format_ != derived) {
     throw std::invalid_argument(

@@ -7,7 +7,7 @@
 // construction point. It owns the run configuration — borrowed layer
 // weights, options, the per-slot context capacity — and the capability
 // flags derived from the weights: whether the pre-computed W_VO fold
-// (§3.1) is in play, which pruned formats appear, and the per-layer
+// (§3.1) is in play, the weight layout it implies, and the per-layer
 // V-plane width the KV caches must allocate (full d_model, condensed
 // Σkept for a condensable row-pruned W_V, or H·kept under the fold).
 #pragma once
@@ -73,12 +73,6 @@ class Model {
   [[nodiscard]] bool has_precomputed() const noexcept {
     return has_precomputed_;
   }
-  /// Distinct formats appearing across the attention weights, in enum
-  /// order (kDense first when present).
-  [[nodiscard]] const std::vector<sparse::PruneMethod>& prune_methods()
-      const noexcept {
-    return prune_methods_;
-  }
   /// The WeightFormat descriptor consumed by the scheduler's decode tick
   /// and echoed (via to_string) by `et_cli --json` and the benches:
   /// kInt8 when quantization was requested; else kPrecomputed when any
@@ -114,7 +108,6 @@ class Model {
   EncoderOptions opt_;
   std::size_t max_ctx_ = 0;
   std::vector<std::size_t> v_widths_;  // index = layer
-  std::vector<sparse::PruneMethod> prune_methods_;
   bool has_precomputed_ = false;
   WeightFormat format_ = WeightFormat::kDense;
   std::vector<QuantizedLayer> qlayers_;  // non-empty iff kInt8

@@ -37,12 +37,4 @@ struct ModelConfig {
   return {"BERT_LARGE", 24, 1024, 16, 4096, 30522, 512};
 }
 
-/// Approximate encoder-stack parameter count (attention + MLP + norms).
-[[nodiscard]] inline std::size_t parameter_count(const ModelConfig& c) {
-  const std::size_t attn = 4 * c.d_model * c.d_model;
-  const std::size_t mlp = 2 * c.d_model * c.d_ff + c.d_ff + c.d_model;
-  const std::size_t norms = 4 * c.d_model;
-  return c.num_layers * (attn + mlp + norms);
-}
-
 }  // namespace et::nn

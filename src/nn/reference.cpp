@@ -70,11 +70,6 @@ tensor::MatrixD attention_d(const tensor::MatrixD& x,
           scores[j] = -std::numeric_limits<double>::infinity();
         }
       }
-      if (cfg.valid_len > 0 && cfg.valid_len < s) {
-        for (std::size_t j = cfg.valid_len; j < s; ++j) {
-          scores[j] = -std::numeric_limits<double>::infinity();
-        }
-      }
       double mx = -std::numeric_limits<double>::infinity();
       for (double v2 : scores) mx = std::max(mx, v2);
       double sum = 0.0;

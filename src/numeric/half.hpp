@@ -69,8 +69,6 @@ class half {
 
   /// Largest finite binary16 value (65504).
   static constexpr float max() noexcept { return 65504.0f; }
-  /// Smallest positive normal (2^-14).
-  static constexpr float min_normal() noexcept { return 6.103515625e-05f; }
   /// Machine epsilon (2^-10).
   static constexpr float epsilon() noexcept { return 9.765625e-04f; }
 

@@ -1,6 +1,7 @@
 #include "serving/server.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <stdexcept>
 #include <utility>
 
@@ -463,16 +464,19 @@ void InferenceServer::tick(core::ExecContext& ctx) {
   expire_active(t);
   admit_from_queues(t);
   ticks_->inc();
+  // A scheduler tick that throws finishes like any other before the
+  // exception reaches the caller: its device time so far is charged, the
+  // slots it retired before the throw (its capacity pre-check runs first)
+  // finish, so a cancel() on one loses the race, and the clock advances,
+  // so other requests' budgets keep running down.
+  std::exception_ptr failure;
   if (sched_.active() > 0) {
     const gpusim::Device& dev = ctx.device();
     const double before = dev.total_time_us();
     try {
       sched_.tick(ctx);
     } catch (...) {
-      // Slots the tick retired before it threw (its capacity pre-check
-      // runs first) finish now, so a cancel() on one loses the race.
-      harvest(t);
-      throw;
+      failure = std::current_exception();
     }
     // device_us_ += after - before, grouped so that while nothing else
     // launches on the device (one server, fresh device) device_us_ equals
@@ -482,6 +486,7 @@ void InferenceServer::tick(core::ExecContext& ctx) {
   harvest(t);
   ++tick_;
   refresh_gauges();
+  if (failure) std::rethrow_exception(failure);
 }
 
 void InferenceServer::drain(core::ExecContext& ctx) {

@@ -263,8 +263,9 @@ class InferenceServer {
   ///   3. run one scheduler tick (fused batched decode),
   ///   4. deliver streaming tokens and retire finished requests,
   ///   5. refresh the gauges.
-  /// If the scheduler tick throws, the requests it retired first are
-  /// finished before the exception propagates.
+  /// If the scheduler tick throws, the tick still completes steps 4 and
+  /// 5, charges the device time recorded before the throw and advances
+  /// now(); then the exception propagates.
   void tick(core::ExecContext& ctx);
 
   /// Drive until every submitted request has finished.

@@ -38,16 +38,6 @@ template <typename T>
   return true;
 }
 
-template <typename T>
-[[nodiscard]] double frobenius_norm(const Matrix<T>& a) {
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double v = static_cast<double>(a.flat()[i]);
-    s += v * v;
-  }
-  return std::sqrt(s);
-}
-
 /// l2 norm of the r×c tile whose top-left corner is (tr*r, tc*c) — the
 /// quantity ‖W_ij‖₂ that drives tile pruning (§4.2).
 template <typename T>

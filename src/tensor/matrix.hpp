@@ -1,9 +1,9 @@
 // Dense row-major matrix container used throughout E.T.
 //
 // Kept deliberately small: owning storage, checked element access in
-// debug builds, row spans, and head-slicing views (a "head" in the paper
-// is a contiguous block of columns of width d_model / H — the ‖ operator
-// in Fig. 3 concatenates heads along columns).
+// debug builds, row spans and a row-block copy. A "head" in the paper is
+// a contiguous block of columns of width d_model / H (the ‖ operator in
+// Fig. 3 concatenates heads along columns); kernels index it in place.
 #pragma once
 
 #include <cassert>
@@ -66,32 +66,6 @@ class Matrix {
   std::size_t cols_ = 0;
   std::vector<T> data_;
 };
-
-/// Transpose (out-of-place).
-template <typename T>
-[[nodiscard]] Matrix<T> transpose(const Matrix<T>& a) {
-  Matrix<T> t(a.cols(), a.rows());
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    for (std::size_t c = 0; c < a.cols(); ++c) {
-      t(c, r) = a(r, c);
-    }
-  }
-  return t;
-}
-
-/// Copy the column block [col0, col0+width) — e.g. one attention head.
-template <typename T>
-[[nodiscard]] Matrix<T> slice_cols(const Matrix<T>& a, std::size_t col0,
-                                   std::size_t width) {
-  assert(col0 + width <= a.cols());
-  Matrix<T> s(a.rows(), width);
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    for (std::size_t c = 0; c < width; ++c) {
-      s(r, c) = a(r, col0 + c);
-    }
-  }
-  return s;
-}
 
 /// Copy the row block [row0, row0+height).
 template <typename T>

@@ -8,23 +8,6 @@
 
 namespace et::tensor {
 
-/// C = A (m×k) · B (k×n), accumulated in double, emitted as float.
-template <typename TA, typename TB>
-[[nodiscard]] MatrixF reference_gemm(const Matrix<TA>& a, const Matrix<TB>& b) {
-  assert(a.cols() == b.rows());
-  MatrixF c(a.rows(), b.cols());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t j = 0; j < b.cols(); ++j) {
-      double acc = 0.0;
-      for (std::size_t k = 0; k < a.cols(); ++k) {
-        acc += static_cast<double>(a(i, k)) * static_cast<double>(b(k, j));
-      }
-      c(i, j) = static_cast<float>(acc);
-    }
-  }
-  return c;
-}
-
 /// C = A (m×k) · Bᵀ where B is (n×k) — the X·Wᵀ shape of every linear
 /// transformation in the paper (§2.1).
 template <typename TA, typename TB>

@@ -58,9 +58,6 @@ class AdamW {
  public:
   explicit AdamW(AdamWConfig cfg = {}) : cfg_(cfg) {}
 
-  void set_lr(float lr) noexcept { cfg_.lr = lr; }
-  [[nodiscard]] float lr() const noexcept { return cfg_.lr; }
-
   void step(const std::vector<Param*>& params) {
     ++t_;
     const float bc1 = 1.0f - std::pow(cfg_.beta1, static_cast<float>(t_));

@@ -518,6 +518,26 @@ TEST(Attention, PrecomputeVoRefusesBadShapes) {
   EXPECT_EQ(et::core::precompute_vo(w, w, 2, {0, 31}).kept(), 2u);
 }
 
+TEST(ConfigValidation, RejectsBadConfigs) {
+  Device dev;
+  et::core::ExecContext ctx(dev);
+  MatrixF x(8, 30);
+  {
+    AttentionConfig cfg;
+    cfg.seq_len = 8;
+    cfg.d_model = 30;  // not divisible by 4 heads
+    cfg.num_heads = 4;
+    const auto w = et::core::make_dense_weights(small_cfg(false), 9);
+    EXPECT_THROW((void)et::core::otf_attention(ctx, x, w, cfg),
+                 std::invalid_argument);
+  }
+  {
+    auto cfg = small_cfg(false);
+    cfg.num_heads = 0;
+    EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // attention_math under kPureFp16 and kMixed against the per-step row loop
 // it runs instead of, written out here over numeric::half (the out-of-line

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 #include <csignal>
 #include <poll.h>
@@ -138,6 +139,44 @@ TEST(CliContract, JunkNumericValueExitsNonzeroNamingTheToken) {
   const auto ratio = run_cli("--ratio 1.5");
   EXPECT_EQ(ratio.exit_code, 2);
   EXPECT_NE(ratio.output.find("1.5"), std::string::npos);
+}
+
+TEST(CliContract, JunkChoiceOrZeroSeqExitsNonzeroNamingTheToken) {
+  for (const char* flag :
+       {"--model", "--pipeline", "--strategy", "--device"}) {
+    const auto r = run_cli(std::string(flag) + " banana --ratio 0.5");
+    EXPECT_EQ(r.exit_code, 2) << flag;
+    EXPECT_NE(r.output.find("banana"), std::string::npos)
+        << flag << ": " << r.output;
+    EXPECT_NE(r.output.find(flag), std::string::npos)
+        << flag << ": " << r.output;
+  }
+  const auto zero = run_cli("--seq 0");
+  EXPECT_EQ(zero.exit_code, 2);
+  EXPECT_NE(zero.output.find("--seq"), std::string::npos) << zero.output;
+
+  // Every accepted token selects what it names: the header line echoes
+  // the model, the pipeline token, the device and the strategy token.
+  const std::pair<const char*, const char*> accepted[] = {
+      {"--model transformer --pipeline pytorch --strategy irregular "
+       "--device a100",
+       "Transformer · pytorch · seq 16 · A100 (simulated) · irregular @ 50%"},
+      {"--model distilbert --pipeline tensorrt --strategy column "
+       "--device v100s",
+       "DistilBERT · tensorrt · seq 16 · V100S (simulated) · column @ 50%"},
+      {"--model bert_large --pipeline fastertransformer --strategy tile",
+       "BERT_LARGE · fastertransformer · seq 16 · V100S (simulated) · tile "
+       "@ 50%"},
+      {"--model bert_base --pipeline et --strategy attention-aware",
+       "BERT_BASE · et · seq 16 · V100S (simulated) · attention-aware @ 50%"},
+      {"--strategy none",
+       "BERT_BASE · et · seq 16 · V100S (simulated) · none @ 50%"}};
+  for (const auto& [args, header] : accepted) {
+    const auto r = run_cli(std::string(args) + " --ratio 0.5 --seq 16");
+    EXPECT_EQ(r.exit_code, 0) << args << ": " << r.output;
+    EXPECT_NE(r.output.find(header), std::string::npos)
+        << args << ": " << r.output;
+  }
 }
 
 TEST(CliContract, MissingValueExitsNonzeroNamingTheFlag) {

@@ -203,8 +203,6 @@ TEST(DecodeFormats, ModelHandleReportsLayoutAndWidths) {
   EXPECT_EQ(d.weight_layout(), et::nn::WeightFormat::kDense);
   EXPECT_EQ(d.k_width(), kDModel);
   EXPECT_EQ(d.v_widths(), std::vector<std::size_t>({kDModel, kDModel}));
-  ASSERT_EQ(d.prune_methods().size(), 1u);
-  EXPECT_EQ(d.prune_methods()[0], et::sparse::PruneMethod::kDense);
 
   const et::nn::Model f(&folded.layers, folded.opt, kMaxContext);
   EXPECT_TRUE(f.has_precomputed());

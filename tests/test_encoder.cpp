@@ -208,14 +208,4 @@ TEST(Positional, MatchesEquation1And2) {
   EXPECT_NEAR(pe(2, 2), std::sin(2.0 / std::pow(10000.0, 2.0 / 8.0)), 1e-6);
 }
 
-TEST(ModelConfig, ParameterCounts) {
-  // BERT_BASE encoder stack is ~85M of the 110M total (the rest is
-  // embeddings); sanity-check the order of magnitude.
-  const auto count = et::nn::parameter_count(et::nn::bert_base());
-  EXPECT_GT(count, 80'000'000u);
-  EXPECT_LT(count, 90'000'000u);
-  EXPECT_GT(et::nn::parameter_count(et::nn::bert_large()),
-            2 * et::nn::parameter_count(et::nn::distilbert()));
-}
-
 }  // namespace

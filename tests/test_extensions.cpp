@@ -1,5 +1,5 @@
-// Extensions beyond the paper's evaluation: serialization round trips,
-// the §7 folded-attention training layer, and other-hardware behaviour.
+// Extensions beyond the paper's evaluation: serialization round trips
+// and other-hardware behaviour.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -9,7 +9,6 @@
 #include "pruning/strategy.hpp"
 #include "tensor/compare.hpp"
 #include "tensor/random.hpp"
-#include "train/folded_attention.hpp"
 #include "train/model.hpp"
 
 namespace {
@@ -113,88 +112,6 @@ TEST(Serialize, RejectsTruncation) {
   const std::string full = ss.str();
   std::stringstream cut(full.substr(0, full.size() / 2));
   EXPECT_THROW((void)et::nn::load_encoder_stack(cut), std::runtime_error);
-}
-
-// ----------------------------------------------------- folded training ----
-
-TEST(FoldedAttention, FoldReproducesStandardForward) {
-  et::train::MultiHeadAttention mha(16, 2, 30, /*causal=*/true);
-  // fold() requires zero V/O biases (documented).
-  std::fill(mha.wv.bias.begin(), mha.wv.bias.end(), 0.0f);
-  std::fill(mha.wo.bias.begin(), mha.wo.bias.end(), 0.0f);
-  auto folded = et::train::FoldedMultiHeadAttention::fold(mha);
-
-  MatrixF x(6, 16);
-  et::tensor::fill_normal(x, 31);
-  const MatrixF a = mha.forward(x);
-  const MatrixF b = folded.forward(x);
-  EXPECT_TRUE(allclose(b, a, 1e-4, 1e-4)) << max_abs_diff(a, b);
-}
-
-TEST(FoldedAttention, GradientCheckOnWvo) {
-  et::train::FoldedMultiHeadAttention layer(16, 2, 32, /*causal=*/false);
-  MatrixF x(5, 16);
-  et::tensor::fill_normal(x, 33);
-  MatrixF coeffs(5, 16);
-  et::tensor::fill_normal(coeffs, 34);
-  const auto loss = [&](const MatrixF& y) {
-    float s = 0.0f;
-    for (std::size_t i = 0; i < y.size(); ++i) {
-      s += y.flat()[i] * coeffs.flat()[i];
-    }
-    return s;
-  };
-
-  layer.zero_grad();
-  (void)layer.forward(x);
-  (void)layer.backward(coeffs);
-
-  const float eps = 1e-3f;
-  for (const std::size_t i : {0u, 123u, 400u}) {
-    const float orig = layer.wvo.w.flat()[i];
-    layer.wvo.w.flat()[i] = orig + eps;
-    const float up = loss(layer.forward(x));
-    layer.wvo.w.flat()[i] = orig - eps;
-    const float down = loss(layer.forward(x));
-    layer.wvo.w.flat()[i] = orig;
-    EXPECT_NEAR(layer.wvo.g.flat()[i], (up - down) / (2 * eps), 2e-2f)
-        << "wvo entry " << i;
-  }
-}
-
-TEST(FoldedAttention, TrainsToReduceLoss) {
-  // Regress a fixed target through the folded layer alone.
-  et::train::FoldedMultiHeadAttention layer(16, 2, 35, /*causal=*/false);
-  MatrixF x(4, 16), target(4, 16);
-  et::tensor::fill_normal(x, 36);
-  et::tensor::fill_normal(target, 37, 0.0f, 0.3f);
-  et::train::AdamW opt({.lr = 5e-3f, .weight_decay = 0.0f});
-
-  float first = 0.0f, last = 0.0f;
-  for (int step = 0; step < 40; ++step) {
-    layer.zero_grad();
-    const MatrixF y = layer.forward(x);
-    MatrixF dy(4, 16);
-    float loss = 0.0f;
-    for (std::size_t i = 0; i < y.size(); ++i) {
-      const float diff = y.flat()[i] - target.flat()[i];
-      loss += diff * diff;
-      dy.flat()[i] = 2.0f * diff;
-    }
-    (void)layer.backward(dy);
-    std::vector<et::train::Param*> params;
-    layer.collect(params);
-    opt.step(params);
-    if (step == 0) first = loss;
-    last = loss;
-  }
-  EXPECT_LT(last, 0.2f * first) << first << " -> " << last;
-}
-
-TEST(FoldedAttention, ParameterCountIsHTimesD2) {
-  et::train::FoldedMultiHeadAttention layer(32, 4, 38, true);
-  EXPECT_EQ(layer.wvo.w.rows(), 4u * 32u);
-  EXPECT_EQ(layer.wvo.w.cols(), 32u);
 }
 
 // ------------------------------------------------------- other hardware ----

@@ -400,7 +400,7 @@ TEST(AttentionConfigValidation, EveryOperatorRejectsMismatchedInputShape) {
   }
 }
 
-TEST(AttentionConfigValidation, RejectsZeroDimsAndBadValidLen) {
+TEST(AttentionConfigValidation, RejectsZeroDims) {
   et::gpusim::Device dev;
   et::core::ExecContext ctx(dev);
   const AttentionConfig good = small_cfg();
@@ -410,10 +410,6 @@ TEST(AttentionConfigValidation, RejectsZeroDimsAndBadValidLen) {
   AttentionConfig zero = good;
   zero.num_heads = 0;
   EXPECT_THROW((void)et::core::adaptive_attention(ctx, x, w, zero),
-               std::invalid_argument);
-  AttentionConfig pad = good;
-  pad.valid_len = good.seq_len + 1;
-  EXPECT_THROW((void)et::core::otf_attention(ctx, x, w, pad),
                std::invalid_argument);
 }
 

@@ -111,22 +111,6 @@ TEST(FlashAttention, BitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(FlashAttention, ValidLenMatchesOtf) {
-  // Padding mask: rows beyond valid_len are skipped as whole K/V blocks
-  // where possible; the result must equal the Eq. 6 kernel's.
-  auto cfg = base_cfg(96, /*causal=*/false);
-  cfg.valid_len = 41;
-  cfg.flash_block_cols = 16;
-  const auto w = et::core::make_dense_weights(cfg, 8);
-  const MatrixF x = random_input(cfg);
-  Device dev;
-  et::core::ExecContext ctx(dev);
-  const MatrixF flash = et::core::flash_attention(ctx, x, w, cfg);
-  const MatrixF otf = et::core::otf_attention(ctx, x, w, cfg);
-  EXPECT_TRUE(allclose(flash, otf, 1e-4, 1e-3))
-      << "max diff " << max_abs_diff(flash, otf);
-}
-
 TEST(FlashAttention, ReducedPrecisionStaysNearFp32) {
   for (const Precision p :
        {Precision::kMixed, Precision::kPureFp16, Precision::kBf16Mixed}) {

@@ -23,7 +23,6 @@ namespace {
 
 using et::gpusim::Device;
 using et::kernels::batched_gemm_nt;
-using et::kernels::gemm_nn;
 using et::kernels::gemm_nt;
 using et::kernels::gemm_nt_panels;
 using et::numeric::half;
@@ -46,18 +45,6 @@ TEST_P(GemmSizes, NtMatchesReference) {
   EXPECT_TRUE(allclose(c, ref, 1e-3, 1e-3))
       << "max diff " << max_abs_diff(c, ref);
   EXPECT_EQ(dev.launch_count(), 1u);
-}
-
-TEST_P(GemmSizes, NnMatchesReference) {
-  const auto [m, n, k] = GetParam();
-  MatrixF a(m, k), b(k, n);
-  et::tensor::fill_normal(a, 3);
-  et::tensor::fill_normal(b, 4);
-  Device dev;
-  et::core::ExecContext ctx(dev);
-  const MatrixF c = gemm_nn(ctx, a, b);
-  const MatrixF ref = et::tensor::reference_gemm(a, b);
-  EXPECT_TRUE(allclose(c, ref, 1e-3, 1e-3));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -120,15 +107,6 @@ TEST(Gemm, NtRejectsMismatchedOperandShapes) {
   EXPECT_EQ(dev.launch_count(), 0u);
 }
 
-TEST(Gemm, NnRejectsMismatchedOperandShapes) {
-  const MatrixF a(4, 8), b(7, 5);
-  Device dev;
-  et::core::ExecContext ctx(dev);
-  EXPECT_THROW((void)gemm_nn(ctx, a, b, Precision::kPureFp16),
-               std::invalid_argument);
-  EXPECT_EQ(dev.launch_count(), 0u);
-}
-
 TEST(Gemm, BatchedNtRejectsMismatchedPanels) {
   const MatrixF a(4, 8), good(5, 8), bad(5, 7);
   Device dev;
@@ -172,16 +150,18 @@ MatrixF half_oracle_nt(const MatrixF& a, const MatrixF& bt, Precision p) {
   return c;
 }
 
-/// Bit-identical, except that any two NaNs match.
-::testing::AssertionResult same_values(const MatrixF& got,
-                                       const MatrixF& want) {
-  if (got.rows() != want.rows() || got.cols() != want.cols()) {
+/// Bit-identical to want's columns [col0, col0 + got.cols()), except that
+/// any two NaNs match.
+::testing::AssertionResult same_columns(const MatrixF& got,
+                                        const MatrixF& want,
+                                        std::size_t col0) {
+  if (got.rows() != want.rows() || col0 + got.cols() > want.cols()) {
     return ::testing::AssertionFailure() << "shape differs";
   }
   for (std::size_t i = 0; i < got.rows(); ++i) {
     for (std::size_t j = 0; j < got.cols(); ++j) {
       const float g = got(i, j);
-      const float w = want(i, j);
+      const float w = want(i, col0 + j);
       if (std::isnan(g) && std::isnan(w)) continue;
       if (std::bit_cast<std::uint32_t>(g) != std::bit_cast<std::uint32_t>(w)) {
         return ::testing::AssertionFailure()
@@ -190,6 +170,15 @@ MatrixF half_oracle_nt(const MatrixF& a, const MatrixF& bt, Precision p) {
     }
   }
   return ::testing::AssertionSuccess();
+}
+
+/// Bit-identical, except that any two NaNs match.
+::testing::AssertionResult same_values(const MatrixF& got,
+                                       const MatrixF& want) {
+  if (got.cols() != want.cols()) {
+    return ::testing::AssertionFailure() << "shape differs";
+  }
+  return same_columns(got, want, 0);
 }
 
 struct OperandCase {
@@ -230,7 +219,7 @@ MatrixF operand(std::size_t rows, std::size_t k, std::uint64_t seed,
   return x;
 }
 
-enum class Entry { kNt, kNn, kBatchedNt, kPanelsNt };
+enum class Entry { kNt, kBatchedNt, kPanelsNt };
 
 class GemmFp16Differential
     : public ::testing::TestWithParam<std::tuple<Entry, Precision>> {};
@@ -244,7 +233,7 @@ void check_gemm_fp16(Entry entry, Precision p, std::size_t threads,
   std::vector<MatrixF> bts;
   for (const std::size_t rows : {n, std::size_t{4}, std::size_t{13}}) {
     bts.push_back(operand(rows, k, ++seed, oc.b_scale, oc.special));
-    if (entry == Entry::kNt || entry == Entry::kNn) break;
+    if (entry == Entry::kNt) break;
   }
   if (oc.mid_block) {
     for (std::size_t i = 0; i < m; ++i) a(i, k / 2) = 400.0f;
@@ -265,8 +254,6 @@ void check_gemm_fp16(Entry entry, Precision p, std::size_t threads,
   c0 = overflow_count();
   if (entry == Entry::kNt) {
     got.push_back(gemm_nt(ctx, a, bts[0], p));
-  } else if (entry == Entry::kNn) {
-    got.push_back(gemm_nn(ctx, a, et::tensor::transpose(bts[0]), p));
   } else {
     std::vector<const MatrixF*> panels;
     for (const MatrixF& bt : bts) panels.push_back(&bt);
@@ -304,14 +291,13 @@ TEST_P(GemmFp16Differential, BitIdenticalToHalfOracle) {
 
 INSTANTIATE_TEST_SUITE_P(
     Entries, GemmFp16Differential,
-    ::testing::Combine(::testing::Values(Entry::kNt, Entry::kNn,
-                                         Entry::kBatchedNt, Entry::kPanelsNt),
+    ::testing::Combine(::testing::Values(Entry::kNt, Entry::kBatchedNt,
+                                         Entry::kPanelsNt),
                        ::testing::Values(Precision::kPureFp16,
                                          Precision::kMixed)),
     [](const auto& pinfo) {
       const Entry e = std::get<0>(pinfo.param);
       return std::string(e == Entry::kNt          ? "Nt"
-                         : e == Entry::kNn        ? "Nn"
                          : e == Entry::kBatchedNt ? "BatchedNt"
                                                   : "PanelsNt") +
              (std::get<1>(pinfo.param) == Precision::kPureFp16 ? "PureFp16"
@@ -402,9 +388,7 @@ TEST(GemmPanels, EqualsGemmNtOnTheStackedMatrix) {
           ASSERT_EQ(got.size(), bts.size());
           std::size_t c_first = 0;
           for (std::size_t q = 0; q < got.size(); ++q) {
-            EXPECT_TRUE(same_values(
-                got[q],
-                et::tensor::slice_cols(want, c_first, bts[q].rows())))
+            EXPECT_TRUE(same_columns(got[q], want, c_first))
                 << "panel " << q;
             c_first += bts[q].rows();
           }

@@ -2,6 +2,7 @@
 // behind the targeted unit tests.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <random>
 
 #include "core/attention.hpp"
@@ -98,7 +99,14 @@ TEST_P(SeedSweep, GemmTransposeSymmetry) {
   et::core::ExecContext ctx(dev);
   const MatrixF ab = et::kernels::gemm_nt(ctx, a, b);
   const MatrixF ba = et::kernels::gemm_nt(ctx, b, a);
-  EXPECT_TRUE(allclose(transpose(ab), ba, 1e-4, 1e-4));
+  ASSERT_EQ(ab.rows(), ba.cols());
+  ASSERT_EQ(ab.cols(), ba.rows());
+  for (std::size_t i = 0; i < ab.rows(); ++i) {
+    for (std::size_t j = 0; j < ab.cols(); ++j) {
+      EXPECT_NEAR(ab(i, j), ba(j, i), 1e-4 + 1e-4 * std::abs(ba(j, i)))
+          << "(" << i << "," << j << ")";
+    }
+  }
 }
 
 TEST_P(SeedSweep, AttentionRowsAreConvexCombinationsUnderIdentityV) {

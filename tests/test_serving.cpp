@@ -1517,6 +1517,41 @@ TEST(Serving, SlotRetiredBeforeAThrowingTickIsFinished) {
   EXPECT_EQ(mx.find_counter("stop_kv_cache_full")->value(), 1u);
 }
 
+// A tick that throws still completes: the clock advances with the ticks
+// counter and the gauges are refreshed, so while one bad request keeps
+// every tick failing, a co-resident request's budget still runs out.
+TEST(Serving, ThrowingTickAdvancesTheClock) {
+  constexpr std::size_t kMaxContext = 8;
+  const Model m = make_model(2, 32, 2, kMaxContext, 65);
+  et::gpusim::Device dev;
+  et::core::ExecContext ctx(dev);
+  InferenceServer server(nn_model(m, kMaxContext), ServerConfig{});
+  et::serving::Request good = make_request(m, 1, 6, 86);
+  good.total_budget_ticks = 2;
+  const auto good_h = server.submit(std::move(good));
+  et::serving::Request bad = make_request(m, 9, 6, 87);
+  bad.embed = [](std::int32_t, std::size_t) {
+    return et::tensor::MatrixF(1, 8);
+  };
+  const auto bad_h = server.submit(std::move(bad));
+
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_THROW(server.tick(ctx), std::invalid_argument);
+  }
+  const auto& mx = server.metrics();
+  EXPECT_EQ(server.now(), 3u);
+  EXPECT_EQ(mx.find_counter("ticks")->value(), 3u);
+  ASSERT_EQ(server.status(good_h).state, RequestState::kFinished);
+  EXPECT_EQ(server.result(good_h).stop_reason,
+            et::nn::StopReason::kDeadlineExceeded);
+  EXPECT_DOUBLE_EQ(mx.find_gauge("active_slots")->value(), 1.0);
+
+  EXPECT_TRUE(server.cancel(bad_h));
+  server.drain(ctx);
+  EXPECT_EQ(server.result(bad_h).stop_reason, et::nn::StopReason::kCancelled);
+  EXPECT_EQ(server.now(), mx.find_counter("ticks")->value());
+}
+
 // A finished request keeps nothing its closures capture alive, however
 // it finished: the server drops its own copies at the finish, and the
 // scheduler's seat, the only other holder, goes with the slot.

@@ -207,8 +207,4 @@ TEST(ThreadPool, SingleThreadPoolSpawnsNoWorkersAndStillWorks) {
   EXPECT_EQ(sum, 4950u);
 }
 
-TEST(ThreadPool, HardwareThreadsIsAtLeastOne) {
-  EXPECT_GE(ThreadPool::hardware_threads(), 1u);
-}
-
 }  // namespace

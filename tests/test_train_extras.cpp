@@ -1,4 +1,4 @@
-// LR schedules, perplexity, and the fixed-penalty regularizer baseline.
+// Perplexity and the fixed-penalty regularizer baseline.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -6,38 +6,8 @@
 #include "data/metrics.hpp"
 #include "pruning/reweighted.hpp"
 #include "tensor/random.hpp"
-#include "train/lr_schedule.hpp"
 
 namespace {
-
-TEST(WarmupLinearDecay, RampsAndDecays) {
-  et::train::WarmupLinearDecay sched(1.0f, 10, 110);
-  EXPECT_NEAR(sched.lr(0), 0.1f, 1e-6f);
-  EXPECT_NEAR(sched.lr(4), 0.5f, 1e-6f);
-  EXPECT_NEAR(sched.lr(9), 1.0f, 1e-6f);
-  EXPECT_NEAR(sched.lr(60), 0.5f, 1e-6f);   // halfway through decay
-  EXPECT_NEAR(sched.lr(110), 0.0f, 1e-6f);  // fully decayed
-  EXPECT_NEAR(sched.lr(500), 0.0f, 1e-6f);  // clamped past the end
-}
-
-TEST(WarmupLinearDecay, FloorRespected) {
-  et::train::WarmupLinearDecay sched(1.0f, 5, 50, 0.2f);
-  EXPECT_NEAR(sched.lr(50), 0.2f, 1e-6f);
-  EXPECT_GT(sched.lr(20), 0.2f);
-}
-
-TEST(NoamSchedule, PeaksAtWarmup) {
-  et::train::NoamSchedule sched(512, 100);
-  float prev = 0.0f;
-  for (std::size_t s = 0; s < 99; ++s) {
-    const float lr = sched.lr(s);
-    EXPECT_GT(lr, prev);
-    prev = lr;
-  }
-  // Monotone decay after warmup.
-  EXPECT_GT(sched.lr(99), sched.lr(200));
-  EXPECT_GT(sched.lr(200), sched.lr(2000));
-}
 
 TEST(Perplexity, UniformModelGivesVocabSize) {
   // NLL of a uniform model over V tokens is ln(V) per token.
