@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <utility>
 
 #include "bench_common.hpp"
@@ -67,6 +68,9 @@ RegionCost attention_region(AttentionImpl impl, const et::tensor::MatrixF& x,
 }
 
 struct SweepResult {
+  /// The swept rows; text and CSV print as the sweep runs, JSON once the
+  /// caller has every shape's table.
+  et::bench::Table table;
   // score-bytes at the two longest swept lengths, for the asymptotic
   // gates (the longest is 2x the second-longest by construction).
   std::uint64_t flash_half = 0, flash_max = 0;
@@ -88,15 +92,16 @@ SweepResult sweep(const char* name, std::size_t d_model, std::size_t heads,
   cfg.causal_mask = false;
   const AttentionWeights w = et::core::make_dense_weights(cfg, 11);
 
-  et::bench::Table table(
-      {"seq_len", "TensorRT_us", "full_OTF_us", "partial_OTF_us", "flash_us",
-       "OTF_scoreB", "partial_scoreB", "flash_scoreB", "ET_vs_TRT", "winner",
-       "flash_vs_TRT"},
-      csv, json);
+  SweepResult result{
+      et::bench::Table({"seq_len", "TensorRT_us", "full_OTF_us",
+                        "partial_OTF_us", "flash_us", "OTF_scoreB",
+                        "partial_scoreB", "flash_scoreB", "ET_vs_TRT",
+                        "winner", "flash_vs_TRT"},
+                       csv, json)};
+  et::bench::Table& table = result.table;
   double sum_speedup = 0.0, sum_flash = 0.0;
   int count = 0;
   std::size_t flash_first_win = 0;
-  SweepResult result;
   for (std::size_t seq = seq_step; seq <= seq_max; seq += seq_step) {
     cfg.seq_len = seq;
     et::tensor::MatrixF x(seq, d_model);
@@ -141,9 +146,7 @@ SweepResult sweep(const char* name, std::size_t d_model, std::size_t heads,
   }
   if (!json) {
     std::printf("\n%s (d_model=%zu, H=%zu)\n\n", name, d_model, heads);
-  }
-  table.print();
-  if (!json) {
+    table.print();
     std::printf("\nE.T. (best of full/partial OTF) avg speedup over TensorRT "
                 "(seq 64-256): %.2fx; full->partial crossover at seq=%zu\n",
                 sum_speedup / count, result.crossover);
@@ -156,6 +159,19 @@ SweepResult sweep(const char* name, std::size_t d_model, std::size_t heads,
                 static_cast<unsigned long long>(result.flash_max));
   }
   return result;
+}
+
+/// --json: one object holding each shape's table under its name.
+void print_json(
+    std::initializer_list<std::pair<const char*, const SweepResult*>> shapes) {
+  std::printf("{\n");
+  std::size_t i = 0;
+  for (const auto& [name, r] : shapes) {
+    std::printf("\"%s\": ", name);
+    r->table.print();
+    if (++i < shapes.size()) std::printf(",\n");
+  }
+  std::printf("}\n");
 }
 
 /// The paper-figure gate: fail (exit 1) unless the paper's operators
@@ -226,11 +242,14 @@ int main(int argc, char** argv) {
     const SweepResult r =
         sweep("BERT_BASE", 768, 12, csv, json, /*seq_step=*/128,
               /*seq_max=*/512);
+    if (json) print_json({{"BERT_BASE", &r}});
     if (!check_asymptotics(r)) return 1;
-    std::printf("smoke OK: flash %llu B < partial %llu B at seq %zu; "
-                "linear vs quadratic growth verified\n",
-                static_cast<unsigned long long>(r.flash_max),
-                static_cast<unsigned long long>(r.partial_max), r.max_seq);
+    if (!json) {
+      std::printf("smoke OK: flash %llu B < partial %llu B at seq %zu; "
+                  "linear vs quadratic growth verified\n",
+                  static_cast<unsigned long long>(r.flash_max),
+                  static_cast<unsigned long long>(r.partial_max), r.max_seq);
+    }
     return 0;
   }
   if (!json) {
@@ -241,13 +260,14 @@ int main(int argc, char** argv) {
                                /*seq_step=*/32, /*seq_max=*/512);
   const SweepResult bb = sweep("BERT_BASE", 768, 12, csv, json,
                                /*seq_step=*/32, /*seq_max=*/512);
+  if (json) print_json({{"Transformer", &tr}, {"BERT_BASE", &bb}});
   // The asymptotic contract holds in every mode, not just --smoke; a
   // bench that prints numbers contradicting the paper should not pass.
   bool ok = true;
-  for (const auto& [name, r] : {std::pair{"Transformer", tr},
-                                std::pair{"BERT_BASE", bb}}) {
-    ok = check_asymptotics(r) && ok;
-    ok = check_paper_claims(name, r) && ok;
+  for (const auto& [name, r] : {std::pair{"Transformer", &tr},
+                                std::pair{"BERT_BASE", &bb}}) {
+    ok = check_asymptotics(*r) && ok;
+    ok = check_paper_claims(name, *r) && ok;
   }
   return ok ? 0 : 1;
 }

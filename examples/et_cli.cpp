@@ -279,7 +279,16 @@ bool parse(int argc, char** argv, Args& a) {
     }
     else if (arg == "--batch") next_size(arg, a.batch);
     else if (arg == "--tokens") next_size(arg, a.tokens);
-    else if (arg == "--threads") next_size(arg, a.threads);
+    else if (arg == "--threads") {
+      next_size(arg, a.threads);
+      if (a.threads == 0) {
+        std::fprintf(stderr,
+                     "bad value for --threads: '%s' (want a positive "
+                     "integer)\n",
+                     argv[i]);
+        ok = false;
+      }
+    }
     else if (arg == "--requests") next_size(arg, a.requests);
     else if (arg == "--queue-cap") next_size(arg, a.queue_cap);
     else if (arg == "--arrive") next_size(arg, a.arrive);
@@ -588,7 +597,7 @@ int main(int argc, char** argv) {
   }
 
   et::gpusim::Device dev(spec);
-  et::core::ExecContext ctx(dev, args.threads == 0 ? 1 : args.threads);
+  et::core::ExecContext ctx(dev, args.threads);
   dev.set_traffic_only(true);
   if (args.inject_given &&
       !arm_from_spec(dev.fault_injector(), args.inject_fault)) {

@@ -2,6 +2,8 @@
 
 #include <limits>
 
+#include "gpusim/latency_model.hpp"
+
 namespace et::core {
 
 AttentionImpl choose_attention_impl(const gpusim::Device& dev,
@@ -13,24 +15,23 @@ AttentionImpl choose_attention_impl(const gpusim::Device& dev,
   // degradation chain still applies if it fails at launch time).
   if (policy.forced) return *policy.forced;
   // Flash, OTF and partial OTF share their projections and output linear,
-  // so only their attention kernels are priced, on a scratch device with
-  // this device's spec. A record that overflows shared memory is a kernel
-  // that cannot launch here.
+  // so only their attention kernels are priced: the latency model runs on
+  // each record for this device's spec, and no device is built. A kernel
+  // that overflows shared memory cannot launch here.
+  const gpusim::DeviceSpec& spec = dev.spec();
   const VSide v = v_side(w, cfg);
   const auto price = [&](AttentionImpl impl) -> std::optional<double> {
-    gpusim::Device scratch(dev.spec());
-    try {
-      if (impl == AttentionImpl::kOtf) {
-        record_otf_kernel(scratch, cfg, v);
-      } else if (impl == AttentionImpl::kFlash) {
-        record_flash_kernel(scratch, cfg, v);
-      } else {
-        record_partial_otf_kernels(scratch, cfg, v);
-      }
-    } catch (const gpusim::SharedMemOverflow&) {
-      return std::nullopt;
+    const AttentionKernels kernels =
+        impl == AttentionImpl::kOtf     ? otf_kernels(cfg, v)
+        : impl == AttentionImpl::kFlash ? flash_kernels(cfg, v)
+                                        : partial_otf_kernels(spec, cfg, v);
+    // Summed in launch order from zero, as Device::total_time_us sums.
+    double us = 0.0;
+    for (const gpusim::KernelStats& st : kernels.view()) {
+      if (!dev.fits_shared(st.shared_bytes_per_cta)) return std::nullopt;
+      us += gpusim::estimate_latency(st, spec).total_us;
     }
-    return scratch.total_time_us();
+    return us;
   };
   // Each later candidate wins ties.
   static constexpr AttentionImpl kCandidates[] = {

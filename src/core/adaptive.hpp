@@ -8,7 +8,8 @@
 // device, run the one whose attention kernel(s) the latency model prices
 // lowest. The three share their projections and output linear, so only
 // the kernels between them — the launch records in attention.hpp — are
-// priced, on a scratch device with the same spec.
+// priced, by running the latency model on the records for the device's
+// spec; no device is built and nothing is recorded.
 #pragma once
 
 #include <optional>

@@ -27,20 +27,53 @@ constexpr std::size_t ceil_div(std::size_t a, std::size_t b) {
 /// smaller tiles on scratchpad-constrained hardware); only footprints that
 /// are *algorithmically required* — like Eq. 6's score row — stay fixed
 /// and can overflow.
-std::size_t clamp_shared(const gpusim::Device& dev, std::size_t bytes) {
-  return std::min(bytes, dev.spec().shared_mem_per_cta_bytes);
+std::size_t clamp_shared(const gpusim::DeviceSpec& spec, std::size_t bytes) {
+  return std::min(bytes, spec.shared_mem_per_cta_bytes);
+}
+
+/// A launch record under construction, built without a device: the
+/// counters start at zero and the latency-model fields stay unset.
+gpusim::KernelStats kernel(std::string_view name, std::size_t ctas,
+                           std::size_t shared_bytes_per_cta,
+                           AccessPattern pattern) {
+  gpusim::KernelStats st;
+  st.name = gpusim::KernelName::intern(name);
+  st.ctas = ctas;
+  st.shared_bytes_per_cta = shared_bytes_per_cta;
+  st.pattern = pattern;
+  return st;
 }
 
 /// GEMM flops run on the tensor cores below FP32; pointwise work always
 /// runs on the general cores.
-void count_ops(gpusim::Launch& launch, Precision p, std::uint64_t gemm_flops,
+void count_ops(gpusim::KernelStats& st, Precision p, std::uint64_t gemm_flops,
                std::uint64_t pointwise) {
   if (p == Precision::kFp32) {
-    launch.fp_ops(gemm_flops + pointwise);
+    st.fp_ops += gemm_flops + pointwise;
   } else {
-    launch.tensor_ops(gemm_flops);
-    launch.fp_ops(pointwise);
+    st.tensor_ops += gemm_flops;
+    st.fp_ops += pointwise;
   }
+}
+
+/// Launch one record on `dev`; the device runs the latency model and logs
+/// it. Throws gpusim::SharedMemOverflow when the kernel does not fit.
+void record(gpusim::Device& dev, const gpusim::KernelStats& st) {
+  auto launch = dev.launch({.name = st.name.view(),
+                            .ctas = st.ctas,
+                            .shared_bytes_per_cta = st.shared_bytes_per_cta,
+                            .pattern = st.pattern});
+  launch.load_bytes(st.global_load_bytes);
+  launch.store_bytes(st.global_store_bytes);
+  launch.score_bytes(st.score_bytes);
+  launch.fp_ops(st.fp_ops);
+  launch.tensor_ops(st.tensor_ops);
+}
+
+/// Record E.T.'s attention kernels in launch order; a kernel that does not
+/// fit throws, with the kernels before it already recorded.
+void record(gpusim::Device& dev, const AttentionKernels& kernels) {
+  for (const gpusim::KernelStats& st : kernels.view()) record(dev, st);
 }
 
 /// Q/K/context projections shared by every implementation.
@@ -152,15 +185,14 @@ void record_batched_gemm(gpusim::Device& dev, std::string_view name,
                          std::size_t ctas, Precision p,
                          std::size_t score_elems = 0) {
   const std::size_t sb = numeric::storage_bytes(p);
-  auto launch = dev.launch({.name = name,
-                            .ctas = ctas,
-                            .shared_bytes_per_cta =
-                                clamp_shared(dev, 2 * 256 * 16 * sb),
-                            .pattern = AccessPattern::kTiled});
-  launch.load_bytes((load_elems_a + load_elems_b) * sb);
-  launch.store_bytes(store_elems * sb);
-  launch.score_bytes(static_cast<std::uint64_t>(score_elems) * sb);
-  count_ops(launch, p, flops, 0);
+  gpusim::KernelStats st =
+      kernel(name, ctas, clamp_shared(dev.spec(), 2 * 256 * 16 * sb),
+             AccessPattern::kTiled);
+  st.global_load_bytes = (load_elems_a + load_elems_b) * sb;
+  st.global_store_bytes = store_elems * sb;
+  st.score_bytes = static_cast<std::uint64_t>(score_elems) * sb;
+  count_ops(st, p, flops, 0);
+  record(dev, st);
 }
 
 /// Record a kernel over the batched per-head score matrix (scale / mask /
@@ -172,30 +204,27 @@ void record_score_stream(gpusim::Device& dev, std::string_view name,
                          double store_frac, std::uint64_t flops,
                          Precision p) {
   const std::size_t sb = numeric::storage_bytes(p);
-  auto launch =
-      dev.launch({.name = name,
-                  .ctas = std::max<std::size_t>(1, elems / 4096),
-                  .shared_bytes_per_cta = 0,
-                  .pattern = AccessPattern::kStrided});
-  const auto loads = static_cast<std::uint64_t>(
+  gpusim::KernelStats st = kernel(name, std::max<std::size_t>(1, elems / 4096),
+                                  0, AccessPattern::kStrided);
+  st.global_load_bytes = static_cast<std::uint64_t>(
       static_cast<double>(elems * sb) * load_frac);
-  const auto stores = static_cast<std::uint64_t>(
+  st.global_store_bytes = static_cast<std::uint64_t>(
       static_cast<double>(elems * sb) * store_frac);
-  launch.load_bytes(loads);
-  launch.store_bytes(stores);
   // Everything a score-stream kernel touches IS the score matrix.
-  launch.score_bytes(loads + stores);
-  launch.fp_ops(flops);
+  st.score_bytes = st.global_load_bytes + st.global_store_bytes;
+  st.fp_ops = flops;
+  record(dev, st);
 }
 
-/// Steps ②–⑥ on the host (a traffic-only device only models them), then
-/// the output linear ⑦ unless the W_VO fold already applied it (Eq. 5).
+/// Steps ②–⑥ on the host (a traffic-only device only models them, and
+/// its output values are unspecified), then the output linear ⑦ unless
+/// the W_VO fold already applied it (Eq. 5).
 tensor::MatrixF attend(ExecContext& ctx, const Projections& pr,
                        const AttentionWeights& w, const AttentionConfig& cfg,
                        bool online_softmax = false) {
   tensor::MatrixF z =
       ctx.device().traffic_only()
-          ? tensor::MatrixF(cfg.seq_len, cfg.d_model)
+          ? tensor::MatrixF::uninitialized(cfg.seq_len, cfg.d_model)
       : online_softmax
           ? detail::flash_attention_math(pr.q, pr.k, pr.ctx, pr.vo,
                                          pr.v_kept_ptr(), cfg, &ctx.pool())
@@ -310,8 +339,7 @@ tensor::MatrixF fused_attention(ExecContext& ctx, const tensor::MatrixF& x,
 
 // Full on-the-fly kernel (Eq. 6): steps ②–⑥ in one kernel; each CTA owns a
 // 16-row tile and keeps Q·Kᵀ and S in shared memory.
-void record_otf_kernel(gpusim::Device& dev, const AttentionConfig& cfg,
-                       const VSide& v) {
+AttentionKernels otf_kernels(const AttentionConfig& cfg, const VSide& v) {
   const std::size_t s = cfg.seq_len;
   const std::size_t d = cfg.d_model;
   const std::size_t h = cfg.num_heads;
@@ -322,26 +350,26 @@ void record_otf_kernel(gpusim::Device& dev, const AttentionConfig& cfg,
   // Without pre-computation a CTA owns (head, row-tile); with it the CTA
   // iterates all heads for its row tile so the Eq. 4/5 head-sum stays in
   // registers.
-  auto launch = dev.launch(
-      {.name = "otf_attention",
-       .ctas = folded ? row_tiles : row_tiles * h,
-       .shared_bytes_per_cta = otf_shared_bytes(cfg),
-       .pattern = AccessPattern::kTiled});
+  gpusim::KernelStats st =
+      kernel("otf_attention", folded ? row_tiles : row_tiles * h,
+             otf_shared_bytes(cfg), AccessPattern::kTiled);
   // Q read once; K and the context operand re-read once per row tile —
   // the deliberate extra-loads-for-zero-intermediate-stores trade of
   // §5.2.5 (Fig. 11).
-  launch.load_bytes(static_cast<std::uint64_t>(s) * d * sb);
-  launch.load_bytes(static_cast<std::uint64_t>(row_tiles) * s * d * sb);
-  launch.load_bytes(static_cast<std::uint64_t>(row_tiles) * s * v.width * sb);
+  st.global_load_bytes =
+      static_cast<std::uint64_t>(s) * d * sb +
+      static_cast<std::uint64_t>(row_tiles) * s * d * sb +
+      static_cast<std::uint64_t>(row_tiles) * s * v.width * sb;
   // Only the final output touches global memory. With a condensed context
   // operand only the surviving columns are written.
-  launch.store_bytes(static_cast<std::uint64_t>(s) * (folded ? d : v.width) *
-                     sb);
+  st.global_store_bytes =
+      static_cast<std::uint64_t>(s) * (folded ? d : v.width) * sb;
   const std::uint64_t pointwise = s * d /*scale*/ +
                                   5ull * s * s * h /*softmax*/ +
                                   s * s * h / 2 /*mask*/;
-  count_ops(launch, cfg.precision, 2ull * s * s * d + 2ull * s * s * v.width,
+  count_ops(st, cfg.precision, 2ull * s * s * d + 2ull * s * s * v.width,
             pointwise);
+  return {{st}, 1};
 }
 
 // Streaming flash kernel (FlashAttention-2): each CTA owns a Br-row query
@@ -349,8 +377,7 @@ void record_otf_kernel(gpusim::Device& dev, const AttentionConfig& cfg,
 // online softmax in Bc-column blocks. Q·Kᵀ and S never exist in global
 // memory at ANY length; the only score-derived global traffic is the
 // per-row (m, ℓ) statistics, O(N).
-void record_flash_kernel(gpusim::Device& dev, const AttentionConfig& cfg,
-                         const VSide& v) {
+AttentionKernels flash_kernels(const AttentionConfig& cfg, const VSide& v) {
   const std::size_t s = cfg.seq_len;
   const std::size_t d = cfg.d_model;
   const std::size_t h = cfg.num_heads;
@@ -362,38 +389,39 @@ void record_flash_kernel(gpusim::Device& dev, const AttentionConfig& cfg,
   const std::size_t kv_blocks = ceil_div(s, cfg.flash_block_cols);
   // Same CTA ownership rule as OTF (pre-computation keeps the head sum in
   // registers), but over Br-row tiles instead of 16-row ones.
-  auto launch = dev.launch(
-      {.name = "flash_attention",
-       .ctas = folded ? row_tiles : row_tiles * h,
-       .shared_bytes_per_cta = flash_shared_bytes(cfg),
-       .pattern = AccessPattern::kTiled});
+  gpusim::KernelStats st =
+      kernel("flash_attention", folded ? row_tiles : row_tiles * h,
+             flash_shared_bytes(cfg), AccessPattern::kTiled);
   // Q read once; K and the context operand re-read once per Br-row tile —
   // the OTF trade again, but Br = 64 re-reads 4x less than 16-row tiles.
-  launch.load_bytes(static_cast<std::uint64_t>(s) * d * sb);
-  launch.load_bytes(static_cast<std::uint64_t>(row_tiles) * s * d * sb);
-  launch.load_bytes(static_cast<std::uint64_t>(row_tiles) * s * v.width * sb);
-  launch.store_bytes(static_cast<std::uint64_t>(s) * (folded ? d : v.width) *
-                     sb);
+  st.global_load_bytes =
+      static_cast<std::uint64_t>(s) * d * sb +
+      static_cast<std::uint64_t>(row_tiles) * s * d * sb +
+      static_cast<std::uint64_t>(row_tiles) * s * v.width * sb;
   // The running (m, ℓ) pair per row and head — the logsumexp line real
   // flash kernels persist — is the operator's entire score-side global
   // traffic: linear in N where partial-OTF's S round trip is quadratic.
   const std::uint64_t stats_bytes = 2ull * s * h * acc;
-  launch.store_bytes(stats_bytes);
-  launch.score_bytes(stats_bytes);
+  st.global_store_bytes =
+      static_cast<std::uint64_t>(s) * (folded ? d : v.width) * sb +
+      stats_bytes;
+  st.score_bytes = stats_bytes;
   // Online softmax costs one extra op per score (the running-max compare)
   // plus an accumulator rescale of each row's output block per K/V block.
   const std::uint64_t pointwise =
       s * d /*scale*/ + 6ull * s * s * h /*online softmax*/ +
       static_cast<std::uint64_t>(s) * kv_blocks * (v.width + 2 * h)
       /*rescale*/;
-  count_ops(launch, cfg.precision, 2ull * s * s * d + 2ull * s * s * v.width,
+  count_ops(st, cfg.precision, 2ull * s * s * d + 2ull * s * s * v.width,
             pointwise);
+  return {{st}, 1};
 }
 
 // Partial on-the-fly kernels (§3.2): ②–③ as one outer-product GEMM kernel
 // (Q, K read once; S written once), ④–⑥ as a second fused kernel.
-void record_partial_otf_kernels(gpusim::Device& dev,
-                                const AttentionConfig& cfg, const VSide& v) {
+AttentionKernels partial_otf_kernels(const gpusim::DeviceSpec& spec,
+                                     const AttentionConfig& cfg,
+                                     const VSide& v) {
   const std::size_t s = cfg.seq_len;
   const std::size_t d = cfg.d_model;
   const std::size_t h = cfg.num_heads;
@@ -404,17 +432,13 @@ void record_partial_otf_kernels(gpusim::Device& dev,
 
   // Kernel A: ②–③. Outer-product decomposition reads Q and K exactly
   // once and writes the full score matrix once.
-  {
-    auto launch = dev.launch(
-        {.name = "partial_otf_qk",
-         .ctas = h * ceil_div(s, 128) * ceil_div(s, 128),
-         .shared_bytes_per_cta = clamp_shared(dev, 2 * 256 * 16 * sb),
-         .pattern = AccessPattern::kTiled});
-    launch.load_bytes(2ull * s * d * sb);
-    launch.store_bytes(static_cast<std::uint64_t>(score_elems) * sb);
-    launch.score_bytes(static_cast<std::uint64_t>(score_elems) * sb);
-    count_ops(launch, cfg.precision, 2ull * s * s * d, s * d /*scale*/);
-  }
+  gpusim::KernelStats qk =
+      kernel("partial_otf_qk", h * ceil_div(s, 128) * ceil_div(s, 128),
+             clamp_shared(spec, 2 * 256 * 16 * sb), AccessPattern::kTiled);
+  qk.global_load_bytes = 2ull * s * d * sb;
+  qk.global_store_bytes = static_cast<std::uint64_t>(score_elems) * sb;
+  qk.score_bytes = static_cast<std::uint64_t>(score_elems) * sb;
+  count_ops(qk, cfg.precision, 2ull * s * s * d, s * d /*scale*/);
 
   // Kernel B: ④–⑥. A CTA stages up to 32 score rows in shared memory,
   // masks, softmaxes and multiplies against the context operand, which is
@@ -423,21 +447,21 @@ void record_partial_otf_kernels(gpusim::Device& dev,
   // small scratchpad the row tile shrinks — V re-reads grow accordingly,
   // which the traffic accounting below reflects.
   const std::size_t staging = 2 * 16 * 16 * sb;
-  const std::size_t capacity = dev.spec().shared_mem_per_cta_bytes;
+  const std::size_t capacity = spec.shared_mem_per_cta_bytes;
   const std::size_t rows_per_cta = std::clamp<std::size_t>(
       capacity > staging ? (capacity - staging) / (s * acc) : 1, 1, 32);
   const std::size_t row_tiles = ceil_div(s, rows_per_cta);
-  auto launch = dev.launch(
-      {.name = "partial_otf_softmax_sv",
-       .ctas = (folded ? 1 : h) * row_tiles,
-       .shared_bytes_per_cta = rows_per_cta * s * acc + staging,
-       .pattern = AccessPattern::kTiled});
-  launch.load_bytes(static_cast<std::uint64_t>(score_elems) * sb);
-  launch.score_bytes(static_cast<std::uint64_t>(score_elems) * sb);
-  launch.load_bytes(static_cast<std::uint64_t>(row_tiles) * s * v.width * sb);
-  launch.store_bytes(static_cast<std::uint64_t>(s) * d * sb);
-  count_ops(launch, cfg.precision, 2ull * s * s * v.width,
+  gpusim::KernelStats sv =
+      kernel("partial_otf_softmax_sv", (folded ? 1 : h) * row_tiles,
+             rows_per_cta * s * acc + staging, AccessPattern::kTiled);
+  sv.global_load_bytes =
+      static_cast<std::uint64_t>(score_elems) * sb +
+      static_cast<std::uint64_t>(row_tiles) * s * v.width * sb;
+  sv.score_bytes = static_cast<std::uint64_t>(score_elems) * sb;
+  sv.global_store_bytes = static_cast<std::uint64_t>(s) * d * sb;
+  count_ops(sv, cfg.precision, 2ull * s * s * v.width,
             5ull * score_elems + score_elems / 2);
+  return {{qk, sv}, 2};
 }
 
 // --------------------------------------------------------------------------
@@ -448,7 +472,7 @@ tensor::MatrixF otf_attention(ExecContext& ctx, const tensor::MatrixF& x,
                               const AttentionWeights& w,
                               const AttentionConfig& cfg) {
   const Projections pr = project(ctx, x, w, cfg, true, true);
-  record_otf_kernel(ctx.device(), cfg, pr.v);
+  record(ctx.device(), otf_kernels(cfg, pr.v));
   return attend(ctx, pr, w, cfg);
 }
 
@@ -456,7 +480,7 @@ tensor::MatrixF flash_attention(ExecContext& ctx, const tensor::MatrixF& x,
                                 const AttentionWeights& w,
                                 const AttentionConfig& cfg) {
   const Projections pr = project(ctx, x, w, cfg, true, true);
-  record_flash_kernel(ctx.device(), cfg, pr.v);
+  record(ctx.device(), flash_kernels(cfg, pr.v));
   return attend(ctx, pr, w, cfg, /*online_softmax=*/true);
 }
 
@@ -465,7 +489,7 @@ tensor::MatrixF partial_otf_attention(ExecContext& ctx,
                                       const AttentionWeights& w,
                                       const AttentionConfig& cfg) {
   const Projections pr = project(ctx, x, w, cfg, true, true);
-  record_partial_otf_kernels(ctx.device(), cfg, pr.v);
+  record(ctx.device(), partial_otf_kernels(ctx.device().spec(), cfg, pr.v));
   return attend(ctx, pr, w, cfg);
 }
 

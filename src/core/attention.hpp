@@ -40,6 +40,9 @@
 // is not cfg.seq_len × cfg.d_model.
 #pragma once
 
+#include <array>
+#include <span>
+
 #include "core/config.hpp"
 #include "core/exec_context.hpp"
 #include "core/weights.hpp"
@@ -90,16 +93,29 @@ namespace et::core {
 
 /// The launch records of E.T.'s attention kernels: everything flash, OTF
 /// and partial OTF launch between their shared projections and output
-/// linear. A record depends only on the config and the V side (the fold
-/// flag and the context width, see v_side). The operators record onto
-/// their own device; choose_attention_impl records onto a scratch device
-/// to price each candidate. Throws gpusim::SharedMemOverflow when the
-/// kernel cannot launch on `dev`.
-void record_otf_kernel(gpusim::Device& dev, const AttentionConfig& cfg,
-                       const VSide& v);
-void record_flash_kernel(gpusim::Device& dev, const AttentionConfig& cfg,
-                         const VSide& v);
-void record_partial_otf_kernels(gpusim::Device& dev,
-                                const AttentionConfig& cfg, const VSide& v);
+/// linear, in launch order — one kernel for flash and OTF, two for partial
+/// OTF. The records are built without a device, so their latency-model
+/// fields are unset. A record depends only on the config and the V side
+/// (the fold flag and the context width, see v_side), and partial OTF's
+/// also on the shared memory `spec` offers a CTA. The operators launch
+/// them on their own device, where one that does not fit throws
+/// gpusim::SharedMemOverflow; choose_attention_impl prices them with the
+/// latency model directly.
+struct AttentionKernels {
+  std::array<gpusim::KernelStats, 2> kernels;
+  std::size_t count = 0;
+
+  [[nodiscard]] std::span<const gpusim::KernelStats> view() const noexcept {
+    return {kernels.data(), count};
+  }
+};
+
+[[nodiscard]] AttentionKernels otf_kernels(const AttentionConfig& cfg,
+                                           const VSide& v);
+[[nodiscard]] AttentionKernels flash_kernels(const AttentionConfig& cfg,
+                                             const VSide& v);
+[[nodiscard]] AttentionKernels partial_otf_kernels(
+    const gpusim::DeviceSpec& spec, const AttentionConfig& cfg,
+    const VSide& v);
 
 }  // namespace et::core

@@ -58,15 +58,19 @@ BlockAllocator::BlockAllocator(std::size_t num_blocks, std::size_t block_tokens,
     row_bytes_ += int8 ? (k_width + vw) + 2 * sizeof(float)
                        : (k_width + vw) * sizeof(float);
   }
+  // Planes start uninitialized: a row is always stored before anything
+  // reads it (appends write at the cursor, gathers and CoW copies read
+  // below it), so a plane's pages are first touched by their first write.
   const std::size_t rows = num_blocks * block_tokens;
   if (int8) {
+    using PlaneI8 = tensor::Matrix<std::int8_t>;
     k8_planes_.reserve(v_widths_.size());
     v8_planes_.reserve(v_widths_.size());
     k_scales_.reserve(v_widths_.size());
     v_scales_.reserve(v_widths_.size());
     for (const std::size_t vw : v_widths_) {
-      k8_planes_.emplace_back(rows, k_width);
-      v8_planes_.emplace_back(rows, vw);
+      k8_planes_.push_back(PlaneI8::uninitialized(rows, k_width));
+      v8_planes_.push_back(PlaneI8::uninitialized(rows, vw));
       k_scales_.emplace_back(rows, 1.0f);
       v_scales_.emplace_back(rows, 1.0f);
     }
@@ -74,8 +78,8 @@ BlockAllocator::BlockAllocator(std::size_t num_blocks, std::size_t block_tokens,
     k_planes_.reserve(v_widths_.size());
     v_planes_.reserve(v_widths_.size());
     for (const std::size_t vw : v_widths_) {
-      k_planes_.emplace_back(rows, k_width);
-      v_planes_.emplace_back(rows, vw);
+      k_planes_.push_back(tensor::MatrixF::uninitialized(rows, k_width));
+      v_planes_.push_back(tensor::MatrixF::uninitialized(rows, vw));
     }
   }
   refs_.assign(num_blocks, 0);
@@ -407,7 +411,7 @@ tensor::MatrixF PagedKVSlot::k_prefix(std::size_t layer) const {
   const BlockAllocator& alloc = pool_->alloc_;
   const std::size_t bt = alloc.block_tokens();
   const std::size_t used = used_.at(layer);
-  tensor::MatrixF out(used, alloc.k_width());
+  auto out = tensor::MatrixF::uninitialized(used, alloc.k_width());
   for (std::size_t r = 0; r < used; ++r) {
     alloc.load_k_row(layer, table_[r / bt], r % bt, out.row(r));
   }
@@ -418,7 +422,7 @@ tensor::MatrixF PagedKVSlot::v_prefix(std::size_t layer) const {
   const BlockAllocator& alloc = pool_->alloc_;
   const std::size_t bt = alloc.block_tokens();
   const std::size_t used = used_.at(layer);
-  tensor::MatrixF out(used, alloc.v_width(layer));
+  auto out = tensor::MatrixF::uninitialized(used, alloc.v_width(layer));
   for (std::size_t r = 0; r < used; ++r) {
     alloc.load_v_row(layer, table_[r / bt], r % bt, out.row(r));
   }

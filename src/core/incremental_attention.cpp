@@ -24,8 +24,8 @@ tensor::MatrixF incremental_attention(ExecContext& ctx,
   // kernel-launch- and weight-load-bound, which these counters expose).
   const tensor::MatrixF q = kernels::linear(ctx, x_row, w.wq, opt,
                                             "gen_q_linear").y;
-  const tensor::MatrixF k_new = kernels::linear(ctx, x_row, w.wk, opt,
-                                                "gen_k_linear").y;
+  tensor::MatrixF k_new = kernels::linear(ctx, x_row, w.wk, opt,
+                                          "gen_k_linear").y;
 
   // The V-side operand, in the layout the cache stores (docs/attention.md,
   // "Weight layouts in the decode path"):
@@ -54,12 +54,21 @@ tensor::MatrixF incremental_attention(ExecContext& ctx,
     v_new = kernels::linear(ctx, x_row, w.wv, opt, "gen_v_linear").y;
   }
   tensor::MatrixF z(1, cfg.d_model);
-  cache.append(k_new.row(0), v_new.row(0));
+  append_kv(ctx.device(), cache, k_new.row(0), v_new.row(0));
   const DecodeRow row{q.row(0), &cache, z.row(0)};
   incremental_attention_step(ctx, {&row, 1}, vo,
                              v_kept.empty() ? nullptr : &v_kept, cfg);
   if (vo != nullptr) return z;  // W_O is folded into the cached rows
   return kernels::linear(ctx, z, w.wo, opt, "gen_out_linear").y;
+}
+
+void append_kv(const gpusim::Device& dev, PagedKVCache& cache,
+               std::span<float> k_row, std::span<float> v_row) {
+  if (dev.traffic_only()) {
+    std::fill(k_row.begin(), k_row.end(), 0.0f);
+    std::fill(v_row.begin(), v_row.end(), 0.0f);
+  }
+  cache.append(k_row, v_row);
 }
 
 void incremental_attention_step(ExecContext& ctx,

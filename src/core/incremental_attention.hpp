@@ -34,6 +34,13 @@ namespace et::core {
                                                     const AttentionConfig& cfg,
                                                     PagedKVCache& cache);
 
+/// Append one token's projected K and V rows to `cache`. A traffic-only
+/// device ran no projection math, so there the rows are first zeroed and
+/// the cache receives what a zero projection writes: a pool never holds
+/// storage that nothing wrote. Throws as PagedKVCache::append.
+void append_kv(const gpusim::Device& dev, PagedKVCache& cache,
+               std::span<float> k_row, std::span<float> v_row);
+
 /// One decode row of an attention step: the token's projected query, the
 /// cache it attends over (this token's K/V row already appended), and the
 /// d_model-wide output row it writes. Every span is a view the caller

@@ -226,7 +226,8 @@ tensor::MatrixF gather_cols(gpusim::Device& dev, const tensor::MatrixF& x,
                     x.rows() * cols.size() * sb);
   launch.store_bytes(x.rows() * cols.size() * sb);
 
-  tensor::MatrixF out(x.rows(), cols.size());
+  // Every element is gathered, so nothing needs filling first.
+  tensor::MatrixF out = tensor::MatrixF::uninitialized(x.rows(), cols.size());
   if (dev.traffic_only()) return out;
   for (std::size_t r = 0; r < x.rows(); ++r) {
     for (std::size_t i = 0; i < cols.size(); ++i) {
@@ -253,8 +254,10 @@ tensor::MatrixF scatter_cols(gpusim::Device& dev,
   // The full-width output must be written (zero-fill included).
   launch.store_bytes(condensed.rows() * out_cols * sb);
 
+  if (dev.traffic_only()) {
+    return tensor::MatrixF::uninitialized(condensed.rows(), out_cols);
+  }
   tensor::MatrixF out(condensed.rows(), out_cols);
-  if (dev.traffic_only()) return out;
   for (std::size_t r = 0; r < condensed.rows(); ++r) {
     for (std::size_t i = 0; i < cols.size(); ++i) {
       assert(cols[i] < out_cols);

@@ -221,7 +221,8 @@ std::size_t check_panels(std::string_view name, const tensor::MatrixF& a,
   return n;
 }
 
-/// cs[i] = A · B_iᵀ, left zero on a traffic-only device. A is rounded once
+/// cs[i] = A · B_iᵀ; the math writes every element, and a traffic-only
+/// device runs none, so the outputs start uninitialized. A is rounded once
 /// for every panel and each panel rounds its own B, so a panel with an
 /// operand that overflows on rounding takes the per-step loop by itself.
 void panel_products(core::ExecContext& ctx, const tensor::MatrixF& a,
@@ -230,7 +231,7 @@ void panel_products(core::ExecContext& ctx, const tensor::MatrixF& a,
   const bool math = !ctx.device().traffic_only();
   const Fp16Operand a16 = math ? round_a(p, a) : std::nullopt;
   for (std::size_t i = 0; i < bs.size(); ++i) {
-    cs[i] = tensor::MatrixF(a.rows(), bs[i]->rows());
+    cs[i] = tensor::MatrixF::uninitialized(a.rows(), bs[i]->rows());
     if (math) gemm_math(a, a16, *bs[i], cs[i], p, ctx.pool());
   }
 }

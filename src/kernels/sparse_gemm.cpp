@@ -16,34 +16,6 @@ constexpr std::size_t ceil_div(std::size_t a, std::size_t b) {
   return (a + b - 1) / b;
 }
 
-/// Tile-rows are processed in groups of kGroup (8 × 16 = 128 output
-/// columns per CTA); X columns are staged once per group, so tiles in
-/// different rows of a group that share a tile-column share the load.
-constexpr std::size_t kGroup = 8;
-
-/// Total distinct (group, tile-column) pairs = how many 16-column strips
-/// of X each 128-row block of the grid must load. stamp[tc] holds the
-/// number (from 1) of the last group that counted tile column tc, so each
-/// column is counted once per group without clearing anything between
-/// groups.
-std::size_t union_col_strips(const sparse::TilePrunedWeight& w) {
-  std::vector<std::size_t> stamp(w.tile_cols(), 0);
-  std::size_t strips = 0;
-  std::size_t group = 0;
-  for (std::size_t g0 = 0; g0 < w.tile_rows(); g0 += kGroup) {
-    ++group;
-    const std::size_t g1 = std::min(g0 + kGroup, w.tile_rows());
-    for (std::uint32_t t = w.row_ptr()[g0]; t < w.row_ptr()[g1]; ++t) {
-      std::size_t& last = stamp[w.col_idx()[t]];
-      if (last != group) {
-        last = group;
-        ++strips;
-      }
-    }
-  }
-  return strips;
-}
-
 /// Y = X·Wᵀ needs X as wide as W; the kernels read X by W's column
 /// indices, so a narrower X would be read out of bounds.
 void check_width(std::string_view name, const tensor::MatrixF& x,
@@ -70,7 +42,8 @@ tensor::MatrixF bcsr_gemm_nt(core::ExecContext& ctx, const tensor::MatrixF& x,
 
   // Grid: 64-row × 2-tile-row CTAs (fine enough to fill the SMs at the
   // paper's sizes); the X-strip reuse accounting below still assumes
-  // kGroup tile rows share strips, which neighbouring CTAs get through L2.
+  // kStripGroup tile rows share strips, which neighbouring CTAs get
+  // through L2.
   auto launch = dev.launch(
       {.name = name,
        .ctas = ceil_div(m, std::size_t{64}) * ceil_div(w.tile_rows(), 2),
@@ -82,7 +55,7 @@ tensor::MatrixF bcsr_gemm_nt(core::ExecContext& ctx, const tensor::MatrixF& x,
                     (w.nnz_tiles() * kTileSide * kTileSide * sb +
                      w.col_idx().size() * sizeof(std::uint32_t) +
                      w.row_ptr().size() * sizeof(std::uint32_t)));
-  launch.load_bytes(union_col_strips(w) * kTileSide * m * sb);
+  launch.load_bytes(w.x_strips() * kTileSide * m * sb);
   launch.store_bytes(static_cast<std::uint64_t>(m) * n * sb);
   const std::uint64_t flops =
       2ull * m * kTileSide * kTileSide * w.nnz_tiles();
@@ -92,11 +65,11 @@ tensor::MatrixF bcsr_gemm_nt(core::ExecContext& ctx, const tensor::MatrixF& x,
     launch.tensor_ops(flops);
   }
 
-  tensor::MatrixF y(m, n);
-  if (dev.traffic_only()) return y;
+  if (dev.traffic_only()) return tensor::MatrixF::uninitialized(m, n);
 
-  // Pure-math region: each X row accumulates its own Y row, no device
-  // calls, so the pool partitions over i without sink machinery.
+  // Pure-math region: each X row accumulates its own Y row, from zero, no
+  // device calls, so the pool partitions over i without sink machinery.
+  tensor::MatrixF y(m, n);
   ctx.pool().parallel_for(m, [&](std::size_t i) {
     for (std::size_t tr = 0; tr < w.tile_rows(); ++tr) {
       for (std::uint32_t t = w.row_ptr()[tr]; t < w.row_ptr()[tr + 1]; ++t) {
@@ -158,10 +131,10 @@ tensor::MatrixF irregular_gemm_nt(core::ExecContext& ctx,
   launch.fp_ops(2ull * m * w.nnz() +
                 row_blocks * w.occupied_tiles() * kTileSide * kTileSide);
 
-  tensor::MatrixF y(m, n);
-  if (dev.traffic_only()) return y;
+  if (dev.traffic_only()) return tensor::MatrixF::uninitialized(m, n);
 
-  // Decode each tile once into a dense scratch, then accumulate.
+  // Decode each tile once into a dense scratch, then accumulate into zeros.
+  tensor::MatrixF y(m, n);
   std::vector<float> scratch(kTileSide * kTileSide);
   for (std::size_t tr = 0; tr < trows; ++tr) {
     for (std::uint32_t t = w.row_ptr()[tr]; t < w.row_ptr()[tr + 1]; ++t) {

@@ -163,7 +163,8 @@ void fused_step(core::ExecContext& ctx, const Model& model,
       keep.reserve(live.size());
       for (std::size_t b = 0; b < live.size(); ++b) {
         try {
-          (*live[b]->caches)[l].append(k_new.row(b), v_new.row(b));
+          core::append_kv(dev, (*live[b]->caches)[l], k_new.row(b),
+                          v_new.row(b));
           keep.push_back(b);
         } catch (const std::length_error&) {
           rollback(*live[b]);
@@ -208,6 +209,8 @@ void fused_step(core::ExecContext& ctx, const Model& model,
         tensor::MatrixF h2(keep.size(), d);
         for (std::size_t i = 0; i < keep.size(); ++i) {
           survivors.push_back(live[keep[i]]);
+          // A traffic-only h holds no values to carry over.
+          if (dev.traffic_only()) continue;
           const auto src = h.row(keep[i]);
           std::copy(src.begin(), src.end(), h2.row(i).begin());
         }
@@ -238,9 +241,11 @@ void fused_step(core::ExecContext& ctx, const Model& model,
     throw;
   }
 
+  // A traffic-only h holds no values: select() sees a zero row instead.
   for (std::size_t b = 0; b < live.size(); ++b) {
     live[b]->state = TickSlot::State::kOk;
-    live[b]->hidden = tensor::slice_rows(h, b, 1);
+    live[b]->hidden = dev.traffic_only() ? tensor::MatrixF(1, d)
+                                         : tensor::slice_rows(h, b, 1);
   }
 }
 

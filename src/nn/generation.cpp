@@ -29,12 +29,17 @@ tensor::MatrixF GenerationSession::step(core::ExecContext& ctx,
   // caches one row longer than later ones. Roll every cache back to its
   // pre-step length on any exception so a failed step has no effect.
   const std::size_t pre_step = context_length();
+  tensor::MatrixF h;
   try {
-    return step_layers(ctx, x_row, p);
+    h = step_layers(ctx, x_row, p);
   } catch (...) {
     kv_.slot(0).rollback(pre_step);
     throw;
   }
+  // A traffic-only device computed no hidden state; the caller's select()
+  // sees a zero row rather than storage nothing wrote.
+  if (ctx.device().traffic_only()) return tensor::MatrixF(1, model_.d_model());
+  return h;
 }
 
 tensor::MatrixF GenerationSession::step_layers(core::ExecContext& ctx,
@@ -66,7 +71,7 @@ tensor::MatrixF GenerationSession::step_layers(core::ExecContext& ctx,
         v_new = quant::int8_linear(ctx, h, ql->wv, "gen_v_int8");
       }
       tensor::MatrixF z(1, model_.d_model());
-      caches[l].append(k_new.row(0), v_new.row(0));
+      core::append_kv(ctx.device(), caches[l], k_new.row(0), v_new.row(0));
       const core::DecodeRow row{q.row(0), &caches[l], z.row(0)};
       core::incremental_attention_step(
           ctx, {&row, 1}, vo, ql->v_kept.empty() ? nullptr : &ql->v_kept,

@@ -42,7 +42,8 @@ class GenerationSession {
   explicit GenerationSession(const Model& model);
 
   /// Feed one token's embedding (1 × d_model); returns the top-layer
-  /// hidden state for that position (1 × d_model). Atomic under faults:
+  /// hidden state for that position (1 × d_model), a zero row on a
+  /// traffic-only device, which computes none. Atomic under faults:
   /// if a kernel fails partway through the layer stack, every per-layer
   /// KV cache is rolled back to its pre-step length before the exception
   /// propagates, so the session stays consistent and resumable. Throws

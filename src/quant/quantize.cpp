@@ -111,7 +111,8 @@ tensor::MatrixF int8_linear(core::ExecContext& ctx, const tensor::MatrixF& x,
   launch.fp_ops(m * n);  // epilogue rescale
   launch.finish();
 
-  tensor::MatrixF y(m, n);
+  // Every element is computed, so nothing needs filling first.
+  tensor::MatrixF y = tensor::MatrixF::uninitialized(m, n);
   if (dev.traffic_only()) return y;
 
   std::vector<std::int8_t> xq(k);
@@ -178,7 +179,7 @@ std::vector<tensor::MatrixF> int8_batched_linear(
   std::vector<tensor::MatrixF> out;
   out.reserve(ws.size());
   for (const QuantizedWeight* w : ws) {
-    out.emplace_back(m, w->rows());
+    out.push_back(tensor::MatrixF::uninitialized(m, w->rows()));
   }
   if (dev.traffic_only()) return out;
 

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <utility>
 
 namespace et::sparse {
 
@@ -143,9 +144,14 @@ TilePrunedWeight TilePrunedWeight::from_masked(const tensor::MatrixF& w,
   out.cols_ = w.cols();
   out.row_ptr_.assign(out.tile_rows() + 1, 0);
 
+  // strip_group[tc]: the last strip group (numbered from 1) with a tile in
+  // tile column tc, so each group counts each of its columns once.
+  std::vector<std::size_t> strip_group(out.tile_cols(), 0);
   for (std::size_t tr = 0; tr < out.tile_rows(); ++tr) {
+    const std::size_t group = tr / kStripGroup + 1;
     for (std::size_t tc = 0; tc < out.tile_cols(); ++tc) {
       if (mask(tr * kTileSide, tc * kTileSide) == 0) continue;
+      if (std::exchange(strip_group[tc], group) != group) ++out.x_strips_;
       out.col_idx_.push_back(static_cast<std::uint32_t>(tc));
       const std::size_t base = out.values_.size();
       out.values_.resize(base + kTileSide * kTileSide);

@@ -33,6 +33,10 @@ namespace et::sparse {
 /// Side of the square tensor tile (the FMA granularity of §2.2).
 inline constexpr std::size_t kTileSide = 16;
 
+/// Tile rows whose tiles share one staging of the X strips they read in
+/// the BCSR GEMM (8 × 16 = 128 output columns; TilePrunedWeight::x_strips).
+inline constexpr std::size_t kStripGroup = 8;
+
 enum class PruneMethod { kDense, kRow, kColumn, kTile, kIrregular };
 
 [[nodiscard]] constexpr std::string_view to_string(PruneMethod m) noexcept {
@@ -153,6 +157,10 @@ class TilePrunedWeight {
   [[nodiscard]] std::size_t nnz_tiles() const noexcept {
     return col_idx_.size();
   }
+  /// Distinct (group of kStripGroup tile rows, tile column) pairs among
+  /// the surviving tiles: how many 16-column strips of X the BCSR GEMM
+  /// loads per 128-row block of X. Counted once, when the weight is built.
+  [[nodiscard]] std::size_t x_strips() const noexcept { return x_strips_; }
   [[nodiscard]] double pruning_ratio() const noexcept {
     const auto total = tile_rows() * tile_cols();
     return total == 0 ? 0.0
@@ -179,6 +187,7 @@ class TilePrunedWeight {
   std::vector<std::uint32_t> row_ptr_;
   std::vector<std::uint32_t> col_idx_;
   std::vector<float> values_;  // nnz_tiles × (kTileSide*kTileSide)
+  std::size_t x_strips_ = 0;
 };
 
 class IrregularWeight {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <optional>
 #include <ostream>
 
 #include "differential.hpp"
@@ -733,5 +735,128 @@ TEST(BatchedGenerationApi, SessionStepRefusesWrongWidthRow) {
   EXPECT_EQ(dev.launch_count(), 0u);
   EXPECT_EQ(session.context_length(), 0u);
 }
+
+// ---------------------------------------------------------------------------
+// Traffic-only values: a traffic-only device computes nothing, and the
+// matrices its kernels return hold unspecified values. What leaves the
+// library must not depend on them: select() sees a fresh all-zero row,
+// and every KV row a pool holds reads back as zeros (on an int8 pool,
+// zero bytes with reconstruction scale 1).
+// ---------------------------------------------------------------------------
+
+/// A select that counts its calls and those whose hidden state is not an
+/// all-(+0) 1 × d row.
+et::nn::SelectFn zero_row_select(std::size_t d, std::size_t& calls,
+                                 std::size_t& nonzero) {
+  return [d, &calls, &nonzero](const MatrixF& hidden) {
+    ++calls;
+    bool zero = hidden.rows() == 1 && hidden.cols() == d;
+    for (const float v : hidden.flat()) {
+      zero = zero && std::bit_cast<std::uint32_t>(v) == 0;
+    }
+    if (!zero) ++nonzero;
+    return static_cast<std::int32_t>(calls % 7);
+  };
+}
+
+/// Every row below an in-use slot's cursor, in every layer, reads back as
+/// +0 and carries reconstruction scale 1.
+void expect_resident_kv_rows_zero(const et::core::PagedKVPool& pool) {
+  const et::core::BlockAllocator& alloc = pool.allocator();
+  const std::size_t bt = alloc.block_tokens();
+  for (std::size_t s = 0; s < pool.num_slots(); ++s) {
+    const et::core::PagedKVSlot& slot = pool.slot(s);
+    if (!slot.in_use()) continue;
+    for (std::size_t l = 0; l < alloc.num_layers(); ++l) {
+      for (const MatrixF& rows : {slot.k_prefix(l), slot.v_prefix(l)}) {
+        for (const float v : rows.flat()) {
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(v), 0u)
+              << "slot " << s << " layer " << l;
+        }
+      }
+      for (std::size_t r = 0; r < slot.used(l); ++r) {
+        const et::core::BlockId b = slot.table()[r / bt];
+        EXPECT_EQ(alloc.k_row_scale(l, b, r % bt), 1.0f);
+        EXPECT_EQ(alloc.v_row_scale(l, b, r % bt), 1.0f);
+      }
+    }
+  }
+}
+
+struct TrafficOnlyCase {
+  et::core::KvPrecision kv;
+  std::optional<et::nn::WeightFormat> format;
+};
+
+class TrafficOnlyValues : public ::testing::TestWithParam<TrafficOnlyCase> {};
+
+TEST_P(TrafficOnlyValues, ServedSelectRowsAndKvRowsStayZero) {
+  const Model m = make_model(2, 16, 2, 12, 63, /*prune_wq=*/true);
+  et::gpusim::Device dev;
+  dev.set_traffic_only(true);
+  et::core::ExecContext ctx(dev);
+  et::serving::ServerConfig cfg;
+  cfg.max_batch = 3;
+  cfg.kv.block_tokens = 2;
+  cfg.kv.precision = GetParam().kv;
+  et::serving::InferenceServer server(
+      et::nn::Model(&m.layers, m.opt, 12, GetParam().format), cfg);
+  std::size_t calls = 0, nonzero = 0;
+  const auto submit = [&](std::vector<std::int32_t> prompt,
+                          std::size_t tokens) {
+    et::serving::Request req;
+    req.prompt_tokens = std::move(prompt);
+    req.prefix_group = 1;
+    req.max_new_tokens = tokens;
+    req.embed = et::diff::make_embed(16, 7);
+    req.select = zero_row_select(16, calls, nonzero);
+    (void)server.submit(req);
+  };
+  // Batched ticks, then the second request alone on the per-slot path
+  // until it reaches the context limit. The request submitted at tick 5
+  // shares the first one's whole prompt, so it skips the shared rows'
+  // appends and a CoW split copies rows the first one wrote.
+  submit({5, 6, 7, 8, 9}, 3);
+  submit({3}, 20);
+  while (!server.idle()) {
+    if (server.now() == 5) submit({5, 6, 7, 8, 9, 1}, 2);
+    server.tick(ctx);
+    expect_resident_kv_rows_zero(server.scheduler().pool());
+  }
+  EXPECT_EQ(calls, 3u + 12u + 2u);
+  EXPECT_EQ(nonzero, 0u);
+  EXPECT_GT(server.scheduler().batched_ticks(), 0u);
+  EXPECT_GT(server.scheduler().pool().stats().prefix_hits, 0u);
+  EXPECT_GT(server.scheduler().pool().stats().cow_splits, 0u);
+}
+
+TEST_P(TrafficOnlyValues, GenerateSelectRowsStayZero) {
+  const Model m = make_model(2, 16, 2, 12, 64, /*prune_wq=*/true);
+  et::gpusim::Device dev;
+  dev.set_traffic_only(true);
+  et::core::ExecContext ctx(dev);
+  et::nn::GenerationSession session(
+      et::nn::Model(&m.layers, m.opt, 12, GetParam().format));
+  std::size_t calls = 0, nonzero = 0;
+  et::nn::DecodeParams params;
+  params.prompt_tokens = {4, 2};
+  params.max_new_tokens = 5;
+  params.embed = et::diff::make_embed(16, 8);
+  params.select = zero_row_select(16, calls, nonzero);
+  const et::nn::GenerationResult r = et::nn::generate(ctx, session, params);
+  EXPECT_EQ(r.tokens.size(), 5u);
+  EXPECT_EQ(calls, 5u);
+  EXPECT_EQ(nonzero, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KvAndWeights, TrafficOnlyValues,
+    ::testing::Values(
+        TrafficOnlyCase{et::core::KvPrecision::kFp32, std::nullopt},
+        TrafficOnlyCase{et::core::KvPrecision::kInt8,
+                        et::nn::WeightFormat::kInt8}),
+    [](const ::testing::TestParamInfo<TrafficOnlyCase>& c) {
+      return c.param.kv == et::core::KvPrecision::kInt8 ? "Int8" : "Fp32";
+    });
 
 }  // namespace

@@ -154,6 +154,13 @@ TEST(CliContract, JunkChoiceOrZeroSeqExitsNonzeroNamingTheToken) {
   const auto zero = run_cli("--seq 0");
   EXPECT_EQ(zero.exit_code, 2);
   EXPECT_NE(zero.output.find("--seq"), std::string::npos) << zero.output;
+  // Zero threads is junk too, not a request for one thread.
+  const auto no_threads = run_cli("--threads 0 --json");
+  EXPECT_EQ(no_threads.exit_code, 2);
+  EXPECT_NE(no_threads.output.find("--threads"), std::string::npos)
+      << no_threads.output;
+  EXPECT_NE(no_threads.output.find("'0'"), std::string::npos)
+      << no_threads.output;
 
   // Every accepted token selects what it names: the header line echoes
   // the model, the pipeline token, the device and the strategy token.

@@ -88,12 +88,24 @@ TEST(Gemm, AutotunerPrefersBigBlocksForBigProblems) {
 }
 
 TEST(Gemm, TrafficOnlySkipsMath) {
-  MatrixF a(8, 8, 1.0f), b(8, 8, 1.0f);
+  // Operands beyond binary16's range: the math counts overflows. A
+  // traffic-only device records the launch and runs no math, and its
+  // output has the product's shape and unspecified values.
+  MatrixF a(8, 8, 1e5f), b(8, 8, 1e5f);
+  Device real;
+  et::core::ExecContext real_ctx(real);
+  std::uint64_t before = et::numeric::overflow_count();
+  (void)gemm_nt(real_ctx, a, b, Precision::kPureFp16);
+  EXPECT_GT(et::numeric::overflow_count(), before) << "the math ran";
+
   Device dev;
   et::core::ExecContext ctx(dev);
   dev.set_traffic_only(true);
-  const MatrixF c = gemm_nt(ctx, a, b);
-  EXPECT_EQ(c(0, 0), 0.0f) << "math skipped";
+  before = et::numeric::overflow_count();
+  const MatrixF c = gemm_nt(ctx, a, b, Precision::kPureFp16);
+  EXPECT_EQ(et::numeric::overflow_count(), before) << "math skipped";
+  EXPECT_EQ(c.rows(), 8u);
+  EXPECT_EQ(c.cols(), 8u);
   EXPECT_EQ(dev.launch_count(), 1u);
   EXPECT_GT(dev.history()[0].total_bytes(), 0u);
 }

@@ -1,6 +1,8 @@
 // Matrix container, views, comparisons, reference GEMM.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "tensor/compare.hpp"
 #include "tensor/matrix.hpp"
 #include "tensor/random.hpp"
@@ -21,6 +23,39 @@ TEST(Matrix, BasicAccessAndFill) {
   EXPECT_EQ(m.row(1)[2], 7.0f);
   m.fill(0.0f);
   EXPECT_EQ(m(1, 2), 0.0f);
+}
+
+TEST(Matrix, CopyAndMoveKeepShapeAndValues) {
+  MatrixF a(2, 3);
+  et::tensor::fill_uniform(a, 5);
+  MatrixF b(4, 1, 2.0f);
+  b = a;  // a different size: new storage
+  EXPECT_EQ(b, a);
+  MatrixF c(3, 2);
+  c = a;  // the same size in another shape: storage reused
+  EXPECT_EQ(c.rows(), 2u);
+  EXPECT_EQ(c, a);
+  MatrixF d(std::move(c));
+  EXPECT_EQ(d, a);
+  EXPECT_TRUE(c.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(c.rows(), 0u);
+  c = std::move(d);
+  EXPECT_EQ(c, a);
+  EXPECT_TRUE(d.empty());  // NOLINT(bugprone-use-after-move)
+  // Writes to a copy leave the original alone.
+  MatrixF e = a;
+  e(1, 2) = 9.0f;
+  EXPECT_NE(e, a);
+}
+
+TEST(Matrix, UninitializedHasItsShapeAndTakesWrites) {
+  MatrixF m = MatrixF::uninitialized(3, 4);
+  EXPECT_EQ(m.rows(), 3u);
+  EXPECT_EQ(m.cols(), 4u);
+  EXPECT_EQ(m.size(), 12u);
+  m.fill(1.5f);
+  EXPECT_EQ(m, MatrixF(3, 4, 1.5f));
+  EXPECT_TRUE(MatrixF::uninitialized(0, 4).empty());
 }
 
 TEST(Matrix, SliceRows) {
